@@ -21,6 +21,13 @@ three prices:
   checks over a handful of candidates (each check re-filters extents, so
   the cost is a small multiple of one audit, not quadratic in it); the gate
   asserts the 10³→10⁴ growth stays linear-ish.
+* ``aggregate_core_extraction`` — the opposite shape: CSLibrary's
+  ``sum(ourprice) < MAX`` violated over 2 000 publications (the workbench's
+  ``integrate`` shape), whose core has ~1 500 members and costs ~2 500
+  shrink probes.  Untraced probes answer the sum from frozen columns
+  instead of re-reading every member, so extraction must stay within
+  1 000 scan-semantics checks of ``cc2`` (the per-member re-evaluation
+  this replaced costs ~3 000).
 
 Results land in ``BENCH_e18_explain.json`` via the shared harness
 (see ``conftest.py``).
@@ -240,4 +247,57 @@ def test_e18_core_extraction_bounded_by_scan_checks(benchmark, e18_size):
     assert t_extract <= 10 * t_scan + 1e-2, (
         f"core extraction costs {t_extract / t_scan:.1f} scan checks at "
         f"{e18_size} objects — the shrink loop is no longer trace-seeded"
+    )
+
+
+#: Publications in the aggregate-core case: the ``integrate`` workload's
+#: CSLibrary side, large enough that ``sum(ourprice) < MAX`` is violated.
+AGGREGATE_PUBLICATIONS = 2_000
+
+
+def test_e18_aggregate_core_extraction(benchmark):
+    """Aggregate cores: every shrink probe re-decides ``sum < MAX`` on a
+    masked view of ~2 000 publications.  Probes filter frozen columns, so
+    extraction costs a bounded number of scan checks of ``cc2`` even at
+    ~2 500 probes — re-reading every member per probe costs ~3 000."""
+    from repro.constraints.evaluate import evaluate
+    from repro.fixtures import cslibrary_schema
+
+    store = ObjectStore(cslibrary_schema(), enforce=False)
+    publishers = ("ACM", "IEEE", "Springer", "Elsevier", "Kluwer")
+    for index in range(AGGREGATE_PUBLICATIONS):
+        store.insert(
+            "Publication",
+            title=f"Book {index}",
+            isbn=f"L-{index}",
+            publisher=publishers[index % 5],
+            shopprice=50.0 + index % 40,
+            ourprice=45.0 + index % 40,
+        )
+    violations = store.audit()
+    (cc2,) = [
+        c for c in store.schema.all_constraints() if c.qualified_name.endswith(".cc2")
+    ]
+
+    def scan_check():
+        ctx = store.eval_context(self_extent_class=cc2.owner)
+        ctx.indexes = None
+        assert not evaluate(cc2.formula, ctx)
+
+    t_scan = _best_of(scan_check, 20)
+    t_extract = _best_of(lambda: store.explain_violations(violations), 3)
+    (core,) = benchmark(lambda: store.explain_violations(violations))
+    assert core.constraint_name == cc2.qualified_name and core.minimal
+
+    benchmark.extra_info["objects"] = AGGREGATE_PUBLICATIONS
+    benchmark.extra_info["core_size"] = len(core.members)
+    benchmark.extra_info["probes"] = core.checks
+    benchmark.extra_info["scan_check_ms"] = round(t_scan * 1000, 4)
+    benchmark.extra_info["extract_ms"] = round(t_extract * 1000, 2)
+    benchmark.extra_info["checks_per_scan"] = round(t_extract / t_scan, 1)
+
+    assert t_extract <= 1000 * t_scan, (
+        f"aggregate core extraction costs {t_extract / t_scan:.0f} scan "
+        f"checks of cc2 ({core.checks} probes) — probes are re-reading "
+        f"every member instead of filtering frozen columns"
     )

@@ -3,8 +3,10 @@
 Every benchmark both *verifies* the paper artifact it regenerates (plain
 assertions — a benchmark that reproduces the wrong result must fail) and
 *times* the machinery behind it, so `pytest benchmarks/ --benchmark-only`
-doubles as the reproduction record.  EXPERIMENTS.md maps each file to the
-paper artifact it covers.
+doubles as the reproduction record.  Each module's docstring names the
+paper artifact or engine mechanism it covers; the whole-system benchmark
+(workloads, end-to-end and per-layer metrics) is declared in
+``BENCHMARK.json`` and documented in ``benchmarks/suite/README.md``.
 
 Every run additionally writes one machine-readable ``BENCH_<name>.json``
 summary per benchmark module (median/p95 per case, plus each case's

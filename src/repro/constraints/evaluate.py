@@ -204,14 +204,35 @@ class ReasonTrace:
             )
         )
 
-    def reads_of(self, oid: str) -> tuple[str, ...]:
-        """Attribute names read from ``oid`` during the evaluation."""
-        names: dict[str, None] = {}
+    def member_index(self) -> tuple[dict[str, tuple], dict[str, tuple]]:
+        """``(chains, reads)`` for every subject, built in one pass over the
+        events: ``chains[oid]`` is :meth:`chain_of` and ``reads[oid]`` is
+        :meth:`reads_of` (subjects without one are absent).  Explaining a
+        core of k members through it costs one pass, not k.
+        """
+        chains: dict[str, tuple] = {}
+        names: dict[str, dict[str, None]] = {}
         for event in self.events:
-            if event.kind in ("attr", "member") and event.subject == oid:
-                if event.detail:
-                    names.setdefault(event.detail, None)
-        return tuple(names)
+            subject, env = event.subject, event.env
+            if subject not in chains:
+                # The earliest event that can give an oid a chain decides
+                # it: a quantifier binding extends its env by the binding
+                # itself; an event naming the oid as subject, or binding it
+                # in its env (below), contributes that env.
+                if event.kind == "binding" and " in " in event.detail:
+                    chains[subject] = env + ((_binding_var(event.detail), subject),)
+                elif env:
+                    chains[subject] = env
+            for _var, bound in env:
+                chains.setdefault(bound, env)
+            if event.kind in ("attr", "member") and event.detail:
+                names.setdefault(subject, {}).setdefault(event.detail, None)
+        return chains, {oid: tuple(read) for oid, read in names.items()}
+
+    def reads_of(self, oid: str) -> tuple[str, ...]:
+        """Attribute names read from ``oid`` during the evaluation, in
+        first-read order."""
+        return self.member_index()[1].get(oid, ())
 
     def chain_of(self, oid: str) -> tuple:
         """The first binding chain that put ``oid`` in scope —
@@ -219,19 +240,7 @@ class ReasonTrace:
         Only quantifier bindings (``var in Class`` details) extend the
         chain; other events contribute the bindings they were read under.
         """
-        for event in self.events:
-            if (
-                event.kind == "binding"
-                and event.subject == oid
-                and " in " in event.detail
-            ):
-                return event.env + ((_binding_var(event.detail), oid),)
-            if event.subject == oid and event.env:
-                return event.env
-            for var, bound in event.env:
-                if bound == oid:
-                    return event.env
-        return ()
+        return self.member_index()[0].get(oid, ())
 
     def describe(self) -> str:
         return "\n".join(event.describe() for event in self.events)
@@ -609,6 +618,25 @@ def _compile_comparison(node: Comparison) -> CompiledNode:
     return run_comparison
 
 
+def fold_aggregate(func: str, values: list) -> Any:
+    """``func`` folded over ``values`` in their order — the one definition
+    of an aggregate's value, shared by the extent scan and index probes
+    that must agree with it bit for bit.  ``sum`` of nothing is ``0``,
+    ``avg``/``min``/``max`` of nothing are ``VACUOUS``; operand trouble
+    raises ``TypeError`` for the caller to translate."""
+    if func == "count":
+        return len(values)
+    if not values:
+        return 0 if func == "sum" else VACUOUS
+    if func == "sum":
+        return sum(values)
+    if func == "avg":
+        return sum(values) / len(values)
+    if func == "min":
+        return min(values)
+    return max(values)
+
+
 def _compile_aggregate(node: Aggregate) -> CompiledNode:
     func, collection, over = node.func, node.collection, node.over
     if func not in ("sum", "avg", "min", "max", "count"):
@@ -651,18 +679,8 @@ def _compile_aggregate(node: Aggregate) -> CompiledNode:
             return len(extent)
         get_attr = ctx.get_attr
         values = [get_attr(obj, over) for obj in extent]
-        if func == "count":
-            return len(values)
-        if not values:
-            return 0 if func == "sum" else VACUOUS
         try:
-            if func == "sum":
-                return sum(values)
-            if func == "avg":
-                return sum(values) / len(values)
-            if func == "min":
-                return min(values)
-            return max(values)
+            return fold_aggregate(func, values)
         except TypeError as exc:
             # Same error contract as comparisons/arithmetic: operand trouble
             # surfaces as EvaluationError, never a raw TypeError — mirroring

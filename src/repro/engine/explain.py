@@ -32,21 +32,31 @@ Complexity: with ``s = |support|`` and ``k = |core|``, the chunked pass does
 O(k·log s) conflict tests and the fixpoint pass O(k²) in the worst case;
 every test is one evaluation over a view of ≤ s objects.  Quantifier tracing
 records only decisive iterations, so ``s`` is usually far below the extent
-size (a dangling reference seeds 1–2 objects at any store size).
+size (a dangling reference seeds 1–2 objects at any store size).  Aggregate
+supports are whole extents, so tests are made cheap instead: the store is
+frozen for the extraction (callers hold its writer lock), every read goes
+through one :class:`FrozenView`, and an untraced test answers an aggregate
+by filtering a frozen numeric column by the visible set rather than calling
+the evaluator once per member.  The seed and the certification are traced
+and stay on scan semantics, so their traces list every member read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Mapping
+from itertools import compress
 from typing import Any, TYPE_CHECKING
 
 from repro.constraints.evaluate import (
+    INDEX_MISS,
     EvalContext,
     ReasonTrace,
     compiled,
+    fold_aggregate,
 )
 from repro.constraints.model import Constraint, ConstraintKind
+from repro.engine.objects import DBObject
 from repro.errors import EngineError, EvaluationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -101,37 +111,176 @@ def failure_trace(
 # masked evaluation
 # ---------------------------------------------------------------------------
 
+#: Column values the aggregate probe answers from; anything else (a
+#: reference, a string, a bool ...) leaves the column to the scan path.
+_NUMBERS = (int, float)
+
+
+class FrozenView:
+    """The store as one extraction reads it, each read fetched once.
+
+    The store cannot change during an extraction (its writer lock is held
+    throughout), so the view memoises: each class's base extent, each
+    ``(oid, attribute)`` read together with the oid it references, and per
+    ``(class, attribute)`` numeric columns in base-extent order.  A masked
+    probe then costs dict hits and visibility tests, not store reads.
+    """
+
+    __slots__ = ("store", "schema", "reads", "_extents", "_columns")
+
+    def __init__(self, store: "ObjectStore"):
+        self.store = store
+        self.schema = store.schema
+        #: (oid, attribute) → (value, referenced oid or None), for stored
+        #: objects only; a read that raises is never memoised, so it raises
+        #: again, exactly as the store does.
+        self.reads: dict[tuple[str, str], tuple[Any, str | None]] = {}
+        self._extents: dict[str, list] = {}
+        self._columns: dict[tuple[str, str], tuple[list, list] | None] = {}
+
+    def extent(self, class_name: str) -> list:
+        """``class_name``'s deep extent in insertion order."""
+        base = self._extents.get(class_name)
+        if base is None:
+            base = self._extents[class_name] = self.store.extent(class_name)
+        return base
+
+    def read(self, obj: Any, name: str) -> tuple[Any, str | None]:
+        """``(value, referenced oid or None)`` of one attribute read from
+        the store, memoised in :attr:`reads` for stored objects — callers
+        look there first."""
+        value = self.store.get_attr(obj, name)
+        target = getattr(value, "oid", None)
+        hit = (value, target if isinstance(target, str) else None)
+        if type(obj) is DBObject:
+            self.reads[obj.oid, name] = hit
+        return hit
+
+    def column(self, class_name: str, name: str) -> tuple[list, list] | None:
+        """``(oids, values)`` of ``name`` over ``class_name``'s base extent,
+        or ``None`` when some member's value is not a plain number (a
+        reference, a string, a NaN ...) or cannot be read: the scan path
+        answers those, errors included."""
+        key = (class_name, name)
+        if key not in self._columns:
+            self._columns[key] = self._numeric_column(class_name, name)
+        return self._columns[key]
+
+    def _numeric_column(self, class_name: str, name: str):
+        oids: list[str] = []
+        values: list = []
+        try:
+            reads = self.reads
+            for obj in self.extent(class_name):
+                value = (reads.get((obj.oid, name)) or self.read(obj, name))[0]
+                if type(value) not in _NUMBERS or value != value:
+                    return None
+                oids.append(obj.oid)
+                values.append(value)
+        except _EVAL_FAILURES:
+            return None
+        return oids, values
+
 
 class _MaskedExtents(Mapping):
-    """Class name → extent restricted to a visible-oid set (lazy per class)."""
+    """Class name → extent restricted to a visible-oid set (lazy per class,
+    filtered at most once per probe)."""
 
-    def __init__(self, store: "ObjectStore", visible: frozenset):
-        self._store = store
+    def __init__(self, view: FrozenView, visible: frozenset):
+        self._view = view
         self._visible = visible
+        self._filtered: dict[str, list] = {}
 
     def __getitem__(self, class_name: str) -> list:
-        if not self._store.schema.has_class(class_name):
-            raise KeyError(class_name)
-        return [
-            obj
-            for obj in self._store.extent(class_name)
-            if obj.oid in self._visible
-        ]
+        filtered = self._filtered.get(class_name)
+        if filtered is None:
+            if not self._view.schema.has_class(class_name):
+                raise KeyError(class_name)
+            visible = self._visible
+            filtered = self._filtered[class_name] = [
+                obj for obj in self._view.extent(class_name) if obj.oid in visible
+            ]
+        return filtered
 
     def __contains__(self, class_name: object) -> bool:
-        return isinstance(class_name, str) and self._store.schema.has_class(
+        return isinstance(class_name, str) and self._view.schema.has_class(
             class_name
         )
 
     def __iter__(self):
-        return iter(self._store.schema.classes)
+        return iter(self._view.schema.classes)
 
     def __len__(self) -> int:
-        return len(self._store.schema.classes)
+        return len(self._view.schema.classes)
+
+
+class _MaskedSelf:
+    """The masked ``self`` extent, filtered only if a scan iterates it."""
+
+    __slots__ = ("_extents", "_class_name")
+
+    def __init__(self, extents: _MaskedExtents, class_name: str):
+        self._extents = extents
+        self._class_name = class_name
+
+    def __iter__(self):
+        return iter(self._extents[self._class_name])
+
+
+class _MaskedColumns:
+    """The index probe of an untraced masked evaluation.
+
+    Answers ``sum``/``avg``/``min``/``max``/``count`` by filtering the
+    frozen column by the visible set and folding in base-extent order, so
+    float results are bit-identical to the scan.  Every other probe — and
+    any aggregate whose column is not purely numeric — misses to the scan,
+    which keeps its exact error semantics.
+    """
+
+    __slots__ = ("_view", "_visible", "_extents")
+
+    def __init__(
+        self, view: FrozenView, visible: frozenset, extents: _MaskedExtents
+    ):
+        self._view = view
+        self._visible = visible
+        self._extents = extents
+
+    def aggregate_value(
+        self, func: str, class_name: str, over: str | None
+    ) -> Any:
+        if not self._view.schema.has_class(class_name):
+            return INDEX_MISS
+        if over is None:
+            if func != "count":
+                return INDEX_MISS
+            return len(self._extents[class_name])
+        column = self._view.column(class_name, over)
+        if column is None:
+            return INDEX_MISS
+        oids, values = column
+        return fold_aggregate(
+            func, list(compress(values, map(self._visible.__contains__, oids)))
+        )
+
+    def key_unique(self, class_name: str, attributes: Iterable[str]) -> None:
+        return None
+
+    def reference_count(self, referrer_class: str, attribute: str, oid: str):
+        return INDEX_MISS
+
+    def referential_verdict(
+        self,
+        mode: str,
+        referenced_class: str,
+        referrer_class: str,
+        attribute: str,
+    ):
+        return INDEX_MISS
 
 
 def masked_context(
-    store: "ObjectStore",
+    view: FrozenView,
     visible: frozenset,
     current: Any = None,
     self_extent_class: str | None = None,
@@ -139,40 +288,47 @@ def masked_context(
 ) -> EvalContext:
     """An evaluation context over the sub-store of ``visible`` oids.
 
-    Scan semantics (``indexes=None`` — the maintained indexes describe the
-    *full* store, not the masked view).  Extents drop masked objects;
-    dereferencing an attribute that resolves to a masked object raises
-    ``EngineError``, exactly as if the object had been deleted.
+    Extents drop masked objects; dereferencing an attribute that resolves
+    to a masked object raises ``EngineError``, exactly as if the object had
+    been deleted.  Untraced contexts answer aggregates from the view's
+    frozen columns (:class:`_MaskedColumns` — the store's own indexes
+    describe the *full* store, not the masked view); traced ones keep scan
+    semantics (``indexes=None``), so traces list every member read.
     """
+    reads = view.reads
+    read = view.read
 
     def get_attr(obj: Any, name: str) -> Any:
-        value = store.get_attr(obj, name)
-        oid = getattr(value, "oid", None)
-        if isinstance(oid, str) and oid not in visible:
+        hit = reads.get((obj.oid, name)) if type(obj) is DBObject else None
+        value, target = hit or read(obj, name)
+        if target is not None and target not in visible:
             raise EngineError(
                 f"reference {name!r} of {getattr(obj, 'oid', obj)!r} "
-                f"resolves to masked object {oid!r}"
+                f"resolves to masked object {target!r}"
             )
         return value
 
-    extents = _MaskedExtents(store, visible)
-    self_extent: Iterable[Any] = ()
-    if self_extent_class is not None:
-        self_extent = extents[self_extent_class]
+    extents = _MaskedExtents(view, visible)
     return EvalContext(
         current=current,
         extents=extents,
-        self_extent=self_extent,
+        self_extent=(
+            _MaskedSelf(extents, self_extent_class)
+            if self_extent_class is not None
+            else ()
+        ),
         self_extent_class=self_extent_class,
-        constants=store.schema.constants,
+        constants=view.schema.constants,
         get_attr=get_attr,
-        indexes=None,
+        indexes=(
+            _MaskedColumns(view, visible, extents) if trace is None else None
+        ),
         trace=trace,
     )
 
 
 def constraint_conflicts(
-    store: "ObjectStore",
+    view: FrozenView,
     constraint: Constraint,
     visible: frozenset,
     errors_conflict: bool = False,
@@ -189,15 +345,16 @@ def constraint_conflicts(
     run = compiled(constraint.formula)
     if constraint.kind is ConstraintKind.OBJECT:
         owner = constraint.owner
-        if owner is None or not store.schema.has_class(owner):
+        if owner is None or not view.schema.has_class(owner):
             return False
-        for obj in store.extent(owner):
+        # Evaluation never mutates its context, so one serves every member.
+        ctx = masked_context(view, visible, trace=trace)
+        for obj in view.extent(owner):
             if obj.oid not in visible:
                 continue
+            ctx.current = obj
             try:
-                verdict = run(
-                    masked_context(store, visible, current=obj, trace=trace)
-                )
+                verdict = run(ctx)
             except _EVAL_FAILURES as exc:
                 if errors_conflict:
                     if trace is not None:
@@ -212,7 +369,7 @@ def constraint_conflicts(
     owner = (
         constraint.owner if constraint.kind is ConstraintKind.CLASS else None
     )
-    ctx = masked_context(store, visible, self_extent_class=owner, trace=trace)
+    ctx = masked_context(view, visible, self_extent_class=owner, trace=trace)
     try:
         verdict = run(ctx)
     except _EVAL_FAILURES as exc:
@@ -261,7 +418,8 @@ def shrink(
         for member in list(current):
             if checks >= max_checks:
                 return current, checks, False
-            candidate = [m for m in current if m != member]
+            index = current.index(member)
+            candidate = current[:index] + current[index + 1 :]
             checks += 1
             if conflicts(frozenset(candidate)):
                 current = candidate
@@ -357,26 +515,27 @@ def extract_core(
     when the constraint does not actually conflict on the full store (e.g.
     the violation was repaired since it was reported).
     """
+    view = FrozenView(store)
     visible_all = frozenset(store._objects)
     run = compiled(constraint.formula)
     seed_trace = ReasonTrace()
     verdict_mode: str | None = None
     anchor: str | None = None
 
-    # Seed: scan-semantics traced evaluation of the full store (the
-    # maintained indexes answer probes about the *full* store, so masking
-    # must use scan semantics throughout — seed included, for agreement).
+    # Seed: scan-semantics traced evaluation of the full store, so its
+    # trace names every object the verdict read (an index probe would name
+    # none).  The store's own indexes never answer a masked evaluation.
     if constraint.kind is ConstraintKind.OBJECT:
         owner = constraint.owner
         if owner is None or not store.schema.has_class(owner):
             return None
-        candidates = store.extent(owner)
+        candidates = view.extent(owner)
         if oid is not None:
             # The audit's culprit first, so its trace seeds the core.
             candidates = sorted(candidates, key=lambda o: o.oid != oid)
         for obj in candidates:
             trace = ReasonTrace()
-            ctx = masked_context(store, visible_all, current=obj, trace=trace)
+            ctx = masked_context(view, visible_all, current=obj, trace=trace)
             try:
                 verdict = run(ctx)
             except _EVAL_FAILURES as exc:
@@ -395,7 +554,7 @@ def extract_core(
             else None
         )
         ctx = masked_context(
-            store,
+            view,
             visible_all,
             self_extent_class=self_extent_class,
             trace=seed_trace,
@@ -414,7 +573,7 @@ def extract_core(
     errors_conflict = verdict_mode == "error"
 
     def conflicts(visible: frozenset) -> bool:
-        return constraint_conflicts(store, constraint, visible, errors_conflict)
+        return constraint_conflicts(view, constraint, visible, errors_conflict)
 
     # Support from the trace, widened to the whole store if the decisive
     # subset alone does not conflict (conservative, rarely taken).
@@ -432,18 +591,19 @@ def extract_core(
     # masked view containing exactly the members.
     iso_trace = ReasonTrace()
     constraint_conflicts(
-        store,
+        view,
         constraint,
         frozenset(core_oids),
         errors_conflict,
         trace=iso_trace,
     )
+    chains, reads = iso_trace.member_index()
     members = tuple(
         CoreMember(
             oid=member,
             class_name=store.get(member).class_name,
-            bindings=iso_trace.chain_of(member),
-            reads=iso_trace.reads_of(member),
+            bindings=chains.get(member, ()),
+            reads=reads.get(member, ()),
         )
         for member in sorted(core_oids)
     )

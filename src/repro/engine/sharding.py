@@ -679,9 +679,21 @@ class ShardedStore:
         return [violation.describe() for violation in self.audit()]
 
     def explain_violations(self, violations=None) -> list:
+        """See :meth:`ObjectStore.explain_violations`.  The audit and every
+        shrink probe run on a quiesced store: the router lock, then every
+        core's writer lock in shard order, as :meth:`snapshot` takes them."""
         from repro.engine.explain import explain_violations
 
-        return explain_violations(self, violations)
+        held: "list[ObjectStore]" = []
+        with self._lock:
+            try:
+                for core in self.cores:
+                    core._lock.acquire()
+                    held.append(core)
+                return explain_violations(self, violations)
+            finally:
+                for core in reversed(held):
+                    core._lock.release()
 
     def _cores_for(self, violations) -> tuple:
         if not self.explain:

@@ -643,10 +643,14 @@ class ObjectStore:
         violations (defaults to a fresh :meth:`audit`); see
         :mod:`repro.engine.explain`.  Each core is a set of objects that
         still conflicts with its constraint in isolation, while removing
-        any single member resolves the conflict."""
+        any single member resolves the conflict.
+
+        Holds the writer lock across the audit and every shrink probe, so
+        each core describes one state of the store."""
         from repro.engine.explain import explain_violations
 
-        return explain_violations(self, violations)
+        with self._lock:
+            return explain_violations(self, violations)
 
     def _cores_for(self, violations) -> tuple:
         """Cores attached to a failure-path exception.  Best-effort by

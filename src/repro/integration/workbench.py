@@ -390,12 +390,13 @@ def _state_violation_core(view: IntegratedView, constraint, oid: str):
         )
     except EvaluationError:  # pragma: no cover - conflicts() above filters
         pass
+    chains, reads = iso_trace.member_index()
     members = tuple(
         CoreMember(
             oid=member,
             class_name=",".join(sorted(view.get(member).classes)) or "global",
-            bindings=iso_trace.chain_of(member),
-            reads=iso_trace.reads_of(member),
+            bindings=chains.get(member, ()),
+            reads=reads.get(member, ()),
         )
         for member in sorted(core_oids)
     )

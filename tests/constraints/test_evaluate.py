@@ -3,7 +3,7 @@
 import pytest
 
 from repro.constraints import EvalContext, evaluate, parse_expression
-from repro.constraints.evaluate import VACUOUS
+from repro.constraints.evaluate import VACUOUS, ReasonTrace
 from repro.errors import EvaluationError
 
 
@@ -289,3 +289,36 @@ class TestCustomAccessor:
     def test_custom_function_table(self):
         ctx = EvalContext(current={"x": 4}, functions={"double": lambda v: v * 2})
         assert evaluate(parse_expression("double(x) = 8"), ctx)
+
+
+def test_member_index_pins_chain_precedence_and_read_order():
+    """One pass yields every member's binding chain and reads.  A chain is
+    decided by the first event naming the oid: a ``var in Class`` binding
+    extends its env by itself, a subject read contributes its env, and an
+    oid bound in another event's env takes that env."""
+    trace = ReasonTrace()
+    outer = (("p", "P1"),)
+    trace.record("extent", "Item", "forall i", outer)
+    # P1 first appears bound in the env of another event.
+    trace.record("binding", "I1", "i in Item", outer)
+    # I2 first appears as a subject read under a non-empty env.
+    trace.record("attr", "I2", "price", (("i", "I1"),))
+    trace.record("member", "I2", "isbn")
+    trace.record("attr", "I2", "price", (("i", "I1"),))
+    # Later events never override a decided chain ...
+    trace.record("binding", "I2", "j in Item", outer)
+    trace.record("binding", "I1", "k in Item", ())
+    # ... and an envless read or a non-quantifier binding decides nothing.
+    trace.record("attr", "I3", "title")
+    trace.record("binding", "I3", "key collision on (isbn)")
+    trace.record("member", "I3", "")
+
+    chains, reads = trace.member_index()
+    assert chains["I1"] == (("p", "P1"), ("i", "I1"))
+    assert chains["P1"] == outer
+    assert chains["I2"] == (("i", "I1"),)
+    assert "I3" not in chains
+    assert reads == {"I2": ("price", "isbn"), "I3": ("title",)}
+    for oid in ("I1", "I2", "I3", "P1", "absent"):
+        assert trace.chain_of(oid) == chains.get(oid, ())
+        assert trace.reads_of(oid) == reads.get(oid, ())

@@ -17,22 +17,34 @@ Plus regressions: vacuous/tri-state verdicts carry a non-empty well-formed
 trace; ``EvaluationError`` carries the quantifier bindings in scope; the
 commit/rollback path attaches cores *before* the undo destroys the violating
 state; and the ``repro explain`` CLI covers every violation class.
+
+Shrink probes answer aggregates from frozen columns; a Hypothesis oracle
+holds them to the scan semantics the traced path keeps, a cost guard counts
+store reads per extraction, and contention tests prove extraction runs under
+the writer lock(s).
 """
 
+import threading
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import ObjectStore
 from repro.constraints.evaluate import (
+    INDEX_MISS,
     VACUOUS,
     EvalContext,
     ReasonTrace,
     TraceEvent,
+    compiled,
     evaluate,
     evaluate_traced,
 )
 from repro.constraints.model import ConstraintKind
+from repro.engine import ShardedStore
+from repro.engine import explain
+from repro.engine.explain import FrozenView, constraint_conflicts, masked_context
 from repro.errors import ConstraintViolation, EngineError, EvaluationError
 from repro.tm.parser import parse_database
 
@@ -671,3 +683,223 @@ def test_cli_explain_clean_store(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "nothing to explain" in out
+
+
+# ---------------------------------------------------------------------------
+# column-answered shrink probes ≡ scan semantics
+# ---------------------------------------------------------------------------
+
+COLUMNLAB_SOURCE = """
+Database ColumnLab
+
+constants
+  MAX = 1
+
+Class Tag
+attributes
+  label : string
+end Tag
+
+Class Row
+attributes
+  v   : real
+  s   : string
+  tag : Tag
+class constraints
+  c_sum: (sum (collect x for x in self) over v) < MAX
+  c_avg: (avg (collect x for x in self) over v) < MAX
+  c_min: (min (collect x for x in self) over v) < MAX
+  c_max: (max (collect x for x in self) over v) < MAX
+  c_count: (count (collect x for x in self) over v) < 3
+  c_count_all: (count (collect x for x in self)) < 3
+  c_s_min: (min (collect x for x in self) over s) = "a"
+  c_s_sum: (sum (collect x for x in self) over s) < MAX
+  c_tag_count: (count (collect x for x in self) over tag) < 3
+  c_tag_max: (max (collect x for x in self) over tag) = MAX
+end Row
+
+Database constraints
+  d_sum: (sum (collect x for x in Row) over v) < MAX
+"""
+
+#: Summed in insertion order this is 0.0 (1e16 absorbs the 1.0); summed
+#: with the big terms cancelling first it is 1.0, which flips ``sum < MAX``.
+FLOAT_ORDER = [(1e16, "a", 0), (1.0, "b", 0), (-1e16, "c", 1)]
+#: The converse: 1.0 in insertion order, 0.0 summed in sorted order.
+FLOAT_ORDER_SORTED_FLIPS = [(-1e16, "a", 0), (1e16, "b", 1), (1.0, "c", 0)]
+
+ROWS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.integers(-3, 3),
+            st.floats(),  # NaN and infinities included
+            st.sampled_from([1e16, -1e16, 1.0, 0.5]),
+        ),
+        st.sampled_from(["a", "b", "c"]),
+        st.integers(0, 1),
+    ),
+    max_size=6,
+)
+
+
+def columnlab_store(rows) -> ObjectStore:
+    store = ObjectStore(parse_database(COLUMNLAB_SOURCE), enforce=False)
+    tags = [store.insert("Tag", label=f"t{i}") for i in range(2)]
+    for v, s, tag in rows:
+        store.insert("Row", v=v, s=s, tag=tags[tag])
+    return store
+
+
+def _value_outcome(run, ctx):
+    try:
+        value = run(ctx)
+    except (EvaluationError, EngineError) as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return ("value", type(value).__name__, repr(value))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=ROWS, keep=st.lists(st.booleans(), min_size=8, max_size=8))
+@example(rows=FLOAT_ORDER, keep=[True] * 8)
+@example(rows=FLOAT_ORDER, keep=[False] * 8)
+@example(rows=FLOAT_ORDER_SORTED_FLIPS, keep=[True] * 8)
+@example(rows=[(1, "a", 0), (2.5, "b", 1), (-4, "c", 0)], keep=[True] * 8)
+@example(rows=[(1, "a", 0), (float("nan"), "b", 1)], keep=[True] * 8)
+def test_column_answered_probes_match_scan_semantics(rows, keep):
+    """The traced path keeps scan semantics, so it is the oracle: an
+    untraced probe (aggregates answered from the frozen columns) must
+    reach the same conflict verdict in both conflict modes, and every
+    aggregate must come out bit-identical — value, type and error."""
+    store = columnlab_store(rows)
+    oids = [obj.oid for obj in store.objects()]
+    visible = frozenset(oid for oid, kept in zip(oids, keep) if kept)
+    column_view, scan_view = FrozenView(store), FrozenView(store)
+    for constraint in store.schema.all_constraints():
+        for errors_conflict in (False, True):
+            assert constraint_conflicts(
+                column_view, constraint, visible, errors_conflict
+            ) == constraint_conflicts(
+                scan_view, constraint, visible, errors_conflict, ReasonTrace()
+            ), (constraint.name, errors_conflict)
+        owner = (
+            constraint.owner if constraint.kind is ConstraintKind.CLASS else None
+        )
+        run = compiled(constraint.formula.left)  # the aggregate itself
+        assert _value_outcome(
+            run, masked_context(column_view, visible, self_extent_class=owner)
+        ) == _value_outcome(
+            run,
+            masked_context(
+                scan_view, visible, self_extent_class=owner, trace=ReasonTrace()
+            ),
+        ), constraint.name
+
+
+def test_columns_answer_only_plain_numbers_in_extent_order():
+    store = columnlab_store(FLOAT_ORDER)
+    view = FrozenView(store)
+    everything = frozenset(obj.oid for obj in store.objects())
+    probe = masked_context(view, everything, self_extent_class="Row").indexes
+    assert probe.aggregate_value("sum", "Row", "v") == 0.0  # not 1.0
+    assert probe.aggregate_value("count", "Row", None) == 3
+    assert probe.aggregate_value("sum", "Row", "s") is INDEX_MISS
+    assert probe.aggregate_value("count", "Row", "tag") is INDEX_MISS
+    assert probe.aggregate_value("sum", "Nowhere", "v") is INDEX_MISS
+    assert probe.key_unique("Row", ("s",)) is None
+    empty = masked_context(view, frozenset(), self_extent_class="Row").indexes
+    assert empty.aggregate_value("avg", "Row", "v") is VACUOUS
+    assert empty.aggregate_value("sum", "Row", "v") == 0
+    assert masked_context(view, everything, trace=ReasonTrace()).indexes is None
+    nan = FrozenView(columnlab_store([(float("nan"), "a", 0), (1, "b", 0)]))
+    assert nan.column("Row", "v") is None
+
+
+def test_core_extraction_reads_each_attribute_once(monkeypatch):
+    """Cost guard: shrink probes answer ``sum < MAX`` from frozen
+    columns, so ``explain_violations()`` reads each attribute of each
+    publication a bounded number of times — not once per probe per core
+    member — while the probe sequence (``checks``) stays exactly the same."""
+    from repro.fixtures import cslibrary_schema
+
+    publications = 200
+    store = ObjectStore(cslibrary_schema(), enforce=False)
+    store.schema.set_constant("MAX", 10_000)
+    for index in range(publications):
+        store.insert(
+            "Publication",
+            title=f"Book {index}",
+            isbn=f"I-{index}",
+            publisher="ACM",
+            shopprice=50.0 + index % 40,
+            ourprice=45.0 + index % 40,
+        )
+    calls = 0
+    get_attr = ObjectStore.get_attr
+
+    def counting(self, obj, name):
+        nonlocal calls
+        calls += 1
+        return get_attr(self, obj, name)
+
+    monkeypatch.setattr(ObjectStore, "get_attr", counting)
+    (core,) = store.explain_violations()
+    assert core.constraint_name == "CSLibrary.Publication.cc2"
+    assert core.minimal and len(core.members) == 156
+    assert core.checks == 263
+    assert calls <= 4 * publications, calls
+
+
+# ---------------------------------------------------------------------------
+# extraction holds the writer lock(s)
+# ---------------------------------------------------------------------------
+
+
+def _contend_from_probe(monkeypatch, locks) -> list:
+    """Patch the shrink probe so that, on its first call, another thread
+    tries each of ``locks`` without blocking; returns the acquire results."""
+    attempts: list = []
+    probe = explain.constraint_conflicts
+
+    def contend():
+        for lock in locks:
+            acquired = lock.acquire(blocking=False)
+            if acquired:
+                lock.release()
+            attempts.append(acquired)
+
+    def contended_probe(*args, **kwargs):
+        if not attempts:
+            thread = threading.Thread(target=contend)
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(explain, "constraint_conflicts", contended_probe)
+    return attempts
+
+
+def _violate_sum(store) -> None:
+    publisher = store.insert("Publisher", name="P")
+    for index in range(3):
+        store.insert(
+            "Item", title=f"t{index}", isbn=f"i{index}", price=40,
+            publisher=publisher,
+        )
+
+
+def test_extraction_holds_the_writer_lock(monkeypatch):
+    store = ObjectStore(explainlab_schema(), enforce=False)
+    _violate_sum(store)
+    attempts = _contend_from_probe(monkeypatch, [store._lock])
+    assert store.explain_violations()
+    assert attempts == [False]
+
+
+def test_sharded_extraction_quiesces_router_and_cores(monkeypatch):
+    store = ShardedStore(explainlab_schema(), 2, enforce=False)
+    _violate_sum(store)
+    locks = [store._lock] + [core._lock for core in store.cores]
+    attempts = _contend_from_probe(monkeypatch, locks)
+    assert store.explain_violations()
+    assert attempts == [False] * len(locks)
