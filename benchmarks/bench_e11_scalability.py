@@ -4,8 +4,16 @@ The paper reports no measurements; these benchmarks document that the
 design-tool loop stays interactive as extents grow: instance matching uses a
 hash join on key-to-key equality rules (linear in the extents), conformation
 and merging are linear in the number of objects, and the solver's entailment
-checks are independent of extent size.
+checks are independent of extent size.  Global update validation and
+selection over the integrated view cost per object, not per view: the view
+builds its evaluation state once per generation and the validator
+precomputes its plan (``test_e11_update_validation_flat``).
 """
+
+import gc
+import itertools
+import statistics
+import time
 
 import pytest
 
@@ -124,3 +132,101 @@ def test_e11_workbench_constraint_analysis(benchmark):
     result = benchmark(lambda: IntegrationWorkbench(spec).run())
     assert result.derivation is not None
     benchmark.extra_info["global constraints"] = len(result.global_constraints)
+
+
+#: Publications per side of the small and the large view; both run even in
+#: --quick mode, since the gate is their ratio.
+FLAT_SIZES = (100, 1_000)
+
+
+def _interleaved_medians(fns, rounds: int) -> list[float]:
+    """Median seconds per call of each of ``fns``, calling them in turn so a
+    slow phase of the machine hits every one alike, with the cyclic
+    collector paused (as ``timeit`` does)."""
+    samples: list[list[float]] = [[] for _ in fns]
+    gc.disable()
+    try:
+        for _ in range(rounds):
+            for fn, times in zip(fns, samples):
+                begin = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - begin)
+    finally:
+        gc.enable()
+    return [statistics.median(times) for times in samples]
+
+
+def _validation_workload(size: int):
+    """(one validation, one select, rows the select scans) over a view of
+    ``size`` publications per side; checks every verdict once."""
+    from repro.integration import IntegrationWorkbench
+    from repro.integration.relationships import Side
+    from repro.integration.updates import GlobalUpdateValidator
+
+    local_store, remote_store = _generate_stores(size)
+    result = IntegrationWorkbench(
+        library_integration_spec(), local_store, remote_store
+    ).run()
+    view = result.view
+    validator = GlobalUpdateValidator(result)
+    merged = [
+        obj
+        for obj in view.merged_objects()
+        if "libprice" in obj.component_on(Side.REMOTE).state
+    ]
+    updates = []
+    for number, obj in enumerate(merged[:50]):
+        libprice = obj.component_on(Side.REMOTE).state["libprice"]
+        rejected = number % 2 == 1
+        updates.append((obj.oid, libprice - 1.0 if rejected else libprice + 1.0, rejected))
+    for oid, price, rejected in updates:
+        verdict = validator.validate(oid, shopprice=price)
+        assert [r.constraint for r in verdict.rejections] == (
+            ["Bookseller.Item.oc1"] if rejected else []
+        )
+    cycle = itertools.cycle(updates)
+
+    def validate_one():
+        oid, price, _ = next(cycle)
+        return validator.validate(oid, shopprice=price)
+
+    def select():
+        return view.select("Bookseller.Item", "shopprice > 60")
+
+    rows = len(view.extent("Bookseller.Item"))
+    assert 0 < len(select()) < rows
+    return validate_one, select, rows
+
+
+def test_e11_update_validation_flat(benchmark):
+    """Validating a global update and selecting over the integrated view
+    cost per object, not per view: 10x the publications must stay within
+    2x per validation and per selected row.  Rebuilding the view's
+    evaluation state per check made validation ~4x here."""
+    small, large = FLAT_SIZES
+    (small_validate, small_select, small_rows), (large_validate, large_select, large_rows) = (
+        _validation_workload(size) for size in FLAT_SIZES
+    )
+    small_per_validate, large_per_validate = _interleaved_medians(
+        [small_validate, large_validate], 400
+    )
+    small_select_s, large_select_s = _interleaved_medians([small_select, large_select], 5)
+    small_row, large_row = small_select_s / small_rows, large_select_s / large_rows
+    benchmark(large_validate)
+    benchmark.extra_info["objects per side"] = list(FLAT_SIZES)
+    benchmark.extra_info[f"validate_{small}_ms"] = round(small_per_validate * 1000, 4)
+    benchmark.extra_info[f"validate_{large}_ms"] = round(large_per_validate * 1000, 4)
+    benchmark.extra_info[f"select_row_{small}_us"] = round(small_row * 1e6, 3)
+    benchmark.extra_info[f"select_row_{large}_us"] = round(large_row * 1e6, 3)
+    validate_ratio = large_per_validate / small_per_validate
+    row_ratio = large_row / small_row
+    benchmark.extra_info["validate_ratio"] = round(validate_ratio, 2)
+    benchmark.extra_info["select_row_ratio"] = round(row_ratio, 2)
+    assert validate_ratio <= 2.0, (
+        f"validate scales with the view: {small_per_validate * 1e3:.3f}ms at "
+        f"{small} vs {large_per_validate * 1e3:.3f}ms at {large} per side"
+    )
+    assert row_ratio <= 2.0, (
+        f"select scales with the view per row: {small_row * 1e6:.1f}us at "
+        f"{small} vs {large_row * 1e6:.1f}us at {large} per side"
+    )

@@ -10,13 +10,17 @@ paper artifact or engine mechanism it covers; the whole-system benchmark
 
 Every run additionally writes one machine-readable ``BENCH_<name>.json``
 summary per benchmark module (median/p95 per case, plus each case's
-``extra_info``) into the repository root, so the performance trajectory is
-comparable across PRs.  Committed baselines (e.g. ``BENCH_e14_indexes.json``)
-are refreshed by simply re-running the module.
+``extra_info``) into the repository root, stamped with the machine that
+produced it (CPU count, platform, Python, git commit and whether the tree
+had uncommitted changes), so the performance trajectory is comparable
+across changes.  Committed baselines (e.g. ``BENCH_e14_indexes.json``) are
+refreshed by simply re-running the module.
 """
 
 import json
+import os
 import platform
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -112,6 +116,28 @@ def _percentile(sorted_data, fraction):
     return sorted_data[low] * (1 - weight) + sorted_data[high] * weight
 
 
+def _machine() -> dict:
+    """The machine block of a ``BENCH_*.json`` summary."""
+    git = ["git", "-C", str(_REPO_ROOT)]
+    try:
+        sha = subprocess.run(
+            git + ["rev-parse", "HEAD"], capture_output=True, text=True, check=True
+        ).stdout.strip()
+        status = subprocess.run(
+            git + ["status", "--porcelain"], capture_output=True, text=True, check=True
+        ).stdout
+        dirty = bool(status.strip())
+    except (OSError, subprocess.CalledProcessError):
+        sha = dirty = None
+    return {
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "git_sha": sha,
+        "git_dirty": dirty,
+    }
+
+
 def pytest_sessionfinish(session, exitstatus):
     """Write ``BENCH_<module>.json`` per benchmark module that ran.
 
@@ -139,11 +165,13 @@ def pytest_sessionfinish(session, exitstatus):
             }
         )
     quick = session.config.getoption("--quick")
+    machine = _machine()
     for name, cases in by_module.items():
         summary = {
             "benchmark": f"bench_{name}",
             "quick": bool(quick),
             "python": platform.python_version(),
+            "machine": machine,
             "cases": cases,
         }
         path = _REPO_ROOT / f"BENCH_{name}.json"

@@ -90,6 +90,17 @@ class DifferenceBounds:
                 return False
         return True
 
+    def forces_equal(self, left: Hashable, right: Hashable) -> bool:
+        """Whether the closed bounds pin ``left - right`` to exactly 0."""
+        there = self._edges.get((left, right))
+        back = self._edges.get((right, left))
+        return (
+            there is not None
+            and back is not None
+            and there == Bound(0)
+            and back == Bound(0)
+        )
+
     def upper_bound(self, term: Hashable) -> Bound | None:
         """The closed bound ``term ≤ value``, if any."""
         return self._edges.get((term, ZERO))

@@ -400,6 +400,11 @@ class _Branch:
         if not dbm.close():
             self.contradiction = True
             return True
+        # x <= y and y <= x force x = y, which a disequality refutes.
+        for left, right in self.disequalities:
+            if dbm.forces_equal(self.merged.find(left), self.merged.find(right)):
+                self.contradiction = True
+                return True
 
         changed = False
         for term in numeric_terms:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.constraints.model import Constraint
@@ -155,6 +156,16 @@ class ConformationResult:
 
     def on(self, side: Side) -> ConformedDatabase:
         return self.local if side is Side.LOCAL else self.remote
+
+    @cached_property
+    def instances_by_oid(self) -> dict[str, ConformedObject]:
+        """Conformed oid → instance, local side first; built on first use,
+        once :func:`conform` has populated both sides' instances."""
+        return {
+            obj.oid: obj
+            for side in (Side.LOCAL, Side.REMOTE)
+            for obj in self.on(side).instances
+        }
 
 
 def conform(

@@ -115,6 +115,9 @@ def _derive_virtual_overlaps(
     spec = view.spec
     local_schema = conformation.local.schema
     remote_schema = conformation.remote.schema
+    # Members are placed after the scan: each placement starts a new view
+    # generation, and the scan only reads component-class extents.
+    placements: list[tuple[str, frozenset[str]]] = []
     for local_class in local_schema.classes:
         local_name = f"{local_schema.name}.{local_class}"
         left = view.extent_oids(local_name)
@@ -137,9 +140,10 @@ def _derive_virtual_overlaps(
             result.graph.add_edge(name, remote_name)
             result.derived_edges.append((name, local_name))
             result.derived_edges.append((name, remote_name))
-            for oid in overlap:
-                view.add_virtual_extent_member(name, oid)
-    view.rebuild_extents()
+            placements.append((name, overlap))
+    for name, overlap in placements:
+        for oid in overlap:
+            view.add_virtual_extent_member(name, oid)
 
 
 def _attach_approximate_virtuals(view: IntegratedView, result: DerivedHierarchy) -> None:

@@ -60,11 +60,7 @@ def merge_instances(
     """
     from repro.integration.view import IntegratedView
 
-    by_conformed_oid: dict[str, ConformedObject] = {}
-    for side in (Side.LOCAL, Side.REMOTE):
-        for obj in conformation.on(side).instances:
-            by_conformed_oid[obj.oid] = obj
-
+    by_conformed_oid = conformation.instances_by_oid
     pairs = _collect_pairs(conformation, match, by_conformed_oid)
     groups = _group_pairs(pairs, by_conformed_oid)
 

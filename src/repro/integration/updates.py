@@ -15,9 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.constraints.evaluate import EvaluationError, evaluate
-from repro.engine.incremental import ConstraintDependencyIndex
+from repro.constraints.ast import paths_in
+from repro.constraints.evaluate import EvalContext, EvaluationError, evaluate
+from repro.constraints.model import Constraint
 from repro.constraints.printer import to_source
+from repro.engine.incremental import ConstraintDependencyIndex
+from repro.integration.conformation import ConformedObject
 from repro.integration.decision import DecisionCategory
 from repro.integration.relationships import Side
 from repro.integration.workbench import IntegrationResult
@@ -55,13 +58,41 @@ class UpdateVerdict:
 
 
 class GlobalUpdateValidator:
-    """See module docstring."""
+    """See module docstring.
+
+    The constructor turns the integration result into a validation plan:
+    the scope classes of each global constraint, the merged component
+    constants, and per (side, conformed class) the component's object
+    constraints with the attributes each reads off the constrained object.
+    :meth:`validate` then costs in proportion to the updated object and its
+    constraints, not to the view.  The plan is a snapshot of the result:
+    build a new validator after re-running the workbench.
+    """
 
     def __init__(self, result: IntegrationResult):
         if result.view is None or result.derivation is None:
             raise ValueError("run the workbench with stores before validating updates")
+        assert result.conformation is not None
         self.result = result
         self.view = result.view
+        self.conformation = result.conformation
+        self._global_plan = [
+            (constraint, [part.strip() for part in constraint.scope.split("⋈")])
+            for constraint in result.global_constraints
+        ]
+        self._constants = {
+            **self.conformation.remote.schema.constants,
+            **self.conformation.local.schema.constants,
+        }
+        self._component_plan: dict[tuple[Side, str], list[tuple[Constraint, frozenset[str]]]] = {}
+        for side in (Side.LOCAL, Side.REMOTE):
+            schema = self.conformation.on(side).schema
+            index = ConstraintDependencyIndex.for_schema(schema)
+            for class_name in schema.classes:
+                self._component_plan[(side, class_name)] = [
+                    (constraint, _read_attrs(index, constraint))
+                    for constraint in schema.effective_object_constraints(class_name)
+                ]
 
     def validate(self, global_oid: str, **changes) -> UpdateVerdict:
         """Validate updating ``global_oid``'s state with ``changes``."""
@@ -77,8 +108,7 @@ class GlobalUpdateValidator:
     # -- global level ---------------------------------------------------------------
 
     def _check_global_constraints(self, obj, proposed, verdict) -> None:
-        for constraint in self.result.global_constraints:
-            classes = [part.strip() for part in constraint.scope.split("⋈")]
+        for constraint, classes in self._global_plan:
             if not all(cls in obj.classes or self._virtual_member(cls, obj) for cls in classes):
                 continue
             satisfied = self._evaluate(constraint.formula, proposed)
@@ -93,9 +123,7 @@ class GlobalUpdateValidator:
                 )
 
     def _virtual_member(self, class_name: str, obj) -> bool:
-        return self.view.has_class(class_name) and obj.oid in self.view.extent_oids(
-            class_name
-        )
+        return self.view.in_extent(class_name, obj.oid)
 
     # -- component level ----------------------------------------------------------------
 
@@ -110,24 +138,21 @@ class GlobalUpdateValidator:
         properties cannot be pre-validated from the global state and are
         skipped (the derived *global* constraints cover them instead).
         """
-        conformation = self.result.conformation
-        assert conformation is not None
         changes = {
             key: value
             for key, value in proposed.items()
             if obj.state.get(key) != value
         }
         for side, component in obj.components.items():
-            conformed = conformation.on(side)
-            schema = conformed.schema
-            if not schema.has_class(component.class_name):
+            checks = self._component_plan.get((side, component.class_name))
+            if checks is None:
                 continue
             projected = dict(component.state)
             untranslatable: set[str] = set()
             for key, value in changes.items():
                 if key not in component.state:
                     continue
-                propeq = self._propeq_for(conformation, obj, key)
+                propeq = self._propeq_for(obj, key)
                 if propeq is None:
                     projected[key] = value
                     continue
@@ -140,22 +165,16 @@ class GlobalUpdateValidator:
                     projected[key] = value
                 else:  # settling / eliminating: not invertible
                     untranslatable.add(key)
-            index = ConstraintDependencyIndex.for_schema(schema)
-            for constraint in schema.effective_object_constraints(
-                component.class_name
-            ):
-                relevant = self._read_attrs(index, constraint)
-                if relevant & untranslatable:
+            for constraint, reads in checks:
+                if not reads.isdisjoint(untranslatable):
                     continue
-                if not relevant & set(changes):
+                if reads.isdisjoint(changes):
                     continue  # untouched by this update
-                satisfied = self._evaluate_component(
-                    constraint.formula, projected, conformation
-                )
+                satisfied = self._evaluate_component(constraint.formula, projected)
                 if satisfied is False:
                     verdict.rejections.append(
                         Rejection(
-                            schema.name,
+                            self.conformation.on(side).schema.name,
                             constraint.qualified_name,
                             "the subtransaction would be rejected by this "
                             "component's transaction manager: "
@@ -163,59 +182,38 @@ class GlobalUpdateValidator:
                         )
                     )
 
-    @staticmethod
-    def _read_attrs(index, constraint) -> set:
-        """Attribute names ``constraint`` reads off the constrained object,
-        per the engine's constraint-dependency index.  Unresolvable
-        (universal) constraints report every attribute mentioned so they are
-        never skipped."""
-        entry = index.entry(constraint)
-        if entry is None or entry.universal:
-            return {path.parts[0] for path in _paths(constraint.formula)}
-        return set(entry.own_attr_names())
-
-    def _propeq_for(self, conformation, obj, name):
+    def _propeq_for(self, obj, name):
         local = obj.component_on(Side.LOCAL)
         remote = obj.component_on(Side.REMOTE)
         if local is None or remote is None:
             return None
         from repro.integration.merging import _conformed_propeq_for
 
-        return _conformed_propeq_for(conformation, local, remote, name)
+        return _conformed_propeq_for(self.conformation, local, remote, name)
 
-    def _evaluate_component(self, formula, state: dict, conformation) -> bool | None:
-        """Evaluate against a conformed component state, dereferencing
-        conformed object ids through the conformation's instances."""
-        instances = {
-            obj.oid: obj
-            for side in (Side.LOCAL, Side.REMOTE)
-            for obj in conformation.on(side).instances
-        }
+    def _component_get_attr(self, obj, name):
+        """Read a conformed component state, dereferencing conformed object
+        ids through the conformation's instance index."""
+        state = obj.state if isinstance(obj, ConformedObject) else obj
+        if not isinstance(state, dict):
+            raise EvaluationError(f"cannot read {name!r} from {obj!r}")
+        if name not in state:
+            raise EvaluationError(f"component state has no property {name!r}")
+        value = state[name]
+        if isinstance(value, str):
+            return self.conformation.instances_by_oid.get(value, value)
+        return value
 
-        def get_attr(obj, name):
-            from repro.integration.conformation import ConformedObject
-
-            if isinstance(obj, ConformedObject):
-                value = obj.state[name]
-            elif isinstance(obj, dict):
-                value = obj[name]
-            else:
-                raise EvaluationError(f"cannot read {name!r} from {obj!r}")
-            if isinstance(value, str) and value in instances:
-                return instances[value]
-            return value
-
-        constants: dict = {}
-        constants.update(conformation.remote.schema.constants)
-        constants.update(conformation.local.schema.constants)
-        from repro.constraints.evaluate import EvalContext
-
+    def _evaluate_component(self, formula, state: dict) -> bool | None:
+        """Evaluate against a conformed component state."""
         try:
             return bool(
                 evaluate(
                     formula,
                     EvalContext(
-                        current=state, constants=constants, get_attr=get_attr
+                        current=state,
+                        constants=self._constants,
+                        get_attr=self._component_get_attr,
                     ),
                 )
             )
@@ -231,7 +229,11 @@ class GlobalUpdateValidator:
             return None
 
 
-def _paths(formula):
-    from repro.constraints.ast import paths_in
-
-    return paths_in(formula)
+def _read_attrs(index: ConstraintDependencyIndex, constraint: Constraint) -> frozenset[str]:
+    """Attribute names ``constraint`` reads off the constrained object, per
+    the engine's constraint-dependency index.  Unresolvable (universal)
+    constraints report every attribute mentioned so they are never skipped."""
+    entry = index.entry(constraint)
+    if entry is None or entry.universal:
+        return frozenset(path.parts[0] for path in paths_in(constraint.formula))
+    return entry.own_attr_names()

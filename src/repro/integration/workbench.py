@@ -336,7 +336,7 @@ def _state_violation_core(view: IntegratedView, constraint, oid: str):
     from repro.errors import EvaluationError
 
     run = compiled(constraint.formula)
-    all_oids = frozenset(view._objects)
+    all_oids = view.oids()
 
     def masked_ctx(visible, current, trace=None):
         ctx = view.eval_context(current=current)

@@ -94,6 +94,15 @@ class TestEntailmentEdges:
         assert entails(premise, formula("a <= 5"))
         assert not entails(premise, formula("a <= 4"))
 
+    def test_order_atoms_forcing_equality_refute_disequality(self):
+        # x <= y and y <= x pin x = y through the difference bounds, not
+        # through an explicit equality atom.
+        env = TypeEnvironment({"x": RangeType(0, 3), "y": RangeType(0, 3)})
+        assert not is_satisfiable(formula("x != y and x <= y and y <= x"), env)
+        assert not is_satisfiable(formula("x != y and x <= y and y <= x"))
+        assert is_satisfiable(formula("x != y and x <= y"), env)
+        assert is_satisfiable(formula("x != y and x <= y + 1 and y <= x"), env)
+
     def test_domain_of_with_equalities(self):
         solver = Solver(TypeEnvironment({"x": RangeType(1, 9), "y": RangeType(1, 9)}))
         dom = solver.domain_of(formula("x = y and y >= 7"), "x")
