@@ -11,15 +11,17 @@ touches.  This benchmark records what the partitioning buys and costs:
   ``ObjectStore`` on the same workload.  The router's fast path is one
   routing-table lookup per operation; anything above the gate means
   routing leaked onto the single-shard hot path.
-* ``shard local scaling`` — the scaling gate: shard-local commits
-  partition the workload, so the *critical path* (the busiest shard's
-  wall time for its share of the workload) at 4 shards must be at least
-  **3x** shorter than the 1-shard baseline for the whole workload.  On a
-  multi-core deployment the shards run concurrently (independent locks
-  and WALs), so the critical path is the commit wall time; measuring each
-  shard's share sequentially keeps the record deterministic on the
-  single-core CI runners (``extra_info`` records ``cpu_count`` and the
-  methodology).
+* ``shard local scaling`` — the scaling gate, on a *model*: shard-local
+  commits partition the workload, so the modelled critical path (the
+  busiest shard's wall time for its share of the workload, each share
+  timed sequentially on one core) at 4 shards must be at least **3x**
+  shorter than the 1-shard baseline for the whole workload.  The model
+  assumes that on a multi-core deployment the shards run concurrently
+  (independent locks and WALs), so the critical path would be the commit
+  wall time; it is not a measured multi-core speedup.  Timing the shares
+  sequentially keeps the record deterministic on single-core CI runners
+  (``extra_info`` records ``cpu_count`` and the methodology, and names
+  the figures ``modelled_*``).
 * ``cross shard commit`` — the coordination-cost record: a two-phase
   (2PC) transaction spanning two shards must stay within **3x** of a
   single-shard transaction of the same shape.  Measured on ``sync=False``
@@ -134,8 +136,10 @@ def test_e21_single_shard_parity(benchmark, e21_size, tmp_path):
 
 
 def test_e21_shard_local_scaling(benchmark, e21_size, tmp_path):
-    """Shard-local commits partition: the busiest shard's share of the
-    workload completes ≥3x faster than the whole workload on one shard."""
+    """Shard-local commits partition, modelled: the busiest shard's share
+    of the workload, timed alone on one core, completes ≥3x faster than
+    the whole workload on one shard.  A model of concurrent shards, not a
+    measured multi-core speedup."""
     workload = e21_size - e21_size % SHARDS  # divisible share per shard
     baseline = ShardedStore.open(
         tmp_path / "one", _schema(), 1, sync=False, checkpoint_every=0
@@ -194,20 +198,20 @@ def test_e21_shard_local_scaling(benchmark, e21_size, tmp_path):
     benchmark.extra_info["shards"] = SHARDS
     benchmark.extra_info["cpu_count"] = os.cpu_count()
     benchmark.extra_info["baseline_s"] = round(t_baseline, 5)
-    benchmark.extra_info["critical_path_s"] = round(critical_path, 5)
-    benchmark.extra_info["scaling_factor"] = round(scaling, 2)
+    benchmark.extra_info["modelled_critical_path_s"] = round(critical_path, 5)
+    benchmark.extra_info["modelled_scaling_factor"] = round(scaling, 2)
     benchmark.extra_info["methodology"] = (
-        "per-shard shares timed in isolation on one core; commit wall "
-        "time on an N-core deployment is their maximum (no shared locks, "
-        "WALs or indexes between shards)"
+        "model, not a measurement: per-shard shares timed in isolation on "
+        "one core; commit wall time on an N-core deployment is modelled "
+        "as their maximum (no shared locks, WALs or indexes between shards)"
     )
     baseline.close()
     scaled.close()
 
-    # Acceptance: near-linear partitioning — the critical path at 4 shards
-    # beats the 1-shard baseline by at least 3x.
+    # Acceptance: near-linear partitioning — the modelled critical path at
+    # 4 shards beats the 1-shard baseline by at least 3x.
     assert scaling >= 3.0, (
-        f"shard-local scaling is {scaling:.2f}x at {SHARDS} shards "
+        f"modelled shard-local scaling is {scaling:.2f}x at {SHARDS} shards "
         f"({workload} commits) — expected >= 3x"
     )
 

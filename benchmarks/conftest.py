@@ -49,7 +49,7 @@ def pytest_generate_tests(metafunc):
         metafunc.parametrize("e14_size", sizes)
     if "e15_size" in metafunc.fixturenames:
         # Same 10³→10⁴ pair for the referential guard.  The full run tops
-        # out at 3·10⁴: the unindexed baseline re-evaluates db1 by a nested
+        # out at 3·10⁴: the oracle baseline re-evaluates db1 by a nested
         # scan in O(extent²), so larger sizes only burn time on the
         # comparison store, not on the indexed path under test.
         sizes = [1_000, 10_000] if quick else [1_000, 10_000, 30_000]

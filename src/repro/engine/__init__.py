@@ -12,6 +12,9 @@ constraint of its TM schema.
 * :mod:`~repro.engine.store` — the store: insert/update/delete, extents,
   reference dereferencing, evaluation contexts;
 * :mod:`~repro.engine.enforcement` — full (store-wide) constraint checking;
+* :mod:`~repro.engine.oracle` — the engine's single reference: a naive
+  scan-only store whose verdict is the full check, against which the
+  differential test suites hold the delta-driven, indexed store;
 * :mod:`~repro.engine.incremental` — delta-driven constraint checking: the
   constraint-dependency index, mutation dirty sets, and the validators that
   intersect them (the enforcement hot path);

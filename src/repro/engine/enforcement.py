@@ -1,9 +1,10 @@
-"""Constraint enforcement over an :class:`~repro.engine.store.ObjectStore`.
+"""The full constraint check over a store.
 
-The component databases of the paper enforce their own integrity constraints;
-this module is that enforcement.  Object constraints (own + inherited) are
-checked against single objects, class constraints against (deep) extents, and
-database constraints against the whole store.
+The component databases of the paper enforce their own integrity constraints.
+:func:`all_violations` is the full check: object constraints (own + inherited)
+against every object, class constraints against their (deep) extents, and
+database constraints against the whole store — for audits, recovery, fallback
+revalidation, and as the verdict of :class:`~repro.engine.oracle.Oracle`.
 """
 
 from __future__ import annotations
@@ -12,19 +13,17 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.constraints.evaluate import evaluate
-from repro.errors import ConstraintViolation, EngineError, EvaluationError
+from repro.errors import EngineError, EvaluationError
 
 #: Evaluation failures that count as violations rather than crashes: a
 #: formula that cannot be evaluated (missing attribute, unknown function)
-#: or whose dereference hits a dangling/unknown object.  Shared by the
-#: fail-fast checks and the bulk audit, matching the delta-driven
-#: validator's contract (:mod:`repro.engine.incremental`).
+#: or whose dereference hits a dangling/unknown object.  The same contract
+#: as the delta-driven validator's (:mod:`repro.engine.incremental`).
 #: ``ConstraintViolation`` subclasses ``EngineError`` but ``evaluate`` never
 #: raises it, so the widened catch is safe.
 _EVAL_FAILURES = (EvaluationError, EngineError)
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.objects import DBObject
     from repro.engine.store import ObjectStore
 
 
@@ -35,8 +34,9 @@ class Violation:
     The explanation fields — the violated :class:`Constraint` itself, the
     culprit object's ``oid`` (object constraints only) and the detection
     ``trace`` — are excluded from equality/hashing/repr so violation lists
-    from differently-configured stores (indexed vs scan, incremental vs
-    full) still compare on ``(constraint_name, detail)`` alone.
+    from different checkers (the store and the naive
+    :class:`~repro.engine.oracle.Oracle`, probe and scan evaluation) still
+    compare on ``(constraint_name, detail)`` alone.
     """
 
     constraint_name: str
@@ -62,96 +62,6 @@ def _detection_trace(
     return failure_trace(
         store, constraint, current=current, self_extent_class=self_extent_class
     )
-
-
-def check_object_constraints(store: "ObjectStore", obj: "DBObject") -> None:
-    """Raise unless ``obj`` satisfies all effective object constraints.
-
-    Evaluation failures (including dereferences that hit a dangling
-    reference, which surface as engine errors) are wrapped as
-    :class:`ConstraintViolation` — the same error contract the delta-driven
-    validator honours, so incremental and exhaustive enforcement reject with
-    the same exception type.
-    """
-    scope = getattr(store, "constraint_scope", None)
-    for constraint in store.schema.effective_object_constraints(obj.class_name):
-        if scope is not None and constraint not in scope:
-            continue  # cross-shard: the commit router checks it
-        ctx = store.eval_context(current=obj)
-        try:
-            satisfied = evaluate(constraint.formula, ctx)
-        except _EVAL_FAILURES as exc:
-            raise ConstraintViolation(
-                constraint.qualified_name,
-                f"cannot evaluate on {obj.oid}: {exc}",
-                trace=_detection_trace(store, constraint, current=obj),
-            ) from exc
-        if not satisfied:
-            raise ConstraintViolation(
-                constraint.qualified_name,
-                f"object {obj.oid} with state {obj.state!r}",
-                trace=_detection_trace(store, constraint, current=obj),
-            )
-
-
-def check_class_constraints(store: "ObjectStore", class_name: str) -> None:
-    """Raise unless the extents touched by ``class_name`` satisfy their
-    class constraints.
-
-    Class constraints of every ancestor are re-checked because an object of a
-    subclass is a member of each ancestor's extent (the paper's ``cc2`` on
-    Publication constrains the sum over *all* publications).  This is extent
-    membership, not constraint inheritance — the constraint stays attached to
-    the ancestor.
-    """
-    scope = getattr(store, "constraint_scope", None)
-    for ancestor in store.schema.ancestors(class_name):
-        for constraint in ancestor.own_class_constraints():
-            if scope is not None and constraint not in scope:
-                continue  # cross-shard: the commit router checks it
-            ctx = store.eval_context(self_extent_class=ancestor.name)
-            try:
-                satisfied = evaluate(constraint.formula, ctx)
-            except _EVAL_FAILURES as exc:
-                raise ConstraintViolation(
-                    constraint.qualified_name,
-                    str(exc),
-                    trace=_detection_trace(
-                        store, constraint, self_extent_class=ancestor.name
-                    ),
-                ) from exc
-            if not satisfied:
-                raise ConstraintViolation(
-                    constraint.qualified_name,
-                    f"extent of {ancestor.name} "
-                    f"({len(store.extent(ancestor.name))} objects)",
-                    trace=_detection_trace(
-                        store, constraint, self_extent_class=ancestor.name
-                    ),
-                )
-
-
-def check_database_constraints(store: "ObjectStore") -> None:
-    """Raise unless all database constraints hold on the current store."""
-    scope = getattr(store, "constraint_scope", None)
-    for constraint in store.schema.database_constraints:
-        if scope is not None and constraint not in scope:
-            continue  # cross-shard: the commit router checks it
-        ctx = store.eval_context()
-        try:
-            satisfied = evaluate(constraint.formula, ctx)
-        except _EVAL_FAILURES as exc:
-            raise ConstraintViolation(
-                constraint.qualified_name,
-                str(exc),
-                trace=_detection_trace(store, constraint),
-            ) from exc
-        if not satisfied:
-            raise ConstraintViolation(
-                constraint.qualified_name,
-                "database constraint violated",
-                trace=_detection_trace(store, constraint),
-            )
 
 
 def all_violations(store: "ObjectStore") -> list[Violation]:

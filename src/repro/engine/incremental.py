@@ -608,10 +608,10 @@ def check_delta(store: "ObjectStore", delta: MutationDelta) -> None:
     """Fail-fast validation of the constraints affected by ``delta``.
 
     Raises :class:`ConstraintViolation` for the first violated constraint,
-    with the same message shapes as full enforcement
-    (:mod:`repro.engine.enforcement`).  Check order matches the
-    single-operation path: object constraints, then class constraints, then
-    database constraints.
+    checking object constraints, then class constraints, then database
+    constraints.  Given a store that satisfied its constraints before the
+    delta, it raises iff the full check
+    (:func:`repro.engine.enforcement.all_violations`) finds a violation.
     """
     from repro.engine.explain import failure_trace
 

@@ -140,9 +140,9 @@ def oid_sort_key(oid: str) -> tuple[int, int, str]:
     increasing in k exactly when the namespace ranks numerically); the oid
     string breaks the remaining ties so that malformed oids (counter
     ``-1``) still sort the same way everywhere — the maintained extent
-    indexes and the store's object-table restoration must agree on one
-    order, or ``indexed=True`` and ``indexed=False`` extents would diverge
-    after a rollback resurrection.
+    indexes, the store's object-table restoration and the scan-only
+    :class:`~repro.engine.oracle.Oracle` must agree on one order, or
+    extents would diverge after a rollback resurrection.
     """
     shard = oid_shard(oid)
     return (oid_counter(oid, default=-1), -1 if shard is None else shard, oid)
@@ -769,8 +769,7 @@ class IndexManager:
             return INDEX_MISS
         return (reference._live_with_ref, reference._dangling)
 
-    def deep_extent_oids(self, class_name: str) -> OrderedOidSet | None:
-        """The maintained deep extent of ``class_name`` in insertion order,
-        or ``None`` when the class has no index (unknown to the schema the
-        indexes were built for)."""
-        return self._extents.get(class_name)
+    def deep_extent_oids(self, class_name: str) -> OrderedOidSet:
+        """The maintained deep extent of ``class_name`` in insertion order
+        (a class of the schema the indexes were last built for)."""
+        return self._extents[class_name]

@@ -3,7 +3,14 @@
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+from repro.errors import EngineError
+from repro.types.primitives import ClassRef
+from repro.types.values import check_value, coerce_value
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.tm.schema import DatabaseSchema
 
 
 class DBObject:
@@ -59,3 +66,47 @@ def state_of(obj: "DBObject | Mapping[str, Any]") -> Mapping[str, Any]:
     if isinstance(obj, DBObject):
         return obj.state
     return obj
+
+
+def check_types(
+    schema: "DatabaseSchema",
+    objects: Mapping[str, DBObject],
+    class_name: str,
+    state: Mapping[str, Any],
+) -> dict[str, Any]:
+    """The type-checked state of a ``class_name`` object, or raise.
+
+    Every effective attribute must be present and no other; values are
+    coerced to their declared types (int→real and the like), and reference
+    attributes must name an object in ``objects`` whose class conforms to
+    the declared target (a :class:`DBObject` stands for its oid).
+    """
+    attributes = schema.effective_attributes(class_name)
+    missing = set(attributes) - set(state)
+    if missing:
+        raise EngineError(f"missing attributes for {class_name}: {sorted(missing)}")
+    extra = set(state) - set(attributes)
+    if extra:
+        raise EngineError(f"class {class_name} has no attributes {sorted(extra)}")
+    checked: dict[str, Any] = {}
+    for name, attribute in attributes.items():
+        value = state[name]
+        context = f"{class_name}.{name}"
+        if isinstance(attribute.tm_type, ClassRef):
+            value = value.oid if isinstance(value, DBObject) else value
+            if value not in objects:
+                raise EngineError(f"{context}: reference to unknown object {value!r}")
+            target = objects[value]
+            if not schema.is_subclass_of(target.class_name, attribute.tm_type.class_name):
+                raise EngineError(
+                    f"{context}: object {value!r} is a {target.class_name}, "
+                    f"not a {attribute.tm_type.class_name}"
+                )
+            checked[name] = value
+            continue
+        try:
+            checked[name] = coerce_value(value, attribute.tm_type)
+        except Exception:
+            check_value(value, attribute.tm_type, context)
+            checked[name] = value
+    return checked

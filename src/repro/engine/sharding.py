@@ -64,7 +64,7 @@ from typing import Any
 from repro.constraints.evaluate import INDEX_MISS, VACUOUS, EvalContext
 from repro.engine.indexes import oid_shard, oid_sort_key
 from repro.engine.objects import DBObject
-from repro.engine.store import ObjectStore, _ExtentView, _LazyExtent
+from repro.engine.store import ObjectStore, _ExtentView, _LazyExtent, check_registration
 from repro.engine.wal import load_image
 from repro.errors import (
     ConstraintViolation,
@@ -235,18 +235,9 @@ class _MergedProbe:
 
     def __init__(self, router: "ShardedStore"):
         self._router = router
-        self._probes = [
-            core._indexes.probe()
-            for core in router.cores
-            if core._indexes is not None
-        ]
-
-    def _complete(self) -> bool:
-        return len(self._probes) == len(self._router.cores)
+        self._probes = [core._indexes.probe() for core in router.cores]
 
     def aggregate_value(self, func: str, class_name: str, over: str | None) -> Any:
-        if not self._complete():
-            return INDEX_MISS
         if func in ("count", "sum"):
             total = 0
             for probe in self._probes:
@@ -274,10 +265,7 @@ class _MergedProbe:
         return INDEX_MISS
 
     def key_unique(self, class_name: str, attributes: Iterable[str]) -> bool | None:
-        router = self._router
-        if not self._complete():
-            return None
-        shard = router.placement.get(class_name)
+        shard = self._router.placement.get(class_name)
         if shard is None:
             # Spread (or unplanned) extent: no single core sees every
             # member, so no core's key index can vouch for uniqueness.
@@ -287,8 +275,6 @@ class _MergedProbe:
         return self._probes[shard].key_unique(class_name, attributes)
 
     def reference_count(self, referrer_class: str, attribute: str, oid: str) -> Any:
-        if not self._complete():
-            return INDEX_MISS
         total = 0
         for probe in self._probes:
             value = probe.reference_count(referrer_class, attribute, oid)
@@ -304,8 +290,6 @@ class _MergedProbe:
         referrer_class: str,
         attribute: str,
     ) -> Any:
-        if not self._complete():
-            return INDEX_MISS
         live = 0
         for probe in self._probes:
             totals = probe.reference_totals(
@@ -370,8 +354,6 @@ class ShardedStore:
         *,
         spread: "Iterable[str]" = (),
         enforce: bool = True,
-        incremental: bool = True,
-        indexed: bool = True,
         explain: bool = True,
         analyze: bool = False,
         placement: "Mapping[str, int] | None" = None,
@@ -387,8 +369,6 @@ class ShardedStore:
         self._single = self.shards == 1
         self.spread = frozenset(spread)
         self.enforce = enforce
-        self.incremental = incremental
-        self.indexed = indexed
         self.explain = explain
         self.analyze = analyze
         #: The router checks every constraint the cores do not (and, on its
@@ -406,19 +386,23 @@ class ShardedStore:
                 )
             self.cores = list(_cores)
         else:
+            # One registration check for the whole store (open() runs it
+            # before recovering the cores it passes in).
+            if analyze:
+                check_registration(schema)
             self.cores = [
                 ObjectStore(
                     schema,
                     enforce=enforce,
-                    incremental=incremental,
-                    indexed=indexed,
                     wal=None,
                     explain=explain,
-                    analyze=analyze,
                     oid_namespace=shard,
                 )
                 for shard in range(self.shards)
             ]
+        # Every core prunes entailed constraints from its hot path.
+        for core in self.cores:
+            core.analyze = analyze
         #: Router lock: serializes cross-shard (global) operations, routing
         #: rebuilds and transactions.  Fast-path operations never take it.
         self._lock = threading.RLock()
@@ -429,7 +413,7 @@ class ShardedStore:
         self._spread_seq: dict[str, int] = {}
         self._attr_types: dict[tuple[str, str], Any] = {}
         #: Schema fingerprint of the last clean full validation of the
-        #: *merged* store; mirrors the plain store's incremental baseline.
+        #: *merged* store; mirrors the plain store's validated baseline.
         self._validated_fingerprint: int | None = None
         self._routing_fingerprint: int | None = None
         #: class → every affected constraint is local to the class's home
@@ -645,7 +629,7 @@ class ShardedStore:
             self_extent_class=self_extent_class,
             constants=self.schema.constants,
             get_attr=self.get_attr,
-            indexes=_MergedProbe(self) if self.indexed else None,
+            indexes=_MergedProbe(self),
         )
 
     # -- enforcement plumbing (duck-typed store surface) ---------------------
@@ -731,11 +715,7 @@ class ShardedStore:
         ):
             self.fast_path_ops += 1
             return core.insert(class_name, state, **kwargs)
-        return self._global_op(
-            core,
-            lambda: core.insert(class_name, state, **kwargs),
-            exhaustive=self._exhaustive_upsert_check,
-        )
+        return self._global_op(core, lambda: core.insert(class_name, state, **kwargs))
 
     def update(self, target: "DBObject | str", **changes: Any) -> DBObject:
         oid = target.oid if isinstance(target, DBObject) else target
@@ -752,11 +732,7 @@ class ShardedStore:
             ):
                 self.fast_path_ops += 1
                 return core.update(target, **changes)
-        return self._global_op(
-            core,
-            lambda: core.update(target, **changes),
-            exhaustive=self._exhaustive_upsert_check,
-        )
+        return self._global_op(core, lambda: core.update(target, **changes))
 
     def delete(self, target: "DBObject | str") -> None:
         oid = target.oid if isinstance(target, DBObject) else target
@@ -771,39 +747,18 @@ class ShardedStore:
             if self._class_fast.get(class_name, False):
                 self.fast_path_ops += 1
                 return core.delete(target)
-        return self._global_op(
-            core,
-            lambda: core.delete(target),
-            exhaustive=self._exhaustive_delete_check,
-        )
+        return self._global_op(core, lambda: core.delete(target))
 
-    def _exhaustive_upsert_check(self, result: Any) -> None:
-        from repro.engine.enforcement import (
-            check_class_constraints,
-            check_database_constraints,
-            check_object_constraints,
-        )
-
-        check_object_constraints(self, result)
-        check_class_constraints(self, result.class_name)
-        check_database_constraints(self)
-
-    def _exhaustive_delete_check(self, result: Any) -> None:
-        from repro.engine.enforcement import check_database_constraints
-
-        check_database_constraints(self)
-
-    def _global_op(self, core: ObjectStore, op, exhaustive) -> Any:
+    def _global_op(self, core: ObjectStore, op) -> Any:
         """Run one operation on ``core`` under full cross-shard validation.
 
         Quiesces every core (router lock + all core locks, in shard order —
         the one global acquisition order, so no interleaving with fast-path
         writers can deadlock), applies the operation inside an unvalidated
         core bracket, then checks the merged view: the delta-driven check
-        when a clean incremental baseline exists, the exhaustive sweep (or
-        a full revalidation) otherwise.  A failed check rolls the core
-        bracket back and propagates with the plain store's exception
-        shapes."""
+        when a clean validated baseline exists, a full revalidation
+        otherwise.  A failed check rolls the core bracket back and
+        propagates with the plain store's exception shapes."""
         with self._lock:
             if self.schema.fingerprint() != self._routing_fingerprint:
                 self._rebuild_routing()
@@ -818,15 +773,12 @@ class ShardedStore:
                 try:
                     result = op()
                     if self.enforce:
-                        if self.incremental:
-                            if self._schema_changed_since_validation():
-                                self._revalidate_fully()
-                            else:
-                                from repro.engine.incremental import check_delta
-
-                                check_delta(self, core._delta)
+                        if self._schema_changed_since_validation():
+                            self._revalidate_fully()
                         else:
-                            exhaustive(result)
+                            from repro.engine.incremental import check_delta
+
+                            check_delta(self, core._delta)
                 except BaseException as exc:
                     txn.__exit__(type(exc), exc, exc.__traceback__)
                     raise
@@ -876,8 +828,6 @@ class ShardedStore:
         *,
         spread: "Iterable[str]" = (),
         enforce: bool = True,
-        incremental: bool = True,
-        indexed: bool = True,
         explain: bool = True,
         analyze: bool = False,
         sync: bool = False,
@@ -961,6 +911,8 @@ class ShardedStore:
             for name, value in seed.constants:
                 schema.set_constant(name, value)
         placement = plan_placement(schema, shard_count, spread, existing=placement)
+        if analyze:
+            check_registration(schema)
         root.mkdir(parents=True, exist_ok=True)
         manifest_path.write_text(
             json.dumps(
@@ -982,13 +934,10 @@ class ShardedStore:
                 directory,
                 schema,
                 enforce=enforce,
-                incremental=incremental,
-                indexed=indexed,
                 sync=sync,
                 checkpoint_every=checkpoint_every,
                 verify=False,
                 faults=injector_for(shard),
-                analyze=analyze and shard == 0,
                 oid_namespace=shard,
                 resolutions=outcomes,
             )
@@ -999,8 +948,6 @@ class ShardedStore:
             shard_count,
             spread=spread,
             enforce=enforce,
-            incremental=incremental,
-            indexed=indexed,
             explain=explain,
             analyze=analyze,
             placement=placement,
@@ -1181,7 +1128,7 @@ class _ShardedTransaction:
 
     def _validate(self) -> list:
         router = self.router
-        if router.incremental and not router._schema_changed_since_validation():
+        if not router._schema_changed_since_validation():
             from repro.engine.incremental import MutationDelta, delta_violations
 
             merged = MutationDelta()

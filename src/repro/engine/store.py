@@ -14,8 +14,9 @@ from typing import Any
 from repro.constraints.evaluate import EvalContext
 from repro.engine.concurrency import ConcurrencyControl, Snapshot
 from repro.engine.faults import FaultInjector
+from repro.engine.incremental import ConstraintDependencyIndex, MutationDelta, check_delta
 from repro.engine.indexes import IndexManager, oid_sort_key
-from repro.engine.objects import DBObject
+from repro.engine.objects import DBObject, check_types
 from repro.engine.wal import RecoveredImage, WriteAheadLog, load_image
 from repro.errors import (
     ConstraintViolation,
@@ -26,7 +27,6 @@ from repro.errors import (
 )
 from repro.tm.schema import DatabaseSchema
 from repro.types.primitives import ClassRef
-from repro.types.values import check_value, coerce_value
 
 
 class ObjectStore:
@@ -38,22 +38,23 @@ class ObjectStore:
     have invalidated, raising :class:`ConstraintViolation` and leaving the
     store unchanged on failure.
 
-    With ``incremental=True`` (the default) enforcement is *delta-driven*:
-    each mutation records a :class:`~repro.engine.incremental.MutationDelta`
-    and only the constraints whose statically extracted read set intersects
-    the delta are re-checked (see :mod:`repro.engine.incremental`).  With
-    ``incremental=False`` the store keeps the exhaustive behaviour: full
-    revalidation at transaction commit and the fixed
-    object/class/database-constraint sweep after every operation.
+    Enforcement is *delta-driven*: each mutation records a
+    :class:`~repro.engine.incremental.MutationDelta` and only the
+    constraints whose statically extracted read set intersects the delta
+    are re-checked (see :mod:`repro.engine.incremental`).  Without a
+    validated baseline — no full pass yet, or the schema changed since the
+    last one — the store revalidates fully instead.
 
-    With ``indexed=True`` (the default) the store additionally maintains
-    auxiliary state through an :class:`~repro.engine.indexes.IndexManager` —
-    per-class deep-extent indexes, running aggregates, key hash indexes and
-    reference-count indexes — kept transactionally consistent with every
-    mutation and rollback, so ``extent()`` is O(|result|) and aggregate/key/
-    referential constraint checks answer in O(1) instead of re-scanning
-    extents.  ``indexed=False`` preserves the scan-everything behaviour
-    (useful as a performance baseline).
+    The store maintains auxiliary state through an
+    :class:`~repro.engine.indexes.IndexManager` — per-class deep-extent
+    indexes, running aggregates, key hash indexes and reference-count
+    indexes — kept transactionally consistent with every mutation and
+    rollback, so ``extent()`` is O(|result|) and aggregate/key/referential
+    constraint checks answer in O(1) instead of re-scanning extents.
+
+    This is a *simplified* check in Martinenghi's sense: it is correct iff
+    it agrees with the full check.  :class:`repro.engine.oracle.Oracle` is
+    that full check, and the differential test suites hold the store to it.
 
     With ``wal`` set (a directory path or a pre-configured
     :class:`~repro.engine.wal.WriteAheadLog`) the store is *durable*: every
@@ -83,8 +84,6 @@ class ObjectStore:
         self,
         schema: DatabaseSchema,
         enforce: bool = True,
-        incremental: bool = True,
-        indexed: bool = True,
         wal: "WriteAheadLog | str | Path | bool | None" = None,
         explain: bool = True,
         analyze: bool = False,
@@ -92,8 +91,6 @@ class ObjectStore:
     ):
         self.schema = schema
         self.enforce = enforce
-        self.incremental = incremental
-        self.indexed = indexed
         #: Shard namespace stamped into minted oids (``Class#S.N``); ``None``
         #: keeps the plain ``Class#N`` shape.  Set by the commit router
         #: (:mod:`repro.engine.sharding`) so oid minting never serializes
@@ -121,14 +118,7 @@ class ObjectStore:
         #: covering read set).  Audits and full revalidation never prune.
         self.analyze = analyze
         if analyze:
-            from repro.constraints.analysis import registration_errors
-
-            problems = registration_errors(schema)
-            if problems:
-                raise SchemaError(
-                    "static analysis rejected the schema: "
-                    + "; ".join(d.render() for d in problems)
-                )
+            check_registration(schema)
         self._objects: dict[str, DBObject] = {}
         self._direct_extents: dict[str, set[str]] = {
             name: set() for name in schema.classes
@@ -170,9 +160,9 @@ class ObjectStore:
         #: and any clean full pass re-baselines.
         self._validated_fingerprint: int | None = None
         #: Maintained auxiliary indexes (deep extents, running aggregates,
-        #: key hash maps); ``None`` on unindexed stores.  Created last: the
-        #: manager reads the store's schema and (empty) contents.
-        self._indexes = IndexManager(self) if indexed else None
+        #: key hash maps, reference counts).  Created last: the manager
+        #: reads the store's schema and (empty) contents.
+        self._indexes = IndexManager(self)
         #: Durability write-through; ``None`` on purely in-memory stores.
         self._wal: WriteAheadLog | None = None
         from_environment = False
@@ -226,8 +216,7 @@ class ObjectStore:
 
         O(|result|) (plus an O(k log k) sort for shallow extents, where k is
         the extent size): deep extents resolve from the maintained deep-extent
-        index, shallow ones from ``_direct_extents``.  Only an unindexed
-        store's deep extent falls back to the full-store scan.
+        index, shallow ones from ``_direct_extents``.
         """
         if not self.schema.has_class(class_name):
             raise UnknownClassError(
@@ -243,13 +232,10 @@ class ObjectStore:
                 self._direct_extents.get(class_name, ()), key=oid_sort_key
             )
             return [objects[oid] for oid in oids]
-        if self._indexes is not None:
-            self._indexes.ensure_fresh()
-            indexed = self._indexes.deep_extent_oids(class_name)
-            if indexed is not None:
-                return [objects[oid] for oid in indexed]
-        names = set(self.schema.subclass_closure(class_name))
-        return [obj for obj in objects.values() if obj.class_name in names]
+        # A class added since the last rebuild changed the schema
+        # fingerprint, so ensure_fresh() indexes it before the lookup.
+        self._indexes.ensure_fresh()
+        return [objects[oid] for oid in self._indexes.deep_extent_oids(class_name)]
 
     # -- mutation -----------------------------------------------------------------
 
@@ -276,30 +262,22 @@ class ObjectStore:
             )
         full_state = dict(state or {})
         full_state.update(kwargs)
-        checked = self._check_types(class_name, full_state)
+        checked = check_types(self.schema, self._objects, class_name, full_state)
         self._check_writable()
         self._oid_seq += 1
         oid = f"{class_name}#{self._oid_prefix}{self._oid_seq}"
         obj = DBObject(oid, class_name, checked)
-        self._objects[oid] = obj
-        # setdefault: the class may have been added to the schema after the
-        # store was created.
-        self._direct_extents.setdefault(class_name, set()).add(oid)
-        if self._indexes is not None:
-            self._indexes.on_insert(obj)
+        self._attach(obj)
         self._log_undo(oid, None)
-        delta = self._new_delta()
+        delta = MutationDelta()
         delta.record_insert(obj)
         try:
-            self._after_mutation(obj, delta)
+            self._after_mutation(delta)
         # EngineError covers ConstraintViolation plus evaluation blowing up
         # on pre-existing inconsistencies (e.g. a dangling reference): the
         # insert must stay atomic either way.
         except EngineError:
-            del self._objects[oid]
-            self._direct_extents[class_name].discard(oid)
-            if self._indexes is not None:
-                self._indexes.on_delete(obj)
+            self._detach(obj)
             raise
         # Write-through only after the insert is accepted: a rejected
         # operation must leave no trace in the log either.  The log append
@@ -312,10 +290,7 @@ class ObjectStore:
                 self._wal.log_insert(obj)
                 ticket = self._wal_flush_point()
             except BaseException:
-                del self._objects[oid]
-                self._direct_extents[class_name].discard(oid)
-                if self._indexes is not None:
-                    self._indexes.on_delete(obj)
+                self._detach(obj)
                 raise
         self._publish_commit(((obj.oid, obj.class_name, obj.state),))
         if self._wal is not None:
@@ -342,21 +317,19 @@ class ObjectStore:
             )
         new_state = dict(obj.state)
         new_state.update(changes)
-        checked = self._check_types(obj.class_name, new_state)
+        checked = check_types(self.schema, self._objects, obj.class_name, new_state)
         self._check_writable()
         old_state = obj.state
         self._log_undo(obj.oid, (obj, old_state))
         obj.state = checked
-        if self._indexes is not None:
-            self._indexes.on_update(obj, old_state, checked)
-        delta = self._new_delta()
+        self._indexes.on_update(obj, old_state, checked)
+        delta = MutationDelta()
         delta.record_update(obj, set(changes))
         try:
-            self._after_mutation(obj, delta)
+            self._after_mutation(delta)
         except EngineError:  # see insert(): keep the update atomic
             obj.state = old_state
-            if self._indexes is not None:
-                self._indexes.on_update(obj, checked, old_state)
+            self._indexes.on_update(obj, checked, old_state)
             raise
         ticket = None
         if self._wal is not None:
@@ -368,8 +341,7 @@ class ObjectStore:
                 # durable prefix, so a failed write-through undoes the
                 # in-memory update before propagating.
                 obj.state = old_state
-                if self._indexes is not None:
-                    self._indexes.on_update(obj, checked, old_state)
+                self._indexes.on_update(obj, checked, old_state)
                 raise
         self._publish_commit(((obj.oid, obj.class_name, obj.state),))
         if self._wal is not None:
@@ -378,9 +350,9 @@ class ObjectStore:
 
     def delete(self, target: DBObject | str) -> None:
         """Remove an object, re-checking the constraints the removal can
-        invalidate (database constraints, and — on incremental stores —
-        aggregate/key class constraints over the shrunk extent and object
-        constraints that referenced the removed object)."""
+        invalidate (database constraints, aggregate/key class constraints
+        over the shrunk extent and object constraints that referenced the
+        removed object)."""
         with self._lock:
             ticket = self._delete_locked(target)
         self._await_durability(ticket)
@@ -389,27 +361,16 @@ class ObjectStore:
         obj = self.get(target.oid if isinstance(target, DBObject) else target)
         self._check_writable()
         self._log_undo(obj.oid, (obj, obj.state))
-        del self._objects[obj.oid]
-        self._direct_extents[obj.class_name].discard(obj.oid)
-        if self._indexes is not None:
-            self._indexes.on_delete(obj)
-        delta = self._new_delta()
+        self._detach(obj)
+        delta = MutationDelta()
         delta.record_delete(obj)
-        self._note_delta(delta)
         try:
-            if self.enforce and not self._deferred:
-                if self.incremental:
-                    self._enforce_incremental(delta)
-                else:
-                    self._check_database_constraints()
+            self._after_mutation(delta)
         # EngineError also covers evaluation blowing up on a reference the
         # removal left dangling (ConstraintViolation is a subclass): the
         # delete must stay atomic either way.
         except EngineError:
-            self._objects[obj.oid] = obj
-            self._direct_extents[obj.class_name].add(obj.oid)
-            if self._indexes is not None:
-                self._indexes.on_insert(obj)
+            self._attach(obj)
             self._restore_object_order()
             raise
         ticket = None
@@ -420,10 +381,7 @@ class ObjectStore:
             except BaseException:
                 # See _insert_locked: re-register the object so memory
                 # stays on the durable prefix.
-                self._objects[obj.oid] = obj
-                self._direct_extents[obj.class_name].add(obj.oid)
-                if self._indexes is not None:
-                    self._indexes.on_insert(obj)
+                self._attach(obj)
                 self._restore_object_order()
                 raise
         self._publish_commit(((obj.oid, obj.class_name, None),))
@@ -431,46 +389,18 @@ class ObjectStore:
             ticket = self._wal_checkpoint_policy(ticket)
         return ticket
 
-    # -- type checking -----------------------------------------------------------------
+    def _attach(self, obj: DBObject) -> None:
+        """Register ``obj`` in the object table, its direct extent and the
+        indexes (setdefault: the class may postdate the store)."""
+        self._objects[obj.oid] = obj
+        self._direct_extents.setdefault(obj.class_name, set()).add(obj.oid)
+        self._indexes.on_insert(obj)
 
-    def _check_types(self, class_name: str, state: Mapping[str, Any]) -> dict[str, Any]:
-        attributes = self.schema.effective_attributes(class_name)
-        missing = set(attributes) - set(state)
-        if missing:
-            raise EngineError(
-                f"missing attributes for {class_name}: {sorted(missing)}"
-            )
-        extra = set(state) - set(attributes)
-        if extra:
-            raise EngineError(
-                f"class {class_name} has no attributes {sorted(extra)}"
-            )
-        checked: dict[str, Any] = {}
-        for name, attribute in attributes.items():
-            value = state[name]
-            context = f"{class_name}.{name}"
-            if isinstance(attribute.tm_type, ClassRef):
-                value = value.oid if isinstance(value, DBObject) else value
-                if value not in self._objects:
-                    raise EngineError(
-                        f"{context}: reference to unknown object {value!r}"
-                    )
-                target = self._objects[value]
-                if not self.schema.is_subclass_of(
-                    target.class_name, attribute.tm_type.class_name
-                ):
-                    raise EngineError(
-                        f"{context}: object {value!r} is a {target.class_name}, "
-                        f"not a {attribute.tm_type.class_name}"
-                    )
-                checked[name] = value
-                continue
-            try:
-                checked[name] = coerce_value(value, attribute.tm_type)
-            except Exception:
-                check_value(value, attribute.tm_type, context)
-                checked[name] = value
-        return checked
+    def _detach(self, obj: DBObject) -> None:
+        """The inverse of :meth:`_attach`."""
+        del self._objects[obj.oid]
+        self._direct_extents[obj.class_name].discard(obj.oid)
+        self._indexes.on_delete(obj)
 
     # -- dereferencing & evaluation contexts --------------------------------------------
 
@@ -514,8 +444,8 @@ class ObjectStore:
     ) -> EvalContext:
         """An :class:`EvalContext` wired to this store's extents/constants.
 
-        ``self_extent`` is *lazy*: on indexed stores most aggregate and key
-        checks are answered by the index probe (``indexes``) without ever
+        ``self_extent`` is *lazy*: most aggregate and key checks are
+        answered by the index probe (``indexes``) without ever
         materializing the extent, which is what keeps those checks O(1)."""
         return EvalContext(
             current=current,
@@ -527,28 +457,18 @@ class ObjectStore:
             self_extent_class=self_extent_class,
             constants=self.schema.constants,
             get_attr=self.get_attr,
-            indexes=self._indexes.probe() if self._indexes is not None else None,
+            indexes=self._indexes.probe(),
         )
 
     # -- enforcement --------------------------------------------------------------------
-
-    def _new_delta(self):
-        from repro.engine.incremental import MutationDelta
-
-        return MutationDelta()
-
-    def _note_delta(self, delta) -> None:
-        """Accumulate an operation's dirty set into the transaction's."""
-        if self._deferred and self._delta is not None:
-            self._delta.merge(delta)
 
     def _restore_object_order(self) -> None:
         """Re-sort ``_objects`` into insertion order after a removed object
         was re-registered (which appends at the end of the dict).  Engine
         oids embed the global insertion counter (``Class#N``), so the order
         is recoverable without a snapshot.  The key is the same
-        ``(counter, oid)`` pair the extent indexes sort by, so indexed and
-        unindexed extents agree on one deterministic order even when a
+        ``(counter, oid)`` pair the extent indexes sort by, so ``objects()``
+        and every extent agree on one deterministic order even when a
         counter cannot be parsed."""
         self._objects = dict(
             sorted(self._objects.items(), key=lambda item: oid_sort_key(item[0]))
@@ -564,8 +484,6 @@ class ObjectStore:
     def dependency_index(self):
         """The cached constraint-dependency index for this store's schema,
         rebuilt when the schema fingerprint changes."""
-        from repro.engine.incremental import ConstraintDependencyIndex
-
         return ConstraintDependencyIndex.for_schema(self.schema)
 
     def _schema_changed_since_validation(self) -> bool:
@@ -575,7 +493,7 @@ class ObjectStore:
         )
 
     def _revalidate_fully(self) -> None:
-        """Full-store validation when no valid incremental baseline exists
+        """Full-store validation when no validated baseline exists
         (no full pass yet, or the schema changed since the last one); raises
         on any violation."""
         violations = self.audit()
@@ -587,37 +505,21 @@ class ObjectStore:
                 cores=self._cores_for(violations),
             )
 
-    def _enforce_incremental(self, delta) -> None:
-        """The delta-driven enforcement step shared by all mutations."""
+    def _after_mutation(self, delta) -> None:
+        """The enforcement step shared by all mutations: accumulate the
+        dirty set into an enclosing transaction's, or — outside one —
+        re-check what the delta can have invalidated (fully, when there is
+        no validated baseline)."""
+        if self._deferred:
+            if self._delta is not None:
+                self._delta.merge(delta)
+            return
+        if not self.enforce:
+            return
         if self._schema_changed_since_validation():
             self._revalidate_fully()
             return
-        from repro.engine.incremental import check_delta
-
         check_delta(self, delta)
-
-    def _after_mutation(self, obj: DBObject, delta=None) -> None:
-        if delta is not None:
-            self._note_delta(delta)
-        if not self.enforce or self._deferred:
-            return
-        if self.incremental and delta is not None:
-            self._enforce_incremental(delta)
-            return
-        from repro.engine.enforcement import (
-            check_class_constraints,
-            check_database_constraints,
-            check_object_constraints,
-        )
-
-        check_object_constraints(self, obj)
-        check_class_constraints(self, obj.class_name)
-        check_database_constraints(self)
-
-    def _check_database_constraints(self) -> None:
-        from repro.engine.enforcement import check_database_constraints
-
-        check_database_constraints(self)
 
     def audit(self) -> list:
         """Validate the entire store; returns structured
@@ -688,8 +590,6 @@ class ObjectStore:
         schema: DatabaseSchema | None = None,
         *,
         enforce: bool = True,
-        incremental: bool = True,
-        indexed: bool = True,
         sync: bool = False,
         checkpoint_every: int = 10_000,
         verify: bool = True,
@@ -751,8 +651,6 @@ class ObjectStore:
             return cls(
                 schema,
                 enforce=enforce,
-                incremental=incremental,
-                indexed=indexed,
                 wal=wal,
                 analyze=analyze,
                 oid_namespace=oid_namespace,
@@ -773,8 +671,6 @@ class ObjectStore:
         store = cls(
             schema,
             enforce=enforce,
-            incremental=incremental,
-            indexed=indexed,
             wal=False,
             analyze=analyze,
             oid_namespace=oid_namespace,
@@ -815,8 +711,7 @@ class ObjectStore:
             self._direct_extents.setdefault(class_name, set()).add(oid)
         self._oid_seq = max(self._oid_seq, image.counter)
         self._restore_object_order()
-        if self._indexes is not None:
-            self._indexes.rebuild()
+        self._indexes.rebuild()
 
     def checkpoint(self) -> None:
         """Write a snapshot of the live store and compact the log.
@@ -1028,6 +923,20 @@ class ObjectStore:
         from repro.engine.transactions import Transaction
 
         return Transaction(self, validate=validate)
+
+
+def check_registration(schema: DatabaseSchema) -> None:
+    """Refuse a schema with error-level static-analysis findings
+    (:mod:`repro.constraints.analysis`): the registration check of an
+    ``analyze=True`` store."""
+    from repro.constraints.analysis import registration_errors
+
+    problems = registration_errors(schema)
+    if problems:
+        raise SchemaError(
+            "static analysis rejected the schema: "
+            + "; ".join(d.render() for d in problems)
+        )
 
 
 def _wal_from_environment() -> WriteAheadLog | None:

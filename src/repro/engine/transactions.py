@@ -12,16 +12,14 @@ the store size:
   on first touch) instead of a whole-store snapshot, so entering a
   transaction is O(1) and rolling back is O(touched objects).
 
-* Commit-time validation is **delta-driven** on incremental stores: the
-  store accumulates a :class:`~repro.engine.incremental.MutationDelta`
-  across the transaction's operations, and only the constraints whose read
-  set (per the cached
+* Commit-time validation is **delta-driven**: the store accumulates a
+  :class:`~repro.engine.incremental.MutationDelta` across the transaction's
+  operations, and only the constraints whose read set (per the cached
   :class:`~repro.engine.incremental.ConstraintDependencyIndex`) intersects
   the delta are re-checked.  The transaction falls back to full revalidation
   when the schema changed since the store's last validated state (detected
   by fingerprint comparison — whether the change happened before or during
-  the transaction), or when the store was created with
-  ``incremental=False``.
+  the transaction).
 
 Transactions nest: an inner transaction inside an already-deferred store
 keeps deferring to the *outermost* commit, which validates everything.  An
@@ -279,18 +277,12 @@ class Transaction:
 
         Returns structured :class:`~repro.engine.enforcement.Violation`
         objects, so a failing commit can name every violated constraint on
-        the raised exception.  Full revalidation runs when the store was
-        created with ``incremental=False`` or when the schema fingerprint
-        differs from the one the store last validated under — whether the
-        change happened mid-transaction or before it (a rebound constant
-        can invalidate constraints with no data delta)."""
+        the raised exception.  Full revalidation runs when the schema
+        fingerprint differs from the one the store last validated under —
+        whether the change happened mid-transaction or before it (a rebound
+        constant can invalidate constraints with no data delta)."""
         store = self.store
-        use_full = (
-            not store.incremental
-            or delta is None
-            or store._schema_changed_since_validation()
-        )
-        if use_full:
+        if delta is None or store._schema_changed_since_validation():
             return store.audit()
         from repro.engine.incremental import delta_violations
 
@@ -327,27 +319,20 @@ class Transaction:
         replays the touched objects.
         """
         store = self.store
-        indexes = store._indexes
         resurrected = False
         for oid, entry in undo.items():
             if entry is None:
-                obj = store._objects.pop(oid, None)
-                if obj is not None:
-                    store._direct_extents[obj.class_name].discard(oid)
-                    if indexes is not None:
-                        indexes.on_delete(obj)
+                if oid in store._objects:
+                    store._detach(store._objects[oid])
             else:
                 obj, state = entry
                 if oid in store._objects:
-                    if indexes is not None and obj.state is not state:
-                        indexes.on_update(obj, obj.state, state)
+                    if obj.state is not state:
+                        store._indexes.on_update(obj, obj.state, state)
                     obj.state = state
                 else:
                     obj.state = state
                     resurrected = True
-                    store._objects[oid] = obj
-                    store._direct_extents[obj.class_name].add(oid)
-                    if indexes is not None:
-                        indexes.on_insert(obj)
+                    store._attach(obj)
         if resurrected:
             store._restore_object_order()

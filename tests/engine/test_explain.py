@@ -11,7 +11,8 @@ Three properties, each proved over random schemas' instances and histories:
 3. **Traced ≡ untraced** — evaluation with reason tracing produces
    bit-identical verdicts (value *and* type, including the ``VACUOUS``
    sentinel) and identical errors, across indexed contexts, scan contexts
-   (``indexes=None``), MVCC snapshot contexts, and with ``REPRO_WAL=1``.
+   (``indexes=None``), the scan-only oracle, MVCC snapshot contexts, and
+   with ``REPRO_WAL=1``.
 
 Plus regressions: vacuous/tri-state verdicts carry a non-empty well-formed
 trace; ``EvaluationError`` carries the quantifier bindings in scope; the
@@ -44,6 +45,7 @@ from repro.constraints.evaluate import (
 from repro.constraints.model import ConstraintKind
 from repro.engine import ShardedStore
 from repro.engine import explain
+from repro.engine.oracle import Oracle
 from repro.engine.explain import FrozenView, constraint_conflicts, masked_context
 from repro.errors import ConstraintViolation, EngineError, EvaluationError
 from repro.tm.parser import parse_database
@@ -127,12 +129,13 @@ OPS = st.lists(
 )
 
 
-def build_store(ops, **store_kwargs) -> ObjectStore:
-    """Replay a random history on a non-enforcing ExplainLab store.
+def build_store(ops, factory=ObjectStore):
+    """Replay a random history on a non-enforcing ExplainLab store (or
+    another ``factory``, such as the oracle).
 
     Deletions may leave dangling references and unreferenced publishers —
     deliberately: that is how the error-mode cores get exercised."""
-    store = ObjectStore(explainlab_schema(), enforce=False, **store_kwargs)
+    store = factory(explainlab_schema(), enforce=False)
     pubs: list = []
     items: list = []
     for op in ops:
@@ -373,10 +376,25 @@ def test_traced_equals_untraced_verdicts(ops):
 
 @settings(max_examples=25, deadline=None)
 @given(ops=OPS)
-def test_traced_equals_untraced_without_indexes(ops):
-    store = build_store(ops, indexed=False, incremental=False)
+def test_traced_equals_untraced_on_the_oracle(ops):
+    _assert_store_equivalence(build_store(ops, factory=Oracle))
+
+
+@settings(max_examples=25, deadline=None)
+@given(ops=OPS)
+def test_audit_and_cores_match_the_oracle(ops):
+    store = build_store(ops)
+    oracle = build_store(ops, factory=Oracle)
     try:
-        _assert_store_equivalence(store)
+        violations = store.audit()
+        assert violations == oracle.audit()
+        assert [
+            (core.constraint_name, core.oids(), core.verdict)
+            for core in store.explain_violations(violations)
+        ] == [
+            (core.constraint_name, core.oids(), core.verdict)
+            for core in oracle.explain_violations(violations)
+        ]
     finally:
         store.close()
 

@@ -1,5 +1,6 @@
 """Tests for delta-driven enforcement (repro.engine.incremental): the
-constraint-dependency index, dirty sets, and incremental-vs-full equivalence."""
+constraint-dependency index, dirty sets, and equivalence with the full-check
+oracle (repro.engine.oracle)."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro import ObjectStore
 from repro.engine.incremental import ConstraintDependencyIndex, MutationDelta
+from repro.engine.oracle import Oracle
 from repro.errors import ConstraintViolation
 from repro.fixtures import bookseller_schema, bookseller_store, cslibrary_schema
 
@@ -238,7 +240,7 @@ class TestForeignExtentAndDanglingRefs:
 class TestValidationBaseline:
     def test_constraint_violated_on_empty_store_rejects_first_insert(self):
         """Even the empty store can violate a constraint (``exists``-style);
-        incremental enforcement must match the exhaustive path by running a
+        incremental enforcement must match the full check by running a
         full pass before its first delta-driven check."""
         from repro.constraints.model import Constraint, ConstraintKind
         from repro.constraints.parser import parse_expression
@@ -257,8 +259,7 @@ class TestValidationBaseline:
                 parse_expression("exists q in B | q.y = q.y"),
             )
         )
-        for incremental in (True, False):
-            store = ObjectStore(schema, incremental=incremental)
+        for store in (ObjectStore(schema), Oracle(schema)):
             with pytest.raises(ConstraintViolation):
                 store.insert("A", x="1")
             assert len(store) == 0
@@ -309,7 +310,7 @@ class TestSchemaChangeFallback:
     def test_constant_rebind_before_transaction_falls_back_to_full(self):
         """A rebind *between* transactions can invalidate constraints with
         no data delta at all; the next commit must revalidate fully, exactly
-        like a non-incremental store would."""
+        as the full check would."""
         schema = cslibrary_schema()
         store = ObjectStore(schema)
         obj = store.insert(
@@ -336,17 +337,17 @@ class TestSchemaChangeFallback:
         assert obj.state["title"] == "A, renamed"
 
 
-class TestIncrementalFullEquivalence:
+class TestIncrementalOracleEquivalence:
     """The acceptance property: delta-driven commit validation accepts and
-    rejects exactly the same transactions as full revalidation."""
+    rejects exactly the same transactions as the full-check oracle."""
 
     PUBLISHERS = ("ACM", "IEEE", "Springer", "Nowhere Press")
 
     @staticmethod
-    def _fresh_store(incremental):
+    def _fresh_store(factory):
         schema = cslibrary_schema()
         schema.set_constant("MAX", 400)  # low ceiling: aggregates can trip
-        store = ObjectStore(schema, incremental=incremental)
+        store = factory(schema)
         store.insert(
             "Publication",
             title="seed",
@@ -406,8 +407,8 @@ class TestIncrementalFullEquivalence:
     )
     @settings(max_examples=120, deadline=None)
     def test_commit_verdicts_and_states_match(self, ops):
-        incremental = self._fresh_store(incremental=True)
-        full = self._fresh_store(incremental=False)
+        incremental = self._fresh_store(ObjectStore)
+        full = self._fresh_store(Oracle)
         verdict_incremental = self._apply(incremental, ops)
         verdict_full = self._apply(full, ops)
         assert verdict_incremental == verdict_full
@@ -415,10 +416,21 @@ class TestIncrementalFullEquivalence:
 
     def test_referential_equivalence(self):
         """Same accept/reject behaviour on the reference-heavy bookseller
-        schema, where db1 couples Publisher and Item extents."""
-        for incremental in (True, False):
-            store, named = bookseller_store()
-            store.incremental = incremental
+        schema, where db1 couples Publisher and Item extents, whether the
+        check is delta-driven or — after a constant rebind leaves no
+        validated baseline — the full revalidation fallback."""
+        for rebind in (False, True):
+            store, _ = bookseller_store()
+            if rebind:
+                store.set_constant("PROBE", 1)
+            with pytest.raises(ConstraintViolation) as info:
+                store.insert("Publisher", name="Lonely", location="Nowhere")
+            exc = info.value
+            assert "Bookseller.db1" in exc.constraint_names
+            if rebind:
+                assert exc.constraint_name == "full revalidation"
+                assert [v.constraint_name for v in exc.violations] == ["Bookseller.db1"]
+                assert [core.constraint_name for core in exc.cores] == ["Bookseller.db1"]
             with pytest.raises(ConstraintViolation):
                 with store.transaction():
                     store.insert(
@@ -431,7 +443,7 @@ class TestIncrementalFullEquivalence:
                 store.insert(
                     "Monograph",
                     title="New readings",
-                    isbn=f"ISBN-90{int(incremental)}",
+                    isbn=f"ISBN-90{int(rebind)}",
                     publisher=publisher,
                     authors=frozenset(),
                     shopprice=20.0,

@@ -2,8 +2,9 @@
 
 The acceptance properties: after *any* sequence of inserts, updates, deletes
 and rollbacks, every maintained index agrees with a from-scratch naive scan
-(deep/shallow extents, running aggregates, key maps), and an indexed store
-accepts/rejects exactly the same transactions as an unindexed one.
+(deep/shallow extents, running aggregates, key maps), and the store
+accepts/rejects exactly the same transactions as the naive full-check
+:class:`~repro.engine.oracle.Oracle`.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from repro import ObjectStore
 from repro.constraints.evaluate import INDEX_MISS, VACUOUS
 from repro.engine.indexes import IndexManager, KeyIndex, OrderedOidSet, RunningAggregate
+from repro.engine.oracle import Oracle
 from repro.errors import ConstraintViolation
 from repro.fixtures import cslibrary_schema
 from repro.tm.parser import parse_database
@@ -220,9 +222,10 @@ class TestIndexesMatchNaiveScans:
         assert_indexes_match_naive_scan(store)
 
 
-class TestIndexedUnindexedEquivalence:
-    """Acceptance property 2: indexed and unindexed validators accept/reject
-    identical transactions and leave identical states behind."""
+class TestOracleEquivalence:
+    """Acceptance property 2: the indexed store and the scan-only oracle
+    accept/reject identical transactions and leave identical states
+    behind."""
 
     @staticmethod
     def _snapshot(store):
@@ -234,13 +237,13 @@ class TestIndexedUnindexedEquivalence:
     @given(ops=OPS)
     @settings(max_examples=120, deadline=None)
     def test_verdicts_and_states_match(self, ops):
-        indexed = ObjectStore(indexlab_schema(), indexed=True)
-        plain = ObjectStore(indexlab_schema(), indexed=False)
+        indexed = ObjectStore(indexlab_schema())
+        oracle = Oracle(indexlab_schema())
         for kind, a, b, c in ops:
             verdict_indexed = _apply_one(indexed, kind, a, b, c)
-            verdict_plain = _apply_one(plain, kind, a, b, c)
-            assert verdict_indexed == verdict_plain
-            assert self._snapshot(indexed) == self._snapshot(plain)
+            verdict_oracle = _apply_one(oracle, kind, a, b, c)
+            assert verdict_indexed == verdict_oracle
+            assert self._snapshot(indexed) == self._snapshot(oracle)
         assert_indexes_match_naive_scan(indexed)
 
     def test_invalidated_aggregate_falls_back_to_scan_semantics(self):
@@ -258,8 +261,7 @@ class TestIndexedUnindexedEquivalence:
         end Word
         """
         verdicts = []
-        for indexed in (True, False):
-            store = ObjectStore(parse_database(source), indexed=indexed)
+        for store in (ObjectStore(parse_database(source)), Oracle(parse_database(source))):
             store.insert("Word", text="cat")
             try:
                 store.insert("Word", text="ant")  # 'ant' < 'b': violation
@@ -340,14 +342,13 @@ class TestRegistrationAndRebuild:
         assert leaf in store.extent("Sub")
         assert_indexes_match_naive_scan(store)
 
-    def test_unindexed_store_has_no_manager_but_same_extents(self):
-        store = ObjectStore(indexlab_schema(), indexed=False)
-        store.insert("Base", name="a", score=1)
-        sub = store.insert("Sub", name="b", score=2, extra=3)
-        assert store._indexes is None
-        assert [o.oid for o in store.extent("Base")] == ["Base#1", "Sub#2"]
-        assert [o.oid for o in store.extent("Base", deep=False)] == ["Base#1"]
-        assert sub in store.extent("Sub")
+    def test_indexed_extents_match_the_oracle_scan(self):
+        for store in (ObjectStore(indexlab_schema()), Oracle(indexlab_schema())):
+            store.insert("Base", name="a", score=1)
+            sub = store.insert("Sub", name="b", score=2, extra=3)
+            assert [o.oid for o in store.extent("Base")] == ["Base#1", "Sub#2"]
+            assert [o.oid for o in store.extent("Base", deep=False)] == ["Base#1"]
+            assert sub in store.extent("Sub")
 
 
 class TestStructures:
@@ -402,15 +403,12 @@ class TestStructures:
         oids.discard("C#3")
         assert list(oids) == ["C#1", "C#2", "C#5"]
 
-    def test_extent_order_matches_unindexed_after_delete_rollback(self):
+    def test_extent_order_matches_oracle_after_delete_rollback(self):
         """Regression: after a rollback resurrects deleted objects, the
-        indexed extent (OrderedOidSet lazy re-sort) and the unindexed scan
-        (``_restore_object_order``) must agree on one deterministic
-        insertion-oid order."""
-        stores = [
-            ObjectStore(indexlab_schema(), indexed=True),
-            ObjectStore(indexlab_schema(), indexed=False),
-        ]
+        indexed extent (OrderedOidSet lazy re-sort), the store's object
+        table (``_restore_object_order``) and the oracle's scan must agree
+        on one deterministic insertion-oid order."""
+        stores = [ObjectStore(indexlab_schema()), Oracle(indexlab_schema())]
         for store in stores:
             for index in range(6):
                 store.insert("Base", name=f"n{index}", score=index)
@@ -424,6 +422,7 @@ class TestStructures:
         indexed_order = [obj.oid for obj in stores[0].extent("Base")]
         scan_order = [obj.oid for obj in stores[1].extent("Base")]
         assert indexed_order == scan_order
+        assert [obj.oid for obj in stores[0].objects()] == scan_order
         assert indexed_order == sorted(
             indexed_order, key=lambda oid: int(oid.rsplit("#", 1)[-1])
         )
@@ -432,36 +431,29 @@ class TestStructures:
 
     def test_extent_order_deterministic_with_malformed_oids(self):
         """Two oids without parseable counters share the fallback sort rank;
-        the oid string breaks the tie, so indexed and unindexed extents
-        stay aligned however the rollback reordered the object table."""
+        the oid string breaks the tie, so extents and the object table
+        settle on one order however the hand-made oids arrived and however
+        the rollback reordered the object table."""
         from repro.engine.objects import DBObject
 
-        stores = [
-            ObjectStore(indexlab_schema(), indexed=True),
-            ObjectStore(indexlab_schema(), indexed=False),
-        ]
-        for store in stores:
+        stores = [ObjectStore(indexlab_schema()), ObjectStore(indexlab_schema())]
+        for store, rogues in zip(stores, (["zz-rogue", "aa-rogue"], ["aa-rogue", "zz-rogue"])):
             store.insert("Base", name="a", score=1)
-            # Hand-made oids arriving in opposite orders per store.
-            rogues = ["zz-rogue", "aa-rogue"]
-            if store.indexed:
-                rogues.reverse()
             for rogue_oid in rogues:
                 rogue = DBObject(rogue_oid, "Base", {"name": rogue_oid, "score": 2})
                 store._objects[rogue.oid] = rogue
                 store._direct_extents["Base"].add(rogue.oid)
-                if store._indexes is not None:
-                    store._indexes.on_insert(rogue)
+                store._indexes.on_insert(rogue)
             # Delete + rollback forces both representations to re-sort.
             victim = store.insert("Base", name="b", score=3)
             with pytest.raises(_Abort):
                 with store.transaction():
                     store.delete(victim)
                     raise _Abort()
-        indexed_order = [obj.oid for obj in stores[0].extent("Base")]
-        scan_order = [obj.oid for obj in stores[1].extent("Base")]
-        assert indexed_order == scan_order
-        assert indexed_order[:2] == ["aa-rogue", "zz-rogue"]
+        orders = [[obj.oid for obj in store.extent("Base")] for store in stores]
+        assert orders[0] == orders[1]
+        assert orders[0][:2] == ["aa-rogue", "zz-rogue"]
+        assert [[obj.oid for obj in store.objects()] for store in stores] == orders
 
     def test_running_aggregate_minmax_with_churn(self):
         aggregate = RunningAggregate("C", "x", {"min", "max"})

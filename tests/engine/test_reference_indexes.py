@@ -3,8 +3,9 @@
 The acceptance properties mirror ``test_indexes.py``: after *any* sequence of
 inserts, updates, deletes, rollbacks and schema rebinds, every reference
 index agrees with a from-scratch naive scan, and the delta-driven validator
-with reference indexes accepts/rejects exactly the transactions full
-revalidation accepts/rejects for quantified/referential constraints.
+with reference indexes accepts/rejects exactly the transactions the naive
+full-check :class:`~repro.engine.oracle.Oracle` accepts/rejects for
+quantified/referential constraints.
 """
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from repro import ObjectStore
 from repro.constraints.evaluate import INDEX_MISS
 from repro.engine.indexes import ReferenceIndex
+from repro.engine.oracle import Oracle
 from repro.errors import ConstraintViolation
 from repro.tm.parser import parse_database
 
@@ -250,10 +252,10 @@ class TestReferenceIndexesMatchNaiveScans:
             assert_reference_indexes_match_naive_scan(store)
 
 
-class TestIncrementalMatchesFullRevalidation:
+class TestIncrementalMatchesOracle:
     """Acceptance property: the delta-driven validator with reference
-    indexes accepts/rejects identical transactions to full revalidation,
-    and leaves identical states behind — rollback-resurrection and
+    indexes accepts/rejects identical transactions to the full-check
+    oracle, and leaves identical states behind — rollback-resurrection and
     schema-rebind histories included."""
 
     @staticmethod
@@ -266,8 +268,8 @@ class TestIncrementalMatchesFullRevalidation:
     @given(ops=OPS)
     @settings(max_examples=100, deadline=None)
     def test_verdicts_and_states_match(self, ops):
-        fast = ObjectStore(reflab_schema(), incremental=True, indexed=True)
-        full = ObjectStore(reflab_schema(), incremental=False, indexed=False)
+        fast = ObjectStore(reflab_schema())
+        full = Oracle(reflab_schema())
         for kind, a, b, c in ops:
             verdict_fast = _apply_one(fast, kind, a, b, c)
             verdict_full = _apply_one(full, kind, a, b, c)
@@ -308,12 +310,12 @@ class TestIncrementalMatchesFullRevalidation:
         assert store._indexes.reference_count("Item", "publisher", acm.oid) == 2
 
 
-class TestExplanationsAgreeAcrossConfigurations:
+class TestExplanationsAgreeWithOracle:
     """Differential acceptance property for explainable violations: the
-    delta-driven indexed store, the plain scan store, and full
-    ``store.audit()`` agree not only on the violation *set* but on the
-    subset-minimal conflict cores explaining it, and rejected operations
-    implicate the same constraints on both configurations."""
+    delta-driven indexed store and the scan-only oracle agree not only on
+    the violation *set* of a full audit but on the subset-minimal conflict
+    cores explaining it, and rejected operations implicate the same
+    constraints on both."""
 
     @staticmethod
     def _core_set(store, violations):
@@ -325,19 +327,15 @@ class TestExplanationsAgreeAcrossConfigurations:
     @given(ops=OPS)
     @settings(max_examples=60, deadline=None)
     def test_audits_and_cores_agree(self, ops):
-        fast = ObjectStore(
-            reflab_schema(), enforce=False, incremental=True, indexed=True
-        )
-        slow = ObjectStore(
-            reflab_schema(), enforce=False, incremental=False, indexed=False
-        )
+        fast = ObjectStore(reflab_schema(), enforce=False)
+        slow = Oracle(reflab_schema(), enforce=False)
         for kind, a, b, c in ops:
             _apply_one(fast, kind, a, b, c)
             _apply_one(slow, kind, a, b, c)
         violations_fast = fast.audit()
         violations_slow = slow.audit()
         # Violation equality is (constraint_name, detail) — list order and
-        # content must match between the indexed and the scan store
+        # content must match between the indexed store and the oracle
         assert violations_fast == violations_slow
         assert self._core_set(fast, violations_fast) == self._core_set(
             slow, violations_slow
@@ -346,8 +344,8 @@ class TestExplanationsAgreeAcrossConfigurations:
     @given(ops=OPS)
     @settings(max_examples=60, deadline=None)
     def test_rejections_implicate_the_same_constraints(self, ops):
-        fast = ObjectStore(reflab_schema(), incremental=True, indexed=True)
-        full = ObjectStore(reflab_schema(), incremental=False, indexed=False)
+        fast = ObjectStore(reflab_schema())
+        full = Oracle(reflab_schema())
         for kind, a, b, c in ops:
             fast_excs: list = []
             full_excs: list = []
@@ -356,8 +354,8 @@ class TestExplanationsAgreeAcrossConfigurations:
             assert verdict_fast == verdict_full
             if verdict_fast == "rejected":
                 # the incremental path raises on the first failing
-                # constraint, full revalidation lists every violation —
-                # they must overlap on at least one implicated constraint
+                # constraint, the oracle lists every violation — they
+                # must overlap on at least one implicated constraint
                 names_fast = _implicated_names(fast_excs[0])
                 names_full = _implicated_names(full_excs[0])
                 assert names_fast & names_full, (
@@ -450,7 +448,7 @@ class TestProbeSemantics:
         inner ``y`` shadows the outer, so the body compares each D member to
         *itself* — a self-reference check, not the referenced-by pattern.
         The fast path must refuse the match; misreading it made an indexed
-        store accept states full validation rejects."""
+        store accept states the full check rejects."""
         source = """
         Database Shadow
 
@@ -475,10 +473,10 @@ class TestProbeSemantics:
             is None
         )
         reports = []
-        for indexed in (True, False):
-            store = ObjectStore(
-                parse_database(source), enforce=False, indexed=indexed
-            )
+        for store in (
+            ObjectStore(parse_database(source), enforce=False),
+            Oracle(parse_database(source), enforce=False),
+        ):
             # A two-cycle d1 ↔ d2: every C member referenced by *some* D
             # (which the misread pattern would accept) but no D references
             # itself (so the true, shadowed reading is violated).
@@ -487,7 +485,8 @@ class TestProbeSemantics:
             d2 = store.insert("D", name="d2", ref=d1)
             store.update(d1, ref=d2)
             store.delete(seed)
-            assert store.dependency_index().reference_specs() == frozenset()
+            if isinstance(store, ObjectStore):
+                assert store.dependency_index().reference_specs() == frozenset()
             reports.append(store.check_all())
         assert reports[0] == reports[1]
         assert reports[0], "the shadowed self-reference constraint is violated"
@@ -495,14 +494,16 @@ class TestProbeSemantics:
     def test_dangling_reference_degrades_to_scan(self):
         """An unenforced store can hold dangling references; the probes must
         answer INDEX_MISS (the scan alone reproduces dereference errors) and
-        indexed/unindexed full audits must agree."""
+        the store's full audit must agree with the oracle's."""
         reports = []
-        for indexed in (True, False):
-            store = ObjectStore(reflab_schema(), enforce=False, indexed=indexed)
+        for store in (
+            ObjectStore(reflab_schema(), enforce=False),
+            Oracle(reflab_schema(), enforce=False),
+        ):
             acm = store.insert("Publisher", name="ACM")
             store.insert("Item", title="a", publisher=acm)
             store.delete(acm)  # leaves the item dangling
-            if indexed:
+            if isinstance(store, ObjectStore):
                 manager = store._indexes
                 assert (
                     manager.reference_count("Item", "publisher", acm.oid)

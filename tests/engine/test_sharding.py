@@ -873,6 +873,50 @@ class TestRouting:
         assert any("oc_a" in core.constraint_name for core in cores)
 
 
+class TestShardedAnalyze:
+    """``analyze=True`` means the same on every core, however the sharded
+    store came to be: the router runs the schema's registration check
+    once, and every core prunes entailed constraints from its hot path."""
+
+    @pytest.fixture
+    def registrations(self, monkeypatch):
+        from repro.constraints import analysis
+
+        calls: list = []
+        original = analysis.registration_errors
+
+        def counting(schema):
+            calls.append(schema)
+            return original(schema)
+
+        monkeypatch.setattr(analysis, "registration_errors", counting)
+        return calls
+
+    def test_fresh_open_and_reopen_analyze_every_core(self, tmp_path, registrations):
+        root = tmp_path / "db"
+        flavors = (
+            ("fresh", lambda: ShardedStore(shardlab_schema(), 3, analyze=True)),
+            ("open-new", lambda: ShardedStore.open(root, shardlab_schema(), 3, analyze=True)),
+            ("reopen", lambda: ShardedStore.open(root, analyze=True)),
+        )
+        for flavor, make in flavors:
+            registrations.clear()
+            store = make()
+            try:
+                assert [core.analyze for core in store.cores] == [True] * 3, flavor
+                assert len(registrations) == 1, flavor
+            finally:
+                store.close()
+
+    def test_rejected_schema_is_refused_before_any_core_opens(self, tmp_path):
+        from repro.errors import SchemaError
+
+        source = SHARDLAB_SOURCE.replace("oc_a: score >= 0", "oc_a: score >= 0 and score < 0")
+        with pytest.raises(SchemaError, match="static analysis"):
+            ShardedStore.open(tmp_path / "db", parse_database(source), 3, analyze=True)
+        assert not (tmp_path / "db").exists()
+
+
 # ---------------------------------------------------------------------------
 # the CLI surface
 # ---------------------------------------------------------------------------

@@ -4,8 +4,14 @@ and the dirty-set lifecycle around commit and rollback."""
 import pytest
 
 from repro import ObjectStore
+from repro.engine.oracle import Oracle
 from repro.errors import ConstraintViolation
-from repro.fixtures import bookseller_store, cslibrary_schema, cslibrary_store
+from repro.fixtures import (
+    bookseller_schema,
+    bookseller_store,
+    cslibrary_schema,
+    cslibrary_store,
+)
 
 
 class TestRollbackRestoresExtents:
@@ -130,6 +136,87 @@ class TestNestedTransactions:
         assert named["vldb95"].state["libprice"] == 13.0
 
     @staticmethod
+    def _nested_history(store) -> list:
+        """Nested commits and rollbacks on a one-pair Bookseller store;
+        returns each step's verdict."""
+
+        def add_pair(name):
+            publisher = store.insert("Publisher", name=name, location="X")
+            store.insert(
+                "Monograph",
+                title=f"{name} readings",
+                isbn=f"ISBN-{name}",
+                publisher=publisher,
+                authors=frozenset(),
+                shopprice=20.0,
+                libprice=18.0,
+                subjects=frozenset(),
+            )
+            return publisher
+
+        verdicts = []
+
+        def step(body):
+            try:
+                body()
+                verdicts.append("committed")
+            except ConstraintViolation:
+                verdicts.append("rejected")
+            except RuntimeError:
+                verdicts.append("aborted")
+
+        def commit_pair():
+            with store.transaction():
+                with store.transaction():
+                    add_pair("A")
+
+        def inner_abort():
+            with store.transaction():
+                add_pair("B")
+                try:
+                    with store.transaction():
+                        store.delete(store.extent("Item")[0])
+                        raise RuntimeError("inner abort")
+                except RuntimeError:
+                    pass
+                store.update(store.extent("Item")[-1], libprice=1.0)
+
+        def outer_abort():
+            with store.transaction():
+                with store.transaction():
+                    add_pair("C")
+                raise RuntimeError("outer abort")
+
+        def lonely_inner():
+            with store.transaction():
+                with store.transaction():
+                    store.insert("Publisher", name="Lonely", location="Nowhere")
+
+        def retire():
+            with store.transaction():
+                publisher = store.extent("Publisher")[0]
+                for item in store.extent("Item"):
+                    if item.state["publisher"] == publisher.oid:
+                        store.delete(item)
+                with store.transaction():
+                    store.delete(publisher)
+
+        for body in (commit_pair, inner_abort, outer_abort, lonely_inner, retire):
+            step(body)
+        return verdicts
+
+    def test_nested_histories_match_the_oracle(self):
+        stores = [ObjectStore(bookseller_schema()), Oracle(bookseller_schema())]
+        verdicts = [self._nested_history(store) for store in stores]
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0] == ["committed", "committed", "aborted", "rejected", "committed"]
+        contents = [
+            [(o.oid, o.class_name, dict(o.state)) for o in store.objects()]
+            for store in stores
+        ]
+        assert contents[0] == contents[1]
+
+    @staticmethod
     def _reference_index_state(store):
         """White-box image of the db1 reference-count index."""
         reference = store._indexes._references[("Item", "publisher")]
@@ -221,13 +308,21 @@ class TestCommitFailureAttribution:
             assert violation.constraint_name and violation.describe()
 
     def test_full_revalidation_carries_structured_violations(self):
-        """The incremental=False commit path attributes constraints too."""
+        """A constant rebind leaves no validated baseline, so the next
+        operation falls back to full revalidation; its rejection still
+        attributes the violated constraint, with structured findings and
+        conflict cores."""
         store, named = bookseller_store()
-        store.incremental = False
+        store.set_constant("PROBE", 1)
         with pytest.raises(ConstraintViolation) as info:
-            with store.transaction():
-                store.update(named["vldb95"], libprice=10_000.0)
-        assert "Bookseller.Item.oc1" in info.value.constraint_names
+            store.update(named["vldb95"], libprice=10_000.0)
+        exc = info.value
+        assert exc.constraint_name == "full revalidation"
+        assert exc.constraint_names == ("Bookseller.Item.oc1",)
+        assert [v.constraint_name for v in exc.violations] == ["Bookseller.Item.oc1"]
+        assert [core.constraint_name for core in exc.cores] == ["Bookseller.Item.oc1"]
+        assert [core.oids() for core in exc.cores] == [(named["vldb95"].oid,)]
+        assert named["vldb95"].state["libprice"] == 92.0
 
     def test_single_operation_failure_keeps_plain_attribution(self):
         store, named = bookseller_store()

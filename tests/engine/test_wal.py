@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import ObjectStore, WriteAheadLog
+from repro.engine.oracle import Oracle
 from repro.engine.wal import (
     decode_state,
     encode_state,
@@ -141,20 +142,37 @@ class TestDurabilityRoundtrip:
         )
         recovered.close()
 
-    def test_recovered_store_matches_unindexed_recovery(self, tmp_path):
+    def test_recovered_store_matches_the_oracle(self, tmp_path):
+        """Recovery rebuilds the indexes from the logged contents: the
+        reopened store matches the oracle fed the same history — rejected
+        operations, a rollback resurrection and extent order included."""
         path = tmp_path / "db"
         store = ObjectStore.open(path, schema=fresh_schema())
-        for index in range(5):
-            insert_pair(store, f"n{index}", price=float(index))
+        oracle = Oracle(fresh_schema())
+        for target in (store, oracle):
+            for index in range(5):
+                insert_pair(target, f"n{index}", price=float(index))
+            with pytest.raises(ConstraintViolation):
+                target.insert("Item", name="orphan", price=1.0)  # db1
+            with pytest.raises(ConstraintViolation):
+                target.update(target.extent("Item")[2], name="n0")  # cc1
+            with pytest.raises(RuntimeError):
+                with target.transaction():
+                    for order in target.extent("Order")[:2]:
+                        target.delete(order)
+                    raise RuntimeError("abort")
+            order = target.extent("Order")[3]
+            with target.transaction():
+                target.delete(order)
+                target.delete(order.state["item"])
         store.close()
-        indexed = ObjectStore.open(path)
-        indexed.close()
-        plain = ObjectStore.open(path, indexed=False)
-        plain.close()
-        assert [o.oid for o in indexed.extent("Item")] == [
-            o.oid for o in plain.extent("Item")
-        ]
-        assert store_state(indexed) == store_state(plain)
+        recovered = ObjectStore.open(path)
+        recovered.close()
+        for class_name in ("Item", "Order"):
+            assert [o.oid for o in recovered.extent(class_name)] == [
+                o.oid for o in oracle.extent(class_name)
+            ]
+        assert store_state(recovered) == store_state(oracle)
 
     def test_frozenset_attributes_survive_recovery(self, tmp_path):
         source = """
