@@ -604,6 +604,69 @@ def _affected_object_checks(
                 yield entry, obj
 
 
+def _failing_checks(
+    store: "ObjectStore", delta: MutationDelta
+) -> Iterator[tuple[Constraint, Any, "str | None", "Exception | None"]]:
+    """The check-stage walk shared by :func:`check_delta` and
+    :func:`delta_violations`: object constraints, then class constraints,
+    then database constraints, each filtered by the store's
+    ``constraint_scope`` (and, on ``analyze=True`` stores, the analyser's
+    pruned set) and by the delta's relevance.
+
+    Lazily yields ``(constraint, obj, owner, error)`` per failing check:
+    ``obj`` is the checked object of an object constraint and ``owner`` the
+    class whose extent a class constraint checked (both ``None`` for a
+    database constraint) — the context the check ran in, which
+    :func:`~repro.engine.explain.failure_trace` re-runs.  ``error`` is the
+    exception evaluation raised, or ``None`` when the constraint evaluated
+    false.  Lazy, so a fail-fast caller evaluates nothing past its first
+    failure.
+    """
+    index = store.dependency_index()
+    pruned = (
+        index.pruned_constraints()
+        if getattr(store, "analyze", False)
+        else frozenset()
+    )
+    scope = getattr(store, "constraint_scope", None)
+    for entry, obj in _affected_object_checks(store, delta, index, pruned):
+        ctx = store.eval_context(current=obj)
+        try:
+            if entry.evaluate_with(ctx):
+                continue
+            error = None
+        except (EvaluationError, EngineError) as exc:
+            error = exc
+        yield entry.constraint, obj, None, error
+    for entry in index.class_constraints:
+        if scope is not None and entry.constraint not in scope:
+            continue
+        if not entry.affected_by(delta):
+            continue
+        owner = entry.constraint.owner
+        ctx = store.eval_context(self_extent_class=owner)
+        try:
+            if entry.evaluate_with(ctx):
+                continue
+            error = None
+        except (EvaluationError, EngineError) as exc:
+            error = exc
+        yield entry.constraint, None, owner, error
+    for entry in index.database_constraints:
+        if scope is not None and entry.constraint not in scope:
+            continue
+        if not entry.affected_by(delta):
+            continue
+        ctx = store.eval_context()
+        try:
+            if entry.evaluate_with(ctx):
+                continue
+            error = None
+        except (EvaluationError, EngineError) as exc:
+            error = exc
+        yield entry.constraint, None, None, error
+
+
 def check_delta(store: "ObjectStore", delta: MutationDelta) -> None:
     """Fail-fast validation of the constraints affected by ``delta``.
 
@@ -615,72 +678,26 @@ def check_delta(store: "ObjectStore", delta: MutationDelta) -> None:
     """
     from repro.engine.explain import failure_trace
 
-    index = store.dependency_index()
-    pruned = (
-        index.pruned_constraints()
-        if getattr(store, "analyze", False)
-        else frozenset()
-    )
-    scope = getattr(store, "constraint_scope", None)
-    for entry, obj in _affected_object_checks(store, delta, index, pruned):
-        constraint = entry.constraint
-        ctx = store.eval_context(current=obj)
-        try:
-            satisfied = entry.evaluate_with(ctx)
-        except (EvaluationError, EngineError) as exc:
-            raise ConstraintViolation(
-                constraint.qualified_name,
-                f"cannot evaluate on {obj.oid}: {exc}",
-                trace=failure_trace(store, constraint, current=obj),
-            ) from exc
-        if not satisfied:
-            raise ConstraintViolation(
-                constraint.qualified_name,
-                f"object {obj.oid} with state {obj.state!r}",
-                trace=failure_trace(store, constraint, current=obj),
+    for constraint, obj, owner, error in _failing_checks(store, delta):
+        if obj is not None:
+            detail = (
+                f"cannot evaluate on {obj.oid}: {error}"
+                if error is not None
+                else f"object {obj.oid} with state {obj.state!r}"
             )
-    for entry in index.class_constraints:
-        if scope is not None and entry.constraint not in scope:
-            continue
-        if not entry.affected_by(delta):
-            continue
-        constraint = entry.constraint
-        owner = constraint.owner
-        ctx = store.eval_context(self_extent_class=owner)
-        try:
-            satisfied = entry.evaluate_with(ctx)
-        except (EvaluationError, EngineError) as exc:
-            raise ConstraintViolation(
-                constraint.qualified_name,
-                str(exc),
-                trace=failure_trace(store, constraint, self_extent_class=owner),
-            ) from exc
-        if not satisfied:
-            raise ConstraintViolation(
-                constraint.qualified_name,
-                f"extent of {owner} ({len(store.extent(owner))} objects)",
-                trace=failure_trace(store, constraint, self_extent_class=owner),
-            )
-    for entry in index.database_constraints:
-        if scope is not None and entry.constraint not in scope:
-            continue
-        if not entry.affected_by(delta):
-            continue
-        constraint = entry.constraint
-        try:
-            satisfied = entry.evaluate_with(store.eval_context())
-        except (EvaluationError, EngineError) as exc:
-            raise ConstraintViolation(
-                constraint.qualified_name,
-                str(exc),
-                trace=failure_trace(store, constraint),
-            ) from exc
-        if not satisfied:
-            raise ConstraintViolation(
-                constraint.qualified_name,
-                "database constraint violated",
-                trace=failure_trace(store, constraint),
-            )
+        elif error is not None:
+            detail = str(error)
+        elif owner is not None:
+            detail = f"extent of {owner} ({len(store.extent(owner))} objects)"
+        else:
+            detail = "database constraint violated"
+        raise ConstraintViolation(
+            constraint.qualified_name,
+            detail,
+            trace=failure_trace(
+                store, constraint, current=obj, self_extent_class=owner
+            ),
+        ) from error
 
 
 def delta_violations(store: "ObjectStore", delta: MutationDelta) -> list:
@@ -697,92 +714,26 @@ def delta_violations(store: "ObjectStore", delta: MutationDelta) -> list:
     from repro.engine.explain import failure_trace
 
     found: list[Violation] = []
-    index = store.dependency_index()
-    pruned = (
-        index.pruned_constraints()
-        if getattr(store, "analyze", False)
-        else frozenset()
-    )
-    scope = getattr(store, "constraint_scope", None)
-    for entry, obj in _affected_object_checks(store, delta, index, pruned):
-        constraint = entry.constraint
-        ctx = store.eval_context(current=obj)
-        try:
-            if not entry.evaluate_with(ctx):
-                found.append(
-                    Violation(
-                        constraint.qualified_name,
-                        f"object {obj.oid}",
-                        constraint=constraint,
-                        oid=obj.oid,
-                        trace=failure_trace(store, constraint, current=obj),
-                    )
-                )
-        except (EvaluationError, EngineError) as exc:
-            found.append(
-                Violation(
-                    constraint.qualified_name,
-                    str(exc),
-                    constraint=constraint,
-                    oid=obj.oid,
-                    trace=failure_trace(store, constraint, current=obj),
-                )
+    for constraint, obj, owner, error in _failing_checks(store, delta):
+        if error is not None:
+            detail = str(error)
+        elif obj is not None:
+            detail = f"object {obj.oid}"
+        elif owner is not None:
+            detail = f"extent of {owner}"
+        else:
+            detail = "database constraint"
+        found.append(
+            Violation(
+                constraint.qualified_name,
+                detail,
+                constraint=constraint,
+                oid=obj.oid if obj is not None else None,
+                trace=failure_trace(
+                    store, constraint, current=obj, self_extent_class=owner
+                ),
             )
-    for entry in index.class_constraints:
-        if scope is not None and entry.constraint not in scope:
-            continue
-        if not entry.affected_by(delta):
-            continue
-        constraint = entry.constraint
-        ctx = store.eval_context(self_extent_class=constraint.owner)
-        try:
-            if not entry.evaluate_with(ctx):
-                found.append(
-                    Violation(
-                        constraint.qualified_name,
-                        f"extent of {constraint.owner}",
-                        constraint=constraint,
-                        trace=failure_trace(
-                            store, constraint, self_extent_class=constraint.owner
-                        ),
-                    )
-                )
-        except (EvaluationError, EngineError) as exc:
-            found.append(
-                Violation(
-                    constraint.qualified_name,
-                    str(exc),
-                    constraint=constraint,
-                    trace=failure_trace(
-                        store, constraint, self_extent_class=constraint.owner
-                    ),
-                )
-            )
-    for entry in index.database_constraints:
-        if scope is not None and entry.constraint not in scope:
-            continue
-        if not entry.affected_by(delta):
-            continue
-        constraint = entry.constraint
-        try:
-            if not entry.evaluate_with(store.eval_context()):
-                found.append(
-                    Violation(
-                        constraint.qualified_name,
-                        "database constraint",
-                        constraint=constraint,
-                        trace=failure_trace(store, constraint),
-                    )
-                )
-        except (EvaluationError, EngineError) as exc:
-            found.append(
-                Violation(
-                    constraint.qualified_name,
-                    str(exc),
-                    constraint=constraint,
-                    trace=failure_trace(store, constraint),
-                )
-            )
+        )
     return found
 
 

@@ -38,10 +38,11 @@ Consistency contract
 
 The store routes every mutation through :meth:`IndexManager.on_insert` /
 :meth:`~IndexManager.on_update` / :meth:`~IndexManager.on_delete` *after*
-applying it to ``_objects``, and rolls indexes back with the *inverse* hook —
-both in the per-operation failure paths and in the transaction undo log
-(:meth:`~repro.engine.transactions.Transaction._apply_undo`), keeping
-rollback O(touched).  Index deltas need no separate log: each hook is
+applying it to ``_objects``, and rolls indexes back with the *inverse* hook
+on its one rollback path — replaying an undo log
+(:meth:`~repro.engine.store.ObjectStore._apply_undo`) for a failed single
+operation and a rolled-back transaction alike — keeping rollback
+O(touched).  Index deltas need no separate log: each hook is
 deterministic in the (pre-image, post-image) pair the undo log already
 carries.
 

@@ -64,7 +64,13 @@ from typing import Any
 from repro.constraints.evaluate import INDEX_MISS, VACUOUS, EvalContext
 from repro.engine.indexes import oid_shard, oid_sort_key
 from repro.engine.objects import DBObject
-from repro.engine.store import ObjectStore, _ExtentView, _LazyExtent, check_registration
+from repro.engine.store import (
+    ObjectStore,
+    _ExtentView,
+    _LazyExtent,
+    _Validation,
+    check_registration,
+)
 from repro.engine.wal import load_image
 from repro.errors import (
     ConstraintViolation,
@@ -320,7 +326,7 @@ class _MergedProbe:
 # ---------------------------------------------------------------------------
 
 
-class ShardedStore:
+class ShardedStore(_Validation):
     """``N`` independent shard cores behind one constraint-aware router.
 
     Presents the :class:`~repro.engine.store.ObjectStore` surface (insert /
@@ -400,9 +406,12 @@ class ShardedStore:
                 )
                 for shard in range(self.shards)
             ]
-        # Every core prunes entailed constraints from its hot path.
+        # Every core prunes entailed constraints from its hot path and
+        # explains exactly as the router does (open() recovers the cores
+        # with the plain store's defaults).
         for core in self.cores:
             core.analyze = analyze
+            core.explain = explain
         #: Router lock: serializes cross-shard (global) operations, routing
         #: rebuilds and transactions.  Fast-path operations never take it.
         self._lock = threading.RLock()
@@ -634,17 +643,6 @@ class ShardedStore:
 
     # -- enforcement plumbing (duck-typed store surface) ---------------------
 
-    def dependency_index(self):
-        from repro.engine.incremental import ConstraintDependencyIndex
-
-        return ConstraintDependencyIndex.for_schema(self.schema)
-
-    def _schema_changed_since_validation(self) -> bool:
-        return (
-            self._validated_fingerprint is None
-            or self.schema.fingerprint() != self._validated_fingerprint
-        )
-
     def audit(self) -> list:
         """Validate the merged store; a clean pass re-baselines the router
         *and* every core (each local scope holds on its core whenever the
@@ -658,9 +656,6 @@ class ShardedStore:
             for core in self.cores:
                 core._validated_fingerprint = fingerprint
         return found
-
-    def check_all(self) -> list[str]:
-        return [violation.describe() for violation in self.audit()]
 
     def explain_violations(self, violations=None) -> list:
         """See :meth:`ObjectStore.explain_violations`.  The audit and every
@@ -679,26 +674,6 @@ class ShardedStore:
                 for core in reversed(held):
                     core._lock.release()
 
-    def _cores_for(self, violations) -> tuple:
-        if not self.explain:
-            return ()
-        from repro.engine.explain import explain_violations
-
-        try:
-            return tuple(explain_violations(self, violations))
-        except Exception:  # pragma: no cover - defensive, see ObjectStore
-            return ()
-
-    def _revalidate_fully(self) -> None:
-        violations = self.audit()
-        if violations:
-            raise ConstraintViolation(
-                "full revalidation",
-                "; ".join(violation.describe() for violation in violations),
-                violations=violations,
-                cores=self._cores_for(violations),
-            )
-
     # -- mutation ------------------------------------------------------------
 
     def insert(
@@ -708,46 +683,45 @@ class ShardedStore:
         **kwargs: Any,
     ) -> DBObject:
         core = self._core_for_insert(class_name)
-        if self._in_transaction():
-            return core.insert(class_name, state, **kwargs)
-        if self._single or (
-            self._fast_ready() and self._class_fast.get(class_name, False)
-        ):
-            self.fast_path_ops += 1
-            return core.insert(class_name, state, **kwargs)
-        return self._global_op(core, lambda: core.insert(class_name, state, **kwargs))
+        return self._dispatch(
+            core,
+            lambda: self._class_fast.get(class_name, False),
+            lambda: core.insert(class_name, state, **kwargs),
+        )
 
     def update(self, target: "DBObject | str", **changes: Any) -> DBObject:
         oid = target.oid if isinstance(target, DBObject) else target
         core = self._locate(oid)
-        if self._in_transaction():
-            return core.update(target, **changes)
-        if self._single:
-            self.fast_path_ops += 1
-            return core.update(target, **changes)
-        if self._fast_ready():
+
+        def fast() -> bool:
             class_name = core.get(oid).class_name
-            if all(
+            return all(
                 self._attr_fast.get((class_name, attr), False) for attr in changes
-            ):
-                self.fast_path_ops += 1
-                return core.update(target, **changes)
-        return self._global_op(core, lambda: core.update(target, **changes))
+            )
+
+        return self._dispatch(core, fast, lambda: core.update(target, **changes))
 
     def delete(self, target: "DBObject | str") -> None:
         oid = target.oid if isinstance(target, DBObject) else target
         core = self._locate(oid)
+        return self._dispatch(
+            core,
+            lambda: self._class_fast.get(core.get(oid).class_name, False),
+            lambda: core.delete(target),
+        )
+
+    def _dispatch(self, core: ObjectStore, fast, op) -> Any:
+        """Route one mutation: inside a transaction straight to ``core``
+        (the transaction validates at commit); on the fast path — a single
+        core, or every constraint ``fast()`` says the op affects is local
+        to ``core`` under a clean baseline — to ``core``, counted;
+        otherwise through :meth:`_global_op`."""
         if self._in_transaction():
-            return core.delete(target)
-        if self._single:
+            return op()
+        if self._single or (self._fast_ready() and fast()):
             self.fast_path_ops += 1
-            return core.delete(target)
-        if self._fast_ready():
-            class_name = core.get(oid).class_name
-            if self._class_fast.get(class_name, False):
-                self.fast_path_ops += 1
-                return core.delete(target)
-        return self._global_op(core, lambda: core.delete(target))
+            return op()
+        return self._global_op(core, op)
 
     def _global_op(self, core: ObjectStore, op) -> Any:
         """Run one operation on ``core`` under full cross-shard validation.

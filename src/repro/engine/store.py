@@ -29,7 +29,56 @@ from repro.tm.schema import DatabaseSchema
 from repro.types.primitives import ClassRef
 
 
-class ObjectStore:
+class _Validation:
+    """Validation helpers shared by :class:`ObjectStore` and the shard
+    router (:class:`~repro.engine.sharding.ShardedStore`).  The host class
+    provides ``schema``, ``explain``, ``_validated_fingerprint`` and
+    :meth:`audit` (a clean audit re-baselines the fingerprint)."""
+
+    def dependency_index(self):
+        """The cached constraint-dependency index for this store's schema,
+        rebuilt when the schema fingerprint changes."""
+        return ConstraintDependencyIndex.for_schema(self.schema)
+
+    def _schema_changed_since_validation(self) -> bool:
+        return (
+            self._validated_fingerprint is None
+            or self.schema.fingerprint() != self._validated_fingerprint
+        )
+
+    def _revalidate_fully(self) -> None:
+        """Full-store validation when no validated baseline exists
+        (no full pass yet, or the schema changed since the last one); raises
+        on any violation."""
+        violations = self.audit()
+        if violations:
+            raise ConstraintViolation(
+                "full revalidation",
+                "; ".join(violation.describe() for violation in violations),
+                violations=violations,
+                cores=self._cores_for(violations),
+            )
+
+    def check_all(self) -> list[str]:
+        """Validate the entire store; returns violation descriptions
+        (:meth:`audit` keeps the structured objects)."""
+        return [violation.describe() for violation in self.audit()]
+
+    def _cores_for(self, violations) -> tuple:
+        """Cores attached to a failure-path exception.  Best-effort by
+        contract: explanation must never mask the violation being raised,
+        so any error inside extraction degrades to 'no cores'."""
+        if not self.explain:
+            return ()
+        from repro.engine.explain import explain_violations
+
+        try:
+            return tuple(explain_violations(self, violations))
+        except Exception:  # pragma: no cover - defensive, see docstring
+            return ()
+
+
+class ObjectStore(_Validation):
     """An in-memory object database over a TM schema.
 
     Every mutating operation type-checks the affected state and — unless the
@@ -129,14 +178,19 @@ class ObjectStore:
         self._deferred = False
         #: Dirty set of the enclosing transaction; None outside transactions.
         self._delta = None
-        #: Undo log of the enclosing transaction (oid → pre-image);
-        #: None outside transactions.
+        #: Undo log of the enclosing transaction (oid → pre-image, ``None``
+        #: for an insert); None outside transactions.  Auto-commit ops
+        #: stage into a one-entry undo log of their own (:meth:`_write`).
         self._undo: dict[str, tuple[DBObject, dict] | None] | None = None
         #: Undo logs of *every* open transaction level, outermost first —
         #: ``_undo`` is its last element while a transaction is open.  Lets
         #: a same-thread :meth:`snapshot` reconstruct the committed state
         #: from under a nested transaction.
         self._undo_stack: list[dict] = []
+        #: Group-commit ticket of the abort marker a rejected commit flushed
+        #: (see :meth:`_commit`); the transaction exit redeems it once the
+        #: writer lock is released.
+        self._abort_ticket: int | None = None
         #: Coarse writer lock: one mutator (or transaction) at a time.
         #: Reentrant, so transactions hold it across their operations.
         self._lock = threading.RLock()
@@ -245,17 +299,16 @@ class ObjectStore:
         All effective attributes must be provided; values are type-checked
         (with safe coercions such as int→real applied).
         """
-        with self._lock:
-            obj, ticket = self._insert_locked(class_name, state, kwargs)
-        self._await_durability(ticket)
-        return obj
+        return self._write(self._insert_locked, class_name, state, kwargs)
 
     def _insert_locked(
         self,
+        undo: dict,
+        delta: MutationDelta,
         class_name: str,
         state: Mapping[str, Any] | None,
         kwargs: Mapping[str, Any],
-    ) -> tuple[DBObject, "int | None"]:
+    ) -> DBObject:
         if class_name not in self.schema.classes:
             raise UnknownClassError(
                 f"no class {class_name!r} in database {self.schema.name}"
@@ -268,47 +321,21 @@ class ObjectStore:
         oid = f"{class_name}#{self._oid_prefix}{self._oid_seq}"
         obj = DBObject(oid, class_name, checked)
         self._attach(obj)
-        self._log_undo(oid, None)
-        delta = MutationDelta()
+        undo[oid] = None
         delta.record_insert(obj)
-        try:
-            self._after_mutation(delta)
-        # EngineError covers ConstraintViolation plus evaluation blowing up
-        # on pre-existing inconsistencies (e.g. a dangling reference): the
-        # insert must stay atomic either way.
-        except EngineError:
-            self._detach(obj)
-            raise
-        # Write-through only after the insert is accepted: a rejected
-        # operation must leave no trace in the log either.  The log append
-        # and flush come *before* publication — if they fail, the record's
-        # durable fate is unknown, so the in-memory insert is undone and
-        # snapshots never see a state the durable prefix cannot replay.
-        ticket = None
-        if self._wal is not None:
-            try:
-                self._wal.log_insert(obj)
-                ticket = self._wal_flush_point()
-            except BaseException:
-                self._detach(obj)
-                raise
-        self._publish_commit(((obj.oid, obj.class_name, obj.state),))
-        if self._wal is not None:
-            # The checkpoint policy runs after publication: its failure
-            # abandons the ticket but the accepted commit stands.
-            ticket = self._wal_checkpoint_policy(ticket)
-        return obj, ticket
+        return obj
 
     def update(self, target: DBObject | str, **changes: Any) -> DBObject:
         """Change attribute values of an existing object."""
-        with self._lock:
-            obj, ticket = self._update_locked(target, changes)
-        self._await_durability(ticket)
-        return obj
+        return self._write(self._update_locked, target, changes)
 
     def _update_locked(
-        self, target: DBObject | str, changes: Mapping[str, Any]
-    ) -> tuple[DBObject, "int | None"]:
+        self,
+        undo: dict,
+        delta: MutationDelta,
+        target: DBObject | str,
+        changes: Mapping[str, Any],
+    ) -> DBObject:
         obj = self.get(target.oid if isinstance(target, DBObject) else target)
         unknown = set(changes) - set(self.schema.effective_attributes(obj.class_name))
         if unknown:
@@ -320,74 +347,62 @@ class ObjectStore:
         checked = check_types(self.schema, self._objects, obj.class_name, new_state)
         self._check_writable()
         old_state = obj.state
-        self._log_undo(obj.oid, (obj, old_state))
+        undo[obj.oid] = (obj, old_state)
         obj.state = checked
         self._indexes.on_update(obj, old_state, checked)
-        delta = MutationDelta()
         delta.record_update(obj, set(changes))
-        try:
-            self._after_mutation(delta)
-        except EngineError:  # see insert(): keep the update atomic
-            obj.state = old_state
-            self._indexes.on_update(obj, checked, old_state)
-            raise
-        ticket = None
-        if self._wal is not None:
-            try:
-                self._wal.log_update(obj)
-                ticket = self._wal_flush_point()
-            except BaseException:
-                # See _insert_locked: memory must not run ahead of the
-                # durable prefix, so a failed write-through undoes the
-                # in-memory update before propagating.
-                obj.state = old_state
-                self._indexes.on_update(obj, checked, old_state)
-                raise
-        self._publish_commit(((obj.oid, obj.class_name, obj.state),))
-        if self._wal is not None:
-            ticket = self._wal_checkpoint_policy(ticket)
-        return obj, ticket
+        return obj
 
     def delete(self, target: DBObject | str) -> None:
         """Remove an object, re-checking the constraints the removal can
         invalidate (database constraints, aggregate/key class constraints
         over the shrunk extent and object constraints that referenced the
         removed object)."""
-        with self._lock:
-            ticket = self._delete_locked(target)
-        self._await_durability(ticket)
+        self._write(self._delete_locked, target)
 
-    def _delete_locked(self, target: DBObject | str) -> "int | None":
+    def _delete_locked(
+        self, undo: dict, delta: MutationDelta, target: DBObject | str
+    ) -> None:
         obj = self.get(target.oid if isinstance(target, DBObject) else target)
         self._check_writable()
-        self._log_undo(obj.oid, (obj, obj.state))
+        undo[obj.oid] = (obj, obj.state)
         self._detach(obj)
-        delta = MutationDelta()
         delta.record_delete(obj)
-        try:
-            self._after_mutation(delta)
-        # EngineError also covers evaluation blowing up on a reference the
-        # removal left dangling (ConstraintViolation is a subclass): the
-        # delete must stay atomic either way.
-        except EngineError:
-            self._attach(obj)
-            self._restore_object_order()
-            raise
-        ticket = None
+
+    def _write(self, stage, *args: Any) -> Any:
+        """Run one mutation: ``stage`` applies it under the writer lock,
+        recording its pre-image in a one-entry undo log and its effect in a
+        delta of its own.  Outside a transaction the op then commits through
+        :meth:`_commit`, exactly like an outermost transaction; inside one
+        its record joins the open log bracket and its undo entry and delta
+        join the transaction's, whose outermost commit checks them."""
+        undo: dict[str, tuple[DBObject, dict] | None] = {}
+        delta = MutationDelta()
+        with self._lock:
+            result = stage(undo, delta, *args)
+            if self._deferred:
+                self._join_transaction(undo, delta)
+                return result
+            ticket = self._commit(undo, delta, self._check_op, self._log_op)
+        self._await_durability(ticket)
+        return result
+
+    def _join_transaction(self, undo: dict, delta: MutationDelta) -> None:
+        """Hand a staged op to the enclosing transaction: write its record
+        into the open log bracket (a failed write undoes the op, so memory
+        never runs ahead of the log), then fold its pre-image into the
+        transaction's undo log (first touch wins) and its delta into the
+        transaction's dirty set."""
         if self._wal is not None:
             try:
-                self._wal.log_delete(obj.oid)
-                ticket = self._wal_flush_point()
+                self._log_records(undo)
             except BaseException:
-                # See _insert_locked: re-register the object so memory
-                # stays on the durable prefix.
-                self._attach(obj)
-                self._restore_object_order()
+                self._apply_undo(undo)
                 raise
-        self._publish_commit(((obj.oid, obj.class_name, None),))
-        if self._wal is not None:
-            ticket = self._wal_checkpoint_policy(ticket)
-        return ticket
+        for oid, entry in undo.items():
+            self._undo.setdefault(oid, entry)
+        if self._delta is not None:
+            self._delta.merge(delta)
 
     def _attach(self, obj: DBObject) -> None:
         """Register ``obj`` in the object table, its direct extent and the
@@ -474,52 +489,108 @@ class ObjectStore:
             sorted(self._objects.items(), key=lambda item: oid_sort_key(item[0]))
         )
 
-    def _log_undo(self, oid: str, entry: "tuple[DBObject, dict] | None") -> None:
-        """Record an object's pre-image the first time a transaction touches
-        it.  ``None`` means the object did not exist (insert); the pre-image
-        dict is the abandoned state mapping, so no copy is needed."""
-        if self._undo is not None:
-            self._undo.setdefault(oid, entry)
-
-    def dependency_index(self):
-        """The cached constraint-dependency index for this store's schema,
-        rebuilt when the schema fingerprint changes."""
-        return ConstraintDependencyIndex.for_schema(self.schema)
-
-    def _schema_changed_since_validation(self) -> bool:
-        return (
-            self._validated_fingerprint is None
-            or self.schema.fingerprint() != self._validated_fingerprint
-        )
-
-    def _revalidate_fully(self) -> None:
-        """Full-store validation when no validated baseline exists
-        (no full pass yet, or the schema changed since the last one); raises
-        on any violation."""
-        violations = self.audit()
-        if violations:
-            raise ConstraintViolation(
-                "full revalidation",
-                "; ".join(violation.describe() for violation in violations),
-                violations=violations,
-                cores=self._cores_for(violations),
-            )
-
-    def _after_mutation(self, delta) -> None:
-        """The enforcement step shared by all mutations: accumulate the
-        dirty set into an enclosing transaction's, or — outside one —
-        re-check what the delta can have invalidated (fully, when there is
-        no validated baseline)."""
-        if self._deferred:
-            if self._delta is not None:
-                self._delta.merge(delta)
-            return
+    def _check_op(self, delta: MutationDelta) -> None:
+        """The check stage of an auto-commit op: re-check what the delta
+        can have invalidated, fail-fast (fully, when there is no validated
+        baseline)."""
         if not self.enforce:
             return
         if self._schema_changed_since_validation():
             self._revalidate_fully()
             return
         check_delta(self, delta)
+
+    def _log_op(self, undo: dict) -> "int | None":
+        """The log stage of an auto-commit op: its one unbracketed record,
+        then the commit-point flush."""
+        self._log_records(undo)
+        return self._wal.commit_flush()
+
+    def _log_records(self, undo: dict) -> None:
+        """Write the record of a single staged op, read off its one-entry
+        undo log and the live store."""
+        for oid, entry in undo.items():
+            obj = self._objects.get(oid)
+            if obj is None:
+                self._wal.log_delete(oid)
+            elif entry is None:
+                self._wal.log_insert(obj)
+            else:
+                self._wal.log_update(obj)
+
+    def _commit(self, undo: dict, delta: MutationDelta, check, log) -> "int | None":
+        """The one commit tail, run under the writer lock by auto-commit
+        ops and outermost transaction exits alike:
+
+        1. **check** — ``check(delta)`` raises on a violation (computing
+           traces and cores first, while the violating state still
+           exists); everything is undone, any open log bracket is aborted,
+           and the failure propagates;
+        2. **log** — ``log(undo)`` writes and flushes the commit (on
+           durable stores); a failure means the commit's durable fate is
+           unknown, so everything is undone — memory never runs ahead of
+           the durable prefix;
+        3. **publish** — the touched set joins the snapshot history, so
+           snapshots only ever show commits the durable prefix can replay;
+        4. **checkpoint policy** — see :meth:`_wal_checkpoint_policy`.
+
+        Returns the group-commit ticket to redeem once the writer lock is
+        released (``None`` when no fsync is owed).  The abort marker's
+        ticket of a rejected commit is left in ``_abort_ticket``.
+        """
+        try:
+            check(delta)
+        except BaseException:
+            self._apply_undo(undo)
+            if self._wal is not None:
+                self._abort_ticket = self._wal.abort_transaction()
+            raise
+        ticket = None
+        if self._wal is not None:
+            try:
+                ticket = log(undo)
+            except BaseException:
+                self._apply_undo(undo)
+                raise
+        self._publish(undo)
+        if self._wal is not None:
+            ticket = self._wal_checkpoint_policy(ticket)
+        return ticket
+
+    def _apply_undo(self, undo: dict) -> None:
+        """Restore every touched object to its logged pre-image.
+
+        Pre-images keep object identity: an updated object gets its old
+        state dict back in place, and a deleted object is re-registered as
+        the *same* :class:`DBObject` instance, so references held outside
+        the store stay valid across a rollback.
+
+        Maintained indexes roll back alongside, via the *inverse* mutation
+        hook per touched object — an insert is undone as a delete, a delete
+        as an insert, an update as the reverse state transition — keeping
+        rollback O(touched), index maintenance included.  Reference-count
+        indexes participate through the same hooks: a resurrected object
+        re-joins the referenced side (its referrers stop dangling) and
+        re-counts its own reference slots, in whichever order the undo log
+        replays the touched objects.
+        """
+        resurrected = False
+        for oid, entry in undo.items():
+            if entry is None:
+                if oid in self._objects:
+                    self._detach(self._objects[oid])
+            else:
+                obj, state = entry
+                if oid in self._objects:
+                    if obj.state is not state:
+                        self._indexes.on_update(obj, obj.state, state)
+                    obj.state = state
+                else:
+                    obj.state = state
+                    resurrected = True
+                    self._attach(obj)
+        if resurrected:
+            self._restore_object_order()
 
     def audit(self) -> list:
         """Validate the entire store; returns structured
@@ -535,11 +606,6 @@ class ObjectStore:
             self._validated_fingerprint = self.schema.fingerprint()
         return found
 
-    def check_all(self) -> list[str]:
-        """Validate the entire store; returns violation descriptions
-        (:meth:`audit` keeps the structured objects)."""
-        return [violation.describe() for violation in self.audit()]
-
     def explain_violations(self, violations=None) -> list:
         """Subset-minimal conflict cores for the store's standing
         violations (defaults to a fresh :meth:`audit`); see
@@ -553,19 +619,6 @@ class ObjectStore:
 
         with self._lock:
             return explain_violations(self, violations)
-
-    def _cores_for(self, violations) -> tuple:
-        """Cores attached to a failure-path exception.  Best-effort by
-        contract: explanation must never mask the violation being raised,
-        so any error inside extraction degrades to 'no cores'."""
-        if not self.explain:
-            return ()
-        from repro.engine.explain import explain_violations
-
-        try:
-            return tuple(explain_violations(self, violations))
-        except Exception:  # pragma: no cover - defensive, see docstring
-            return ()
 
     # -- durability ---------------------------------------------------------------------
 
@@ -751,26 +804,14 @@ class ObjectStore:
         if self._wal is not None:
             self._wal.check_poisoned()
 
-    def _wal_flush_point(self) -> "int | None":
-        """Flush half of an auto-commit point, under the writer lock and
-        *before* publication: a failure here means the record's durable
-        fate is unknown, and the caller rolls the in-memory mutation back.
-        Inside a transaction the commit/abort marker is the flush point,
-        so this is a no-op."""
-        if self._deferred:
-            return None
-        return self._wal.commit_flush()
-
     def _wal_checkpoint_policy(self, ticket: "int | None") -> "int | None":
-        """Checkpoint half of an auto-commit point, *after* publication:
-        the commit is flushed and accepted, so a checkpoint failure only
+        """The last stage of every commit point, *after* publication: the
+        commit is flushed and accepted, so a checkpoint failure only
         abandons the unredeemed ticket (keeping group-commit accounting
-        balanced) and propagates — it never rolls the mutation back.
+        balanced) and propagates — it never rolls the commit back.
 
         Returns the ticket to redeem once the writer lock is released
         (``None`` when no fsync is owed)."""
-        if self._deferred:
-            return ticket
         try:
             if self._wal.should_checkpoint():
                 self.checkpoint()
@@ -809,7 +850,7 @@ class ObjectStore:
             if self._wal is not None:
                 try:
                     self._wal.log_set_constant(name, value)
-                    ticket = self._wal_flush_point()
+                    ticket = self._wal.commit_flush()
                 except BaseException:
                     # The record's durable fate is unknown: restore the
                     # in-memory binding so the schema never runs ahead of
@@ -848,7 +889,7 @@ class ObjectStore:
             from repro.tm.printer import schema_to_source
 
             self._wal.log_schema(schema_to_source(self.schema))
-            ticket = self._wal_flush_point()
+            ticket = self._wal.commit_flush()
             ticket = self._wal_checkpoint_policy(ticket)
         self._await_durability(ticket)
 
@@ -896,14 +937,22 @@ class ObjectStore:
                     view[oid] = (obj.class_name, state)
         return [(oid, cls, state) for oid, (cls, state) in view.items()]
 
-    def _publish_commit(
-        self, changes: Iterable[tuple[str, str, "Mapping[str, Any] | None"]]
-    ) -> None:
-        """Thread a committed change set into the snapshot history (no-op
-        inside transactions — the outermost commit publishes — and until a
-        first snapshot activates the machinery)."""
-        if self._deferred or not self._concurrency.active:
+    def _publish(self, undo: dict) -> None:
+        """Thread a committed touched set into the snapshot history: the
+        post-state of every object in ``undo`` (tombstones for deletions),
+        read off the live store under the writer lock.  A no-op until a
+        first snapshot activates the machinery."""
+        if not self._concurrency.active or not undo:
             return
+        changes = []
+        for oid, entry in undo.items():
+            obj = self._objects.get(oid)
+            if obj is not None:
+                changes.append((oid, obj.class_name, obj.state))
+            elif entry is not None:
+                changes.append((oid, entry[0].class_name, None))
+            # entry None + object gone: inserted and deleted inside one
+            # transaction — no committed version ever existed.
         self._concurrency.publish(changes)
 
     # -- transactions -------------------------------------------------------------------

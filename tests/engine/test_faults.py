@@ -80,6 +80,47 @@ Database constraints
 """
 
 
+#: Schema for the rollback grid: a subclass, so shallow and deep extents
+#: differ, and a database constraint a delete can break.
+GRID_SCHEMA_SOURCE = """
+Database GridDB
+
+Class Item
+attributes
+  name  : string
+  price : real
+object constraints
+  oc1: price >= 0
+class constraints
+  cc1: key name
+end Item
+
+Class Special isa Item
+attributes
+  grade : int
+end Special
+
+Database constraints
+  db_anchor: exists i in Item | i.name = "anchor"
+"""
+
+
+def grid_schema():
+    return parse_database(GRID_SCHEMA_SOURCE)
+
+
+def grid_view(reader):
+    """Contents plus shallow and deep extent order, of a store or a
+    snapshot."""
+    return {
+        (name, deep): [
+            (obj.oid, dict(obj.state)) for obj in reader.extent(name, deep=deep)
+        ]
+        for name in ("Item", "Special")
+        for deep in (False, True)
+    }
+
+
 def flat_schema():
     return parse_database(FLAT_SCHEMA_SOURCE)
 
@@ -193,25 +234,66 @@ class TestAppendRollback:
         assert recovered.check_all() == []
         recovered.close()
 
-    def test_failed_update_and_delete_roll_back(self, tmp_path):
-        # Each iteration gets a fresh store, so the doomed mutation is
-        # always append crossing 2 (after the two setup inserts).
-        for label, mutate in (
-            ("update", lambda s, o: s.update(o, price=9.0)),
-            ("delete", lambda s, o: s.delete(o)),
-        ):
-            injector = FaultInjector([FaultSpec("wal.append", "io_error", at=2)])
-            path = tmp_path / f"db-{label}"
-            store = ObjectStore.open(
-                path, schema=flat_schema(), faults=injector
-            )
-            store.insert("Item", name="a", price=1.0)
-            obj = store.insert("Item", name="b", price=2.0)
-            before = store_state(store)
-            with pytest.raises(OSError):
-                mutate(store, obj)
-            assert store_state(store) == before, label
-            store.close()
+    @pytest.mark.parametrize("failure", ("reject", "wal.append", "wal.flush"))
+    @pytest.mark.parametrize("op", ("insert", "update", "delete"))
+    def test_failed_op_rolls_back(self, tmp_path, op, failure):
+        """Every auto-commit op fails the same way at every commit stage:
+        contents, extent order, consistency and snapshots are as before."""
+        # Three setup inserts cross wal.append and wal.flush 0..2, so the
+        # doomed op's record and commit flush are crossing 3.
+        faults = [] if failure == "reject" else [FaultSpec(failure, "io_error", at=3)]
+        store = ObjectStore.open(
+            tmp_path / "db", schema=grid_schema(), faults=FaultInjector(faults)
+        )
+        anchor = store.insert("Item", name="anchor", price=1.0)
+        special = store.insert("Special", name="s1", price=2.0, grade=1)
+        plain = store.insert("Item", name="b", price=3.0)
+        # (accepted, rejected) form of each op: the delete goes for the
+        # middle of the extent, the rejected delete for db_anchor's anchor.
+        accepted, rejected = {
+            "insert": (
+                lambda: store.insert("Item", name="new", price=4.0),
+                lambda: store.insert("Item", name="new", price=-1.0),
+            ),
+            "update": (
+                lambda: store.update(plain, price=9.0),
+                lambda: store.update(plain, price=-1.0),
+            ),
+            "delete": (
+                lambda: store.delete(special),
+                lambda: store.delete(anchor),
+            ),
+        }[op]
+        before = grid_view(store)
+        order = [obj.oid for obj in store.objects()]
+        pending = store.wal.pending_records
+        with store.snapshot() as snap:
+            with pytest.raises(ConstraintViolation if failure == "reject" else OSError):
+                (rejected if failure == "reject" else accepted)()
+            assert grid_view(store) == before
+            assert [obj.oid for obj in store.objects()] == order
+            assert grid_view(snap) == before
+            with store.snapshot() as fresh:
+                assert grid_view(fresh) == before
+            assert store.audit() == []
+            if failure != "reject":
+                assert store.wal.poisoned is not None
+                store.close()
+                return
+            # A rejected op leaves the log untouched, and the store commits
+            # the next accepted op normally.
+            assert store.wal.pending_records == pending
+            accepted()
+            assert grid_view(store) != before
+            assert grid_view(snap) == before
+            with store.snapshot() as fresh:
+                assert grid_view(fresh) == grid_view(store)
+            assert store.wal.pending_records == pending + 1
+            assert store.audit() == []
+        store.close()
+        recovered = ObjectStore.open(tmp_path / "db")
+        assert grid_view(recovered) == grid_view(store)
+        recovered.close()
 
     def test_failed_commit_marker_undoes_whole_transaction(self, tmp_path):
         # Appends of one pair: begin(0), item(1), order(2), commit(3).
@@ -281,6 +363,20 @@ class TestPoisonSemantics:
         with store.snapshot() as snap:
             assert len(snap.extent("Item")) == 2
         # close() neither raises nor hangs on the poisoned log.
+        store.close()
+
+    def test_refused_transaction_entry_leaves_no_bookkeeping(self, tmp_path):
+        store, _ = self._poisoned_store(tmp_path / "db")
+        with pytest.raises(StorePoisonedError):
+            with store.transaction():
+                pass
+        assert store._deferred is False
+        assert store._undo_stack == []
+        assert store._undo is None and store._delta is None
+        # Still outside any transaction: refusals name the poisoned log,
+        # not an open transaction.
+        with pytest.raises(StorePoisonedError):
+            store.set_constant("MAX", 1)
         store.close()
 
     def test_fsync_is_never_retried(self, tmp_path):

@@ -917,6 +917,34 @@ class TestShardedAnalyze:
         assert not (tmp_path / "db").exists()
 
 
+class TestShardedExplain:
+    """``explain`` means the same on every core as on the router, however
+    the sharded store came to be."""
+
+    @pytest.mark.parametrize("explain", (False, True))
+    def test_fresh_open_and_reopen_explain_like_the_router(self, tmp_path, explain):
+        root = tmp_path / "db"
+        flavors = (
+            ("fresh", lambda: ShardedStore(shardlab_schema(), 2, explain=explain)),
+            ("open-new", lambda: ShardedStore.open(root, shardlab_schema(), 2, explain=explain)),
+            ("reopen", lambda: ShardedStore.open(root, explain=explain)),
+        )
+        for flavor, make in flavors:
+            store = make()
+            try:
+                assert [core.explain for core in store.cores] == [explain] * 2, flavor
+                # oc_a is core-local: the rejection comes off the fast path,
+                # raised by the core itself.
+                store.insert("Alpha", name=f"ok-{flavor}", score=1)
+                before = store.fast_path_ops
+                with pytest.raises(ConstraintViolation) as excinfo:
+                    store.insert("Alpha", name=f"bad-{flavor}", score=-1)
+                assert store.fast_path_ops == before + 1, flavor
+                assert (excinfo.value.trace is None) is not explain, flavor
+            finally:
+                store.close()
+
+
 # ---------------------------------------------------------------------------
 # the CLI surface
 # ---------------------------------------------------------------------------

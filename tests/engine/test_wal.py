@@ -307,6 +307,32 @@ class TestTransactionMarkers:
         assert store.wal.pending_records == before
         store.close()
 
+    def test_auto_commit_ops_write_one_record_and_rejects_none(self, tmp_path):
+        path = tmp_path / "db"
+        store = ObjectStore.open(path, schema=fresh_schema())
+        item, order = insert_pair(store, "keep")
+        for accept, reject in (
+            (
+                lambda: store.insert("Order", item=item, qty=2),
+                lambda: store.insert("Order", item=item, qty=0),
+            ),
+            (
+                lambda: store.update(item, price=3.0),
+                lambda: store.update(item, price=-3.0),
+            ),
+            (
+                lambda: store.delete(order),
+                lambda: store.delete(store.extent("Order")[0]),
+            ),
+        ):
+            before = store.wal.pending_records
+            accept()
+            assert store.wal.pending_records == before + 1
+            with pytest.raises(ConstraintViolation):
+                reject()
+            assert store.wal.pending_records == before + 1
+        store.close()
+
     def test_rejected_commit_leaves_abort_marker(self, tmp_path):
         path = tmp_path / "db"
         store = ObjectStore.open(path, schema=fresh_schema())
