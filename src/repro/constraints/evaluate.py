@@ -63,6 +63,7 @@ deletion-based conflict-core extraction (``repro.engine.explain``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Mapping
 from typing import Any
@@ -618,23 +619,95 @@ def _compile_comparison(node: Comparison) -> CompiledNode:
     return run_comparison
 
 
+#: Every finite float is an integer multiple of ``2**-1074``, so float sums
+#: scaled by ``2**1074`` are exact integer sums.
+_SCALE_BITS = 1074
+
+
+def scaled_float(value: float) -> int:
+    """``value * 2**1074`` exactly, for a finite float."""
+    numerator, denominator = value.as_integer_ratio()
+    return numerator << (_SCALE_BITS + 1 - denominator.bit_length())
+
+
+def exact_aggregate(func: str, count: int, ints: int, scaled: int, floats: int) -> Any:
+    """``count``/``sum``/``avg`` of ``count`` values from their exact
+    partials: the ints among them sum to ``ints``, the ``floats`` finite
+    floats to ``scaled / 2**1074``.  A sum with no float is that int;
+    otherwise the value is the correctly rounded float of the exact sum (or
+    mean), ±inf beyond float range.  Partials add, so the value is the
+    same whatever the order or grouping of the values — the extent scan,
+    maintained aggregates and merged shard partials agree by construction.
+    ``avg`` of nothing is ``VACUOUS``."""
+    if func == "count":
+        return count
+    if func == "sum" and not floats:
+        return ints
+    if count == 0:
+        return VACUOUS
+    numerator = (ints << _SCALE_BITS) + scaled
+    try:
+        return numerator / ((count if func == "avg" else 1) << _SCALE_BITS)
+    except OverflowError:  # the exact value is past float range
+        return math.inf if numerator > 0 else -math.inf
+
+
 def fold_aggregate(func: str, values: list) -> Any:
-    """``func`` folded over ``values`` in their order — the one definition
-    of an aggregate's value, shared by the extent scan and index probes
-    that must agree with it bit for bit.  ``sum`` of nothing is ``0``,
+    """``func`` over ``values`` — the one definition of an aggregate's
+    value, shared by the extent scan and index probes that must agree with
+    it: ``sum``/``avg`` per :func:`exact_aggregate`, except that a
+    non-finite float makes them the sum of the non-finite values (inf,
+    -inf or nan, whatever the order).  ``sum`` of nothing is ``0``,
     ``avg``/``min``/``max`` of nothing are ``VACUOUS``; operand trouble
     raises ``TypeError`` for the caller to translate."""
     if func == "count":
         return len(values)
-    if not values:
-        return 0 if func == "sum" else VACUOUS
-    if func == "sum":
-        return sum(values)
-    if func == "avg":
-        return sum(values) / len(values)
-    if func == "min":
-        return min(values)
-    return max(values)
+    if func not in ("sum", "avg"):
+        if not values:
+            return VACUOUS
+        return min(values) if func == "min" else max(values)
+    try:
+        total = sum(values)
+    except OverflowError:  # an int past float range beside a float
+        return _fold_exactly(func, values)
+    if type(total) is int:
+        return exact_aggregate(func, len(values), total, 0, 0)
+    if all(type(value) is float for value in values):
+        return fold_floats(func, values)
+    return _fold_exactly(func, values)
+
+
+def fold_floats(func: str, floats: list) -> Any:
+    """:func:`fold_aggregate`'s ``sum``/``avg`` of a list of floats, for
+    callers that know every value is a float."""
+    if func == "sum" and floats:
+        try:
+            # The correctly rounded exact sum of finite floats at C speed;
+            # ``or 0.0`` gives an exact zero the sign int division gives it.
+            return math.fsum(floats) or 0.0
+        except (OverflowError, ValueError):  # past float range, or inf - inf
+            pass
+    return _fold_exactly(func, floats)
+
+
+def _fold_exactly(func: str, values: list) -> Any:
+    """``sum``/``avg`` by :func:`exact_aggregate`'s partials, one value at
+    a time: any mix of ints and floats, at Python speed."""
+    ints = scaled = floats = 0
+    nonfinite = []
+    for value in values:
+        if isinstance(value, int):
+            ints += value
+        elif not isinstance(value, float):
+            raise TypeError(f"cannot {func} a {type(value).__name__}")
+        elif math.isfinite(value):
+            scaled += scaled_float(value)
+            floats += 1
+        else:
+            nonfinite.append(value)
+    if nonfinite:
+        return sum(nonfinite)
+    return exact_aggregate(func, len(values), ints, scaled, floats)
 
 
 def _compile_aggregate(node: Aggregate) -> CompiledNode:

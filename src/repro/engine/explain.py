@@ -54,6 +54,7 @@ from repro.constraints.evaluate import (
     ReasonTrace,
     compiled,
     fold_aggregate,
+    fold_floats,
 )
 from repro.constraints.model import Constraint, ConstraintKind
 from repro.engine.objects import DBObject
@@ -136,7 +137,7 @@ class FrozenView:
         #: again, exactly as the store does.
         self.reads: dict[tuple[str, str], tuple[Any, str | None]] = {}
         self._extents: dict[str, list] = {}
-        self._columns: dict[tuple[str, str], tuple[list, list] | None] = {}
+        self._columns: dict[tuple[str, str], tuple[list, list, bool] | None] = {}
 
     def extent(self, class_name: str) -> list:
         """``class_name``'s deep extent in insertion order."""
@@ -156,11 +157,12 @@ class FrozenView:
             self.reads[obj.oid, name] = hit
         return hit
 
-    def column(self, class_name: str, name: str) -> tuple[list, list] | None:
-        """``(oids, values)`` of ``name`` over ``class_name``'s base extent,
-        or ``None`` when some member's value is not a plain number (a
-        reference, a string, a NaN ...) or cannot be read: the scan path
-        answers those, errors included."""
+    def column(self, class_name: str, name: str) -> tuple[list, list, bool] | None:
+        """``(oids, values, floats)`` of ``name`` over ``class_name``'s base
+        extent — ``floats`` when every value is a float — or ``None`` when
+        some member's value is not a plain number (a reference, a string, a
+        NaN ...) or cannot be read: the scan path answers those, errors
+        included."""
         key = (class_name, name)
         if key not in self._columns:
             self._columns[key] = self._numeric_column(class_name, name)
@@ -179,7 +181,7 @@ class FrozenView:
                 values.append(value)
         except _EVAL_FAILURES:
             return None
-        return oids, values
+        return oids, values, all(type(value) is float for value in values)
 
 
 class _MaskedExtents(Mapping):
@@ -231,8 +233,9 @@ class _MaskedColumns:
     """The index probe of an untraced masked evaluation.
 
     Answers ``sum``/``avg``/``min``/``max``/``count`` by filtering the
-    frozen column by the visible set and folding in base-extent order, so
-    float results are bit-identical to the scan.  Every other probe — and
+    frozen column by the visible set and folding it with the scan's one
+    definition (:func:`~repro.constraints.evaluate.fold_aggregate`), so
+    results are bit-identical to the scan.  Every other probe — and
     any aggregate whose column is not purely numeric — misses to the scan,
     which keeps its exact error semantics.
     """
@@ -258,10 +261,11 @@ class _MaskedColumns:
         column = self._view.column(class_name, over)
         if column is None:
             return INDEX_MISS
-        oids, values = column
-        return fold_aggregate(
-            func, list(compress(values, map(self._visible.__contains__, oids)))
-        )
+        oids, values, floats = column
+        kept = list(compress(values, map(self._visible.__contains__, oids)))
+        if floats and func in ("sum", "avg"):
+            return fold_floats(func, kept)
+        return fold_aggregate(func, kept)
 
     def key_unique(self, class_name: str, attributes: Iterable[str]) -> None:
         return None

@@ -53,8 +53,8 @@ contents when stale — a rebuild *replaces* the incremental application, since
 the store already reflects the mutation by the time a hook runs.
 
 Graceful degradation: an index that meets a value it cannot maintain (a
-non-numeric aggregate operand, an unhashable key component, a NaN, a
-non-string reference slot) marks itself invalid and answers
+non-numeric aggregate operand, an unhashable key component, a NaN or
+infinity, a non-string reference slot) marks itself invalid and answers
 :data:`~repro.constraints.evaluate.INDEX_MISS` (aggregates, references) or
 ``None`` (keys); evaluation falls back to the extent scan with the exact
 pre-index semantics.  Reference indexes additionally answer
@@ -66,10 +66,16 @@ fingerprint-triggered rebuild retries.
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Callable, Iterable, Mapping
 from typing import Any, TYPE_CHECKING
 
-from repro.constraints.evaluate import INDEX_MISS, VACUOUS
+from repro.constraints.evaluate import (
+    INDEX_MISS,
+    VACUOUS,
+    exact_aggregate,
+    scaled_float,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.objects import DBObject
@@ -204,6 +210,12 @@ class RunningAggregate:
     """Sum/count — and, when requested, min/max — of one attribute over the
     deep extent of one class, maintained in O(1) per mutation.
 
+    The sum is kept exact, as the partials of
+    :func:`~repro.constraints.evaluate.exact_aggregate`: ints in ``total``,
+    finite floats scaled by ``2**1074`` in ``scaled``.  Adding and removing
+    are integer operations, so no history of mutations can drift the value
+    away from the scan's.
+
     Min/max use a value→multiplicity table plus two heaps with *lazy
     deletion*: removals only decrement the table, and queries pop heap heads
     until a live value surfaces.  Heaps are compacted (rebuilt from the live
@@ -211,8 +223,8 @@ class RunningAggregate:
     """
 
     __slots__ = (
-        "class_name", "over", "funcs", "count", "total", "valid",
-        "_counts", "_min_heap", "_max_heap",
+        "class_name", "over", "funcs", "count", "total", "scaled", "floats",
+        "valid", "_counts", "_min_heap", "_max_heap",
     )
 
     def __init__(self, class_name: str, over: str, funcs: Iterable[str]):
@@ -220,7 +232,10 @@ class RunningAggregate:
         self.over = over
         self.funcs = frozenset(funcs)
         self.count = 0
-        self.total: Any = 0
+        self.total = 0
+        self.scaled = 0
+        #: How many of the live values are floats.
+        self.floats = 0
         self.valid = True
         #: value → live multiplicity; only tracked when min/max is needed.
         self._counts: dict[Any, int] | None = (
@@ -231,8 +246,11 @@ class RunningAggregate:
 
     def _usable(self, value: Any) -> bool:
         # NaN breaks both removal (identity-keyed dict lookups) and heap
-        # ordering; any non-number breaks running sums.  Either invalidates.
-        return isinstance(value, (int, float)) and value == value
+        # ordering, any non-finite float the exact sum, any non-number
+        # running sums.  Each invalidates.
+        return isinstance(value, int) or (
+            isinstance(value, float) and math.isfinite(value)
+        )
 
     def add(self, value: Any) -> None:
         if not self.valid:
@@ -241,7 +259,11 @@ class RunningAggregate:
             self.valid = False
             return
         self.count += 1
-        self.total += value
+        if isinstance(value, float):
+            self.scaled += scaled_float(value)
+            self.floats += 1
+        else:
+            self.total += value
         if self._counts is not None:
             self._counts[value] = self._counts.get(value, 0) + 1
             heapq.heappush(self._min_heap, value)
@@ -256,10 +278,12 @@ class RunningAggregate:
             self.valid = False
             return
         self.count -= 1
-        self.total -= value
-        if self.count == 0:
-            self.total = 0  # drop accumulated float drift at the fixpoint
-        elif self.count < 0:
+        if isinstance(value, float):
+            self.scaled -= scaled_float(value)
+            self.floats -= 1
+        else:
+            self.total -= value
+        if self.count < 0:
             self.valid = False
             return
         if self._counts is not None:
@@ -270,6 +294,12 @@ class RunningAggregate:
                 del self._counts[value]
             else:
                 self._counts[value] = live - 1
+
+    def partials(self) -> tuple[int, int, int, int]:
+        """``(count, total, scaled, floats)``: the exact partials of
+        :func:`~repro.constraints.evaluate.exact_aggregate`, which add
+        across extents (the shard router merges them)."""
+        return self.count, self.total, self.scaled, self.floats
 
     def _compact(self) -> None:
         counts = self._counts or {}
@@ -291,14 +321,12 @@ class RunningAggregate:
         """The aggregate's current value, or :data:`INDEX_MISS`."""
         if not self.valid:
             return INDEX_MISS
-        if func == "count":
-            return self.count
-        if func == "sum":
-            return self.total
+        if func in ("count", "sum", "avg"):
+            return exact_aggregate(
+                func, self.count, self.total, self.scaled, self.floats
+            )
         if self.count == 0:
-            return VACUOUS  # avg/min/max over an empty extent
-        if func == "avg":
-            return self.total / self.count
+            return VACUOUS  # min/max over an empty extent
         if func == "min" and self._counts is not None:
             return self._live_extreme(self._min_heap, 1)
         if func == "max" and self._counts is not None:
@@ -705,6 +733,15 @@ class IndexManager:
         if aggregate is None:
             return INDEX_MISS
         return aggregate.value(func)
+
+    def aggregate_partials(self, class_name: str, over: str | None) -> Any:
+        """The exact sum partials (:meth:`RunningAggregate.partials`) of
+        ``over`` across ``class_name``'s deep extent, or
+        :data:`INDEX_MISS`."""
+        aggregate = self._aggregates.get((class_name, over))
+        if aggregate is None or not aggregate.valid:
+            return INDEX_MISS
+        return aggregate.partials()
 
     def key_unique(self, class_name: str, attributes: Iterable[str]) -> bool | None:
         """A materialized uniqueness verdict, or ``None`` (no usable index)."""

@@ -23,9 +23,9 @@ Every constraint is classified from its statically extracted read set:
 * *shard-local* — all reads land in one core; that core enforces it alone
   through its ``constraint_scope`` and the router never sees it.
 * *mergeable* — reads span shards but are covered by maintained index
-  summaries: the router's merged probe sums per-shard ``sum``/``count``
-  partials, takes min/max of per-shard candidates, and totals per-shard
-  live/dangling reference counts instead of scanning.
+  summaries: the router's merged probe adds per-shard counts and exact
+  ``sum``/``avg`` partials, takes min/max of per-shard candidates, and
+  totals per-shard live/dangling reference counts instead of scanning.
 * *global* — reads span shards with no covering summary; the router
   evaluates against the merged multi-shard view.
 
@@ -34,13 +34,19 @@ consume (``get``/``extent``/``eval_context``/``dependency_index``/...), so
 :mod:`repro.engine.enforcement` and :mod:`repro.engine.incremental` run
 unmodified against the merged state.
 
-**Commit protocol.**  Single-shard operations whose affected constraints are
-all in the target core's scope commit exactly like a standalone store — one
-core lock, one WAL bracket, one group-commit fsync; the router adds a dict
-lookup.  Operations affecting cross-shard constraints quiesce every core and
-validate against the merged view before the touching core's bracket closes.
-Transactions that *wrote* to two or more durable shards commit via
-two-phase-commit brackets across the shard WALs (see
+**Commit protocol.**  The router is a planner: it picks the check and hands
+the touched cores to the store's one commit tail
+(:meth:`~repro.engine.store.ObjectStore._commit`: check → log → publish →
+checkpoint policy, every participant undone on a failure before publish).
+Single-shard operations whose affected constraints are all in the target
+core's scope commit exactly like a standalone store, with the core's own
+check — one core lock, one record, one group-commit fsync; the router adds
+a dict lookup.  Operations affecting cross-shard constraints quiesce every
+core, stage on their core and commit through the tail with the router's
+check of the merged view.  A transaction commits the cores it wrote through
+the tail once, checked against their merged delta.  Its log stage is data:
+the single durable core's commit marker, or, for two or more durable
+cores, two-phase-commit brackets across the shard WALs (see
 :mod:`repro.engine.wal`): every participant flushes a ``prepare`` marker,
 the lowest-numbered participant durably logs the ``decide`` record, and each
 participant settles with a ``resolve`` marker.  Recovery feeds every shard's
@@ -58,10 +64,12 @@ import json
 import threading
 import uuid
 from collections.abc import Iterable, Mapping
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Any
 
-from repro.constraints.evaluate import INDEX_MISS, VACUOUS, EvalContext
+from repro.constraints.evaluate import INDEX_MISS, VACUOUS, EvalContext, exact_aggregate
+from repro.engine.incremental import MutationDelta
 from repro.engine.indexes import oid_shard, oid_sort_key
 from repro.engine.objects import DBObject
 from repro.engine.store import (
@@ -70,7 +78,9 @@ from repro.engine.store import (
     _LazyExtent,
     _Validation,
     check_registration,
+    redeem,
 )
+from repro.engine.transactions import log_commit
 from repro.engine.wal import load_image
 from repro.errors import (
     ConstraintViolation,
@@ -229,12 +239,13 @@ class _MergedProbe:
     Mirrors the :class:`~repro.engine.indexes.IndexManager` probe interface
     the evaluator consults (``aggregate_value`` / ``key_unique`` /
     ``reference_count`` / ``referential_verdict``), answering from the
-    *merge* of every core's maintained summaries.  ``sum``/``count``
-    combine additively, min/max as the extreme of per-shard candidates,
-    referential verdicts from summed live/dangling totals.  ``avg`` (whose
-    maintained form is already a quotient) and anything any core cannot
-    answer degrade to :data:`INDEX_MISS` — the evaluator falls back to
-    scanning the merged extent, exactly like an invalidated index.
+    *merge* of every core's maintained summaries.  ``count`` adds up;
+    ``sum``/``avg`` add the cores' exact partials, so they equal the plain
+    store's value bit for bit; min/max take the extreme of per-shard
+    candidates; referential verdicts come from summed live/dangling totals.
+    Anything any core cannot answer degrades to :data:`INDEX_MISS` — the
+    evaluator falls back to scanning the merged extent, exactly like an
+    invalidated index.
     """
 
     __slots__ = ("_router", "_probes")
@@ -244,31 +255,31 @@ class _MergedProbe:
         self._probes = [core._indexes.probe() for core in router.cores]
 
     def aggregate_value(self, func: str, class_name: str, over: str | None) -> Any:
-        if func in ("count", "sum"):
+        if func == "count":
             total = 0
             for probe in self._probes:
                 value = probe.aggregate_value(func, class_name, over)
                 if value is INDEX_MISS:
                     return INDEX_MISS
-                if value is VACUOUS:
-                    continue
                 total += value
             return total
-        if func in ("min", "max"):
-            pick = min if func == "min" else max
-            best: Any = VACUOUS
-            for probe in self._probes:
-                value = probe.aggregate_value(func, class_name, over)
-                if value is INDEX_MISS:
-                    return INDEX_MISS
-                if value is VACUOUS:
-                    continue
-                best = value if best is VACUOUS else pick(best, value)
-            return best
-        # avg: the maintained value is sum/count already divided per shard;
-        # recombining quotients would introduce rounding the plain store
-        # never sees.  Miss instead — the scan fallback is exact.
-        return INDEX_MISS
+        if func in ("sum", "avg"):
+            parts = [
+                probe.aggregate_partials(class_name, over) for probe in self._probes
+            ]
+            if any(part is INDEX_MISS for part in parts):
+                return INDEX_MISS
+            return exact_aggregate(func, *map(sum, zip(*parts)))
+        pick = min if func == "min" else max
+        best: Any = VACUOUS
+        for probe in self._probes:
+            value = probe.aggregate_value(func, class_name, over)
+            if value is INDEX_MISS:
+                return INDEX_MISS
+            if value is VACUOUS:
+                continue
+            best = value if best is VACUOUS else pick(best, value)
+        return best
 
     def key_unique(self, class_name: str, attributes: Iterable[str]) -> bool | None:
         shard = self._router.placement.get(class_name)
@@ -344,13 +355,14 @@ class ShardedStore(_Validation):
     to one core, no router lock, no cross-shard coordination — so disjoint
     shards accept writers concurrently and a single-shard workload keeps
     the standalone store's cost profile.  With ``shards=1`` every
-    constraint is local to the only core and every operation takes the
-    fast path: the router degenerates to a dict lookup in front of a plain
-    store.
+    constraint is local to the only core, and the one shard routes like
+    many: only an op right after a schema or baseline change is routed.
 
-    Cross-shard *transactions* that wrote to several durable shards commit
-    atomically via two-phase-commit brackets across the shard WALs; see the
-    module docstring for the protocol and its ``sync=False`` caveat.
+    Every write commits through the store's one commit tail
+    (:meth:`ObjectStore._commit`); cross-shard *transactions* that wrote
+    to several durable shards log atomically via two-phase-commit brackets
+    across the shard WALs; see the module docstring for the protocol and
+    its ``sync=False`` caveat.
     """
 
     def __init__(
@@ -367,12 +379,6 @@ class ShardedStore(_Validation):
     ):
         self.schema = schema
         self.shards = int(shards)
-        #: The N=1 degeneration: with one core there is nothing to route —
-        #: every constraint is core-local (scopes collapse to ``None``) and
-        #: the core's own incremental fallback already handles schema
-        #: staleness exactly as a plain store would, so single-core routers
-        #: skip the per-operation readiness probe entirely.
-        self._single = self.shards == 1
         self.spread = frozenset(spread)
         self.enforce = enforce
         self.explain = explain
@@ -659,20 +665,18 @@ class ShardedStore(_Validation):
 
     def explain_violations(self, violations=None) -> list:
         """See :meth:`ObjectStore.explain_violations`.  The audit and every
-        shrink probe run on a quiesced store: the router lock, then every
-        core's writer lock in shard order, as :meth:`snapshot` takes them."""
+        shrink probe run on a :meth:`_quiesced` store."""
         from repro.engine.explain import explain_violations
 
-        held: "list[ObjectStore]" = []
-        with self._lock:
-            try:
-                for core in self.cores:
-                    core._lock.acquire()
-                    held.append(core)
-                return explain_violations(self, violations)
-            finally:
-                for core in reversed(held):
-                    core._lock.release()
+        with self._quiesced():
+            return explain_violations(self, violations)
+
+    def _quiesced(self) -> "_Quiesced":
+        """A context manager holding the router lock, then every core's
+        writer lock in shard order — the one global acquisition order, so
+        quiescing can never deadlock with fast-path writers (which take one
+        core lock) or transactions (which take the router lock first)."""
+        return _Quiesced(self)
 
     # -- mutation ------------------------------------------------------------
 
@@ -686,7 +690,10 @@ class ShardedStore(_Validation):
         return self._dispatch(
             core,
             lambda: self._class_fast.get(class_name, False),
-            lambda: core.insert(class_name, state, **kwargs),
+            core._insert_locked,
+            class_name,
+            state,
+            kwargs,
         )
 
     def update(self, target: "DBObject | str", **changes: Any) -> DBObject:
@@ -699,7 +706,7 @@ class ShardedStore(_Validation):
                 self._attr_fast.get((class_name, attr), False) for attr in changes
             )
 
-        return self._dispatch(core, fast, lambda: core.update(target, **changes))
+        return self._dispatch(core, fast, core._update_locked, target, changes)
 
     def delete(self, target: "DBObject | str") -> None:
         oid = target.oid if isinstance(target, DBObject) else target
@@ -707,60 +714,44 @@ class ShardedStore(_Validation):
         return self._dispatch(
             core,
             lambda: self._class_fast.get(core.get(oid).class_name, False),
-            lambda: core.delete(target),
+            core._delete_locked,
+            target,
         )
 
-    def _dispatch(self, core: ObjectStore, fast, op) -> Any:
-        """Route one mutation: inside a transaction straight to ``core``
-        (the transaction validates at commit); on the fast path — a single
-        core, or every constraint ``fast()`` says the op affects is local
-        to ``core`` under a clean baseline — to ``core``, counted;
-        otherwise through :meth:`_global_op`."""
+    def _dispatch(self, core: ObjectStore, fast, stage, *args: Any) -> Any:
+        """Plan one mutation, staged on ``core`` by ``stage``: inside a
+        transaction it joins the core's bracket (the transaction validates
+        at commit); on the fast path — every constraint ``fast()`` says the
+        op affects is local to ``core``, under a clean baseline — ``core``
+        commits it with its own check, counted; otherwise it is routed
+        (:meth:`_global_op`)."""
         if self._in_transaction():
-            return op()
-        if self._single or (self._fast_ready() and fast()):
+            return core._write(stage, *args)
+        if self._fast_ready() and fast():
             self.fast_path_ops += 1
-            return op()
-        return self._global_op(core, op)
+            return core._write(stage, *args)
+        return self._global_op(core, stage, args)
 
-    def _global_op(self, core: ObjectStore, op) -> Any:
-        """Run one operation on ``core`` under full cross-shard validation.
-
-        Quiesces every core (router lock + all core locks, in shard order —
-        the one global acquisition order, so no interleaving with fast-path
-        writers can deadlock), applies the operation inside an unvalidated
-        core bracket, then checks the merged view: the delta-driven check
-        when a clean validated baseline exists, a full revalidation
-        otherwise.  A failed check rolls the core bracket back and
-        propagates with the plain store's exception shapes."""
-        with self._lock:
+    def _global_op(self, core: ObjectStore, stage, args: tuple) -> Any:
+        """Run one operation on ``core`` under cross-shard validation: on a
+        :meth:`_quiesced` store, stage it on ``core`` and commit it through
+        the store's commit tail with the router's check of the merged view
+        in place of the core's own — delta-driven under a clean validated
+        baseline, a full revalidation otherwise.  It logs like a plain
+        auto-commit op, and a rejection raises the plain store's exception
+        shapes.  The commit's ticket is redeemed with the locks released."""
+        with self._quiesced():
             if self.schema.fingerprint() != self._routing_fingerprint:
                 self._rebuild_routing()
             self.routed_global_ops += 1
-            held: list[ObjectStore] = []
-            try:
-                for other in self.cores:
-                    other._lock.acquire()
-                    held.append(other)
-                txn = core.transaction(validate=False)
-                txn.__enter__()
-                try:
-                    result = op()
-                    if self.enforce:
-                        if self._schema_changed_since_validation():
-                            self._revalidate_fully()
-                        else:
-                            from repro.engine.incremental import check_delta
-
-                            check_delta(self, core._delta)
-                except BaseException as exc:
-                    txn.__exit__(type(exc), exc, exc.__traceback__)
-                    raise
-                txn.__exit__(None, None, None)
-                return result
-            finally:
-                for other in reversed(held):
-                    other._lock.release()
+            undo: dict = {}
+            delta = MutationDelta()
+            result = stage(undo, delta, *args)
+            owed = ObjectStore._commit(
+                ((core, undo),), delta, self._check_op, core._log_op
+            )
+        redeem(owed)
+        return result
 
     def set_constant(self, name: str, value: Any) -> None:
         """Rebind a schema constant through every core: the shared schema
@@ -958,11 +949,14 @@ class ShardedStore(_Validation):
         one behaviour whichever flavor they hold."""
         if not self.durable:
             raise EngineError("store has no write-ahead log attached")
-        if self._txn_depth:
-            raise EngineError("cannot checkpoint inside a transaction")
-        for core in self.cores:
-            if core.wal is not None:
-                core.checkpoint()
+        # The router lock first, as set_constant takes it: another thread's
+        # transaction is waited out, only this thread's own is refused.
+        with self._lock:
+            if self._txn_depth:
+                raise EngineError("cannot checkpoint inside a transaction")
+            for core in self.cores:
+                if core.wal is not None:
+                    core.checkpoint()
 
     def close(self) -> None:
         for core in self.cores:
@@ -980,19 +974,8 @@ class ShardedStore(_Validation):
         (commits release their writer lock before redeeming group-commit
         tickets).  Per-shard readers that do not need a cross-shard cut
         should prefer :meth:`snapshots`."""
-        taken: list = []
-        held: "list[ObjectStore]" = []
-        with self._lock:
-            try:
-                for core in self.cores:
-                    core._lock.acquire()
-                    held.append(core)
-                for core in self.cores:
-                    taken.append(core.snapshot())
-            finally:
-                for core in reversed(held):
-                    core._lock.release()
-        return MergedSnapshot(taken)
+        with self._quiesced():
+            return MergedSnapshot([core.snapshot() for core in self.cores])
 
     def snapshots(self) -> list:
         """One immutable point-in-time snapshot per core, taken in shard
@@ -1021,15 +1004,46 @@ class ShardedStore(_Validation):
         return stats
 
 
+class _Quiesced:
+    """See :meth:`ShardedStore._quiesced`.  A plain class, not a generator:
+    snapshot reads pay for it on every call."""
+
+    __slots__ = ("_router",)
+
+    def __init__(self, router: ShardedStore):
+        self._router = router
+
+    def __enter__(self) -> None:
+        router = self._router
+        router._lock.acquire()
+        held = 0
+        try:
+            for core in router.cores:
+                core._lock.acquire()
+                held += 1
+        except BaseException:
+            for core in reversed(router.cores[:held]):
+                core._lock.release()
+            router._lock.release()
+            raise
+
+    def __exit__(self, *exc_info: object) -> None:
+        router = self._router
+        for core in reversed(router.cores):
+            core._lock.release()
+        router._lock.release()
+
+
 # ---------------------------------------------------------------------------
 # cross-shard transactions
 # ---------------------------------------------------------------------------
 
 
 class _ShardedTransaction:
-    """One router-level transaction: per-core unvalidated brackets, merged
-    commit-time validation, and two-phase commit across the durable shards
-    that were written.  Returned by :meth:`ShardedStore.transaction`."""
+    """One router-level transaction: an unvalidated bracket on every core,
+    committed as one through the store's commit tail — checked against the
+    merged delta, logged by two-phase commit when it wrote two or more
+    durable cores.  Returned by :meth:`ShardedStore.transaction`."""
 
     def __init__(self, router: ShardedStore, validate: bool = True):
         self.router = router
@@ -1049,10 +1063,9 @@ class _ShardedTransaction:
             txns: list = []
             try:
                 for core in router.cores:
-                    txn = core.transaction(validate=False)
-                    txn.__enter__()
-                    txns.append(txn)
+                    txns.append(core.transaction(validate=False).__enter__())
             except BaseException as exc:
+                # A refused entry exits the brackets already opened.
                 for txn in reversed(txns):
                     txn.__exit__(type(exc), exc, exc.__traceback__)
                 raise
@@ -1067,162 +1080,127 @@ class _ShardedTransaction:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         router = self.router
+        owed: list = []
         try:
-            if exc_type is not None:
-                self._close_all(exc_type, exc, tb)
+            if exc_type is not None or not self._outer:
+                # Rollbacks and inner commits are each core's own, exactly
+                # like the plain store's nested transactions; the stack
+                # exits every bracket even if one exit raises.
+                exits = ExitStack()
+                for txn in self._core_txns:
+                    exits.push(txn)
+                exits.__exit__(exc_type, exc, tb)
                 return False
-            # Merge the per-core dirty sets *before* closing any bracket
-            # (closing resets them).  Inner commits do not validate — the
-            # outermost does, exactly like the plain store's transactions.
-            if self._outer and self.validate and router.enforce:
-                violations = self._validate()
-                if violations:
-                    # Cores must be extracted before rollback destroys the
-                    # violating state they explain.
-                    cores = router._cores_for(violations)
-                    failure = ConstraintViolation(
-                        "transaction",
-                        "; ".join(
-                            violation.describe() for violation in violations
-                        ),
-                        violations=violations,
-                        cores=cores,
-                    )
-                    self._close_all(
-                        ConstraintViolation, failure, failure.__traceback__
-                    )
-                    raise failure
-            self._commit()
-            return False
+            try:
+                owed = self._commit_cores()
+            finally:
+                # Every core lock is released, even if one release raises.
+                with ExitStack() as releases:
+                    for txn in self._core_txns:
+                        releases.callback(txn._release)
         finally:
             router._txn_depth -= 1
             if router._txn_depth == 0:
                 router._txn_owner = None
             router._lock.release()
+        redeem(owed)
+        return False
 
-    def _validate(self) -> list:
-        router = self.router
-        if not router._schema_changed_since_validation():
-            from repro.engine.incremental import MutationDelta, delta_violations
+    def _commit_cores(self) -> list:
+        """The outermost commit: unwind every core bracket's bookkeeping,
+        then run the store's commit tail once over the cores this
+        transaction wrote, checked against their merged delta.  Its log
+        stage is the single durable core's commit marker, or
+        :meth:`_commit` for two or more."""
+        merged = MutationDelta()
+        written = []
+        for txn in self._core_txns:
+            core = txn.store
+            undo = txn._unwind()
+            merged.merge(core._delta)
+            core._delta = txn._outer_delta
+            if undo:
+                written.append((core, undo))
+            elif core._wal is not None:
+                # Nothing to commit: close the bracket (abort and commit
+                # replay the same, since it holds no surviving operation).
+                core._abort_ticket = core._wal.abort_transaction()
+        durable = sum(core._wal is not None for core, _undo in written)
+        return ObjectStore._commit(
+            written,
+            merged,
+            self._check,
+            self._commit if durable > 1 else log_commit,
+        )
 
-            merged = MutationDelta()
-            for txn in self._core_txns:
-                delta = txn.store._delta
-                if delta is not None:
-                    merged.merge(delta)
-            return delta_violations(router, merged)
-        return router.audit()
+    def _check(self, delta) -> None:
+        if self.validate:
+            self.router._check_transaction(delta)
 
-    def _close_all(self, exc_type, exc, tb) -> None:
-        """Exit every core bracket with the given exception state."""
-        self._close(self._core_txns, exc_type, exc, tb)
+    def _commit(self, participants) -> list:
+        """Two-phase commit: the log stage of a transaction that wrote two
+        or more durable cores.  Every participant closes its bracket with a
+        flushed ``prepare``; once every prepare is durable, the
+        lowest-numbered participant durably logs the ``decide``; then each
+        participant logs a ``resolve``, durable before this returns (the
+        tail's checkpoint policy may fold the decide away).  Owes no ticket.
 
-    @staticmethod
-    def _close(txns, exc_type, exc, tb) -> None:
-        """Exit the given core brackets (all of them, even if one exit
-        raises — their writer locks must be released either way)."""
-        first: BaseException | None = None
-        for txn in reversed(txns):
-            try:
-                txn.__exit__(exc_type, exc, tb)
-            except BaseException as failure:  # keep closing the rest
-                if first is None:
-                    first = failure
-        if first is not None:
-            raise first
-
-    def _commit(self) -> None:
-        router = self.router
-        if not self._outer:
-            self._close_all(None, None, None)
-            return
-        durable = [
-            txn
-            for txn in self._core_txns
-            if txn.store._undo and txn.store._wal is not None
-        ]
-        if len(durable) < 2:
-            # Zero or one durable participant: the plain commit path is
-            # already atomic (empty brackets close without ever having
-            # written a begin marker).
-            self._close_all(None, None, None)
-            return
+        A failure before the decide was attempted resolves every prepared
+        participant as aborted — no decide can exist anywhere, so presumed
+        abort is sound.  After it, the decide's bytes may have reached the
+        coordinator's log, so the outcome belongs to recovery alone: every
+        prepared bracket stays in doubt on disk and its log is poisoned, so
+        nothing builds on a state the reopen may contradict.  Either way
+        the memory image is the tail's to undo."""
+        stores = [store for store, _undo in participants]
         gid = uuid.uuid4().hex
-        rest = [txn for txn in self._core_txns if txn not in durable]
         prepared: list = []
+        # Prepare tickets issued and not yet redeemed.
+        tickets: list = []
         decide_attempted = False
         try:
-            tickets = []
-            for txn in durable:
-                prepared.append(txn)
-                tickets.append((txn.store, txn.prepare_commit(gid)))
+            for store in stores:
+                prepared.append(store)
+                tickets.append((store, store._wal.prepare_transaction(gid)))
             # Every prepare marker durable before the decide: a decide
             # record must never outrun a participant's prepared ops.
-            for store, ticket in tickets:
-                if ticket is not None:
-                    store._wal.wait_durable(ticket)
-            coordinator = durable[0].store
+            while tickets:
+                store, ticket = tickets.pop(0)
+                store._await_durability(ticket)
+            coordinator = stores[0]._wal
             decide_attempted = True
-            coordinator._wal.log_decide(gid, True)
-            ticket = coordinator._wal.commit_flush()
+            coordinator.log_decide(gid, True)
+            ticket = coordinator.commit_flush()
             if ticket is not None:
-                coordinator._wal.wait_durable(ticket)
+                coordinator.wait_durable(ticket)
         except BaseException:
-            if not decide_attempted:
-                # No decide record can exist on any shard yet, so presumed
-                # abort is sound: logging resolve(False) merely settles
-                # what recovery would conclude from the silence anyway.
-                for txn in prepared:
-                    try:
-                        txn.store._wal.log_resolve(gid, False)
-                        txn.store._wal.commit_flush()
-                    except BaseException:
-                        pass  # presumed abort covers an unlogged resolve
-                    txn.finish_prepared(False)
-            else:
-                # The decide append was issued: its bytes may sit readably
-                # in the coordinator's log even though the commit point
-                # died, so recovery could legitimately find decide=commit.
-                # Durably aborting any participant now would split the
-                # transaction's outcome across shards.  The outcome belongs
-                # to recovery alone — leave every bracket in-doubt on disk,
-                # roll the memory image back, and fail-stop the
-                # participating shards so nothing can build on a state the
-                # reopen may contradict.
-                for txn in prepared:
-                    try:
-                        txn.store._wal.poison(
+            for store, ticket in tickets:
+                store._wal.abandon_ticket(ticket)
+            for store in prepared:
+                try:
+                    if decide_attempted:
+                        store._wal.poison(
                             "two-phase decide outcome unknown; "
                             "bracket is in-doubt until reopen"
                         )
-                    except BaseException:
-                        pass
-                    txn.finish_prepared(False)
-            abort = EngineError("two-phase commit aborted")
-            # Participants never reached by the prepare loop, plus the
-            # non-durable brackets, roll back the ordinary way.
-            self._close(
-                durable[len(prepared):] + rest, type(abort), abort, None
-            )
+                    else:
+                        store._wal.log_resolve(gid, False)
+                        store._wal.abandon_ticket(store._wal.commit_flush())
+                except BaseException:
+                    pass  # presumed abort covers an unlogged resolve
+            # Participants the prepare loop never reached abort their
+            # brackets the ordinary way.
+            for store in stores[len(prepared):]:
+                store._abort_ticket = store._wal.abort_transaction()
             raise
-        for txn in durable:
+        for store in stores:
             try:
-                txn.store._wal.log_resolve(gid, True)
-                ticket = txn.store._wal.commit_flush()
-                if ticket is not None:
-                    # Resolve durability before releasing: once every
-                    # participant's resolve is down, any later checkpoint
-                    # may safely fold the coordinator's decide away.
-                    txn.store._wal.wait_durable(ticket)
+                store._wal.log_resolve(gid, True)
+                store._await_durability(store._wal.commit_flush())
             except BaseException:
                 pass  # the durable decide already fixes the outcome
-            txn.finish_prepared(True)
-        router.two_phase_commits += 1
-        # Non-durable / untouched brackets commit trivially.  The per-core
-        # checkpoint policy is skipped on this path (prepared brackets
-        # bypass the normal commit exit); the next single-shard operation
-        # on a core triggers its checkpoint as usual.
-        self._close(rest, None, None, None)
+        self.router.two_phase_commits += 1
+        return [None] * len(stores)
 
 
 # ---------------------------------------------------------------------------

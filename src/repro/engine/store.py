@@ -14,6 +14,7 @@ from typing import Any
 from repro.constraints.evaluate import EvalContext
 from repro.engine.concurrency import ConcurrencyControl, Snapshot
 from repro.engine.faults import FaultInjector
+from repro.engine import incremental
 from repro.engine.incremental import ConstraintDependencyIndex, MutationDelta, check_delta
 from repro.engine.indexes import IndexManager, oid_sort_key
 from repro.engine.objects import DBObject, check_types
@@ -31,9 +32,10 @@ from repro.types.primitives import ClassRef
 
 class _Validation:
     """Validation helpers shared by :class:`ObjectStore` and the shard
-    router (:class:`~repro.engine.sharding.ShardedStore`).  The host class
-    provides ``schema``, ``explain``, ``_validated_fingerprint`` and
-    :meth:`audit` (a clean audit re-baselines the fingerprint)."""
+    router (:class:`~repro.engine.sharding.ShardedStore`), the check stages
+    of the commit tail among them.  The host class provides ``schema``,
+    ``enforce``, ``explain``, ``_validated_fingerprint`` and :meth:`audit`
+    (a clean audit re-baselines the fingerprint)."""
 
     def dependency_index(self):
         """The cached constraint-dependency index for this store's schema,
@@ -54,6 +56,41 @@ class _Validation:
         if violations:
             raise ConstraintViolation(
                 "full revalidation",
+                "; ".join(violation.describe() for violation in violations),
+                violations=violations,
+                cores=self._cores_for(violations),
+            )
+
+    def _check_op(self, delta: MutationDelta) -> None:
+        """The check stage of an auto-commit op (plain or routed): re-check
+        what the delta can have invalidated, fail-fast (fully, when there is
+        no validated baseline)."""
+        if not self.enforce:
+            return
+        if self._schema_changed_since_validation():
+            self._revalidate_fully()
+            return
+        check_delta(self, delta)
+
+    def _check_transaction(self, delta: "MutationDelta | None") -> None:
+        """The check stage of an outermost transaction (plain, or the
+        router's over the merged delta of every core): every violation the
+        delta can have caused — delta-driven when this store holds a
+        validated baseline for the current schema, a full audit otherwise
+        (a rebound constant can invalidate constraints with no data delta,
+        whether it changed mid-transaction or before).  Raises one
+        :class:`ConstraintViolation` naming them all, with conflict cores
+        extracted before the commit tail's undo destroys the violating
+        state they explain."""
+        if not self.enforce:
+            return
+        if delta is None or self._schema_changed_since_validation():
+            violations = self.audit()
+        else:
+            violations = incremental.delta_violations(self, delta)
+        if violations:
+            raise ConstraintViolation(
+                "transaction",
                 "; ".join(violation.describe() for violation in violations),
                 violations=violations,
                 cores=self._cores_for(violations),
@@ -188,8 +225,8 @@ class ObjectStore(_Validation):
         #: from under a nested transaction.
         self._undo_stack: list[dict] = []
         #: Group-commit ticket of the abort marker a rejected commit flushed
-        #: (see :meth:`_commit`); the transaction exit redeems it once the
-        #: writer lock is released.
+        #: (see :meth:`_commit`); the transaction exit (plain or the
+        #: router's) redeems it once the writer lock is released.
         self._abort_ticket: int | None = None
         #: Coarse writer lock: one mutator (or transaction) at a time.
         #: Reentrant, so transactions hold it across their operations.
@@ -383,8 +420,8 @@ class ObjectStore(_Validation):
             if self._deferred:
                 self._join_transaction(undo, delta)
                 return result
-            ticket = self._commit(undo, delta, self._check_op, self._log_op)
-        self._await_durability(ticket)
+            owed = self._commit(((self, undo),), delta, self._check_op, self._log_op)
+        redeem(owed)
         return result
 
     def _join_transaction(self, undo: dict, delta: MutationDelta) -> None:
@@ -489,22 +526,13 @@ class ObjectStore(_Validation):
             sorted(self._objects.items(), key=lambda item: oid_sort_key(item[0]))
         )
 
-    def _check_op(self, delta: MutationDelta) -> None:
-        """The check stage of an auto-commit op: re-check what the delta
-        can have invalidated, fail-fast (fully, when there is no validated
-        baseline)."""
-        if not self.enforce:
-            return
-        if self._schema_changed_since_validation():
-            self._revalidate_fully()
-            return
-        check_delta(self, delta)
-
-    def _log_op(self, undo: dict) -> "int | None":
-        """The log stage of an auto-commit op: its one unbracketed record,
-        then the commit-point flush."""
+    def _log_op(self, participants) -> list:
+        """The log stage of an auto-commit op on this store, its only
+        participant: its one unbracketed record, then the commit-point
+        flush."""
+        ((_store, undo),) = participants
         self._log_records(undo)
-        return self._wal.commit_flush()
+        return [self._wal.commit_flush()]
 
     def _log_records(self, undo: dict) -> None:
         """Write the record of a single staged op, read off its one-entry
@@ -518,44 +546,60 @@ class ObjectStore(_Validation):
             else:
                 self._wal.log_update(obj)
 
-    def _commit(self, undo: dict, delta: MutationDelta, check, log) -> "int | None":
-        """The one commit tail, run under the writer lock by auto-commit
-        ops and outermost transaction exits alike:
+    @staticmethod
+    def _commit(participants, delta, check, log) -> list:
+        """The one commit tail.  ``participants`` is a sequence of
+        ``(store, undo)`` pairs, each store's writer lock held: the store
+        itself for its auto-commit ops and outermost transaction exits; the
+        touched core for the shard router's routed ops, and every core it
+        wrote for a cross-shard transaction.  The stages:
 
         1. **check** — ``check(delta)`` raises on a violation (computing
            traces and cores first, while the violating state still
-           exists); everything is undone, any open log bracket is aborted,
-           and the failure propagates;
-        2. **log** — ``log(undo)`` writes and flushes the commit (on
-           durable stores); a failure means the commit's durable fate is
-           unknown, so everything is undone — memory never runs ahead of
-           the durable prefix;
-        3. **publish** — the touched set joins the snapshot history, so
-           snapshots only ever show commits the durable prefix can replay;
-        4. **checkpoint policy** — see :meth:`_wal_checkpoint_policy`.
+           exists); every participant is undone, its open log bracket (if
+           any) aborted, and the failure propagates;
+        2. **log** — ``log(durable)`` writes and flushes the commit on the
+           durable participants, returning one group-commit ticket each
+           (two-phase commit when the router passes several); a failure
+           means the commit's durable fate is unknown, so every participant
+           is undone — memory never runs ahead of the durable prefix;
+        3. **publish** — each touched set joins its store's snapshot
+           history, so snapshots only ever show commits the durable prefix
+           can replay;
+        4. **checkpoint policy** — per durable participant, see
+           :meth:`_wal_checkpoint_policy`.  It runs only once the log stage
+           returned, so after every two-phase ``resolve`` is durable: a
+           checkpoint may fold the coordinator's ``decide`` away.
 
-        Returns the group-commit ticket to redeem once the writer lock is
-        released (``None`` when no fsync is owed).  The abort marker's
-        ticket of a rejected commit is left in ``_abort_ticket``.
+        Returns the ``(store, ticket)`` pairs to :func:`redeem` once the
+        writer locks are released.  The abort markers' tickets of a
+        rejected commit are left in each participant's ``_abort_ticket``.
         """
         try:
             check(delta)
         except BaseException:
-            self._apply_undo(undo)
-            if self._wal is not None:
-                self._abort_ticket = self._wal.abort_transaction()
+            for store, undo in participants:
+                store._apply_undo(undo)
+                if store._wal is not None:
+                    store._abort_ticket = store._wal.abort_transaction()
             raise
-        ticket = None
-        if self._wal is not None:
+        durable = [pair for pair in participants if pair[0]._wal is not None]
+        tickets: "list | tuple" = ()
+        if durable:
             try:
-                ticket = log(undo)
+                tickets = log(durable)
             except BaseException:
-                self._apply_undo(undo)
+                for store, undo in participants:
+                    store._apply_undo(undo)
                 raise
-        self._publish(undo)
-        if self._wal is not None:
-            ticket = self._wal_checkpoint_policy(ticket)
-        return ticket
+        for store, undo in participants:
+            store._publish(undo)
+        # At most one ticket is ever owed (two-phase commit redeems its own
+        # before returning), so a failing policy can only abandon that one.
+        owed = []
+        for (store, _undo), ticket in zip(durable, tickets):
+            owed.append((store, store._wal_checkpoint_policy(ticket)))
+        return owed
 
     def _apply_undo(self, undo: dict) -> None:
         """Restore every touched object to its logged pre-image.
@@ -972,6 +1016,14 @@ class ObjectStore(_Validation):
         from repro.engine.transactions import Transaction
 
         return Transaction(self, validate=validate)
+
+
+def redeem(owed) -> None:
+    """Redeem the ``(store, ticket)`` pairs a commit owes.  Called with
+    every writer lock released, so concurrent committers batch into one
+    fsync."""
+    for store, ticket in owed:
+        store._await_durability(ticket)
 
 
 def check_registration(schema: DatabaseSchema) -> None:

@@ -38,6 +38,17 @@ transaction rolls back); an inner rollback restores the state and dirty set
 captured at the inner entry, so reverted operations neither leak into nor
 hide from the outer commit.
 
+Shard cores (:mod:`repro.engine.sharding`) run the same transactions,
+unvalidated, one per core under a router transaction.  Rollbacks and inner
+commits stay each core's own.  The router's outermost exit instead unwinds
+every core's bookkeeping (:meth:`Transaction._unwind`, the first step of
+every exit here too) and runs the commit tail once over the cores it
+wrote: checked against their merged delta, logged with :func:`log_commit`
+when at most one is durable and by two-phase commit — ``prepare`` on every
+participant, the coordinator's ``decide``, ``resolve`` on every
+participant — when several are.  Memory rollback stays the tail's either
+way.
+
 On durable stores each transaction also brackets the write-ahead log:
 ``begin`` at entry (written lazily with the first logged operation),
 ``commit`` or ``abort`` at exit.  Recovery applies an operation only once
@@ -61,7 +72,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.engine import incremental
-from repro.errors import ConstraintViolation
+from repro.engine.store import redeem
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.store import ObjectStore
@@ -80,9 +91,6 @@ class Transaction:
         self._outer_undo: dict | None = None
         self._outer_delta = None
         self._delta_mark = None
-        #: Undo log captured by :meth:`prepare_commit` for the 2PC decision
-        #: (:meth:`finish_prepared` publishes or rolls it back).
-        self._prepared_undo: dict | None = None
 
     def __enter__(self) -> "Transaction":
         store = self.store
@@ -117,38 +125,50 @@ class Transaction:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        store = self.store
-        ticket = None
+        owed: list = []
         try:
-            ticket = self._exit_locked(exc_type)
+            owed = self._exit_locked(exc_type)
         finally:
-            abort_ticket, store._abort_ticket = store._abort_ticket, None
-            store._lock.release()
-            if abort_ticket is not None:
-                # A rejected commit flushed an abort marker: redeem its
-                # ticket best-effort — recovery discards open and aborted
-                # brackets alike, so a failed fsync here must not mask the
-                # propagating violation.
-                try:
-                    store._await_durability(abort_ticket)
-                except Exception:
-                    pass
+            self._release()
         # The fsync wait happens with the writer lock released, so other
         # committers can append behind us and share one fsync.
-        store._await_durability(ticket)
+        redeem(owed)
         return False
 
-    def _exit_locked(self, exc_type) -> "int | None":
+    def _release(self) -> None:
+        """Release the writer lock taken at entry.  A rejected commit's
+        abort marker ticket is then redeemed best-effort — recovery
+        discards open and aborted brackets alike, so a failed fsync here
+        must not mask the propagating violation."""
+        store = self.store
+        abort_ticket, store._abort_ticket = store._abort_ticket, None
+        store._lock.release()
+        if abort_ticket is not None:
+            try:
+                store._await_durability(abort_ticket)
+            except Exception:
+                pass
+
+    def _unwind(self) -> dict:
+        """Pop this level's bookkeeping off the store — deferred flag and
+        undo stack — and return its undo log.  The first step of every
+        exit; the router's outermost exit runs it on each shard core before
+        committing the cores together."""
         store = self.store
         store._deferred = self._was_deferred
         store._undo_stack.pop()
         undo = store._undo
         store._undo = self._outer_undo
+        return undo
+
+    def _exit_locked(self, exc_type) -> list:
+        store = self.store
+        undo = self._unwind()
         if exc_type is not None:
             self._rollback(undo)
             if store._wal is not None:
-                return store._wal.abort_transaction()
-            return None
+                return [(store, store._wal.abort_transaction())]
+            return []
         if self._was_deferred:
             # Inner commit: the outermost transaction validates.  Merge the
             # undo log outward; the outer transaction's earlier pre-images
@@ -160,94 +180,17 @@ class Transaction:
                 # Close the log bracket; recovery merges our operations
                 # into the enclosing transaction's buffer the same way.
                 store._wal.commit_transaction()
-            return None
+            return []
         delta = store._delta
         store._delta = self._outer_delta
-        return store._commit(undo, delta, self._check, self._log_commit)
+        return store._commit(((store, undo),), delta, self._check, log_commit)
 
     def _check(self, delta) -> None:
-        """The check stage of an outermost commit: every violation the
-        delta can have caused — delta-driven when the store holds a
-        validated baseline for the current schema, a full audit otherwise
-        (a rebound constant can invalidate constraints with no data delta,
-        whether it changed mid-transaction or before).  Raises one
-        :class:`ConstraintViolation` naming them all, with conflict cores
-        extracted before the commit tail's undo destroys the violating
-        state they explain."""
-        store = self.store
-        if not (store.enforce and self.validate):
-            return
-        if delta is None or store._schema_changed_since_validation():
-            violations = store.audit()
-        else:
-            violations = incremental.delta_violations(store, delta)
-        if violations:
-            raise ConstraintViolation(
-                "transaction",
-                "; ".join(violation.describe() for violation in violations),
-                violations=violations,
-                cores=store._cores_for(violations),
-            )
-
-    def _log_commit(self, undo: dict) -> "int | None":
-        """The log stage of an outermost commit: close the bracket with a
-        flushed commit marker."""
-        return self.store._wal.commit_transaction()
-
-    # -- two-phase commit (router-driven) -----------------------------------------
-    #
-    # A cross-shard transaction cannot use the normal __exit__ commit: each
-    # shard core's WAL bracket must close with a *prepare* marker, stay
-    # undecided until every participant prepared, and only then learn its
-    # fate (see repro.engine.sharding).  The router drives that split
-    # life-cycle through the two methods below instead of __exit__; they are
-    # only valid on an outermost transaction of their store.
-
-    def prepare_commit(self, gid: str) -> "int | None":
-        """2PC phase 1: close this store's WAL bracket with a ``prepare``
-        marker for global transaction ``gid`` and flush it.
-
-        Transaction bookkeeping (deferred flag, undo stack, dirty set) is
-        unwound as on a normal commit, but the in-memory mutations stay
-        applied, nothing is published to snapshots, and the writer lock
-        stays held — :meth:`finish_prepared` completes or reverts once the
-        coordinator decides.  Validation is the router's job (these
-        transactions are created with ``validate=False``).  Returns the
-        group-commit ticket of the prepare flush, if any; if the flush
-        raises, the caller must still call ``finish_prepared(False)`` to
-        roll the memory image back and release the lock.
-        """
-        store = self.store
-        store._deferred = self._was_deferred
-        store._undo_stack.pop()
-        self._prepared_undo = store._undo
-        store._undo = self._outer_undo
-        store._delta = self._outer_delta
-        if store._wal is not None:
-            return store._wal.prepare_transaction(gid)
-        return None
-
-    def finish_prepared(self, ok: bool) -> None:
-        """2PC phase 3: apply the coordinator's decision to this store.
-
-        ``ok=True`` publishes the prepared mutations to the snapshot
-        history (they are already applied in memory and durably prepared);
-        ``ok=False`` rolls them back.  Releases the writer lock taken at
-        ``__enter__`` either way — the transaction is finished.  The
-        ``resolve`` WAL marker is the router's to write (it owns the
-        ordering against the coordinator's ``decide`` record).
-        """
-        store = self.store
-        try:
-            undo = self._prepared_undo
-            if undo is not None:
-                if ok:
-                    store._publish(undo)
-                else:
-                    store._apply_undo(undo)
-        finally:
-            self._prepared_undo = None
-            store._lock.release()
+        """The check stage of an outermost commit
+        (:meth:`~repro.engine.store._Validation._check_transaction`),
+        unless validation is off."""
+        if self.validate:
+            self.store._check_transaction(delta)
 
     def _rollback(self, undo: dict) -> None:
         store = self.store
@@ -259,3 +202,10 @@ class Transaction:
             store._delta = self._delta_mark
         else:
             store._delta = self._outer_delta
+
+
+def log_commit(participants) -> list:
+    """The log stage of an outermost commit with at most one durable
+    participant — a plain transaction, or a cross-shard one that wrote a
+    single durable core: close each bracket with a flushed commit marker."""
+    return [store._wal.commit_transaction() for store, _undo in participants]

@@ -740,10 +740,11 @@ Database constraints
   d_sum: (sum (collect x for x in Row) over v) < MAX
 """
 
-#: Summed in insertion order this is 0.0 (1e16 absorbs the 1.0); summed
-#: with the big terms cancelling first it is 1.0, which flips ``sum < MAX``.
+#: A float fold in insertion order gives 0.0 (1e16 absorbs the 1.0), one
+#: with the big terms cancelling first gives 1.0, which flips ``sum < MAX``;
+#: the exact sum every path computes is 1.0 whatever the order.
 FLOAT_ORDER = [(1e16, "a", 0), (1.0, "b", 0), (-1e16, "c", 1)]
-#: The converse: 1.0 in insertion order, 0.0 summed in sorted order.
+#: The converse: 1.0 folded in insertion order, 0.0 in sorted order.
 FLOAT_ORDER_SORTED_FLIPS = [(-1e16, "a", 0), (1e16, "b", 1), (1.0, "c", 0)]
 
 ROWS = st.lists(
@@ -813,12 +814,12 @@ def test_column_answered_probes_match_scan_semantics(rows, keep):
         ), constraint.name
 
 
-def test_columns_answer_only_plain_numbers_in_extent_order():
+def test_columns_answer_only_plain_numbers_exactly():
     store = columnlab_store(FLOAT_ORDER)
     view = FrozenView(store)
     everything = frozenset(obj.oid for obj in store.objects())
     probe = masked_context(view, everything, self_extent_class="Row").indexes
-    assert probe.aggregate_value("sum", "Row", "v") == 0.0  # not 1.0
+    assert probe.aggregate_value("sum", "Row", "v") == 1.0  # exact, not 0.0
     assert probe.aggregate_value("count", "Row", None) == 3
     assert probe.aggregate_value("sum", "Row", "s") is INDEX_MISS
     assert probe.aggregate_value("count", "Row", "tag") is INDEX_MISS

@@ -45,6 +45,25 @@ end Sub
 """
 
 
+#: A real attribute under a sum and an avg constraint, for full-range
+#: float histories: the running aggregate must stay exact through any mix
+#: of magnitudes, cancellations and removals.
+FLOATLAB_SOURCE = """
+Database FloatLab
+
+constants
+  CAP = 2
+
+Class Reading
+attributes
+  price : real
+class constraints
+  cc_sum: (sum (collect x for x in self) over price) < CAP
+  cc_avg: (avg (collect x for x in self) over price) < CAP
+end Reading
+"""
+
+
 def indexlab_schema():
     return parse_database(INDEXLAB_SOURCE)
 
@@ -245,6 +264,74 @@ class TestOracleEquivalence:
             assert verdict_indexed == verdict_oracle
             assert self._snapshot(indexed) == self._snapshot(oracle)
         assert_indexes_match_naive_scan(indexed)
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "update", "delete", "txn"]),
+                st.integers(min_value=0, max_value=40),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            max_size=10,
+        )
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_full_range_float_verdicts_and_states_match(self, ops):
+        stores = [
+            ObjectStore(parse_database(FLOATLAB_SOURCE)),
+            Oracle(parse_database(FLOATLAB_SOURCE)),
+        ]
+
+        def apply(store, kind, index, price, other):
+            extent = store.extent("Reading")
+            target = extent[index % len(extent)] if extent else None
+            try:
+                if kind == "insert" or target is None:
+                    store.insert("Reading", price=price)
+                elif kind == "update":
+                    store.update(target, price=price)
+                elif kind == "delete":
+                    store.delete(target)
+                else:
+                    with store.transaction():
+                        store.insert("Reading", price=price)
+                        store.update(target, price=other)
+            except ConstraintViolation:
+                return "rejected"
+            return None
+
+        for op in ops:
+            verdicts = [apply(store, *op) for store in stores]
+            assert verdicts[0] == verdicts[1]
+            assert self._snapshot(stores[0]) == self._snapshot(stores[1])
+
+    def test_exact_sum_survives_cancellation(self, tmp_path):
+        """A float running total drifts under removal: after inserting
+        -1e16 and 1.5 it read 2.0 once the -1e16 was deleted, rejecting a
+        delete the scan accepts.  The live store, the oracle and a reopened
+        store (which re-sums in another order) must all agree."""
+        durable = ObjectStore.open(tmp_path / "db", parse_database(FLOATLAB_SOURCE))
+        stores = [
+            ObjectStore(parse_database(FLOATLAB_SOURCE)),
+            Oracle(parse_database(FLOATLAB_SOURCE)),
+            durable,
+        ]
+        for store in stores:
+            big = store.insert("Reading", price=-1e16)
+            store.insert("Reading", price=1.5)
+            store.delete(big)
+            assert [obj.state["price"] for obj in store.extent("Reading")] == [1.5]
+        assert stores[0]._indexes.aggregate_value("sum", "Reading", "price") == 1.5
+        durable.close()
+        reopened = ObjectStore.open(tmp_path / "db")
+        assert reopened._indexes.aggregate_value("sum", "Reading", "price") == 1.5
+        for store in (stores[0], stores[1], reopened):
+            with pytest.raises(ConstraintViolation, match="cc_sum"):
+                store.insert("Reading", price=0.5)
+            store.insert("Reading", price=0.25)
+            assert store.audit() == []
+        reopened.close()
 
     def test_invalidated_aggregate_falls_back_to_scan_semantics(self):
         """An aggregate over a non-numeric attribute cannot be maintained;

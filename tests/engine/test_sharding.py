@@ -15,6 +15,7 @@ clean.
 """
 
 import json
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +97,24 @@ end Right
 
 Database constraints
   db_cover: forall l in Left exists r in Right | r.tag = l.tag
+"""
+
+
+#: One real-valued class under a sum and an avg constraint: spread, both
+#: are mergeable aggregates the router answers from per-core partials.
+FLOATLAB_SOURCE = """
+Database FloatLab
+
+constants
+  CAP = 2
+
+Class Meter
+attributes
+  level : real
+class constraints
+  cc_sum: (sum (collect m for m in self) over level) < CAP
+  cc_avg: (avg (collect m for m in self) over level) < CAP
+end Meter
 """
 
 
@@ -401,6 +420,27 @@ _OPS = st.one_of(
     st.tuples(st.just("constant"), st.integers(5, 2000)),
 )
 _HISTORIES = st.lists(_OPS, max_size=25)
+_LEVELS = st.floats(allow_nan=False, allow_infinity=False)
+_FLOAT_SINGLE_OPS = st.one_of(
+    st.tuples(
+        st.just("insert"), st.just("Meter"), st.fixed_dictionaries({"level": _LEVELS})
+    ),
+    st.tuples(
+        st.just("update"), st.integers(0, 30), st.fixed_dictionaries({"level": _LEVELS})
+    ),
+    st.tuples(st.just("delete"), st.integers(0, 30)),
+)
+_FLOAT_HISTORIES = st.lists(
+    st.one_of(
+        _FLOAT_SINGLE_OPS,
+        st.tuples(
+            st.just("txn"),
+            st.lists(_FLOAT_SINGLE_OPS, min_size=1, max_size=4),
+            st.booleans(),
+        ),
+    ),
+    max_size=25,
+)
 
 
 class TestEquivalence:
@@ -421,6 +461,18 @@ class TestEquivalence:
         plain = ObjectStore(shardlab_schema())
         sharded = ShardedStore(
             parse_database(SHARDLAB_SOURCE), 4, spread=("Gauge",)
+        )
+        plain_trace = _apply_history(plain, ops)
+        sharded_trace = _apply_history(sharded, ops)
+        _assert_equivalent(plain, plain_trace, sharded, sharded_trace)
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    @settings(max_examples=40, deadline=None)
+    @given(ops=_FLOAT_HISTORIES)
+    def test_full_range_float_aggregates_match_plain_store(self, shards, ops):
+        plain = ObjectStore(parse_database(FLOATLAB_SOURCE))
+        sharded = ShardedStore(
+            parse_database(FLOATLAB_SOURCE), shards, spread=("Meter",)
         )
         plain_trace = _apply_history(plain, ops)
         sharded_trace = _apply_history(sharded, ops)
@@ -522,6 +574,83 @@ class TestDurableSharding:
         assert all_kinds.count("decide") == 1
         assert all_kinds.count("resolve") == 2
 
+    def test_two_phase_history_runs_the_checkpoint_policy(self, tmp_path):
+        store = ShardedStore.open(
+            tmp_path, shardlab_schema(), 2, checkpoint_every=20
+        )
+        for i in range(60):
+            with store.transaction():
+                store.insert("Alpha", name=f"a{i}", score=0)
+                store.insert("Beta", label=f"b{i}", value=i)
+        assert store.two_phase_commits == 60
+        for core in store.cores:
+            assert core.wal.pending_records < 20
+        live = {obj.oid: dict(obj.state) for obj in store.objects()}
+        store.close()
+        reopened = ShardedStore.open(tmp_path)
+        assert {obj.oid: dict(obj.state) for obj in reopened.objects()} == live
+        reopened.close()
+
+    def test_checkpoint_waits_for_another_threads_transaction(self, tmp_path):
+        store = ShardedStore.open(tmp_path, shardlab_schema(), 2)
+        entered, release = threading.Event(), threading.Event()
+        outcome = []
+
+        def writer():
+            with store.transaction():
+                store.insert("Alpha", name="a1", score=1)
+                entered.set()
+                release.wait(10)
+
+        def checkpointer():
+            try:
+                store.checkpoint()
+                outcome.append("done")
+            except EngineError as exc:
+                outcome.append(exc)
+
+        threads = [threading.Thread(target=writer)]
+        threads[0].start()
+        assert entered.wait(10)
+        threads.append(threading.Thread(target=checkpointer))
+        threads[1].start()
+        threads[1].join(0.2)
+        assert outcome == []  # waiting for the writer, not refused
+        release.set()
+        for thread in threads:
+            thread.join(10)
+        assert outcome == ["done"]
+        for core in store.cores:
+            assert core.wal.pending_records == 0
+        # The writer's own thread is still refused inside its transaction.
+        with store.transaction():
+            with pytest.raises(EngineError, match="inside a transaction"):
+                store.checkpoint()
+        store.close()
+
+    def test_routed_op_logs_like_a_plain_op(self, tmp_path):
+        store = ShardedStore.open(tmp_path, crossdb_schema(), 2)
+        with store.transaction():
+            store.insert("Left", tag=1)
+            store.insert("Right", tag=1)
+        right = store.cores[store.placement["Right"]]
+
+        def pending():
+            return [core.wal.pending_records for core in store.cores]
+
+        before = pending()
+        routed = store.routed_global_ops
+        store.insert("Right", tag=2)
+        assert store.routed_global_ops == routed + 1
+        expected = list(before)
+        expected[store.cores.index(right)] += 1
+        assert pending() == expected
+        with pytest.raises(ConstraintViolation, match="db_cover"):
+            store.insert("Left", tag=9)
+        assert store.routed_global_ops == routed + 2
+        assert pending() == expected
+        store.close()
+
     def test_single_shard_touch_skips_two_phase(self, tmp_path):
         store = ShardedStore.open(tmp_path, shardlab_schema(), 2)
         with store.transaction():
@@ -592,6 +721,122 @@ class TestDurableSharding:
         for shard in range(2):
             report = fsck(shard_directory(tmp_path, shard))
             assert report.exit_code == 0
+
+
+# ---------------------------------------------------------------------------
+# commit shapes: every router commit fails like a plain store's
+# ---------------------------------------------------------------------------
+
+
+def _commit_case(store, shape, accepted, mark=lambda: None):
+    """One commit of ``shape`` on a CrossDB store (Left on shard 0, Right on
+    shard 1; ``db_cover`` spans both).  ``mark`` runs right before the
+    commit's first log append: the routed op's record, the one-core
+    transaction's commit marker, the cross-shard transaction's prepare on
+    Right's shard."""
+    if shape == "routed":
+        mark()
+        if accepted:
+            store.insert("Right", tag=3)
+        else:
+            store.insert("Left", tag=9)
+    elif shape == "one-core":
+        with store.transaction():
+            cls = "Right" if accepted else "Left"
+            store.insert(cls, tag=4)
+            store.insert(cls, tag=5)
+            mark()
+    else:
+        with store.transaction():
+            store.insert("Left", tag=2 if accepted else 7)
+            store.insert("Right", tag=6)
+            mark()
+
+
+def _commit_case_setup(store):
+    with store.transaction():
+        store.insert("Left", tag=1)
+        store.insert("Right", tag=1)
+    store.insert("Right", tag=2)
+
+
+def _core_views(store):
+    """Each core's contents in its object order and extent order."""
+    return [
+        (
+            [(obj.oid, dict(obj.state)) for obj in core.objects()],
+            {
+                name: [obj.oid for obj in core.extent(name)]
+                for name in ("Left", "Right")
+            },
+        )
+        for core in store.cores
+    ]
+
+
+def _merged_view(reader):
+    return {
+        name: [(obj.oid, dict(obj.state)) for obj in reader.extent(name)]
+        for name in ("Left", "Right")
+    }
+
+
+@pytest.mark.faults
+class TestCommitShapes:
+    """A routed op, a transaction that wrote one durable core and a
+    two-phase one all commit through the store's one commit tail, so each
+    fails — constraint reject or log failure — exactly like a plain store:
+    every core as before, and the next accepted commit goes through."""
+
+    @pytest.mark.parametrize("failure", ("reject", "wal.append"))
+    @pytest.mark.parametrize("shape", ("routed", "one-core", "two-phase"))
+    def test_failed_commit_leaves_every_shard_unchanged(
+        self, tmp_path, shape, failure
+    ):
+        def open_store(root, at):
+            injector = FaultInjector([FaultSpec("wal.append", "io_error", at=at)])
+            return injector, ShardedStore.open(
+                root, crossdb_schema(), 2, sync=True, faults={1: injector}
+            )
+
+        # A probe run of the same history counts Right's shard's appends up
+        # to the commit, so the real run fails exactly its first append.
+        injector, probe = open_store(tmp_path / "probe", 10**6)
+        _commit_case_setup(probe)
+        crossing = []
+        _commit_case(
+            probe, shape, True, lambda: crossing.append(injector.hits("wal.append"))
+        )
+        probe.close()
+        if failure == "reject":
+            crossing = [10**6]
+        _injector, store = open_store(tmp_path / "db", crossing[0])
+        _commit_case_setup(store)
+        cores, merged = _core_views(store), _merged_view(store)
+        with store.snapshot() as snap:
+            with pytest.raises(ConstraintViolation if failure == "reject" else OSError):
+                _commit_case(store, shape, failure != "reject")
+            assert _core_views(store) == cores
+            assert _merged_view(snap) == merged
+            with store.snapshot() as fresh:
+                assert _merged_view(fresh) == merged
+            assert store.audit() == []
+            if failure == "reject":
+                _commit_case(store, shape, True)
+                assert _merged_view(snap) == merged
+                assert _merged_view(store) != merged
+        live = _merged_view(store)
+        store.close()
+        reopened = ShardedStore.open(tmp_path / "db")
+        assert _merged_view(reopened) == live
+        if failure != "reject":
+            # The failed commit is gone after recovery too, and the
+            # reopened store commits it normally.
+            assert live == merged
+            _commit_case(reopened, shape, True)
+            assert _merged_view(reopened) != merged
+        assert reopened.audit() == []
+        reopened.close()
 
 
 # ---------------------------------------------------------------------------
@@ -818,6 +1063,18 @@ class TestRouting:
         before = store.routed_global_ops
         store.insert("Right", tag=2)
         assert store.routed_global_ops == before + 1
+
+    def test_one_shard_routes_like_many(self):
+        store = ShardedStore(shardlab_schema(), 1)
+        # No validated baseline yet: the first op is routed, and its full
+        # revalidation re-baselines, so the next one takes the fast path.
+        store.insert("Alpha", name="a1", score=1)
+        assert (store.routed_global_ops, store.fast_path_ops) == (1, 0)
+        store.insert("Alpha", name="a2", score=2)
+        assert (store.routed_global_ops, store.fast_path_ops) == (1, 1)
+        store.set_constant("CAP", 500)
+        store.insert("Alpha", name="a3", score=3)
+        assert (store.routed_global_ops, store.fast_path_ops) == (2, 1)
 
     def test_len_contains_get_across_shards(self):
         store = ShardedStore(shardlab_schema(), 2)
