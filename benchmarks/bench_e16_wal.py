@@ -1,9 +1,9 @@
 """E16 — durability: WAL write-through overhead and crash-recovery time.
 
 PR 4 adds the durability subsystem (:mod:`repro.engine.wal`): every accepted
-mutation appends a CRC-framed JSON record to a write-ahead log, transactions
-bracket their records with begin/commit/abort markers, and
-``ObjectStore.open`` recovers snapshot + committed log tail.  This benchmark
+commit appends its touched set's post-images to a write-ahead log as one
+CRC-framed JSON record, and ``ObjectStore.open`` recovers snapshot +
+committed log tail.  This benchmark
 records what durability costs and how recovery scales:
 
 * ``commit overhead`` — a single-update transaction commit with the WAL

@@ -18,7 +18,7 @@ benchmark records what concurrent serving actually delivers:
   must keep its immediate-fsync latency.
 * ``recovery with schema change`` — crash recovery replays post-checkpoint
   ``set_constant`` schema records *and* restores exactly the committed
-  prefix (an uncommitted transaction tail is discarded), flagging schema
+  prefix (an open transaction's work never reaches the log), flagging schema
   drift for ``repro recover``.
 
 Store sizes via ``e17_size`` (10³ with ``--quick``, plus 10⁴ full).
@@ -271,9 +271,9 @@ def test_e17_recovery_replays_schema_changes(benchmark, tmp_path):
         ourprice=45.0,
     )
     committed = len(store)
-    # Crash mid-transaction: enter a transaction, log an operation, then
-    # abandon the process image without ever reaching __exit__ — the open
-    # bracket must be discarded (and truncated) by recovery.
+    # Crash mid-transaction: enter a transaction, stage an operation, then
+    # abandon the process image without ever reaching __exit__ — nothing
+    # of the open transaction was logged, so recovery must not see it.
     txn = store.transaction()
     txn.__enter__()
     store.insert(

@@ -239,7 +239,7 @@ def _run_fsck(args: argparse.Namespace) -> int:
     if not directories:
         print(f"{root}: no shard directories to scrub", file=sys.stderr)
         return 2
-    # Per-shard deep audits would resolve in-doubt two-phase brackets
+    # Per-shard deep audits would resolve in-doubt two-phase prepares
     # without the other shards' decide records, so the scrub stays
     # per-directory and the deep audit (if asked) opens the store whole.
     worst = max(
@@ -380,7 +380,7 @@ def _stress_shard_source(classes: int) -> str:
     """A TM schema of ``classes`` reference-free classes, one per shard:
     the placement planner pins ``S<i>`` to shard ``i``, so single-object
     commits are shard-local and multi-class transactions exercise the
-    two-phase bracket."""
+    two-phase commit."""
     parts = ["Database StressShards\n"]
     for index in range(classes):
         parts.append(
@@ -444,7 +444,7 @@ def _run_sharded_stress(args: argparse.Namespace) -> int:
         ) from exc
     # The merged object table orders by insertion counter then shard, so
     # adjacent targets live on different shards — the cross-shard step
-    # below pairs neighbours to guarantee a two-phase bracket.
+    # below pairs neighbours to guarantee a two-phase commit.
     targets = [obj.oid for obj in store.objects()]
     if not targets:
         store.close()
@@ -794,7 +794,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="treat DIRECTORY as a sharded store root: scrub every shard "
         "directory and exit with the worst severity (with --deep, the "
-        "audit opens the store whole so in-doubt two-phase brackets "
+        "audit opens the store whole so in-doubt two-phase prepares "
         "resolve against every shard's log)",
     )
 

@@ -26,9 +26,9 @@ Three pieces cooperate:
   and check only the affected constraints.
 
 The same delta discipline underpins durability: on a durable store every
-operation a delta records is also written through to the write-ahead log
-(:mod:`repro.engine.wal`), bracketed by the transaction markers that mirror
-the undo-log merge, and a recovered store re-enters this module's contract
+accepted commit writes the net effect of the touched set its delta
+describes to the write-ahead log (:mod:`repro.engine.wal`) as one redo
+record, and a recovered store re-enters this module's contract
 by taking a fresh full-validation baseline (a clean
 :meth:`~repro.engine.store.ObjectStore.audit` re-baselines the schema
 fingerprint, after which checking is delta-driven again).

@@ -45,16 +45,16 @@ a dict lookup.  Operations affecting cross-shard constraints quiesce every
 core, stage on their core and commit through the tail with the router's
 check of the merged view.  A transaction commits the cores it wrote through
 the tail once, checked against their merged delta.  Its log stage is data:
-the single durable core's commit marker, or, for two or more durable
-cores, two-phase-commit brackets across the shard WALs (see
-:mod:`repro.engine.wal`): every participant flushes a ``prepare`` marker,
-the lowest-numbered participant durably logs the ``decide`` record, and each
-participant settles with a ``resolve`` marker.  Recovery feeds every shard's
+the single durable core's redo record, or, for two or more durable cores,
+two-phase commit across the shard WALs (see :mod:`repro.engine.wal`): every
+participant flushes its redo set as a ``prepare`` record, the
+lowest-numbered participant durably logs the ``decide`` record, and each
+participant settles with a ``resolve`` record.  Recovery feeds every shard's
 decided outcomes back to the others (presumed abort for gids no log
-decided), so a crash between markers never commits a transaction on one
+decided), so a crash between records never commits a transaction on one
 shard and discards it on another.  On ``sync=False`` stores this atomicity
 is exactly as best-effort as single-store durability: the ordering of
-cross-file OS writeback is not controlled, only the marker ordering within
+cross-file OS writeback is not controlled, only the record ordering within
 each log.
 """
 
@@ -80,7 +80,6 @@ from repro.engine.store import (
     check_registration,
     redeem,
 )
-from repro.engine.transactions import log_commit
 from repro.engine.wal import load_image
 from repro.errors import (
     ConstraintViolation,
@@ -360,8 +359,8 @@ class ShardedStore(_Validation):
 
     Every write commits through the store's one commit tail
     (:meth:`ObjectStore._commit`); cross-shard *transactions* that wrote
-    to several durable shards log atomically via two-phase-commit brackets
-    across the shard WALs; see the module docstring for the protocol and
+    to several durable shards log atomically via two-phase commit across
+    the shard WALs; see the module docstring for the protocol and
     its ``sync=False`` caveat.
     """
 
@@ -748,7 +747,7 @@ class ShardedStore(_Validation):
             delta = MutationDelta()
             result = stage(undo, delta, *args)
             owed = ObjectStore._commit(
-                ((core, undo),), delta, self._check_op, core._log_op
+                ((core, undo),), delta, self._check_op, ObjectStore._log_commit
             )
         redeem(owed)
         return result
@@ -772,12 +771,11 @@ class ShardedStore(_Validation):
     def transaction(self, validate: bool = True) -> "_ShardedTransaction":
         """A deferred-validation transaction spanning all shards.
 
-        Opens an unvalidated bracket on every core (empty brackets cost
-        nothing — begin markers are written lazily with a bracket's first
-        operation); operations inside route by placement with no per-op
-        enforcement.  At exit the router validates the merged delta and
-        either rolls every bracket back or commits — atomically across the
-        durable shards that were written, via two-phase commit when there
+        Opens an unvalidated transaction on every core (a core it leaves
+        unwritten logs nothing); operations inside route by placement with
+        no per-op enforcement.  At exit the router validates the merged
+        delta and either rolls every core back or commits — atomically
+        across the durable shards that were written, via two-phase commit when there
         is more than one.  Nested transactions nest per core, exactly like
         the plain store's."""
         return _ShardedTransaction(self, validate=validate)
@@ -810,7 +808,7 @@ class ShardedStore(_Validation):
 
         Recovery first loads every shard's log image to pool the decided
         outcomes of two-phase commits, then recovers each core with that
-        pool as its in-doubt ``resolutions`` — a bracket prepared on one
+        pool as its in-doubt ``resolutions`` — a transaction prepared on one
         shard commits iff *some* shard's log holds its durable ``decide``,
         and is discarded otherwise (presumed abort).  The schema is parsed
         once (from shard 0's image) and shared by every core.  With
@@ -1097,7 +1095,7 @@ class _ShardedTransaction:
                 # Every core lock is released, even if one release raises.
                 with ExitStack() as releases:
                     for txn in self._core_txns:
-                        releases.callback(txn._release)
+                        releases.callback(txn.store._lock.release)
         finally:
             router._txn_depth -= 1
             if router._txn_depth == 0:
@@ -1110,7 +1108,7 @@ class _ShardedTransaction:
         """The outermost commit: unwind every core bracket's bookkeeping,
         then run the store's commit tail once over the cores this
         transaction wrote, checked against their merged delta.  Its log
-        stage is the single durable core's commit marker, or
+        stage is the single durable core's redo record, or
         :meth:`_commit` for two or more."""
         merged = MutationDelta()
         written = []
@@ -1121,16 +1119,12 @@ class _ShardedTransaction:
             core._delta = txn._outer_delta
             if undo:
                 written.append((core, undo))
-            elif core._wal is not None:
-                # Nothing to commit: close the bracket (abort and commit
-                # replay the same, since it holds no surviving operation).
-                core._abort_ticket = core._wal.abort_transaction()
         durable = sum(core._wal is not None for core, _undo in written)
         return ObjectStore._commit(
             written,
             merged,
             self._check,
-            self._commit if durable > 1 else log_commit,
+            self._commit if durable > 1 else ObjectStore._log_commit,
         )
 
     def _check(self, delta) -> None:
@@ -1139,8 +1133,8 @@ class _ShardedTransaction:
 
     def _commit(self, participants) -> list:
         """Two-phase commit: the log stage of a transaction that wrote two
-        or more durable cores.  Every participant closes its bracket with a
-        flushed ``prepare``; once every prepare is durable, the
+        or more durable cores.  Every participant flushes its redo set as a
+        ``prepare`` record; once every prepare is durable, the
         lowest-numbered participant durably logs the ``decide``; then each
         participant logs a ``resolve``, durable before this returns (the
         tail's checkpoint policy may fold the decide away).  Owes no ticket.
@@ -1149,7 +1143,7 @@ class _ShardedTransaction:
         participant as aborted — no decide can exist anywhere, so presumed
         abort is sound.  After it, the decide's bytes may have reached the
         coordinator's log, so the outcome belongs to recovery alone: every
-        prepared bracket stays in doubt on disk and its log is poisoned, so
+        prepare stays in doubt on disk and its log is poisoned, so
         nothing builds on a state the reopen may contradict.  Either way
         the memory image is the tail's to undo."""
         stores = [store for store, _undo in participants]
@@ -1159,10 +1153,13 @@ class _ShardedTransaction:
         tickets: list = []
         decide_attempted = False
         try:
-            for store in stores:
+            for store, undo in participants:
                 prepared.append(store)
-                tickets.append((store, store._wal.prepare_transaction(gid)))
-            # Every prepare marker durable before the decide: a decide
+                ticket = store._wal.prepare_transaction(
+                    gid, store._redo(undo), store._oid_seq
+                )
+                tickets.append((store, ticket))
+            # Every prepare record durable before the decide: a decide
             # record must never outrun a participant's prepared ops.
             while tickets:
                 store, ticket = tickets.pop(0)
@@ -1181,17 +1178,13 @@ class _ShardedTransaction:
                     if decide_attempted:
                         store._wal.poison(
                             "two-phase decide outcome unknown; "
-                            "bracket is in-doubt until reopen"
+                            "prepare is in-doubt until reopen"
                         )
                     else:
                         store._wal.log_resolve(gid, False)
                         store._wal.abandon_ticket(store._wal.commit_flush())
                 except BaseException:
                     pass  # presumed abort covers an unlogged resolve
-            # Participants the prepare loop never reached abort their
-            # brackets the ordinary way.
-            for store in stores[len(prepared):]:
-                store._abort_ticket = store._wal.abort_transaction()
             raise
         for store in stores:
             try:

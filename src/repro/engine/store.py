@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import os
 import shutil
 import tempfile
@@ -144,9 +145,10 @@ class ObjectStore(_Validation):
 
     With ``wal`` set (a directory path or a pre-configured
     :class:`~repro.engine.wal.WriteAheadLog`) the store is *durable*: every
-    accepted mutation writes through to an append-only log, transactions
-    bracket their operations with begin/commit/abort markers, and periodic
-    snapshot checkpoints bound the log.  :meth:`ObjectStore.open` recovers
+    accepted commit — an auto-commit op or an outermost transaction —
+    appends its touched set's post-images to an append-only log as one redo
+    record, rejected and aborted work writes nothing, and periodic snapshot
+    checkpoints bound the log.  :meth:`ObjectStore.open` recovers
     such a directory after a crash or restart.  ``wal=None`` honours the
     ``REPRO_WAL`` environment toggle (a throwaway log under a temp
     directory, so an unmodified test suite exercises the write-through
@@ -224,10 +226,6 @@ class ObjectStore(_Validation):
         #: a same-thread :meth:`snapshot` reconstruct the committed state
         #: from under a nested transaction.
         self._undo_stack: list[dict] = []
-        #: Group-commit ticket of the abort marker a rejected commit flushed
-        #: (see :meth:`_commit`); the transaction exit (plain or the
-        #: router's) redeems it once the writer lock is released.
-        self._abort_ticket: int | None = None
         #: Coarse writer lock: one mutator (or transaction) at a time.
         #: Reentrant, so transactions hold it across their operations.
         self._lock = threading.RLock()
@@ -411,8 +409,8 @@ class ObjectStore(_Validation):
         recording its pre-image in a one-entry undo log and its effect in a
         delta of its own.  Outside a transaction the op then commits through
         :meth:`_commit`, exactly like an outermost transaction; inside one
-        its record joins the open log bracket and its undo entry and delta
-        join the transaction's, whose outermost commit checks them."""
+        its undo entry and delta join the transaction's, whose outermost
+        commit checks and logs them."""
         undo: dict[str, tuple[DBObject, dict] | None] = {}
         delta = MutationDelta()
         with self._lock:
@@ -420,22 +418,16 @@ class ObjectStore(_Validation):
             if self._deferred:
                 self._join_transaction(undo, delta)
                 return result
-            owed = self._commit(((self, undo),), delta, self._check_op, self._log_op)
+            owed = self._commit(
+                ((self, undo),), delta, self._check_op, self._log_commit
+            )
         redeem(owed)
         return result
 
     def _join_transaction(self, undo: dict, delta: MutationDelta) -> None:
-        """Hand a staged op to the enclosing transaction: write its record
-        into the open log bracket (a failed write undoes the op, so memory
-        never runs ahead of the log), then fold its pre-image into the
-        transaction's undo log (first touch wins) and its delta into the
-        transaction's dirty set."""
-        if self._wal is not None:
-            try:
-                self._log_records(undo)
-            except BaseException:
-                self._apply_undo(undo)
-                raise
+        """Hand a staged op to the enclosing transaction: fold its
+        pre-image into the transaction's undo log (first touch wins) and
+        its delta into the transaction's dirty set."""
         for oid, entry in undo.items():
             self._undo.setdefault(oid, entry)
         if self._delta is not None:
@@ -514,37 +506,53 @@ class ObjectStore(_Validation):
 
     # -- enforcement --------------------------------------------------------------------
 
-    def _restore_object_order(self) -> None:
-        """Re-sort ``_objects`` into insertion order after a removed object
-        was re-registered (which appends at the end of the dict).  Engine
-        oids embed the global insertion counter (``Class#N``), so the order
-        is recoverable without a snapshot.  The key is the same
-        ``(counter, oid)`` pair the extent indexes sort by, so ``objects()``
-        and every extent agree on one deterministic order even when a
-        counter cannot be parsed."""
-        self._objects = dict(
-            sorted(self._objects.items(), key=lambda item: oid_sort_key(item[0]))
-        )
+    def _restore_object_order(self, resurrected: int) -> None:
+        """Move the last ``resurrected`` entries of ``_objects`` — removed
+        objects a rollback re-registered, which appends at the end of the
+        dict — back to their insertion-order positions.  Engine oids embed
+        the insertion counter (``Class#N``), so the order is recoverable
+        without a snapshot.  The key is the same ``(counter, oid)`` pair the
+        extent indexes sort by, so ``objects()`` and every extent agree on
+        one deterministic order even when a counter cannot be parsed.  The
+        rest of the table is already in that order, so each entry is placed
+        by bisection: O(k log n) keys and one dict rebuild, not a re-sort of
+        all n entries."""
+        items = list(self._objects.items())
+        ordered = items[:-resurrected]
+        for item in items[-resurrected:]:
+            bisect.insort(ordered, item, key=_item_sort_key)
+        self._objects = dict(ordered)
 
-    def _log_op(self, participants) -> list:
-        """The log stage of an auto-commit op on this store, its only
-        participant: its one unbracketed record, then the commit-point
-        flush."""
-        ((_store, undo),) = participants
-        self._log_records(undo)
-        return [self._wal.commit_flush()]
+    @staticmethod
+    def _log_commit(participants) -> list:
+        """The log stage of a commit with at most one durable participant
+        (an auto-commit op, a routed op, a plain transaction, or a
+        cross-shard one that wrote a single durable core): each
+        participant's redo set as one flushed ``commit`` record.  A
+        participant with an empty undo log writes nothing."""
+        return [
+            store._wal.commit_transaction(store._redo(undo), store._oid_seq)
+            if undo
+            else None
+            for store, undo in participants
+        ]
 
-    def _log_records(self, undo: dict) -> None:
-        """Write the record of a single staged op, read off its one-entry
-        undo log and the live store."""
+    def _redo(self, undo: dict) -> list[dict]:
+        """The redo entries of a committed touched set, read off its undo
+        log and the live store: a post-image per surviving touched object,
+        a ``delete`` for one that existed before, and nothing for an object
+        inserted and deleted inside the commit."""
+        ops = []
         for oid, entry in undo.items():
             obj = self._objects.get(oid)
             if obj is None:
-                self._wal.log_delete(oid)
+                if entry is not None:
+                    ops.append(self._wal.log_delete(oid))
             elif entry is None:
-                self._wal.log_insert(obj)
+                ops.append(self._wal.log_insert(obj))
             else:
-                self._wal.log_update(obj)
+                ops.append(self._wal.log_update(obj))
+        return ops
 
     @staticmethod
     def _commit(participants, delta, check, log) -> list:
@@ -556,10 +564,10 @@ class ObjectStore(_Validation):
 
         1. **check** — ``check(delta)`` raises on a violation (computing
            traces and cores first, while the violating state still
-           exists); every participant is undone, its open log bracket (if
-           any) aborted, and the failure propagates;
-        2. **log** — ``log(durable)`` writes and flushes the commit on the
-           durable participants, returning one group-commit ticket each
+           exists); every participant is undone and the failure
+           propagates, with nothing logged;
+        2. **log** — ``log(durable)`` writes each durable participant's
+           redo set and flushes, returning one group-commit ticket each
            (two-phase commit when the router passes several); a failure
            means the commit's durable fate is unknown, so every participant
            is undone — memory never runs ahead of the durable prefix;
@@ -572,16 +580,13 @@ class ObjectStore(_Validation):
            checkpoint may fold the coordinator's ``decide`` away.
 
         Returns the ``(store, ticket)`` pairs to :func:`redeem` once the
-        writer locks are released.  The abort markers' tickets of a
-        rejected commit are left in each participant's ``_abort_ticket``.
+        writer locks are released.
         """
         try:
             check(delta)
         except BaseException:
             for store, undo in participants:
                 store._apply_undo(undo)
-                if store._wal is not None:
-                    store._abort_ticket = store._wal.abort_transaction()
             raise
         durable = [pair for pair in participants if pair[0]._wal is not None]
         tickets: "list | tuple" = ()
@@ -618,7 +623,7 @@ class ObjectStore(_Validation):
         re-counts its own reference slots, in whichever order the undo log
         replays the touched objects.
         """
-        resurrected = False
+        resurrected = 0
         for oid, entry in undo.items():
             if entry is None:
                 if oid in self._objects:
@@ -631,10 +636,10 @@ class ObjectStore(_Validation):
                     obj.state = state
                 else:
                     obj.state = state
-                    resurrected = True
+                    resurrected += 1
                     self._attach(obj)
         if resurrected:
-            self._restore_object_order()
+            self._restore_object_order(resurrected)
 
     def audit(self) -> list:
         """Validate the entire store; returns structured
@@ -697,11 +702,10 @@ class ObjectStore(_Validation):
     ) -> "ObjectStore":
         """Open the durable store at ``path``, recovering existing state.
 
-        When the directory holds a snapshot, recovery replays it plus the
-        committed tail of the write-ahead log (uncommitted transaction
-        tails and torn records are discarded — see
-        :mod:`repro.engine.wal`), rebuilds the maintained indexes from the
-        recovered contents, truncates any torn log tail, and resumes
+        When the directory holds a snapshot, recovery replays it plus every
+        intact commit record of the write-ahead log (a torn tail is
+        discarded — see :mod:`repro.engine.wal`), rebuilds the maintained
+        indexes from the recovered contents, truncates any torn log tail, and resumes
         appending.  The schema comes from the snapshot; passing ``schema``
         overrides it (the caller owns compatibility).
 
@@ -724,12 +728,12 @@ class ObjectStore(_Validation):
 
         ``oid_namespace`` restores a shard core's oid prefix (see
         ``__init__``); ``resolutions`` is the commit router's recovery hook
-        for two-phase-commit brackets: a mapping of global transaction ids
-        to their decided outcomes.  Prepared-but-unresolved brackets found
-        in the log are applied (``True``) or discarded (``False``, also the
+        for two-phase commits: a mapping of global transaction ids to their
+        decided outcomes.  Prepared-but-unresolved redo sets found in the
+        log are applied (``True``) or discarded (``False``, also the
         presumed-abort default for gids missing from the mapping) and a
-        resolution marker is logged for each.  With ``resolutions=None``
-        (the default, standalone behaviour) in-doubt brackets stay
+        ``resolve`` record is logged for each.  With ``resolutions=None``
+        (the default, standalone behaviour) in-doubt prepares stay
         unapplied and unlogged — only a router that has seen *every*
         shard's log may decide them.
         """
@@ -807,7 +811,7 @@ class ObjectStore(_Validation):
             self._objects[oid] = obj
             self._direct_extents.setdefault(class_name, set()).add(oid)
         self._oid_seq = max(self._oid_seq, image.counter)
-        self._restore_object_order()
+        self._objects = dict(sorted(self._objects.items(), key=_item_sort_key))
         self._indexes.rebuild()
 
     def checkpoint(self) -> None:
@@ -877,9 +881,9 @@ class ObjectStore(_Validation):
         but durable: the rebind is logged as a schema-change record, so
         recovery re-applies it even when it postdates the last checkpoint.
         Refused inside a transaction (rollback does not undo schema
-        changes, so the log must not bracket them).  Like a direct schema
-        mutation, it does not re-audit eagerly — the next mutation notices
-        the fingerprint change and falls back to full revalidation.
+        changes).  Like a direct schema mutation, it does not re-audit
+        eagerly — the next mutation notices the fingerprint change and
+        falls back to full revalidation.
         """
         with self._lock:
             if self._deferred:
@@ -1010,12 +1014,17 @@ class ObjectStore(_Validation):
 
         ``validate=False`` skips the commit-time validation entirely — the
         caller owns consistency.  The commit router uses this to wrap shard-
-        core brackets whose validation it performs itself against the merged
-        cross-shard state; everything else should leave it on.
+        core transactions whose validation it performs itself against the
+        merged cross-shard state; everything else should leave it on.
         """
         from repro.engine.transactions import Transaction
 
         return Transaction(self, validate=validate)
+
+
+def _item_sort_key(item: tuple[str, DBObject]) -> tuple[int, int, str]:
+    """:func:`oid_sort_key` of an ``_objects`` item."""
+    return oid_sort_key(item[0])
 
 
 def redeem(owed) -> None:

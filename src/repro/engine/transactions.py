@@ -13,9 +13,9 @@ is open, folded into the transaction's undo log (oid → pre-image, first
 touch wins) and dirty set instead of committing on its own.  The outermost
 exit then commits through the store's one commit tail,
 :meth:`~repro.engine.store.ObjectStore._commit` (check → log → publish →
-checkpoint policy), passing its own data: an exhaustive check and the
-bracket's commit marker.  Both sides are proportional to what the
-transaction *touched*, not to the store size:
+checkpoint policy), passing its own data: an exhaustive check, and the
+store's one redo record per commit as its log stage.  Both sides are
+proportional to what the transaction *touched*, not to the store size:
 
 * Rollback replays the undo log (``ObjectStore._apply_undo``) instead of
   restoring a whole-store snapshot, so entering a transaction is O(1) and
@@ -43,19 +43,19 @@ unvalidated, one per core under a router transaction.  Rollbacks and inner
 commits stay each core's own.  The router's outermost exit instead unwinds
 every core's bookkeeping (:meth:`Transaction._unwind`, the first step of
 every exit here too) and runs the commit tail once over the cores it
-wrote: checked against their merged delta, logged with :func:`log_commit`
-when at most one is durable and by two-phase commit — ``prepare`` on every
-participant, the coordinator's ``decide``, ``resolve`` on every
+wrote: checked against their merged delta, logged with
+:meth:`~repro.engine.store.ObjectStore._log_commit` when at most one is
+durable and by two-phase commit — each participant's redo set in a
+``prepare``, the coordinator's ``decide``, ``resolve`` on every
 participant — when several are.  Memory rollback stays the tail's either
 way.
 
-On durable stores each transaction also brackets the write-ahead log:
-``begin`` at entry (written lazily with the first logged operation),
-``commit`` or ``abort`` at exit.  Recovery applies an operation only once
-every enclosing bracket committed, mirroring the undo-log merge exactly
-(:mod:`repro.engine.wal`).  Opening the bracket is the only step of entry
-that can fail (a poisoned log refuses it), so it runs before any
-bookkeeping changes.
+On durable stores a transaction writes nothing until its outermost commit
+passed its check: that commit logs the net effect of the undo log as one
+redo record (:mod:`repro.engine.wal`), so a rollback — inner or outer —
+and a rejected commit leave the log untouched.  Entry refuses a
+transaction on a poisoned log (it could never commit); that refusal runs
+before any bookkeeping changes.
 
 Concurrency: a transaction holds the store's coarse writer lock for its
 whole extent (entry to exit), so there is exactly one writer at a time and
@@ -99,10 +99,9 @@ class Transaction:
         store._lock.acquire()
         try:
             if store._wal is not None:
-                # Open a log bracket (the marker itself is written lazily,
-                # with the transaction's first logged operation).  The only
-                # step that can fail, so it runs before any bookkeeping
-                # changes: a refused entry leaves the store as it was.
+                # The only step that can fail, so it runs before any
+                # bookkeeping changes: a refused entry leaves the store as
+                # it was.
                 store._wal.begin()
             self._was_deferred = store._deferred
             store._deferred = True
@@ -129,25 +128,11 @@ class Transaction:
         try:
             owed = self._exit_locked(exc_type)
         finally:
-            self._release()
+            self.store._lock.release()
         # The fsync wait happens with the writer lock released, so other
         # committers can append behind us and share one fsync.
         redeem(owed)
         return False
-
-    def _release(self) -> None:
-        """Release the writer lock taken at entry.  A rejected commit's
-        abort marker ticket is then redeemed best-effort — recovery
-        discards open and aborted brackets alike, so a failed fsync here
-        must not mask the propagating violation."""
-        store = self.store
-        abort_ticket, store._abort_ticket = store._abort_ticket, None
-        store._lock.release()
-        if abort_ticket is not None:
-            try:
-                store._await_durability(abort_ticket)
-            except Exception:
-                pass
 
     def _unwind(self) -> dict:
         """Pop this level's bookkeeping off the store — deferred flag and
@@ -166,24 +151,18 @@ class Transaction:
         undo = self._unwind()
         if exc_type is not None:
             self._rollback(undo)
-            if store._wal is not None:
-                return [(store, store._wal.abort_transaction())]
             return []
         if self._was_deferred:
-            # Inner commit: the outermost transaction validates.  Merge the
-            # undo log outward; the outer transaction's earlier pre-images
-            # take precedence over ours.
+            # Inner commit: the outermost transaction validates and logs.
+            # Merge the undo log outward; the outer transaction's earlier
+            # pre-images take precedence over ours.
             if self._outer_undo is not None:
                 for oid, entry in undo.items():
                     self._outer_undo.setdefault(oid, entry)
-            if store._wal is not None:
-                # Close the log bracket; recovery merges our operations
-                # into the enclosing transaction's buffer the same way.
-                store._wal.commit_transaction()
             return []
         delta = store._delta
         store._delta = self._outer_delta
-        return store._commit(((store, undo),), delta, self._check, log_commit)
+        return store._commit(((store, undo),), delta, self._check, store._log_commit)
 
     def _check(self, delta) -> None:
         """The check stage of an outermost commit
@@ -203,9 +182,3 @@ class Transaction:
         else:
             store._delta = self._outer_delta
 
-
-def log_commit(participants) -> list:
-    """The log stage of an outermost commit with at most one durable
-    participant — a plain transaction, or a cross-shard one that wrote a
-    single durable core: close each bracket with a flushed commit marker."""
-    return [store._wal.commit_transaction() for store, _undo in participants]

@@ -12,40 +12,43 @@ a directory holding two files:
   up to.  Written atomically (temp file + fsync + rename).
 
 * ``wal.jsonl`` — the write-ahead log: one CRC-framed JSON record per line,
-  appended by the store's mutation write-through.  Record kinds::
+  appended at the log stage of every accepted commit.  Record kinds::
 
-      {"n": lsn, "t": "insert", "oid": ..., "cls": ..., "state": {...}}
-      {"n": lsn, "t": "update", "oid": ..., "state": {...}}
-      {"n": lsn, "t": "delete", "oid": ...}
-      {"n": lsn, "t": "begin",  "x": txid}
-      {"n": lsn, "t": "commit", "x": txid}
-      {"n": lsn, "t": "abort",  "x": txid}
-      {"n": lsn, "t": "set_constant", "name": ..., "value": ...}
-      {"n": lsn, "t": "schema", "source": ...}
-      {"n": lsn, "t": "prepare", "g": gid}
+      {"n": lsn, "t": "commit",  "c": counter, "ops": [entry, ...]}
+      {"n": lsn, "t": "prepare", "g": gid, "c": counter, "ops": [entry, ...]}
       {"n": lsn, "t": "decide",  "g": gid, "ok": true|false}
       {"n": lsn, "t": "resolve", "g": gid, "ok": true|false}
+      {"n": lsn, "t": "set_constant", "name": ..., "value": ...}
+      {"n": lsn, "t": "schema", "source": ...}
 
-Two-phase commit brackets
--------------------------
+  where an ``entry`` is one touched object's redo::
+
+      {"t": "insert", "oid": ..., "cls": ..., "state": {...}}
+      {"t": "update", "oid": ..., "state": {...}}
+      {"t": "delete", "oid": ...}
+
+  and ``counter`` is the store's oid counter at the commit.
+
+Two-phase commit
+----------------
 
 A transaction spanning several shard stores (:mod:`repro.engine.sharding`)
-cannot close each shard's bracket with an independent ``commit`` — a crash
-between two commits would persist half the transaction.  The commit router
-instead closes each participant's outermost bracket with ``prepare`` (the
-bracket's operations become *in-doubt*: durably logged, neither applied
-nor discarded by replay), appends one ``decide`` record to the coordinator
-shard's log (the lowest participating shard id) once every participant
-prepared, and then marks each participant with ``resolve`` carrying the
-outcome.  Replay applies a prepared bracket when its ``resolve`` says so,
-discards it when ``resolve`` says abort, and otherwise leaves it in-doubt
-on the :class:`RecoveredImage` (``prepared``/``decisions``) — presumed
-abort, except that only the router, having read *every* shard's log, may
-decide: the coordinator's ``decide`` is the transaction's durable fate.
-Flush ordering carries atomicity: every ``prepare`` is flushed before the
-``decide`` is written, and the ``decide`` is flushed before any
-``resolve`` — so a surviving ``decide`` implies every participant's
-prepare survived, and a surviving ``resolve`` implies the decision did.
+cannot write an independent ``commit`` on each shard — a crash between two
+commits would persist half the transaction.  The commit router instead
+writes each participant's redo set as a ``prepare`` record (*in-doubt*:
+durably logged, neither applied nor discarded by replay), appends one
+``decide`` record to the coordinator shard's log (the lowest participating
+shard id) once every participant prepared, and then marks each participant
+with ``resolve`` carrying the outcome.  Replay applies a prepared redo set
+when its ``resolve`` says so, discards it when ``resolve`` says abort, and
+otherwise leaves it in-doubt on the :class:`RecoveredImage`
+(``prepared``/``decisions``) — presumed abort, except that only the router,
+having read *every* shard's log, may decide: the coordinator's ``decide``
+is the transaction's durable fate.  Flush ordering carries atomicity: every
+``prepare`` is flushed before the ``decide`` is written, and the ``decide``
+is flushed before any ``resolve`` — so a surviving ``decide`` implies every
+participant's prepare survived, and a surviving ``resolve`` implies the
+decision did.
 
 Schema-change records
 ---------------------
@@ -60,10 +63,8 @@ re-prints the whole schema into a ``schema`` record), and recovery replays
 them: a ``schema`` record swaps the schema source wholesale (and clears any
 earlier constant records — the re-printed source already embeds them), a
 ``set_constant`` record is applied to whatever schema is current after the
-replay.  Unlike data operations, schema records are applied *regardless of
-transaction brackets*: an in-memory schema change survives a data rollback,
-so replay mirrors that (the store refuses to log them inside a transaction
-to keep the two sides trivially aligned).
+replay.  The store refuses schema changes inside a transaction, so a schema
+record never falls between a transaction's operations and its commit.
 
 The snapshot additionally stores a stable digest of its schema surface
 (``schema_digest``).  When the replayed tail moves the schema past that
@@ -72,20 +73,27 @@ exits non-zero under ``--strict``) that the snapshot no longer describes
 the schema the store actually runs, until a fresh checkpoint folds the
 change in.
 
-Transactional exactness
------------------------
+Redo-only commits
+-----------------
 
-Mutation records are written *eagerly* (inside a transaction they land in
-the log before the commit decision), so commit/abort markers decide their
-fate: recovery treats ``begin``/``commit``/``abort`` as nested brackets and
-applies an operation only once every enclosing bracket has committed — an
-inner commit merges its operations into the enclosing transaction's buffer,
-exactly mirroring how the in-memory undo log merges outward.  Operations of
-an aborted bracket, and of any bracket left open by a crash, are discarded.
-Operations outside any bracket are the store's auto-committed single
-mutations, logged only after enforcement accepted them.  Recovery therefore
-reconstructs precisely a prefix of the *committed* history, whatever log
-prefix survives.
+The log is *deferred-update* (redo-only): nothing is written before the
+commit decision.  Every commit that passed its check — an auto-commit op,
+a routed op, an outermost transaction — writes its whole touched set as one
+``commit`` record at the log stage of the store's commit tail
+(:meth:`~repro.engine.store.ObjectStore._commit`): the post-image of every
+surviving touched object, a ``delete`` for every object that existed
+before, nothing for an object inserted and deleted inside the commit.  A
+rejected, aborted or rolled-back transaction writes nothing, and memory
+never runs ahead of the log (a failed append undoes the commit), so the
+log needs no undo records and no brackets.  Recovery applies every intact
+``commit`` in log order and holds every ``prepare`` until its ``resolve``;
+whatever log prefix survives, it reconstructs precisely a prefix of the
+*committed* history.
+
+Each record's ``c`` is the oid counter's high-water mark, so an oid burned
+by rejected or aborted work before an accepted commit is never reissued
+after a restart.  An oid burned after the last commit may be; no write
+carrying it was ever acknowledged.
 
 Each line carries a CRC32 of its payload; a torn or corrupt line ends the
 replay (everything before it is intact — the file is append-only), and
@@ -98,9 +106,9 @@ A checkpoint snapshots the live store and then resets the log.  Records
 carry explicit LSNs and the snapshot stores ``next_lsn``, so every crash
 window is covered: a crash after the snapshot rename but before the log
 reset just makes recovery skip the already-snapshotted records (their LSNs
-lie below ``next_lsn``).  Checkpoints are only taken outside transactions,
-so no committed transaction ever straddles a snapshot boundary.  The store
-triggers one automatically every ``checkpoint_every`` log records (see
+lie below ``next_lsn``).  A commit is one record, so no committed
+transaction ever straddles a snapshot boundary.  The store triggers one
+automatically every ``checkpoint_every`` log records (see
 :meth:`WriteAheadLog.should_checkpoint`).
 
 Group commit
@@ -179,7 +187,7 @@ if TYPE_CHECKING:  # pragma: no cover
 SNAPSHOT_NAME = "snapshot.json"
 SNAPSHOT_PREV_NAME = "snapshot.prev.json"
 LOG_NAME = "wal.jsonl"
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
 
 #: Bounded-retry policy for the call sites where retry is *sound*
 #: (directory fsync, rename): attempts and the base backoff that doubles
@@ -187,8 +195,6 @@ SNAPSHOT_FORMAT = 1
 #: :meth:`WriteAheadLog.poison`.
 _RETRY_ATTEMPTS = 3
 _RETRY_BACKOFF = 0.001
-
-_OPS = ("insert", "update", "delete")
 
 
 def schema_digest(schema_source: str, constants: Iterable[tuple[str, Any]] = ()) -> str:
@@ -268,16 +274,15 @@ def _parse_line(line: bytes) -> dict | None:
     return record
 
 
-def scan_log(data: bytes) -> tuple[list[tuple[dict, int]], int, bool]:
-    """Parse a log image into ``((record, start_offset) pairs, valid_bytes,
-    torn)``.
+def scan_log(data: bytes) -> tuple[list[dict], int, bool]:
+    """Parse a log image into ``(records, valid_bytes, torn)``.
 
     Replay stops at the first incomplete or corrupt line: the file is
     append-only, so everything before that point is intact and everything
     from it on is a crash artifact.  ``valid_bytes`` is where a re-attached
     writer must truncate before appending.
     """
-    records: list[tuple[dict, int]] = []
+    records: list[dict] = []
     offset = 0
     while offset < len(data):
         newline = data.find(b"\n", offset)
@@ -286,7 +291,7 @@ def scan_log(data: bytes) -> tuple[list[tuple[dict, int]], int, bool]:
         record = _parse_line(data[offset:newline])
         if record is None:
             return records, offset, True  # corrupt line
-        records.append((record, offset))
+        records.append(record)
         offset = newline + 1
     return records, offset, False
 
@@ -383,21 +388,20 @@ def snapshot_payload_digest(payload: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _write_json_atomic(
+def _write_atomic(
     path: Path,
-    payload: dict,
+    data: bytes,
     faults: "FaultInjector | None" = None,
     telemetry: "dict | None" = None,
     retain: "Path | None" = None,
 ) -> None:
-    """Atomically publish ``payload`` at ``path`` (tmp + fsync + rename +
+    """Atomically publish ``data`` at ``path`` (tmp + fsync + rename +
     directory fsync).  With ``retain``, the previous file at ``path`` is
     rotated there first — the rotation order (tmp written and fsynced →
     current→retain rename → tmp→current rename → directory fsync) leaves
     every crash window recoverable: at any instant at least one of
     ``path``/``retain`` holds a complete, verifiable payload."""
     tmp = path.with_name(path.name + ".tmp")
-    data = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
     with open(tmp, "wb") as handle:
         if faults is not None:
             faults.write(handle, data, "snapshot.write")
@@ -427,22 +431,21 @@ class RecoveredImage:
     database: str
     #: ``(oid, class name, state)`` in insertion order.
     objects: list[tuple[str, str, dict]]
-    #: Highest oid counter the history ever used (aborted inserts included,
-    #: so a recovered store never re-issues an oid the log has seen).
+    #: Highest oid counter the history used: the snapshot's, raised by each
+    #: replayed ``commit``/``prepare`` record's high-water mark ``c`` (oids
+    #: burned by rejected or aborted work before a commit included).
     counter: int
     #: The LSN the re-attached writer continues from.
     next_lsn: int
-    #: Byte length of the log's surviving prefix — the truncation point for
-    #: re-attachment.  Cuts both the torn/corrupt tail *and* any trailing
-    #: uncommitted transaction bracket a crash left open.
+    #: Byte length of the log's intact prefix — the truncation point for
+    #: re-attachment, cutting the torn/corrupt tail (0 after an LSN gap).
     log_valid_bytes: int
     #: Records in the surviving prefix that postdate the snapshot (the
     #: re-attached writer's pending backlog toward the next checkpoint).
     log_records: int
     #: Committed operations applied on top of the snapshot.
     replayed: int
-    #: Operations discarded: aborted transactions plus any bracket a crash
-    #: left open.
+    #: Operations discarded: prepared redo sets resolved as aborted.
     discarded: int
     #: True when the log ended in a torn or corrupt line.
     torn: bool
@@ -465,8 +468,8 @@ class RecoveredImage:
     #: a newer checkpoint the fallback predates).  Replay truncates at the
     #: gap, so the recovered state is exactly the fallback checkpoint's.
     lsn_gap: bool = False
-    #: In-doubt two-phase-commit brackets: gid -> the bracket's operation
-    #: records, durably prepared but with no ``resolve`` in this log.
+    #: In-doubt two-phase commits: gid -> the ``prepare`` record's redo
+    #: entries, durably prepared but with no ``resolve`` in this log.
     #: Neither applied nor discarded — the commit router resolves them from
     #: the coordinator shard's ``decide`` (see :func:`apply_resolutions`).
     prepared: dict[str, list[dict]] = field(default_factory=dict)
@@ -509,14 +512,28 @@ def _read_snapshot(snapshot_path: Path) -> dict:
     return snapshot
 
 
+def _apply_ops(objects: dict[str, tuple[str, dict]], ops: list[dict]) -> None:
+    """Apply one committed redo set onto a recovering ``objects`` image."""
+    for op in ops:
+        kind = op["t"]
+        if kind == "insert":
+            objects[op["oid"]] = (op["cls"], decode_state(op["state"]))
+        elif kind == "update":
+            current = objects.get(op["oid"])
+            if current is not None:
+                objects[op["oid"]] = (current[0], decode_state(op["state"]))
+        elif kind == "delete":
+            objects.pop(op["oid"], None)
+
+
 def load_image(path: str | Path) -> RecoveredImage | None:
     """Recover the durable image under ``path``; ``None`` when nothing exists.
 
-    Replays the snapshot, then every *committed* log record with
-    ``lsn >= snapshot.next_lsn`` (see the module docstring for the bracket
-    semantics).  A damaged or missing ``snapshot.json`` falls back to the
-    retained ``snapshot.prev.json`` when one exists (``used_fallback_snapshot``
-    flags it); a hole in the log's LSN sequence relative to the recovered
+    Replays the snapshot, then every intact ``commit`` record with
+    ``lsn >= snapshot.next_lsn``, holding each ``prepare`` until its
+    ``resolve`` (see the module docstring).  A damaged or missing
+    ``snapshot.json`` falls back to the retained ``snapshot.prev.json``
+    when one exists (``used_fallback_snapshot`` flags it); a hole in the log's LSN sequence relative to the recovered
     base truncates replay at the hole, so the result is always exactly a
     committed prefix.  Raises :class:`EngineError` when no intact snapshot
     survives, or on a log with no snapshot at all (the snapshot holds the
@@ -579,36 +596,15 @@ def load_image(path: str | Path) -> RecoveredImage | None:
     if log_path.exists():
         records, valid_bytes, torn = scan_log(log_path.read_bytes())
 
-    def apply(op: dict) -> None:
-        kind = op["t"]
-        if kind == "insert":
-            objects[op["oid"]] = (op["cls"], decode_state(op["state"]))
-        elif kind == "update":
-            current = objects.get(op["oid"])
-            if current is not None:
-                objects[op["oid"]] = (current[0], decode_state(op["state"]))
-        elif kind == "delete":
-            objects.pop(op["oid"], None)
-
-    #: Stack of op buffers, one per open transaction bracket.
-    open_brackets: list[list[dict]] = []
     prepared: dict[str, list[dict]] = {}
     decisions: dict[str, bool] = {}
     replayed = 0
     discarded = 0
     #: Post-snapshot records that survive in the log after recovery.
     kept = 0
-    #: Byte offset / kept-count where the currently open outermost bracket
-    #: began.  If the log ends with the bracket chain still open, everything
-    #: from here on is an uncommitted tail: it must be *truncated* on
-    #: resume, or its stale ``begin`` would swallow the next session's
-    #: committed records at the following recovery (brackets are matched
-    #: positionally, not by txid).
-    tail_offset: int | None = None
-    tail_kept = 0
     max_lsn = start_lsn - 1
     lsn_gap = False
-    if used_fallback and records and int(records[0][0]["n"]) > start_lsn:
+    if used_fallback and records and int(records[0]["n"]) > start_lsn:
         # The log starts *above* the fallback base's LSN horizon: it was
         # reset for a checkpoint the fallback predates, so the records
         # between ``start_lsn`` and the log's first record are folded into
@@ -616,77 +612,34 @@ def load_image(path: str | Path) -> RecoveredImage | None:
         # the older base would fabricate a state no commit ever produced —
         # drop the whole log instead; recovery then yields exactly the
         # fallback checkpoint's committed state (still a committed prefix).
-        # Note an LSN jump *within* a log is benign and replayed normally:
-        # resume-time tail truncation discards records without reusing
-        # their LSNs, so healthy logs contain such jumps by design.
         lsn_gap = True
         records = []
         valid_bytes = 0
         torn = False
-    for record, offset in records:
+    for record in records:
         lsn = int(record["n"])
-        kind = record["t"]
-        if kind == "insert":
-            # Track the counter over *every* insert, committed or not: an
-            # aborted insert still burned its oid.
-            counter = max(counter, oid_counter(record["oid"], 0))
         if lsn < start_lsn:
             continue  # already folded into the snapshot
         max_lsn = max(max_lsn, lsn)
-        if kind == "begin":
-            if not open_brackets:
-                tail_offset, tail_kept = offset, kept
-            open_brackets.append([])
-        elif kind == "commit":
-            if open_brackets:
-                ops = open_brackets.pop()
-                if open_brackets:
-                    open_brackets[-1].extend(ops)
-                else:
-                    for op in ops:
-                        apply(op)
-                    replayed += len(ops)
-                    tail_offset = None
-        elif kind == "abort":
-            if open_brackets:
-                discarded += len(open_brackets.pop())
-                if not open_brackets:
-                    tail_offset = None
+        kind = record["t"]
+        if kind == "commit":
+            counter = max(counter, int(record["c"]))
+            _apply_ops(objects, record["ops"])
+            replayed += len(record["ops"])
         elif kind == "prepare":
-            if open_brackets:
-                ops = open_brackets.pop()
-                if open_brackets:
-                    # A nested prepare is a protocol violation (the router
-                    # only prepares outermost brackets); fold it into the
-                    # parent like a commit so no logged work is lost.
-                    open_brackets[-1].extend(ops)
-                else:
-                    # The bracket is durably in-doubt, not uncommitted: it
-                    # must survive resume truncation, so the tail marker is
-                    # cleared just as for a commit.
-                    prepared[str(record["g"])] = ops
-                    tail_offset = None
+            counter = max(counter, int(record["c"]))
+            prepared[str(record["g"])] = record["ops"]
         elif kind == "decide":
             decisions[str(record["g"])] = bool(record["ok"])
         elif kind == "resolve":
             ops = prepared.pop(str(record["g"]), None)
             if ops is not None:
                 if record["ok"]:
-                    for op in ops:
-                        apply(op)
+                    _apply_ops(objects, ops)
                     replayed += len(ops)
                 else:
                     discarded += len(ops)
-        elif kind in _OPS:
-            if open_brackets:
-                open_brackets[-1].append(record)
-            else:
-                apply(record)
-                replayed += 1
         elif kind == "set_constant":
-            # Schema records are non-transactional: an in-memory schema
-            # change survives a data rollback, so replay applies them
-            # outside the bracket machinery.
             constants.append((record["name"], decode_value(record["value"])))
             schema_changes += 1
         elif kind == "schema":
@@ -697,11 +650,6 @@ def load_image(path: str | Path) -> RecoveredImage | None:
             schema_changes += 1
         # unknown record kinds are skipped: forward compatibility
         kept += 1
-    if open_brackets:
-        discarded += sum(len(ops) for ops in open_brackets)
-        if tail_offset is not None:
-            valid_bytes = tail_offset
-            kept = tail_kept
 
     final_digest = schema_digest(schema_source, constants)
     return RecoveredImage(
@@ -729,7 +677,7 @@ def load_image(path: str | Path) -> RecoveredImage | None:
 def apply_resolutions(
     image: RecoveredImage, outcomes: "Mapping[str, bool]"
 ) -> list[tuple[str, bool]]:
-    """Resolve an image's in-doubt prepared brackets against ``outcomes``.
+    """Resolve an image's in-doubt prepared redo sets against ``outcomes``.
 
     The commit router calls this after gathering every shard's replayed
     ``decide`` records: each prepared gid found in ``outcomes`` with a
@@ -748,16 +696,7 @@ def apply_resolutions(
     for gid, ops in image.prepared.items():
         ok = bool(outcomes.get(gid, False))
         if ok:
-            for op in ops:
-                kind = op["t"]
-                if kind == "insert":
-                    objects[op["oid"]] = (op["cls"], decode_state(op["state"]))
-                elif kind == "update":
-                    current = objects.get(op["oid"])
-                    if current is not None:
-                        objects[op["oid"]] = (current[0], decode_state(op["state"]))
-                elif kind == "delete":
-                    objects.pop(op["oid"], None)
+            _apply_ops(objects, ops)
             image.replayed += len(ops)
         else:
             image.discarded += len(ops)
@@ -775,12 +714,13 @@ def apply_resolutions(
 class WriteAheadLog:
     """The append side of one durable directory.
 
-    Owned by an :class:`~repro.engine.store.ObjectStore`; the store calls
-    :meth:`log_insert`/:meth:`log_update`/:meth:`log_delete` after each
-    applied mutation, and the transaction layer brackets them with
-    :meth:`begin`/:meth:`commit_transaction`/:meth:`abort_transaction`.
-    ``begin`` markers are lazy — written only once the transaction logs its
-    first operation — so empty transactions never reach the disk.
+    Owned by an :class:`~repro.engine.store.ObjectStore`, and holding no
+    transaction state: at the log stage of each accepted commit the store
+    builds the touched set's redo entries with
+    :meth:`log_insert`/:meth:`log_update`/:meth:`log_delete` and writes
+    them as one record with :meth:`commit_transaction` (or, as a two-phase
+    participant, :meth:`prepare_transaction`).  Rejected and aborted work
+    never reaches the log.
 
     ``sync=True`` fsyncs at every commit point (durable against power loss);
     the default flushes Python's buffer at commit points, which survives a
@@ -815,13 +755,10 @@ class WriteAheadLog:
         self._poisoned: "str | None" = None
         #: Classified-error and degraded-path counters: keys like
         #: ``dir_fsync_unsupported``, ``dir_fsync_retries``,
-        #: ``replace_retries``, ``abort_markers_skipped``.
+        #: ``replace_retries``.
         self.telemetry: dict[str, int] = {}
         self._handle = None
         self._next_lsn = 0
-        #: Open transaction brackets: ``{"id": txid, "written": bool}``.
-        self._transactions: list[dict] = []
-        self._txid = 0
         self._records_since_snapshot = 0
         # -- group commit state (guarded by ``_sync_cond``'s lock) ---------
         self._sync_cond = threading.Condition()
@@ -922,10 +859,8 @@ class WriteAheadLog:
 
     def resume(self, image: RecoveredImage) -> None:
         """Attach to a recovered directory: truncate everything recovery
-        discarded — the torn tail, any trailing uncommitted transaction
-        bracket (a stale open ``begin`` left in the log would swallow this
-        session's committed records at the next recovery), and anything past
-        an LSN gap — and continue the LSN sequence.
+        discarded — the torn tail, and the whole log after an LSN gap — and
+        continue the LSN sequence.
 
         Crash windows here are benign by construction and pinned by
         regression tests: a crash *before* the truncate changes nothing
@@ -967,22 +902,12 @@ class WriteAheadLog:
         same verified payload, so every later rotation window stays
         recoverable; a crash inside the repair itself just re-runs it on
         the next open (the fallback is read-only here)."""
-        data = self.prev_snapshot_path.read_bytes()
-        tmp = self.snapshot_path.with_name(self.snapshot_path.name + ".tmp")
-        with open(tmp, "wb") as handle:
-            if self.faults is not None:
-                self.faults.write(handle, data, "snapshot.write")
-            else:
-                handle.write(data)
-            handle.flush()
-            if self.faults is not None:
-                self.faults.fsync(handle.fileno(), "snapshot.fsync")
-            else:
-                os.fsync(handle.fileno())
-        _replace_with_retry(
-            tmp, self.snapshot_path, "snapshot.replace", self.faults, self.telemetry
+        _write_atomic(
+            self.snapshot_path,
+            self.prev_snapshot_path.read_bytes(),
+            self.faults,
+            self.telemetry,
         )
-        _fsync_directory(self.path, self.faults, self.telemetry)
 
     def flush(self) -> None:
         self._commit_point()
@@ -1192,167 +1117,92 @@ class WriteAheadLog:
                 if self._pending_syncs == 0:
                     self._sync_cond.notify_all()
 
-    def log_insert(self, obj: "DBObject") -> None:
-        self._log_operation(
-            {
-                "t": "insert",
-                "oid": obj.oid,
-                "cls": obj.class_name,
-                "state": encode_state(obj.state),
-            }
-        )
+    # -- records -----------------------------------------------------------------
 
-    def log_update(self, obj: "DBObject") -> None:
-        """Log the full post-image — replay then needs no pre-state."""
-        self._log_operation(
-            {"t": "update", "oid": obj.oid, "state": encode_state(obj.state)}
-        )
+    def log_insert(self, obj: "DBObject") -> dict:
+        """The redo entry of an object the commit inserted."""
+        return {
+            "t": "insert",
+            "oid": obj.oid,
+            "cls": obj.class_name,
+            "state": encode_state(obj.state),
+        }
 
-    def log_delete(self, oid: str) -> None:
-        self._log_operation({"t": "delete", "oid": oid})
+    def log_update(self, obj: "DBObject") -> dict:
+        """The redo entry of an object the commit changed: its full
+        post-image, so replay needs no pre-state."""
+        return {"t": "update", "oid": obj.oid, "state": encode_state(obj.state)}
+
+    def log_delete(self, oid: str) -> dict:
+        """The redo entry of an object the commit deleted."""
+        return {"t": "delete", "oid": oid}
+
+    def commit_transaction(self, ops: list[dict], counter: int) -> "int | None":
+        """Append one commit's redo entries as a ``commit`` record carrying
+        the oid counter's high-water mark, flush, and return the
+        group-commit durability ticket (redeem with :meth:`wait_durable`
+        once locks are released)."""
+        self._append({"t": "commit", "c": counter, "ops": ops})
+        return self.commit_flush()
 
     def log_set_constant(self, name: str, value: Any) -> None:
-        """Schema-change record: a constant rebind.  Non-transactional —
-        refuse inside an open bracket (a data rollback would not undo the
-        in-memory schema change, so the log must not bracket it either)."""
-        self._log_schema_record(
-            {"t": "set_constant", "name": name, "value": encode_value(value)}
-        )
+        """Schema-change record: a constant rebind."""
+        self._append({"t": "set_constant", "name": name, "value": encode_value(value)})
 
     def log_schema(self, schema_source: str) -> None:
         """Schema-change record: a full schema re-print, superseding the
         snapshot's source (and any earlier constant records) on replay."""
-        self._log_schema_record({"t": "schema", "source": schema_source})
+        self._append({"t": "schema", "source": schema_source})
 
-    def _log_schema_record(self, record: dict) -> None:
-        if self._transactions:
-            raise EngineError(
-                "schema changes cannot be logged inside a transaction: "
-                "rollback does not undo them, so the log must not bracket "
-                "them (commit or abort first)"
-            )
-        self._append(record)
-
-    def _log_operation(self, record: dict) -> None:
-        self._materialize_begins()
-        self._append(record)
-
-    # -- transaction brackets ----------------------------------------------------
-
-    def begin(self) -> int:
-        # Refuse the bracket up front: a poisoned log could not write the
-        # commit marker anyway, so the transaction must not start.
+    def begin(self) -> None:
+        """Refuse a transaction on a poisoned log before it starts: it
+        could never commit."""
         self.check_poisoned()
-        self._txid += 1
-        self._transactions.append({"id": self._txid, "written": False})
-        return self._txid
 
-    def _materialize_begins(self) -> None:
-        for transaction in self._transactions:
-            if not transaction["written"]:
-                self._append({"t": "begin", "x": transaction["id"]})
-                transaction["written"] = True
-
-    def commit_transaction(self) -> "int | None":
-        """Close the current bracket; for an outermost commit, flush and
-        return the group-commit durability ticket (redeem with
-        :meth:`wait_durable` once locks are released)."""
-        if not self._transactions:
-            return None
-        transaction = self._transactions.pop()
-        if transaction["written"]:
-            self._append({"t": "commit", "x": transaction["id"]})
-            if not self._transactions:
-                return self.commit_flush()
-        return None
-
-    def abort_transaction(self) -> "int | None":
-        """Close the current bracket with an abort marker.
-
-        Best-effort on a failing log: abort runs on paths that are already
-        raising (rollback, commit-time violation), and a failure here must
-        not mask the propagating cause.  Skipping the marker is safe — an
-        open bracket is discarded by recovery exactly like an aborted one,
-        and a poisoned log admits no later appends the stale ``begin``
-        could swallow.  Skips are counted in ``telemetry``."""
-        if not self._transactions:
-            return None
-        transaction = self._transactions.pop()
-        if transaction["written"]:
-            try:
-                self._append({"t": "abort", "x": transaction["id"]})
-                if not self._transactions:
-                    # Flush aborts too: recovery must not mistake the
-                    # rolled-back tail for a crash-opened bracket of a
-                    # *later* session.
-                    return self.commit_flush()
-            except BaseException:
-                _count(self.telemetry, "abort_markers_skipped")
-                return None
-        return None
+    def abort_transaction(self) -> None:
+        """A no-op.  Aborted work writes nothing; the name stays defined
+        only for the benchmark tracer's span table."""
 
     # -- two-phase commit --------------------------------------------------------
 
-    def prepare_transaction(self, gid: str) -> "int | None":
-        """2PC phase 1: close the current bracket with a ``prepare`` marker.
+    def prepare_transaction(
+        self, gid: str, ops: list[dict], counter: int
+    ) -> "int | None":
+        """2PC phase 1: append this participant's redo entries as a
+        ``prepare`` record, flush, and return the durability ticket.
 
-        The bracket's operations become durably in-doubt — recovery neither
-        applies nor discards them until a ``resolve`` (or, via the router,
-        the coordinator's ``decide``) settles the outcome.  Like
-        :meth:`commit_transaction`, an outermost prepare flushes and returns
-        the group-commit durability ticket; the router must redeem every
-        participant's ticket (or flush) before writing the ``decide`` —
-        that ordering is what makes the decision imply all prepares
-        survived.  Only outermost brackets are prepared; nested calls are a
-        caller bug and fold into the parent on replay."""
-        if not self._transactions:
-            return None
-        transaction = self._transactions.pop()
-        if transaction["written"]:
-            self._append({"t": "prepare", "g": str(gid)})
-            if not self._transactions:
-                return self.commit_flush()
-        return None
+        The entries become durably in-doubt — recovery neither applies nor
+        discards them until a ``resolve`` (or, via the router, the
+        coordinator's ``decide``) settles the outcome.  The router must
+        redeem every participant's ticket (or flush) before writing the
+        ``decide`` — that ordering is what makes the decision imply all
+        prepares survived."""
+        self._append({"t": "prepare", "g": str(gid), "c": counter, "ops": ops})
+        return self.commit_flush()
 
     def log_decide(self, gid: str, ok: bool) -> None:
         """2PC phase 2: the coordinator's durable verdict for ``gid``.
 
-        Non-transactional — refused inside an open bracket, like schema
-        records.  The caller must flush (:meth:`commit_flush`) before any
+        The caller must flush (:meth:`commit_flush`) before any
         participant's ``resolve`` is written: the decision is the
         transaction's fate, so it must not be reorderable behind its own
         consequences."""
-        if self._transactions:
-            raise EngineError(
-                "2PC decide records cannot be logged inside a transaction "
-                "bracket (prepare or close the bracket first)"
-            )
         self._append({"t": "decide", "g": str(gid), "ok": bool(ok)})
 
     def log_resolve(self, gid: str, ok: bool) -> None:
         """2PC phase 3: settle this participant's in-doubt ``prepare``.
 
-        Replay applies the prepared bracket when ``ok`` and discards it
+        Replay applies the prepared entries when ``ok`` and discards them
         otherwise.  Durability is optional: if a crash loses the resolve,
-        the bracket is in-doubt again and the coordinator's durable
+        the prepare is in-doubt again and the coordinator's durable
         ``decide`` re-settles it at the next sharded recovery."""
-        if self._transactions:
-            raise EngineError(
-                "2PC resolve records cannot be logged inside a transaction "
-                "bracket (prepare or close the bracket first)"
-            )
         self._append({"t": "resolve", "g": str(gid), "ok": bool(ok)})
-
-    @property
-    def in_transaction(self) -> bool:
-        return bool(self._transactions)
 
     # -- checkpoints -------------------------------------------------------------
 
     def should_checkpoint(self) -> bool:
         return (
             self.checkpoint_every > 0
-            and not self._transactions
             and self._records_since_snapshot >= self.checkpoint_every
         )
 
@@ -1369,8 +1219,6 @@ class WriteAheadLog:
         two steps leaves stale records in the log, which recovery skips by
         their LSNs.
         """
-        if self._transactions:
-            raise EngineError("cannot checkpoint inside a transaction")
         self._commit_point()
         self._write_snapshot_file(schema_source, database, objects, counter)
         self._reset_log()
@@ -1398,9 +1246,9 @@ class WriteAheadLog:
         # previous snapshot is rotated to .prev so a damaged (or half-
         # rotated) newest file always leaves a verified fallback behind.
         payload["digest"] = snapshot_payload_digest(payload)
-        _write_json_atomic(
+        _write_atomic(
             self.snapshot_path,
-            payload,
+            json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8"),
             self.faults,
             self.telemetry,
             retain=self.prev_snapshot_path,
@@ -1447,9 +1295,8 @@ class FsckReport:
         certifies the full log — reopening loses nothing.
     ``truncatable``
         Damage was found, but a committed prefix is recoverable: a torn or
-        bit-flipped log tail, an uncommitted transaction tail, a damaged
-        newest snapshot with an intact fallback, or an LSN gap behind a
-        fallback.  Reopening the directory repairs it (by truncation
+        bit-flipped log tail, a damaged newest snapshot with an intact
+        fallback, or an LSN gap behind a fallback.  Reopening the directory repairs it (by truncation
         and/or snapshot fallback) at the cost of the damaged suffix.
     ``fatal``
         No committed prefix is recoverable: no intact snapshot survives,
@@ -1567,19 +1414,13 @@ def fsck(path: str | Path) -> FsckReport:
             "log: LSN gap behind the fallback snapshot; replay stops at "
             "the fallback checkpoint's committed state",
         )
-    if report.tail_bytes and not (image.torn or image.lsn_gap):
-        degrade(
-            "truncatable",
-            f"log: {report.tail_bytes} bytes of uncommitted transaction "
-            "tail will be truncated on reopen",
-        )
     if image.discarded:
         report.findings.append(
-            f"replay: {image.discarded} operation(s) of aborted or "
-            "unfinished transactions discarded"
+            f"replay: {image.discarded} operation(s) of two-phase "
+            "transactions resolved as aborted discarded"
         )
     if image.prepared:
-        # Informational, not damage: an in-doubt 2PC bracket is resolved by
+        # Informational, not damage: an in-doubt 2PC prepare is resolved by
         # the commit router from the coordinator shard's decide record when
         # the sharded root is reopened as a whole.
         report.findings.append(

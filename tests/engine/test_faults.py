@@ -296,8 +296,8 @@ class TestAppendRollback:
         recovered.close()
 
     def test_failed_commit_marker_undoes_whole_transaction(self, tmp_path):
-        # Appends of one pair: begin(0), item(1), order(2), commit(3).
-        injector = FaultInjector([FaultSpec("wal.append", "io_error", at=3)])
+        # A pair is one append: its commit record (0).
+        injector = FaultInjector([FaultSpec("wal.append", "io_error", at=0)])
         store = ObjectStore.open(
             tmp_path / "db", schema=pair_schema(), faults=injector
         )
@@ -467,20 +467,19 @@ class TestResumeAndCloseWindows:
     leaves the committed prefix recoverable."""
 
     def _crashed_dir(self, tmp_path):
-        """A directory captured mid-transaction: committed pair 'keep'
-        plus a flushed-but-unterminated bracket (needs resume truncation)."""
+        """A directory captured mid-append: committed pair 'keep' plus the
+        next pair's commit record cut mid-frame (needs resume truncation)."""
         path = tmp_path / "db"
         store = ObjectStore.open(path, schema=pair_schema())
         insert_pair(store, "keep")
-        with store.transaction():
-            item = store.insert("Item", name="wip", price=1.0)
-            store.insert("Order", item=item, qty=1)
-            store.wal.flush()
-            crashed = tmp_path / "crashed"
-            crashed.mkdir()
-            shutil.copyfile(path / "snapshot.json", crashed / "snapshot.json")
-            shutil.copyfile(path / "wal.jsonl", crashed / "wal.jsonl")
+        insert_pair(store, "torn")
         store.close()
+        crashed = tmp_path / "crashed"
+        crashed.mkdir()
+        shutil.copyfile(path / "snapshot.json", crashed / "snapshot.json")
+        data = (path / "wal.jsonl").read_bytes()
+        last = data.rindex(b"\n", 0, len(data) - 1) + 1
+        (crashed / "wal.jsonl").write_bytes(data[: (last + len(data)) // 2])
         return crashed
 
     def _assert_recovers_keep(self, path):
@@ -650,6 +649,8 @@ class TestFsck:
         assert any("fallback protection lost" in f for f in report.findings)
 
     def test_uncommitted_transaction_tail(self, tmp_path):
+        # An open transaction has written nothing: a copy taken inside it
+        # holds only committed records, with no tail to truncate.
         path = tmp_path / "db"
         store = ObjectStore.open(path, schema=pair_schema())
         insert_pair(store, "keep")
@@ -663,9 +664,8 @@ class TestFsck:
             shutil.copyfile(path / "wal.jsonl", frozen / "wal.jsonl")
         store.close()
         report = fsck(frozen)
-        assert report.status == "truncatable"
-        assert any("uncommitted transaction tail" in f for f in report.findings)
-        assert report.tail_bytes > 0
+        assert report.status == "clean"
+        assert report.tail_bytes == 0
 
     def test_empty_directory_and_bare_log_are_fatal(self, tmp_path):
         empty = tmp_path / "empty"
@@ -828,7 +828,7 @@ class TestCrashMatrix:
             # A fault-free in-memory shadow runs the same history in
             # lockstep (oid issue is deterministic, so states compare
             # directly).  It supplies the one candidate the real store
-            # cannot: a crash *after* the commit marker reached the OS
+            # cannot: a crash *after* the commit record reached the OS
             # rolls the in-memory mutation back, yet recovery rightly
             # replays the durably committed transaction.
             shadow = ObjectStore(pair_schema(), wal=False)
@@ -849,7 +849,7 @@ class TestCrashMatrix:
                     # in-memory state (fault before the commit point
                     # decided) and the shadow's post-step state (fault
                     # after the decision — e.g. a crash just past the
-                    # flushed commit marker, or a failed commit fsync
+                    # flushed commit record, or a failed commit fsync
                     # whose flushed bytes survive in the page cache).
                     candidates.append(store_state(store))
                     candidates.append(shadow_after)

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 from repro import ObjectStore
 from repro.constraints.evaluate import INDEX_MISS, VACUOUS
-from repro.engine.indexes import IndexManager, KeyIndex, OrderedOidSet, RunningAggregate
+from repro.engine.indexes import (
+    IndexManager,
+    KeyIndex,
+    OrderedOidSet,
+    RunningAggregate,
+    oid_sort_key,
+)
 from repro.engine.oracle import Oracle
 from repro.errors import ConstraintViolation
 from repro.fixtures import cslibrary_schema
@@ -531,7 +537,13 @@ class TestStructures:
                 store._objects[rogue.oid] = rogue
                 store._direct_extents["Base"].add(rogue.oid)
                 store._indexes.on_insert(rogue)
-            # Delete + rollback forces both representations to re-sort.
+            # Every engine path keeps the object table in sort-key order
+            # (inserts mint increasing counters, recovery sorts); restore
+            # that invariant after the hand injection, as recovery would.
+            store._objects = dict(
+                sorted(store._objects.items(), key=lambda item: oid_sort_key(item[0]))
+            )
+            # Delete + rollback re-places the victim in both representations.
             victim = store.insert("Base", name="b", score=3)
             with pytest.raises(_Abort):
                 with store.transaction():

@@ -32,7 +32,7 @@ from repro.engine.incremental import (
 )
 from repro.engine.indexes import oid_shard, oid_sort_key
 from repro.engine.sharding import MANIFEST_NAME, shard_directory
-from repro.engine.wal import LOG_NAME, fsck, scan_log
+from repro.engine.wal import LOG_NAME, encode_state, fsck, scan_log
 from repro.errors import ConstraintViolation, EngineError, ShardingError
 from repro.fixtures import bookseller_schema
 from repro.tm import parse_database
@@ -568,7 +568,7 @@ class TestDurableSharding:
         for shard in range(2):
             data = (shard_directory(tmp_path, shard) / LOG_NAME).read_bytes()
             records, _, _ = scan_log(data)
-            kinds_by_shard[shard] = [rec["t"] for rec, _ in records]
+            kinds_by_shard[shard] = [rec["t"] for rec in records]
         all_kinds = kinds_by_shard[0] + kinds_by_shard[1]
         assert all_kinds.count("prepare") == 2
         assert all_kinds.count("decide") == 1
@@ -649,6 +649,54 @@ class TestDurableSharding:
             store.insert("Left", tag=9)
         assert store.routed_global_ops == routed + 2
         assert pending() == expected
+        store.close()
+
+    def test_each_commit_writes_one_record_per_core(self, tmp_path):
+        store = ShardedStore.open(tmp_path, crossdb_schema(), 2)
+        left = store.cores[store.placement["Left"]]
+        right = store.cores[store.placement["Right"]]
+        assert left is not right
+
+        def records(core):
+            data = (core.wal.path / LOG_NAME).read_bytes()
+            return scan_log(data)[0]
+
+        def redo(obj):
+            return {
+                "t": "insert",
+                "oid": obj.oid,
+                "cls": obj.class_name,
+                "state": encode_state(obj.state),
+            }
+
+        # Two-phase commit: each core's prepare carries exactly that
+        # core's post-images.
+        with store.transaction():
+            lefty = store.insert("Left", tag=1)
+            righty = store.insert("Right", tag=1)
+        assert store.two_phase_commits == 1
+        coordinator = min(store.cores.index(left), store.cores.index(right))
+        for core, obj in ((left, lefty), (right, righty)):
+            kinds = [record["t"] for record in records(core)]
+            if store.cores.index(core) == coordinator:
+                assert kinds == ["prepare", "decide", "resolve"]
+            else:
+                assert kinds == ["prepare", "resolve"]
+            assert records(core)[0]["ops"] == [redo(obj)]
+        # A routed op and a one-core transaction: one commit each.
+        routed = store.routed_global_ops
+        before = len(records(left))
+        first = store.insert("Right", tag=2)
+        assert store.routed_global_ops == routed + 1
+        with store.transaction():
+            second = store.insert("Right", tag=3)
+            third = store.insert("Right", tag=4)
+        assert len(records(left)) == before
+        routed_record, txn_record = records(right)[-2:]
+        assert routed_record["t"] == txn_record["t"] == "commit"
+        assert routed_record["ops"] == [redo(first)]
+        assert txn_record["ops"] == [redo(second), redo(third)]
+        assert store.two_phase_commits == 1
         store.close()
 
     def test_single_shard_touch_skips_two_phase(self, tmp_path):
@@ -732,7 +780,7 @@ def _commit_case(store, shape, accepted, mark=lambda: None):
     """One commit of ``shape`` on a CrossDB store (Left on shard 0, Right on
     shard 1; ``db_cover`` spans both).  ``mark`` runs right before the
     commit's first log append: the routed op's record, the one-core
-    transaction's commit marker, the cross-shard transaction's prepare on
+    transaction's commit record, the cross-shard transaction's prepare on
     Right's shard."""
     if shape == "routed":
         mark()
@@ -955,7 +1003,7 @@ class TestPerShardCrashMatrix:
             shard_directory(tmp_path, coordinator) / LOG_NAME
         ).read_bytes()
         records, _, _ = scan_log(data)
-        kinds = [rec["t"] for rec, _ in records]
+        kinds = [rec["t"] for rec in records]
         if "decide" in kinds:
             assert names == {"a2", "b2"}
         recovered.close()

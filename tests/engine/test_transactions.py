@@ -6,12 +6,32 @@ import pytest
 from repro import ObjectStore
 from repro.engine.oracle import Oracle
 from repro.errors import ConstraintViolation
+from repro.tm.parser import parse_database
 from repro.fixtures import (
     bookseller_schema,
     bookseller_store,
     cslibrary_schema,
     cslibrary_store,
 )
+
+#: Every delete is rejected: each class must keep at least four objects.
+MINIMUM_SOURCE = """
+Database MinimumDB
+
+Class Item
+attributes
+  name : string
+class constraints
+  cc_items: (count (collect x for x in self)) >= 4
+end Item
+
+Class Tag
+attributes
+  label : string
+class constraints
+  cc_tags: (count (collect x for x in self)) >= 4
+end Tag
+"""
 
 
 class TestRollbackRestoresExtents:
@@ -62,6 +82,36 @@ class TestRollbackRestoresExtents:
                 raise RuntimeError("abort")
         assert len(store) == size
         assert obj.oid not in store
+
+    @pytest.mark.parametrize("namespace", [None, 3], ids=["plain", "shard-core"])
+    def test_rejected_deletes_keep_object_order(self, namespace):
+        """A rejected delete re-places the resurrected object; the object
+        table keeps its order, which is the oracle's, for the first, a
+        middle and the last object, and for several at once."""
+        store = ObjectStore(parse_database(MINIMUM_SOURCE), oid_namespace=namespace)
+        oracle = Oracle(parse_database(MINIMUM_SOURCE))
+        for target in (store, oracle):
+            with target.transaction():
+                for index in range(4):
+                    target.insert("Item", name=f"i{index}")
+                    target.insert("Tag", label=f"t{index}")
+
+        def names(target):
+            return [obj.state.get("name") or obj.state["label"] for obj in target.objects()]
+
+        before = [obj.oid for obj in store.objects()]
+        assert names(store) == names(oracle)
+        for position in (0, 3, len(before) - 1):
+            for target in (store, oracle):
+                with pytest.raises(ConstraintViolation):
+                    target.delete(list(target.objects())[position])
+            assert [obj.oid for obj in store.objects()] == before
+            assert names(store) == names(oracle)
+        with pytest.raises(ConstraintViolation):
+            with store.transaction():
+                for position in (len(before) - 1, 4, 0):
+                    store.delete(before[position])
+        assert [obj.oid for obj in store.objects()] == before
 
     def test_commit_clears_dirty_state(self):
         store, named = bookseller_store()

@@ -8,6 +8,7 @@ never a constraint-violating state — with the maintained indexes rebuilt
 consistent with the recovered contents.
 """
 
+import json
 import shutil
 import tempfile
 from pathlib import Path
@@ -18,11 +19,14 @@ from hypothesis import strategies as st
 
 from repro.engine import ObjectStore, WriteAheadLog
 from repro.engine.oracle import Oracle
+from repro.engine.indexes import oid_counter
 from repro.engine.wal import (
     decode_state,
     encode_state,
+    fsck,
     load_image,
     scan_log,
+    snapshot_payload_digest,
 )
 from repro.errors import ConstraintViolation, EngineError
 from repro.tm import parse_database
@@ -102,10 +106,11 @@ class TestCodecAndFraming:
     def test_scan_stops_at_corrupt_line_keeping_prefix(self, tmp_path):
         store = ObjectStore.open(tmp_path / "db", schema=fresh_schema())
         insert_pair(store, "n1")
+        insert_pair(store, "n2")
         store.close()
         data = (tmp_path / "db" / "wal.jsonl").read_bytes()
         records, valid, torn = scan_log(data)
-        assert not torn and valid == len(data) and len(records) == 4
+        assert not torn and valid == len(data) and len(records) == 2
         # Flip one byte in the last record's payload: CRC catches it.
         broken = data[:-3] + bytes([data[-3] ^ 0xFF]) + data[-2:]
         records2, valid2, torn2 = scan_log(broken)
@@ -333,13 +338,15 @@ class TestTransactionMarkers:
             assert store.wal.pending_records == before + 1
         store.close()
 
-    def test_rejected_commit_leaves_abort_marker(self, tmp_path):
+    def test_rejected_commit_writes_nothing(self, tmp_path):
         path = tmp_path / "db"
         store = ObjectStore.open(path, schema=fresh_schema())
         insert_pair(store, "keep")
+        before = store.wal.pending_records
         with pytest.raises(ConstraintViolation):
             with store.transaction():
                 store.insert("Item", name="orphan", price=2.0)  # breaks db1
+        assert store.wal.pending_records == before
         store.close()
         recovered = ObjectStore.open(path)
         assert {o.state["name"] for o in recovered.extent("Item")} == {"keep"}
@@ -394,14 +401,16 @@ class TestCheckpoints:
         store = ObjectStore.open(
             path, schema=fresh_schema(), checkpoint_every=5
         )
-        for index in range(4):
+        for index in range(7):
             insert_pair(store, f"n{index}")
-        # Each pair writes begin + 2 ops + commit = 4 records; the policy
-        # must have checkpointed at least once by now.
-        assert store.wal.pending_records < 16
+        # Each pair writes one commit record: the fifth crossed the
+        # threshold and checkpointed, two records follow the snapshot.
+        assert store.wal.pending_records == 2
+        snapshot = json.loads((path / "snapshot.json").read_bytes())
+        assert len(snapshot["objects"]) == 10
         store.close()
         recovered = ObjectStore.open(path)
-        assert len(recovered.extent("Item")) == 4
+        assert len(recovered.extent("Item")) == 7
         recovered.close()
 
     def test_wal_without_snapshot_is_unrecoverable(self, tmp_path):
@@ -499,7 +508,8 @@ class TestLogTruncation:
     def test_every_record_boundary_recovers_a_committed_prefix(self, history):
         base, path, committed, data = history
         boundaries = self._boundaries(data)
-        assert len(boundaries) > 10
+        # One record per committed action, plus the empty prefix.
+        assert len(boundaries) == len(committed)
         for index, cut in enumerate(boundaries):
             target = truncated_copy(path, base / f"cut-{index}", data[:cut])
             recovered = ObjectStore.open(target)
@@ -618,6 +628,110 @@ class TestCrashRecoveryProperty:
                         raise RuntimeError("outer abort")
 
         return action
+
+
+def _replay(state, ops):
+    """``state`` (a :func:`store_state` image) with one commit record's
+    redo entries applied."""
+    replayed = dict(state)
+    for op in ops:
+        if op["t"] == "insert":
+            replayed[op["oid"]] = (op["cls"], decode_state(op["state"]))
+        elif op["t"] == "update":
+            replayed[op["oid"]] = (replayed[op["oid"]][0], decode_state(op["state"]))
+        else:
+            del replayed[op["oid"]]
+    return replayed
+
+
+class TestLogShape:
+    """One redo record per commit: an accepted commit that touched
+    something appends exactly one ``commit`` record, whose entries replay
+    its net effect; rejected, aborted and rolled-back work leaves the log
+    byte-identical."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(steps=_steps)
+    def test_one_commit_record_per_accepted_commit(self, steps):
+        base = Path(tempfile.mkdtemp(prefix="repro-wal-shape-"))
+        try:
+            store = ObjectStore.open(
+                base / "db", schema=fresh_schema(), checkpoint_every=0
+            )
+            log = base / "db" / "wal.jsonl"
+            for step in steps:
+                kind = step[0]
+                idle = (kind == "update" and not store.extent("Order")) or (
+                    kind == "delete" and not store.extent("Item")
+                )
+                before_bytes = log.read_bytes()
+                before = store_state(store)
+                try:
+                    TestCrashRecoveryProperty._compile(step)(store)
+                except (ConstraintViolation, RuntimeError):
+                    assert log.read_bytes() == before_bytes
+                    continue
+                data = log.read_bytes()
+                assert data.startswith(before_bytes)
+                records, _, torn = scan_log(data[len(before_bytes):])
+                assert not torn
+                if idle:
+                    assert records == []
+                    continue
+                (record,) = records
+                assert record["t"] == "commit"
+                assert record["c"] == store._oid_seq
+                assert _replay(before, record["ops"]) == store_state(store)
+            store.close()
+        finally:
+            shutil.rmtree(base, ignore_errors=True)
+
+    def test_inner_rollback_writes_nothing(self, tmp_path):
+        store = ObjectStore.open(tmp_path / "db", schema=fresh_schema())
+        insert_pair(store, "keep")
+        log = tmp_path / "db" / "wal.jsonl"
+        before = log.read_bytes()
+        with store.transaction():
+            with pytest.raises(RuntimeError):
+                with store.transaction():
+                    insert_pair(store, "rolled-back")
+                    raise RuntimeError("inner abort")
+        assert log.read_bytes() == before
+        store.close()
+
+    def test_aborted_oids_stay_burned_across_restart(self, tmp_path):
+        """The commit record's oid high-water mark keeps oids burned by an
+        aborted transaction burned, even when the commit that follows
+        mints no oid of its own."""
+        path = tmp_path / "db"
+        store = ObjectStore.open(path, schema=fresh_schema())
+        _, order = insert_pair(store, "keep")
+        with pytest.raises(RuntimeError):
+            with store.transaction():
+                burned = insert_pair(store, "aborted")
+                raise RuntimeError("abort")
+        store.update(order, qty=2)
+        store.close()
+        recovered = ObjectStore.open(path)
+        fresh = insert_pair(recovered, "next")
+        assert min(oid_counter(obj.oid) for obj in fresh) > max(
+            oid_counter(obj.oid) for obj in burned
+        )
+        recovered.close()
+
+    def test_format_1_directory_is_refused(self, tmp_path):
+        path = tmp_path / "db"
+        store = ObjectStore.open(path, schema=fresh_schema())
+        insert_pair(store, "keep")
+        store.close()
+        snapshot_path = path / "snapshot.json"
+        payload = json.loads(snapshot_path.read_bytes())
+        payload["format"] = 1
+        payload["digest"] = snapshot_payload_digest(payload)
+        snapshot_path.write_text(json.dumps(payload))
+        with pytest.raises(EngineError, match="unsupported snapshot format"):
+            ObjectStore.open(path)
+        assert fsck(path).status == "fatal"
 
 
 class TestEnvironmentToggle:
