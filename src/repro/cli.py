@@ -31,10 +31,10 @@ retained fallback), and replay-certifying the recoverable committed
 prefix — and exits 0 (clean), 1 (damaged but a committed prefix is
 recoverable by reopening) or 2 (no committed prefix survives).
 ``stress`` exercises the store under concurrent load: writer threads
-committing transactions against one shared store while reader threads
-consume lock-free snapshots — with ``--dir``/``--sync`` the committers
-additionally demonstrate group commit (one fsync covering a batch of
-concurrent durable commits).
+committing updates and transactions against one shared store (a sharded
+one with ``--shards``) while reader threads consume lock-free snapshots —
+with ``--dir``/``--sync`` the committers additionally demonstrate group
+commit (one fsync covering a batch of concurrent durable commits).
 ``explain`` audits a durable store and prints a subset-minimal conflict
 core for every violation found — which objects, exactly, conflict with
 which constraint, with the binding chain that convicts each member
@@ -55,7 +55,7 @@ import sys
 from pathlib import Path
 
 from repro.engine.store import ObjectStore
-from repro.errors import ReproError
+from repro.errors import ReproError, ShardingError
 from repro.fixtures import (
     bookseller_store,
     cslibrary_store,
@@ -181,56 +181,55 @@ def _scrub_directory(directory: str, deep: bool) -> int:
     for finding in report.findings:
         print(f"  {finding}", file=sys.stderr)
     if deep and report.status != "fatal":
-        # --deep actually *opens* the store and audits its constraints.
-        # Unlike the scrub passes this repairs on the way in (tail
-        # truncation, snapshot-rotation repair), exactly like any reopen.
-        try:
-            store = ObjectStore.open(directory, verify=False)
-        except ReproError as exc:
-            print(f"deep audit: cannot open: {exc}", file=sys.stderr)
-            return 2
-        try:
-            violations = store.check_all()
-        finally:
-            store.close()
-        if violations:
-            print(
-                f"deep audit: {len(violations)} constraint violation(s):",
-                file=sys.stderr,
-            )
-            for violation in violations:
-                print(f"  {violation}", file=sys.stderr)
-            return max(report.exit_code, 1)
-        print("deep audit: all constraints hold")
+        return _deep_audit(
+            lambda: ObjectStore.open(directory, verify=False), report.exit_code
+        )
     return report.exit_code
+
+
+def _deep_audit(open_store, severity: int) -> int:
+    """``fsck --deep``: actually *open* the store and audit its constraints.
+    Unlike the scrub passes this repairs on the way in (tail truncation,
+    snapshot-rotation repair), exactly like any reopen.  Returns the exit
+    code: ``severity`` (the scrub's), raised to 1 by violations and to 2
+    when the store cannot be opened."""
+    try:
+        store = open_store()
+    except ReproError as exc:
+        print(f"deep audit: cannot open: {exc}", file=sys.stderr)
+        return 2
+    try:
+        violations = store.check_all()
+    finally:
+        store.close()
+    if violations:
+        print(
+            f"deep audit: {len(violations)} constraint violation(s):",
+            file=sys.stderr,
+        )
+        for violation in violations:
+            print(f"  {violation}", file=sys.stderr)
+        return max(severity, 1)
+    print("deep audit: all constraints hold")
+    return severity
 
 
 def _run_fsck(args: argparse.Namespace) -> int:
     """``fsck``: read-only scrub of a durable store directory — or, with
     ``--all``, of every shard directory under a sharded store root."""
-    from pathlib import Path
-
     if not args.all:
         return _scrub_directory(args.directory, args.deep)
 
-    from repro.engine.sharding import MANIFEST_NAME, ShardedStore, shard_directory
+    from repro.engine.sharding import ShardedStore, read_manifest, shard_directory
 
     root = Path(args.directory)
-    manifest_path = root / MANIFEST_NAME
-    if manifest_path.exists():
-        try:
-            import json
-
-            shard_count = int(
-                json.loads(manifest_path.read_text("utf-8"))["shards"]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            print(
-                f"{manifest_path}: unreadable shard manifest: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        directories = [shard_directory(root, shard) for shard in range(shard_count)]
+    try:
+        manifest = read_manifest(root)
+    except ShardingError as exc:
+        print(f"repro fsck: {exc}", file=sys.stderr)
+        return 2
+    if manifest is not None:
+        directories = [shard_directory(root, shard) for shard in range(manifest[0])]
     else:
         # No manifest: scrub whatever shard directories are on disk.
         directories = sorted(
@@ -247,24 +246,7 @@ def _run_fsck(args: argparse.Namespace) -> int:
         for directory in directories
     )
     if args.deep and worst < 2:
-        try:
-            store = ShardedStore.open(root, verify=False)
-        except ReproError as exc:
-            print(f"deep audit: cannot open: {exc}", file=sys.stderr)
-            return 2
-        try:
-            violations = store.check_all()
-        finally:
-            store.close()
-        if violations:
-            print(
-                f"deep audit: {len(violations)} constraint violation(s):",
-                file=sys.stderr,
-            )
-            for violation in violations:
-                print(f"  {violation}", file=sys.stderr)
-            return max(worst, 1)
-        print("deep audit: all constraints hold")
+        return _deep_audit(lambda: ShardedStore.open(root, verify=False), worst)
     return worst
 
 
@@ -398,41 +380,53 @@ def _stress_shard_source(classes: int) -> str:
     return "".join(parts)
 
 
-def _run_sharded_stress(args: argparse.Namespace) -> int:
-    """``stress --shards N``: the sharded variant — writers hammer a
-    :class:`~repro.engine.sharding.ShardedStore` with shard-local commits
-    plus periodic cross-shard (two-phase) transactions, readers scan
-    per-core snapshots, and the run reports the router's op counters and
-    each shard's group-commit telemetry."""
+def _run_stress(args: argparse.Namespace) -> int:
+    """``stress``: hammer one shared store — an :class:`ObjectStore`, or
+    with ``--shards N`` a :class:`~repro.engine.sharding.ShardedStore` —
+    with writer threads committing single updates plus a two-object
+    transaction every 16th step (a two-phase commit across shards), and
+    reader threads scanning lock-free snapshots; then audit the result.  A
+    sharded run also reports the router's op counters and each shard's
+    group-commit telemetry."""
     import threading
     import time
 
-    from repro.engine import ShardedStore
-    from repro.tm import parse_database
+    from repro.engine.sharding import ShardedStore
 
     shards = args.shards
-    schema = parse_database(_stress_shard_source(shards))
+    if shards is not None and shards < 1:
+        raise SystemExit("repro: --shards must be at least 1")
+    classes = [f"S{index}" for index in range(shards or 1)]
+    schema = parse_database(_stress_shard_source(len(classes)))
+
+    def open_store(*schema_args):
+        if shards is None:
+            return ObjectStore.open(args.dir, *schema_args, sync=args.sync)
+        return ShardedStore.open(args.dir, *schema_args, shards=shards, sync=args.sync)
+
     if args.dir:
+        # Re-running against the same directory recovers the previous
+        # population (the snapshot carries the schema) instead of
+        # colliding with it on the name key constraint.
         try:
-            store = ShardedStore.open(args.dir, sync=args.sync)
+            store = open_store()
         except ReproError:
             try:
-                store = ShardedStore.open(
-                    args.dir, schema, shards, sync=args.sync
-                )
+                store = open_store(schema)
             except ReproError as exc:
                 raise SystemExit(
                     f"repro: cannot open stress store at {args.dir!r}: {exc}"
                 ) from exc
+    elif args.sync:
+        raise SystemExit("repro: --sync requires --dir (a durable store)")
+    elif shards is None:
+        store = ObjectStore(schema, wal=False)
     else:
-        if args.sync:
-            raise SystemExit("repro: --sync requires --dir (a durable store)")
         store = ShardedStore(schema, shards)
     try:
-        existing = len(store)
-        for index in range(existing, args.objects):
+        for index in range(len(store), args.objects):
             store.insert(
-                f"S{index % shards}",
+                classes[index % len(classes)],
                 name=f"Obj {index}",
                 shopprice=50.0,
                 ourprice=45.0,
@@ -442,9 +436,10 @@ def _run_sharded_stress(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"repro: cannot populate the stress store: {exc}"
         ) from exc
-    # The merged object table orders by insertion counter then shard, so
-    # adjacent targets live on different shards — the cross-shard step
-    # below pairs neighbours to guarantee a two-phase commit.
+    # A sharded store's merged object table orders by insertion counter
+    # then shard, so adjacent targets live on different shards — the
+    # transaction step below pairs neighbours to guarantee a two-phase
+    # commit.
     targets = [obj.oid for obj in store.objects()]
     if not targets:
         store.close()
@@ -461,7 +456,7 @@ def _run_sharded_stress(args: argparse.Namespace) -> int:
             while not stop.is_set():
                 index = (slot + step * args.writers) % len(targets)
                 price = 40.0 + (step % 10)  # stays under shopprice (50.0)
-                if shards > 1 and step % 16 == 15 and len(targets) > 1:
+                if step % 16 == 15 and len(targets) > 1:
                     neighbour = targets[(index + 1) % len(targets)]
                     with store.transaction():
                         store.update(targets[index], ourprice=price)
@@ -476,147 +471,11 @@ def _run_sharded_stress(args: argparse.Namespace) -> int:
     def reader(slot: int) -> None:
         try:
             while not stop.is_set():
-                total = 0.0
-                for snapshot in store.snapshots():
-                    with snapshot as snap:
-                        for index in range(shards):
-                            for obj in snap.extent(f"S{index}"):
-                                total += obj.state["ourprice"]
-                assert total >= 0.0
-                reads[slot] += 1
-        except BaseException as exc:
-            failures.append(exc)
-
-    threads = [
-        threading.Thread(target=writer, args=(slot,), daemon=True)
-        for slot in range(args.writers)
-    ] + [
-        threading.Thread(target=reader, args=(slot,), daemon=True)
-        for slot in range(args.readers)
-    ]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    time.sleep(args.seconds)
-    stop.set()
-    for thread in threads:
-        thread.join(timeout=30.0)
-    elapsed = time.perf_counter() - started
-
-    total_commits = sum(commits)
-    total_reads = sum(reads)
-    print(
-        f"{args.writers} writer(s) committed {total_commits} operation(s) "
-        f"({total_commits / elapsed:.0f}/s), {args.readers} reader(s) took "
-        f"{total_reads} snapshot scan(s) ({total_reads / elapsed:.0f}/s) "
-        f"over {len(store)} object(s) across {shards} shard(s) "
-        f"in {elapsed:.2f}s"
-    )
-    print(
-        f"router: {store.fast_path_ops} fast-path op(s), "
-        f"{store.routed_global_ops} routed op(s), "
-        f"{store.two_phase_commits} two-phase commit(s)"
-    )
-    for row in store.shard_stats():
-        line = f"shard {row['shard']}: {row['objects']} object(s)"
-        if "fsyncs" in row:
-            line += (
-                f", {row['fsyncs']} fsync(s) for {row['sync_commits']} "
-                f"durable commit(s) — {row['fsyncs_per_commit']:.3f} "
-                f"fsyncs/commit, mean batch {row['mean_batch']:.2f}"
-            )
-        print(line)
-    for exc in failures:
-        print(f"thread failed: {exc!r}", file=sys.stderr)
-    violations = store.check_all()
-    for violation in violations:
-        print(f"  {violation}", file=sys.stderr)
-    store.close()
-    if failures or violations:
-        return 1
-    print("all constraints hold")
-    return 0
-
-
-def _run_stress(args: argparse.Namespace) -> int:
-    """``stress``: hammer one shared store with writer threads (serialized
-    by the coarse writer lock) and reader threads (lock-free snapshots),
-    then audit the result."""
-    import threading
-    import time
-
-    from repro.fixtures import cslibrary_schema
-
-    if args.shards is not None:
-        if args.shards < 1:
-            raise SystemExit("repro: --shards must be at least 1")
-        return _run_sharded_stress(args)
-
-    schema = cslibrary_schema()
-    schema.set_constant("MAX", 10**15)  # keep the sum constraint satisfiable
-    if args.dir:
-        # Re-running against the same directory recovers the previous
-        # population (the snapshot carries the schema) instead of
-        # colliding with it on the isbn key constraint.
-        try:
-            store = ObjectStore.open(args.dir, sync=args.sync)
-        except ReproError:
-            try:
-                store = ObjectStore.open(args.dir, schema, sync=args.sync)
-            except ReproError as exc:
-                raise SystemExit(
-                    f"repro: cannot open stress store at {args.dir!r}: {exc}"
-                ) from exc
-    else:
-        if args.sync:
-            raise SystemExit("repro: --sync requires --dir (a durable store)")
-        store = ObjectStore(schema, wal=False)
-    try:
-        existing = len(store.extent("Publication"))
-        for index in range(existing, args.objects):
-            store.insert(
-                "Publication",
-                title=f"Book {index}",
-                isbn=f"ISBN-{index}",
-                publisher="ACM",
-                shopprice=50.0,
-                ourprice=45.0,
-            )
-    except ReproError as exc:
-        store.close()
-        raise SystemExit(
-            f"repro: cannot populate the stress store: {exc}"
-        ) from exc
-    targets = [obj.oid for obj in store.extent("Publication")]
-    if not targets:
-        store.close()
-        raise SystemExit("repro: --objects must be at least 1")
-
-    stop = threading.Event()
-    commits = [0] * args.writers
-    reads = [0] * args.readers
-    failures: list[BaseException] = []
-
-    def writer(slot: int) -> None:
-        step = 0
-        try:
-            while not stop.is_set():
-                oid = targets[(slot + step * args.writers) % len(targets)]
-                # Stays under oc1 (ourprice <= shopprice, 50.0).
-                with store.transaction():
-                    store.update(oid, ourprice=40.0 + (step % 10))
-                commits[slot] += 1
-                step += 1
-        except BaseException as exc:  # surface, don't swallow
-            failures.append(exc)
-
-    def reader(slot: int) -> None:
-        try:
-            while not stop.is_set():
                 with store.snapshot() as snap:
                     total = 0.0
-                    for obj in snap.extent("Publication"):
-                        total += obj.state["ourprice"]
+                    for name in classes:
+                        for obj in snap.extent(name):
+                            total += obj.state["ourprice"]
                     assert total >= 0.0
                 reads[slot] += 1
         except BaseException as exc:
@@ -640,19 +499,36 @@ def _run_stress(args: argparse.Namespace) -> int:
 
     total_commits = sum(commits)
     total_reads = sum(reads)
+    across = "" if shards is None else f" across {shards} shard(s)"
     print(
-        f"{args.writers} writer(s) committed {total_commits} transaction(s) "
+        f"{args.writers} writer(s) committed {total_commits} operation(s) "
         f"({total_commits / elapsed:.0f}/s), {args.readers} reader(s) took "
         f"{total_reads} snapshot scan(s) ({total_reads / elapsed:.0f}/s) "
-        f"over {len(store)} object(s) in {elapsed:.2f}s"
+        f"over {len(store)} object(s){across} in {elapsed:.2f}s"
     )
-    if store.wal is not None and store.wal.sync_commits:
-        wal = store.wal
+    if shards is None:
+        if store.wal is not None and store.wal.sync_commits:
+            wal = store.wal
+            print(
+                f"group commit: {wal.fsyncs} fsync(s) for {wal.sync_commits} "
+                f"durable commit(s) — {wal.fsyncs / wal.sync_commits:.3f} "
+                "fsyncs/commit"
+            )
+    else:
         print(
-            f"group commit: {wal.fsyncs} fsync(s) for {wal.sync_commits} "
-            f"durable commit(s) — {wal.fsyncs / wal.sync_commits:.3f} "
-            "fsyncs/commit"
+            f"router: {store.fast_path_ops} fast-path op(s), "
+            f"{store.routed_global_ops} routed op(s), "
+            f"{store.two_phase_commits} two-phase commit(s)"
         )
+        for row in store.shard_stats():
+            line = f"shard {row['shard']}: {row['objects']} object(s)"
+            if "fsyncs" in row:
+                line += (
+                    f", {row['fsyncs']} fsync(s) for {row['sync_commits']} "
+                    f"durable commit(s) — {row['fsyncs_per_commit']:.3f} "
+                    f"fsyncs/commit, mean batch {row['mean_batch']:.2f}"
+                )
+            print(line)
     for exc in failures:
         print(f"thread failed: {exc!r}", file=sys.stderr)
     violations = store.check_all()

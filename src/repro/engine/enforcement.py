@@ -55,8 +55,8 @@ def _detection_trace(
     current=None,
     self_extent_class: str | None = None,
 ):
-    """Trace of a just-detected failure, or ``None`` if explanations are
-    off.  Lazy import: explain builds on this module's error contract."""
+    """Trace of a just-detected failure.  Lazy import: explain builds on
+    this module's error contract."""
     from repro.engine.explain import failure_trace
 
     return failure_trace(

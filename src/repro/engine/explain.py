@@ -83,7 +83,7 @@ def failure_trace(
     constraint: Constraint,
     current: Any = None,
     self_extent_class: str | None = None,
-) -> ReasonTrace | None:
+) -> ReasonTrace:
     """The reason trace of one failing check, re-run exactly as detected.
 
     Uses the store's own evaluation context — *including its index probes* —
@@ -91,11 +91,7 @@ def failure_trace(
     probe; this is what keeps traced failure latency within a small factor
     of untraced).  Scan-level object support for core extraction is computed
     separately by :func:`extract_core`, which forces scan semantics.
-
-    Returns ``None`` when the store has explanations disabled.
     """
-    if not getattr(store, "explain", True):
-        return None
     trace = ReasonTrace()
     ctx = store.eval_context(
         current=current, self_extent_class=self_extent_class

@@ -29,10 +29,13 @@ Every constraint is classified from its statically extracted read set:
 * *global* — reads span shards with no covering summary; the router
   evaluates against the merged multi-shard view.
 
-The router itself duck-types the store interface the enforcement layers
-consume (``get``/``extent``/``eval_context``/``dependency_index``/...), so
+The router shares the store's read and evaluation surface
+(:class:`~repro.engine.store._StoreSurface`: ``get_attr``, ``eval_context``,
+``dependency_index`` and the check stages) over its own oid locator and
+extent merge, with a merged index probe in place of a core's, so
 :mod:`repro.engine.enforcement` and :mod:`repro.engine.incremental` run
-unmodified against the merged state.
+unmodified against the merged state, through the same accessors a core
+uses.
 
 **Commit protocol.**  The router is a planner: it picks the check and hands
 the touched cores to the store's one commit tail
@@ -68,29 +71,20 @@ from contextlib import ExitStack
 from pathlib import Path
 from typing import Any
 
-from repro.constraints.evaluate import INDEX_MISS, VACUOUS, EvalContext, exact_aggregate
+from repro.constraints.evaluate import INDEX_MISS, VACUOUS, exact_aggregate
 from repro.engine.incremental import MutationDelta
 from repro.engine.indexes import oid_shard, oid_sort_key
 from repro.engine.objects import DBObject
 from repro.engine.store import (
     ObjectStore,
-    _ExtentView,
-    _LazyExtent,
-    _Validation,
+    _StoreSurface,
     check_registration,
     redeem,
+    schema_from_image,
 )
-from repro.engine.wal import load_image
-from repro.errors import (
-    ConstraintViolation,
-    EngineError,
-    SchemaError,
-    ShardingError,
-    UnknownClassError,
-    UnknownObjectError,
-)
+from repro.engine.wal import _write_atomic, load_image
+from repro.errors import EngineError, ShardingError, UnknownObjectError
 from repro.tm.schema import DatabaseSchema
-from repro.types.primitives import ClassRef
 
 #: Name of the shard-layout manifest inside a sharded store root.
 MANIFEST_NAME = "shards.json"
@@ -100,6 +94,54 @@ _MANIFEST_FORMAT = 1
 def shard_directory(root: "str | Path", shard: int) -> Path:
     """The durable directory of one shard core under a sharded store root."""
     return Path(root) / f"shard-{int(shard)}"
+
+
+def read_manifest(
+    root: "str | Path",
+) -> "tuple[int, frozenset[str], dict[str, int]] | None":
+    """The persisted layout of the sharded store at ``root`` — shard count,
+    spread classes and class placement — or ``None`` when the root holds
+    no manifest.  Raises :class:`ShardingError` on an unreadable one."""
+    path = Path(root) / MANIFEST_NAME
+    if not path.exists():
+        return None
+    try:
+        manifest = json.loads(path.read_text("utf-8"))
+        return (
+            int(manifest["shards"]),
+            frozenset(str(name) for name in manifest.get("spread", ())),
+            {
+                str(name): int(shard)
+                for name, shard in dict(manifest["placement"]).items()
+            },
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ShardingError(
+            f"unreadable shard manifest at {str(path)!r}: {exc}"
+        ) from exc
+
+
+def _owner(parts, oid: str):
+    """The part — a shard core, or a per-core snapshot — holding ``oid``,
+    or ``None``.  ``parts`` is indexed by shard: sharded oids
+    (``Class#S.N``) name their part directly; plain or foreign oids fall
+    back to probing every part."""
+    shard = oid_shard(oid)
+    if shard is not None and 0 <= shard < len(parts) and oid in parts[shard]:
+        return parts[shard]
+    for part in parts:
+        if oid in part:
+            return part
+    return None
+
+
+def _merged_extent(parts, class_name: str, deep: bool) -> list:
+    """Per-part extents merged in global ``(counter, oid)`` order — the
+    global insertion-attempt order, since the spread insert cursor and the
+    per-core sequences both only grow."""
+    merged = [obj for part in parts for obj in part.extent(class_name, deep)]
+    merged.sort(key=lambda obj: oid_sort_key(obj.oid))
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +378,7 @@ class _MergedProbe:
 # ---------------------------------------------------------------------------
 
 
-class ShardedStore(_Validation):
+class ShardedStore(_StoreSurface):
     """``N`` independent shard cores behind one constraint-aware router.
 
     Presents the :class:`~repro.engine.store.ObjectStore` surface (insert /
@@ -371,7 +413,6 @@ class ShardedStore(_Validation):
         *,
         spread: "Iterable[str]" = (),
         enforce: bool = True,
-        explain: bool = True,
         analyze: bool = False,
         placement: "Mapping[str, int] | None" = None,
         _cores: "list[ObjectStore] | None" = None,
@@ -380,7 +421,6 @@ class ShardedStore(_Validation):
         self.shards = int(shards)
         self.spread = frozenset(spread)
         self.enforce = enforce
-        self.explain = explain
         self.analyze = analyze
         #: The router checks every constraint the cores do not (and, on its
         #: merged view, re-checking a local one is merely redundant): no
@@ -402,21 +442,14 @@ class ShardedStore(_Validation):
             if analyze:
                 check_registration(schema)
             self.cores = [
-                ObjectStore(
-                    schema,
-                    enforce=enforce,
-                    wal=None,
-                    explain=explain,
-                    oid_namespace=shard,
-                )
+                ObjectStore(schema, enforce=enforce, wal=None, oid_namespace=shard)
                 for shard in range(self.shards)
             ]
-        # Every core prunes entailed constraints from its hot path and
-        # explains exactly as the router does (open() recovers the cores
-        # with the plain store's defaults).
+        # Every core prunes entailed constraints from its hot path exactly
+        # as the router does (open() recovers the cores with the plain
+        # store's defaults).
         for core in self.cores:
             core.analyze = analyze
-            core.explain = explain
         #: Router lock: serializes cross-shard (global) operations, routing
         #: rebuilds and transactions.  Fast-path operations never take it.
         self._lock = threading.RLock()
@@ -536,18 +569,11 @@ class ShardedStore(_Validation):
         return self.cores[self.placement.get(class_name, 0)]
 
     def _locate(self, oid: str) -> ObjectStore:
-        """The core holding ``oid``.  Sharded oids (``Class#S.N``) name
-        their core directly; plain or foreign oids fall back to probing
-        every core."""
-        shard = oid_shard(oid)
-        if shard is not None and 0 <= shard < self.shards:
-            core = self.cores[shard]
-            if oid in core:
-                return core
-        for core in self.cores:
-            if oid in core:
-                return core
-        raise UnknownObjectError(f"no object with identifier {oid!r}")
+        """The core holding ``oid`` (see :func:`_owner`)."""
+        core = _owner(self.cores, oid)
+        if core is None:
+            raise UnknownObjectError(f"no object with identifier {oid!r}")
+        return core
 
     # -- basic access --------------------------------------------------------
 
@@ -555,11 +581,7 @@ class ShardedStore(_Validation):
         return sum(len(core) for core in self.cores)
 
     def __contains__(self, oid: str) -> bool:
-        shard = oid_shard(oid)
-        if shard is not None and 0 <= shard < self.shards:
-            if oid in self.cores[shard]:
-                return True
-        return any(oid in core for core in self.cores)
+        return _owner(self.cores, oid) is not None
 
     def get(self, oid: str) -> DBObject:
         return self._locate(oid).get(oid)
@@ -580,73 +602,18 @@ class ShardedStore(_Validation):
     def extent(self, class_name: str, deep: bool = True) -> list[DBObject]:
         """See :meth:`ObjectStore.extent`.  Pinned classes answer from their
         home core (their whole deep extent co-locates); spread classes merge
-        per-core extents in oid order — the global insertion-attempt order,
-        since the insert cursor and per-core sequences both only grow."""
+        per-core extents (:func:`_merged_extent`)."""
         home = self.placement.get(class_name)
         if home is not None:
             return self.cores[home].extent(class_name, deep)
-        if not self.schema.has_class(class_name):
-            raise UnknownClassError(
-                f"no class {class_name!r} in database {self.schema.name}"
-            )
-        merged = [
-            obj for core in self.cores for obj in core.extent(class_name, deep)
-        ]
-        merged.sort(key=lambda obj: oid_sort_key(obj.oid))
-        return merged
+        return _merged_extent(self.cores, class_name, deep)
 
-    def get_attr(self, obj: Any, name: str) -> Any:
-        """See :meth:`ObjectStore.get_attr`; dereferences resolve through
-        the router, so cross-core references (foreign oids inserted as
-        plain strings) still traverse."""
-        if isinstance(obj, DBObject):
-            if name not in obj.state:
-                raise EngineError(
-                    f"{obj.class_name} object {obj.oid} has no attribute {name!r}"
-                )
-            value = obj.state[name]
-            key = (obj.class_name, name)
-            if key in self._attr_types:
-                tm_type = self._attr_types[key]
-            else:
-                try:
-                    tm_type = self.schema.attribute_type(obj.class_name, name)
-                except SchemaError:
-                    tm_type = None
-                self._attr_types[key] = tm_type
-            if isinstance(tm_type, ClassRef) and isinstance(value, str):
-                return self.get(value)
-            return value
-        if isinstance(obj, Mapping):
-            value = obj[name]
-            if isinstance(value, str) and value in self:
-                return self.get(value)
-            return value
-        raise EngineError(f"cannot read attribute {name!r} from {obj!r}")
+    def _probe(self) -> "_MergedProbe":
+        """The merged index probe of the router's evaluation contexts:
+        cross-shard aggregates answered from per-shard partials."""
+        return _MergedProbe(self)
 
-    def eval_context(
-        self,
-        current: Any = None,
-        self_extent_class: str | None = None,
-        bindings: dict[str, Any] | None = None,
-    ) -> EvalContext:
-        """An evaluation context over the *merged* store: lazy merged
-        extents, router-wide dereferencing, and the merged index probe
-        (cross-shard aggregates answered from per-shard partials)."""
-        return EvalContext(
-            current=current,
-            bindings=bindings or {},
-            extents=_ExtentView(self),
-            self_extent=(
-                _LazyExtent(self, self_extent_class) if self_extent_class else ()
-            ),
-            self_extent_class=self_extent_class,
-            constants=self.schema.constants,
-            get_attr=self.get_attr,
-            indexes=_MergedProbe(self),
-        )
-
-    # -- enforcement plumbing (duck-typed store surface) ---------------------
+    # -- enforcement plumbing ------------------------------------------------
 
     def audit(self) -> list:
         """Validate the merged store; a clean pass re-baselines the router
@@ -771,12 +738,13 @@ class ShardedStore(_Validation):
     def transaction(self, validate: bool = True) -> "_ShardedTransaction":
         """A deferred-validation transaction spanning all shards.
 
-        Opens an unvalidated transaction on every core (a core it leaves
-        unwritten logs nothing); operations inside route by placement with
-        no per-op enforcement.  At exit the router validates the merged
-        delta and either rolls every core back or commits — atomically
-        across the durable shards that were written, via two-phase commit when there
-        is more than one.  Nested transactions nest per core, exactly like
+        Opens a transaction on every core (a core it leaves unwritten logs
+        nothing, and no core checks its own: only the router's outermost
+        exit commits, through the tail); operations inside route by
+        placement with no per-op enforcement.  At exit the router validates
+        the merged delta and either rolls every core back or commits —
+        atomically across the durable shards that were written, via
+        two-phase commit when there is more than one.  Nested transactions nest per core, exactly like
         the plain store's."""
         return _ShardedTransaction(self, validate=validate)
 
@@ -791,7 +759,6 @@ class ShardedStore(_Validation):
         *,
         spread: "Iterable[str]" = (),
         enforce: bool = True,
-        explain: bool = True,
         analyze: bool = False,
         sync: bool = False,
         checkpoint_every: int = 10_000,
@@ -819,24 +786,11 @@ class ShardedStore(_Validation):
         targeting one shard's files (testing only).
         """
         root = Path(root)
-        manifest_path = root / MANIFEST_NAME
         spread = frozenset(spread)
         placement: "dict[str, int] | None" = None
-        if manifest_path.exists():
-            try:
-                manifest = json.loads(manifest_path.read_text("utf-8"))
-                manifest_shards = int(manifest["shards"])
-                placement = {
-                    str(name): int(shard)
-                    for name, shard in dict(manifest["placement"]).items()
-                }
-                manifest_spread = frozenset(
-                    str(name) for name in manifest.get("spread", ())
-                )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise ShardingError(
-                    f"unreadable shard manifest at {str(manifest_path)!r}: {exc}"
-                ) from exc
+        manifest = read_manifest(root)
+        if manifest is not None:
+            manifest_shards, manifest_spread, placement = manifest
             if shards is not None and int(shards) != manifest_shards:
                 raise ShardingError(
                     f"store at {str(root)!r} has {manifest_shards} shard(s); "
@@ -868,30 +822,27 @@ class ShardedStore(_Validation):
                     f"no durable store at {str(root)!r}; pass a schema to "
                     "create one"
                 )
-            from repro.tm.parser import parse_database
-
-            schema = parse_database(seed.schema_source)
-            for name, value in seed.constants:
-                schema.set_constant(name, value)
+            schema = schema_from_image(seed)
         placement = plan_placement(schema, shard_count, spread, existing=placement)
         if analyze:
             check_registration(schema)
         root.mkdir(parents=True, exist_ok=True)
-        manifest_path.write_text(
-            json.dumps(
-                {
-                    "format": _MANIFEST_FORMAT,
-                    "database": schema.name,
-                    "shards": shard_count,
-                    "spread": sorted(spread),
-                    "placement": placement,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            "utf-8",
-        )
+        layout = json.dumps(
+            {
+                "format": _MANIFEST_FORMAT,
+                "database": schema.name,
+                "shards": shard_count,
+                "spread": sorted(spread),
+                "placement": placement,
+            },
+            indent=2,
+            sort_keys=True,
+        ).encode("utf-8") + b"\n"
+        manifest_path = root / MANIFEST_NAME
+        # Rewritten only when the layout changed, and atomically: a crash
+        # mid-write must never leave a torn manifest the root cannot open.
+        if not manifest_path.exists() or manifest_path.read_bytes() != layout:
+            _write_atomic(manifest_path, layout)
         cores = [
             ObjectStore.open(
                 directory,
@@ -911,7 +862,6 @@ class ShardedStore(_Validation):
             shard_count,
             spread=spread,
             enforce=enforce,
-            explain=explain,
             analyze=analyze,
             placement=placement,
             _cores=cores,
@@ -921,14 +871,7 @@ class ShardedStore(_Validation):
         for name in store.spread:
             store._spread_seq[name] = len(store.extent(name))
         if verify:
-            violations = store.audit()
-            if violations:
-                raise ConstraintViolation(
-                    "recovery",
-                    "; ".join(violation.describe() for violation in violations),
-                    violations=violations,
-                    cores=store._cores_for(violations),
-                )
+            store._raise_violations("recovery", store.audit())
         return store
 
     @property
@@ -970,18 +913,9 @@ class ShardedStore(_Validation):
         hops — heavier than a single core's O(1) snapshot, but still
         non-blocking for readers once taken, and it never waits on fsyncs
         (commits release their writer lock before redeeming group-commit
-        tickets).  Per-shard readers that do not need a cross-shard cut
-        should prefer :meth:`snapshots`."""
+        tickets)."""
         with self._quiesced():
             return MergedSnapshot([core.snapshot() for core in self.cores])
-
-    def snapshots(self) -> list:
-        """One immutable point-in-time snapshot per core, taken in shard
-        order *without* quiescing the router: each is internally
-        consistent, but the cut is not coordinated across cores — what
-        per-shard readers (backups, per-shard scans) need.  Use
-        :meth:`snapshot` for a consistent cross-shard cut."""
-        return [core.snapshot() for core in self.cores]
 
     def shard_stats(self) -> list[dict[str, Any]]:
         """Per-shard observability: object counts and group-commit telemetry
@@ -1038,10 +972,10 @@ class _Quiesced:
 
 
 class _ShardedTransaction:
-    """One router-level transaction: an unvalidated bracket on every core,
-    committed as one through the store's commit tail — checked against the
-    merged delta, logged by two-phase commit when it wrote two or more
-    durable cores.  Returned by :meth:`ShardedStore.transaction`."""
+    """One router-level transaction: a bracket on every core, committed as
+    one through the store's commit tail — checked against the merged delta,
+    logged by two-phase commit when it wrote two or more durable cores.
+    Returned by :meth:`ShardedStore.transaction`."""
 
     def __init__(self, router: ShardedStore, validate: bool = True):
         self.router = router
@@ -1061,7 +995,7 @@ class _ShardedTransaction:
             txns: list = []
             try:
                 for core in router.cores:
-                    txns.append(core.transaction(validate=False).__enter__())
+                    txns.append(core.transaction().__enter__())
             except BaseException as exc:
                 # A refused entry exits the brackets already opened.
                 for txn in reversed(txns):
@@ -1231,53 +1165,28 @@ class MergedSnapshot:
 
     # -- reads -------------------------------------------------------------
 
-    def _member_for(self, oid: str):
-        shard = oid_shard(oid)
-        if shard is not None and 0 <= shard < len(self._members):
-            return self._members[shard]
-        return None
-
     def __contains__(self, oid: object) -> bool:
-        if not isinstance(oid, str):
-            return False
-        member = self._member_for(oid)
-        if member is not None and oid in member:
-            return True
-        return any(oid in candidate for candidate in self._members)
+        return isinstance(oid, str) and _owner(self._members, oid) is not None
 
     def get(self, oid: str):
-        member = self._member_for(oid)
-        if member is not None and oid in member:
-            return member.get(oid)
-        for candidate in self._members:
-            if oid in candidate:
-                return candidate.get(oid)
-        raise UnknownObjectError(
-            f"no object with identifier {oid!r} in the merged snapshot"
-        )
+        member = _owner(self._members, oid)
+        if member is None:
+            raise UnknownObjectError(
+                f"no object with identifier {oid!r} in the merged snapshot"
+            )
+        return member.get(oid)
 
     def get_attr(self, obj: Any, name: str) -> Any:
-        """Reference-dereferencing attribute read across the cut: the
-        member that owns ``obj`` resolves plain values and same-core
-        references; a cross-core reference resolves through the merged
-        lookup at this cut."""
-        member = self._member_for(getattr(obj, "oid", "")) or self._members[0]
-        try:
-            return member.get_attr(obj, name)
-        except UnknownObjectError:
-            value = obj.state[name]
-            if isinstance(value, str) and value in self:
-                return self.get(value)
-            raise
+        """Reference-dereferencing attribute read across the cut, by the
+        member that owns ``obj``: references never cross cores (a core
+        type-checks them against its own objects), so the owner resolves
+        every one at this cut."""
+        member = _owner(self._members, obj.oid)
+        # Not ``or``: a snapshot's truth value is its O(history) length.
+        return (self._members[0] if member is None else member).get_attr(obj, name)
 
     def extent(self, class_name: str, deep: bool = True) -> list:
-        merged = [
-            obj
-            for member in self._members
-            for obj in member.extent(class_name, deep)
-        ]
-        merged.sort(key=lambda obj: oid_sort_key(obj.oid))
-        return merged
+        return _merged_extent(self._members, class_name, deep)
 
     def objects(self):
         for member in self._members:

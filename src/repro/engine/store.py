@@ -31,12 +31,71 @@ from repro.tm.schema import DatabaseSchema
 from repro.types.primitives import ClassRef
 
 
-class _Validation:
-    """Validation helpers shared by :class:`ObjectStore` and the shard
-    router (:class:`~repro.engine.sharding.ShardedStore`), the check stages
-    of the commit tail among them.  The host class provides ``schema``,
-    ``enforce``, ``explain``, ``_validated_fingerprint`` and :meth:`audit`
-    (a clean audit re-baselines the fingerprint)."""
+class _StoreSurface:
+    """The read, evaluation and validation surface shared by
+    :class:`ObjectStore` and the shard router
+    (:class:`~repro.engine.sharding.ShardedStore`): reference-dereferencing
+    attribute reads, evaluation contexts, and the check stages of the
+    commit tail.  The host class provides ``schema``, ``enforce``,
+    ``_attr_types``, ``_validated_fingerprint``, ``get``/``__contains__``/
+    ``extent``, :meth:`audit` (a clean audit re-baselines the fingerprint)
+    and ``_probe`` (the index probe its evaluation contexts consult)."""
+
+    def get_attr(self, obj: Any, name: str) -> Any:
+        """Attribute accessor for the constraint evaluator.
+
+        Dereferences reference attributes: reading ``publisher`` from an Item
+        yields the Publisher *object*, so paths like ``publisher.name``
+        traverse the store.
+        """
+        if isinstance(obj, DBObject):
+            if name not in obj.state:
+                raise EngineError(
+                    f"{obj.class_name} object {obj.oid} has no attribute {name!r}"
+                )
+            value = obj.state[name]
+            key = (obj.class_name, name)
+            if key in self._attr_types:
+                tm_type = self._attr_types[key]
+            else:
+                try:
+                    tm_type = self.schema.attribute_type(obj.class_name, name)
+                except SchemaError:
+                    tm_type = None
+                self._attr_types[key] = tm_type
+            if isinstance(tm_type, ClassRef) and isinstance(value, str):
+                return self.get(value)
+            return value
+        if isinstance(obj, Mapping):
+            value = obj[name]
+            if isinstance(value, str) and value in self:
+                return self.get(value)
+            return value
+        raise EngineError(f"cannot read attribute {name!r} from {obj!r}")
+
+    def eval_context(
+        self,
+        current: Any = None,
+        self_extent_class: str | None = None,
+        bindings: dict[str, Any] | None = None,
+    ) -> EvalContext:
+        """An :class:`EvalContext` wired to this store's extents/constants.
+
+        ``self_extent`` is *lazy*: most aggregate and key checks are
+        answered by the index probe (``indexes``) without ever
+        materializing the extent, which is what keeps those checks O(1)."""
+        return EvalContext(
+            current=current,
+            bindings=bindings or {},
+            extents=_ExtentView(self),
+            self_extent=(
+                _LazyExtent(self, self_extent_class) if self_extent_class else ()
+            ),
+            self_extent_class=self_extent_class,
+            constants=self.schema.constants,
+            get_attr=self.get_attr,
+            indexes=self._probe(),
+        )
 
     def dependency_index(self):
         """The cached constraint-dependency index for this store's schema,
@@ -49,19 +108,6 @@ class _Validation:
             or self.schema.fingerprint() != self._validated_fingerprint
         )
 
-    def _revalidate_fully(self) -> None:
-        """Full-store validation when no validated baseline exists
-        (no full pass yet, or the schema changed since the last one); raises
-        on any violation."""
-        violations = self.audit()
-        if violations:
-            raise ConstraintViolation(
-                "full revalidation",
-                "; ".join(violation.describe() for violation in violations),
-                violations=violations,
-                cores=self._cores_for(violations),
-            )
-
     def _check_op(self, delta: MutationDelta) -> None:
         """The check stage of an auto-commit op (plain or routed): re-check
         what the delta can have invalidated, fail-fast (fully, when there is
@@ -69,7 +115,9 @@ class _Validation:
         if not self.enforce:
             return
         if self._schema_changed_since_validation():
-            self._revalidate_fully()
+            # Full-store validation: no validated baseline exists (no full
+            # pass yet, or the schema changed since the last one).
+            self._raise_violations("full revalidation", self.audit())
             return
         check_delta(self, delta)
 
@@ -89,9 +137,15 @@ class _Validation:
             violations = self.audit()
         else:
             violations = incremental.delta_violations(self, delta)
+        self._raise_violations("transaction", violations)
+
+    def _raise_violations(self, label: str, violations: list) -> None:
+        """Raise one :class:`ConstraintViolation` labelled ``label`` that
+        names every one of ``violations`` and carries their conflict cores;
+        a no-op when there are none."""
         if violations:
             raise ConstraintViolation(
-                "transaction",
+                label,
                 "; ".join(violation.describe() for violation in violations),
                 violations=violations,
                 cores=self._cores_for(violations),
@@ -106,8 +160,6 @@ class _Validation:
         """Cores attached to a failure-path exception.  Best-effort by
         contract: explanation must never mask the violation being raised,
         so any error inside extraction degrades to 'no cores'."""
-        if not self.explain:
-            return ()
         from repro.engine.explain import explain_violations
 
         try:
@@ -116,7 +168,7 @@ class _Validation:
             return ()
 
 
-class ObjectStore(_Validation):
+class ObjectStore(_StoreSurface):
     """An in-memory object database over a TM schema.
 
     Every mutating operation type-checks the affected state and — unless the
@@ -173,7 +225,6 @@ class ObjectStore(_Validation):
         schema: DatabaseSchema,
         enforce: bool = True,
         wal: "WriteAheadLog | str | Path | bool | None" = None,
-        explain: bool = True,
         analyze: bool = False,
         oid_namespace: int | None = None,
     ):
@@ -193,11 +244,6 @@ class ObjectStore(_Validation):
         #: the schema's constraint objects, so the set must be built from
         #: the same schema instance this store holds.
         self.constraint_scope: "frozenset | None" = None
-        #: Attach reason traces to constraint failures and compute conflict
-        #: cores on commit-time rejections.  Tracing happens only *after* a
-        #: check has already failed (the success path is untouched), so the
-        #: flag trades rejection latency for diagnosability only.
-        self.explain = explain
         #: Opt-in schema static analysis (:mod:`repro.constraints.analysis`):
         #: registration rejects schemas with error-level findings (malformed
         #: constraints, individually-UNSAT constraints, contradictory
@@ -326,6 +372,10 @@ class ObjectStore(_Validation):
         self._indexes.ensure_fresh()
         return [objects[oid] for oid in self._indexes.deep_extent_oids(class_name)]
 
+    def _probe(self):
+        """The index probe of this store's evaluation contexts."""
+        return self._indexes.probe()
+
     # -- mutation -----------------------------------------------------------------
 
     def insert(self, class_name: str, state: Mapping[str, Any] | None = None, **kwargs: Any) -> DBObject:
@@ -445,64 +495,6 @@ class ObjectStore(_Validation):
         del self._objects[obj.oid]
         self._direct_extents[obj.class_name].discard(obj.oid)
         self._indexes.on_delete(obj)
-
-    # -- dereferencing & evaluation contexts --------------------------------------------
-
-    def get_attr(self, obj: Any, name: str) -> Any:
-        """Attribute accessor for the constraint evaluator.
-
-        Dereferences reference attributes: reading ``publisher`` from an Item
-        yields the Publisher *object*, so paths like ``publisher.name``
-        traverse the store.
-        """
-        if isinstance(obj, DBObject):
-            if name not in obj.state:
-                raise EngineError(
-                    f"{obj.class_name} object {obj.oid} has no attribute {name!r}"
-                )
-            value = obj.state[name]
-            key = (obj.class_name, name)
-            if key in self._attr_types:
-                tm_type = self._attr_types[key]
-            else:
-                try:
-                    tm_type = self.schema.attribute_type(obj.class_name, name)
-                except SchemaError:
-                    tm_type = None
-                self._attr_types[key] = tm_type
-            if isinstance(tm_type, ClassRef) and isinstance(value, str):
-                return self.get(value)
-            return value
-        if isinstance(obj, Mapping):
-            value = obj[name]
-            if isinstance(value, str) and value in self._objects:
-                return self._objects[value]
-            return value
-        raise EngineError(f"cannot read attribute {name!r} from {obj!r}")
-
-    def eval_context(
-        self,
-        current: Any = None,
-        self_extent_class: str | None = None,
-        bindings: dict[str, Any] | None = None,
-    ) -> EvalContext:
-        """An :class:`EvalContext` wired to this store's extents/constants.
-
-        ``self_extent`` is *lazy*: most aggregate and key checks are
-        answered by the index probe (``indexes``) without ever
-        materializing the extent, which is what keeps those checks O(1)."""
-        return EvalContext(
-            current=current,
-            bindings=bindings or {},
-            extents=_ExtentView(self),
-            self_extent=(
-                _LazyExtent(self, self_extent_class) if self_extent_class else ()
-            ),
-            self_extent_class=self_extent_class,
-            constants=self.schema.constants,
-            get_attr=self.get_attr,
-            indexes=self._indexes.probe(),
-        )
 
     # -- enforcement --------------------------------------------------------------------
 
@@ -737,8 +729,6 @@ class ObjectStore(_Validation):
         unapplied and unlogged — only a router that has seen *every*
         shard's log may decide them.
         """
-        from repro.tm.parser import parse_database
-
         wal = WriteAheadLog(
             path, sync=sync, checkpoint_every=checkpoint_every, faults=faults
         )
@@ -757,13 +747,9 @@ class ObjectStore(_Validation):
                 oid_namespace=oid_namespace,
             )
         if schema is None:
-            schema = parse_database(image.schema_source)
-            # Constant rebinds replayed from post-checkpoint schema-change
-            # records; a full-schema record already folded them into the
-            # re-parsed source (callers overriding ``schema`` own the whole
-            # schema, replayed changes included).
-            for name, value in image.constants:
-                schema.set_constant(name, value)
+            # Callers overriding ``schema`` own the whole schema, replayed
+            # changes included.
+            schema = schema_from_image(image)
         resolved: list[tuple[str, bool]] = []
         if resolutions is not None and image.prepared:
             from repro.engine.wal import apply_resolutions
@@ -791,14 +777,7 @@ class ObjectStore(_Validation):
         store._recovery_info = image
         store._wal = wal
         if verify:
-            violations = store.audit()
-            if violations:
-                raise ConstraintViolation(
-                    "recovery",
-                    "; ".join(violation.describe() for violation in violations),
-                    violations=violations,
-                    cores=store._cores_for(violations),
-                )
+            store._raise_violations("recovery", store.audit())
         return store
 
     def _load_image(self, image: RecoveredImage) -> None:
@@ -1013,9 +992,7 @@ class ObjectStore(_Validation):
         :class:`ConstraintViolation`) if any constraint is broken.
 
         ``validate=False`` skips the commit-time validation entirely — the
-        caller owns consistency.  The commit router uses this to wrap shard-
-        core transactions whose validation it performs itself against the
-        merged cross-shard state; everything else should leave it on.
+        caller owns consistency.
         """
         from repro.engine.transactions import Transaction
 
@@ -1025,6 +1002,18 @@ class ObjectStore(_Validation):
 def _item_sort_key(item: tuple[str, DBObject]) -> tuple[int, int, str]:
     """:func:`oid_sort_key` of an ``_objects`` item."""
     return oid_sort_key(item[0])
+
+
+def schema_from_image(image: RecoveredImage) -> DatabaseSchema:
+    """The schema a recovered image describes: its source re-parsed, then
+    the constant rebinds replayed from post-checkpoint schema-change
+    records (a full-schema record already folded them into the source)."""
+    from repro.tm.parser import parse_database
+
+    schema = parse_database(image.schema_source)
+    for name, value in image.constants:
+        schema.set_constant(name, value)
+    return schema
 
 
 def redeem(owed) -> None:
@@ -1070,7 +1059,7 @@ class _LazyExtent:
 
     __slots__ = ("_store", "_class_name")
 
-    def __init__(self, store: ObjectStore, class_name: str):
+    def __init__(self, store: _StoreSurface, class_name: str):
         self._store = store
         self._class_name = class_name
 
@@ -1081,7 +1070,7 @@ class _LazyExtent:
 class _ExtentView(Mapping):
     """Lazy class-name → extent mapping for evaluation contexts."""
 
-    def __init__(self, store: ObjectStore):
+    def __init__(self, store: _StoreSurface):
         self._store = store
 
     def __getitem__(self, class_name: str) -> list[DBObject]:

@@ -38,9 +38,9 @@ transaction rolls back); an inner rollback restores the state and dirty set
 captured at the inner entry, so reverted operations neither leak into nor
 hide from the outer commit.
 
-Shard cores (:mod:`repro.engine.sharding`) run the same transactions,
-unvalidated, one per core under a router transaction.  Rollbacks and inner
-commits stay each core's own.  The router's outermost exit instead unwinds
+Shard cores (:mod:`repro.engine.sharding`) run the same transactions, one
+per core under a router transaction.  Rollbacks and inner commits stay each
+core's own, and neither checks.  The router's outermost exit instead unwinds
 every core's bookkeeping (:meth:`Transaction._unwind`, the first step of
 every exit here too) and runs the commit tail once over the cores it
 wrote: checked against their merged delta, logged with
@@ -84,8 +84,7 @@ class Transaction:
     def __init__(self, store: "ObjectStore", validate: bool = True):
         self.store = store
         #: Commit-time validation switch.  ``False`` hands consistency to
-        #: the caller — the commit router validates shard-core brackets
-        #: against the merged cross-shard state itself.
+        #: the caller.
         self.validate = validate
         self._was_deferred = False
         self._outer_undo: dict | None = None
@@ -166,7 +165,7 @@ class Transaction:
 
     def _check(self, delta) -> None:
         """The check stage of an outermost commit
-        (:meth:`~repro.engine.store._Validation._check_transaction`),
+        (:meth:`~repro.engine.store._StoreSurface._check_transaction`),
         unless validation is off."""
         if self.validate:
             self.store._check_transaction(delta)

@@ -519,3 +519,32 @@ end Item
         capsys.readouterr()
         assert main(["recover", "--strict", str(path)]) == 0
         assert "schema-change" not in capsys.readouterr().err
+
+
+@pytest.mark.concurrency
+class TestStressCli:
+    """``repro stress`` on a plain store (``--shards`` is covered with the
+    sharding suite)."""
+
+    ARGS = ["stress", "--seconds", "0.2", "--objects", "40"]
+
+    def test_in_memory_run_audits_clean(self, capsys):
+        from repro.cli import main
+
+        assert main([*self.ARGS, "--writers", "2", "--readers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "over 40 object(s) in" in out
+        assert "shard" not in out
+        assert "all constraints hold" in out
+
+    def test_durable_sync_run_recovers_strictly(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = str(tmp_path / "db")
+        args = [*self.ARGS, "--writers", "2", "--readers", "1", "--dir", path, "--sync"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "fsyncs/commit" in out
+        assert "all constraints hold" in out
+        assert main(["recover", "--strict", path]) == 0
+        assert "recovered 40 object(s)" in capsys.readouterr().out

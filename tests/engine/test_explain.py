@@ -636,20 +636,6 @@ def test_single_op_rejection_carries_trace():
     assert store.audit() == []
 
 
-def test_explain_off_disables_cores_but_not_enforcement():
-    store = ObjectStore(explainlab_schema(), explain=False)
-    with store.transaction():
-        publisher = store.insert("Publisher", name="Referenced")
-        store.insert(
-            "Item", title="t", isbn="a", price=1, publisher=publisher
-        )
-    with pytest.raises(ConstraintViolation) as excinfo:
-        with store.transaction():
-            store.insert("Publisher", name="Ghost")
-    assert excinfo.value.cores == ()
-    assert store.audit() == []
-
-
 # ---------------------------------------------------------------------------
 # CLI: repro explain
 # ---------------------------------------------------------------------------
