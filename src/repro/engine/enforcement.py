@@ -5,11 +5,16 @@ The component databases of the paper enforce their own integrity constraints.
 against every object, class constraints against their (deep) extents, and
 database constraints against the whole store — for audits, recovery, fallback
 revalidation, and as the verdict of :class:`~repro.engine.oracle.Oracle`.
+
+:func:`violation` renders every failed check — its detail, culprit oid and
+reason trace — for this check and the delta-driven checks of
+:mod:`repro.engine.incremental` alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Any
 
 from repro.constraints.evaluate import evaluate
@@ -17,8 +22,8 @@ from repro.errors import EngineError, EvaluationError
 
 #: Evaluation failures that count as violations rather than crashes: a
 #: formula that cannot be evaluated (missing attribute, unknown function)
-#: or whose dereference hits a dangling/unknown object.  The same contract
-#: as the delta-driven validator's (:mod:`repro.engine.incremental`).
+#: or whose dereference hits a dangling/unknown object.  The delta-driven
+#: validator (:mod:`repro.engine.incremental`) shares this contract.
 #: ``ConstraintViolation`` subclasses ``EngineError`` but ``evaluate`` never
 #: raises it, so the widened catch is safe.
 _EVAL_FAILURES = (EvaluationError, EngineError)
@@ -29,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class Violation:
-    """A detected constraint violation (used by bulk validation).
+    """A detected constraint violation, as :func:`violation` renders it.
 
     The explanation fields — the violated :class:`Constraint` itself, the
     culprit object's ``oid`` (object constraints only) and the detection
@@ -49,99 +54,70 @@ class Violation:
         return f"{self.constraint_name}: {self.detail}"
 
 
-def _detection_trace(
+def violation(
     store: "ObjectStore",
     constraint,
+    error: "Exception | None",
     current=None,
-    self_extent_class: str | None = None,
-):
-    """Trace of a just-detected failure.  Lazy import: explain builds on
-    this module's error contract."""
+    owner: str | None = None,
+) -> Violation:
+    """The :class:`Violation` of one failed check.
+
+    ``current`` is the checked object of an object constraint and ``owner``
+    the class whose extent a class constraint checked (both ``None`` for a
+    database constraint) — the context the check ran in, which
+    :func:`~repro.engine.explain.failure_trace` re-runs for the trace.
+    ``error`` is the exception evaluation raised, or ``None`` when the
+    constraint evaluated false."""
+    # Lazy import: explain builds on this module's error contract.
     from repro.engine.explain import failure_trace
 
-    return failure_trace(
-        store, constraint, current=current, self_extent_class=self_extent_class
+    if error is not None:
+        detail = str(error)
+    elif current is not None:
+        detail = f"object {current.oid}"
+    elif owner is not None:
+        detail = f"extent of {owner}"
+    else:
+        detail = "database constraint"
+    return Violation(
+        constraint.qualified_name,
+        detail,
+        constraint=constraint,
+        oid=current.oid if current is not None else None,
+        trace=failure_trace(
+            store, constraint, current=current, self_extent_class=owner
+        ),
     )
 
 
 def all_violations(store: "ObjectStore") -> list[Violation]:
     """Every violation in the store (does not stop at the first)."""
-    found: list[Violation] = []
+    schema = store.schema
     scope = getattr(store, "constraint_scope", None)
-    for obj in store.objects():
-        for constraint in store.schema.effective_object_constraints(obj.class_name):
-            if scope is not None and constraint not in scope:
-                continue
-            ctx = store.eval_context(current=obj)
-            try:
-                if not evaluate(constraint.formula, ctx):
-                    found.append(
-                        Violation(
-                            constraint.qualified_name,
-                            f"object {obj.oid}",
-                            constraint=constraint,
-                            oid=obj.oid,
-                            trace=_detection_trace(store, constraint, current=obj),
-                        )
-                    )
-            except _EVAL_FAILURES as exc:
-                found.append(
-                    Violation(
-                        constraint.qualified_name,
-                        str(exc),
-                        constraint=constraint,
-                        oid=obj.oid,
-                        trace=_detection_trace(store, constraint, current=obj),
-                    )
-                )
-    for class_def in store.schema.classes.values():
-        for constraint in class_def.own_class_constraints():
-            if scope is not None and constraint not in scope:
-                continue
-            ctx = store.eval_context(self_extent_class=class_def.name)
-            try:
-                if not evaluate(constraint.formula, ctx):
-                    found.append(
-                        Violation(
-                            constraint.qualified_name,
-                            f"extent of {class_def.name}",
-                            constraint=constraint,
-                            trace=_detection_trace(
-                                store, constraint, self_extent_class=class_def.name
-                            ),
-                        )
-                    )
-            except _EVAL_FAILURES as exc:
-                found.append(
-                    Violation(
-                        constraint.qualified_name,
-                        str(exc),
-                        constraint=constraint,
-                        trace=_detection_trace(
-                            store, constraint, self_extent_class=class_def.name
-                        ),
-                    )
-                )
-    for constraint in store.schema.database_constraints:
+    checks = chain(
+        (
+            (constraint, obj, None)
+            for obj in store.objects()
+            for constraint in schema.effective_object_constraints(obj.class_name)
+        ),
+        (
+            (constraint, None, class_def.name)
+            for class_def in schema.classes.values()
+            for constraint in class_def.own_class_constraints()
+        ),
+        ((constraint, None, None) for constraint in schema.database_constraints),
+    )
+    found: list[Violation] = []
+    for constraint, current, owner in checks:
         if scope is not None and constraint not in scope:
             continue
+        ctx = store.eval_context(current=current, self_extent_class=owner)
         try:
-            if not evaluate(constraint.formula, store.eval_context()):
-                found.append(
-                    Violation(
-                        constraint.qualified_name,
-                        "database constraint",
-                        constraint=constraint,
-                        trace=_detection_trace(store, constraint),
-                    )
-                )
+            if evaluate(constraint.formula, ctx):
+                continue
+            error = None
         except _EVAL_FAILURES as exc:
-            found.append(
-                Violation(
-                    constraint.qualified_name,
-                    str(exc),
-                    constraint=constraint,
-                    trace=_detection_trace(store, constraint),
-                )
-            )
+            error = exc
+        found.append(violation(store, constraint, error, current, owner))
     return found

@@ -5,9 +5,10 @@ its behaviour at the exact byte where an IO operation dies.  This module
 makes those deaths schedulable: a :class:`FaultInjector` carries a static
 schedule of :class:`FaultSpec` entries — *the Nth time fault point P is
 crossed, fail like K* — and the WAL threads every file operation through
-it.  With no schedule (or no injector at all) every call degrades to the
-plain OS operation behind a single dict check, so the success path pays
-nothing measurable (``benchmarks/bench_e19_faults.py`` holds the gate).
+it.  With no schedule every call degrades to the plain OS operation behind
+a single dict check, so the success path pays nothing measurable over the
+WAL's pass-through file layer (``benchmarks/bench_e19_faults.py`` holds
+the gate).
 
 Fault kinds
 -----------

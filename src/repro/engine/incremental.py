@@ -23,7 +23,8 @@ Three pieces cooperate:
 * the delta-driven validators — :func:`check_delta` (fail-fast, used for
   single-operation enforcement) and :func:`delta_violations` (collecting,
   used at transaction commit) — which intersect the dirty set with the index
-  and check only the affected constraints.
+  and check only the affected constraints.  Both render a failed check with
+  the full check's builder, :func:`repro.engine.enforcement.violation`.
 
 The same delta discipline underpins durability: on a durable store every
 accepted commit writes the net effect of the touched set its delta
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Iterator
+from itertools import chain
 from typing import Any, TYPE_CHECKING
 import weakref
 from weakref import WeakKeyDictionary
@@ -62,9 +64,9 @@ from repro.constraints.ast import (
 )
 from repro.constraints.evaluate import compiled, evaluate
 from repro.constraints.model import Constraint, ConstraintKind
+from repro.engine.enforcement import _EVAL_FAILURES, Violation, violation
 from repro.errors import (
     ConstraintViolation,
-    EngineError,
     EvaluationError,
     SchemaError,
 )
@@ -526,8 +528,8 @@ def _affected_object_checks(
     delta: MutationDelta,
     index: ConstraintDependencyIndex,
     pruned: frozenset[Constraint] = frozenset(),
-) -> Iterator[tuple[IndexedConstraint, "DBObject"]]:
-    """(constraint, object) pairs that must be re-checked, deduplicated.
+) -> Iterator[tuple[IndexedConstraint, "DBObject", None]]:
+    """(constraint, object, ``None``) checks that must be re-run, deduplicated.
 
     Touched objects come first (in mutation order, each against its effective
     constraints in the same order single-operation enforcement uses, selected
@@ -577,7 +579,7 @@ def _affected_object_checks(
             key = (id(entry.constraint), oid)
             if key not in seen:
                 seen.add(key)
-                yield entry, obj
+                yield entry, obj, None
     for entry in index.object_constraints:
         if pruned and entry.constraint in pruned:
             continue
@@ -601,26 +603,21 @@ def _affected_object_checks(
             key = (id(entry.constraint), obj.oid)
             if key not in seen:
                 seen.add(key)
-                yield entry, obj
+                yield entry, obj, None
 
 
-def _failing_checks(
-    store: "ObjectStore", delta: MutationDelta
-) -> Iterator[tuple[Constraint, Any, "str | None", "Exception | None"]]:
+def _violations(store: "ObjectStore", delta: MutationDelta) -> Iterator[Violation]:
     """The check-stage walk shared by :func:`check_delta` and
     :func:`delta_violations`: object constraints, then class constraints,
     then database constraints, each filtered by the store's
     ``constraint_scope`` (and, on ``analyze=True`` stores, the analyser's
     pruned set) and by the delta's relevance.
 
-    Lazily yields ``(constraint, obj, owner, error)`` per failing check:
-    ``obj`` is the checked object of an object constraint and ``owner`` the
-    class whose extent a class constraint checked (both ``None`` for a
-    database constraint) — the context the check ran in, which
-    :func:`~repro.engine.explain.failure_trace` re-runs.  ``error`` is the
-    exception evaluation raised, or ``None`` when the constraint evaluated
-    false.  Lazy, so a fail-fast caller evaluates nothing past its first
-    failure.
+    Lazily yields one :func:`~repro.engine.enforcement.violation` per
+    failing check, so a fail-fast caller evaluates nothing past its first
+    failure.  One ``chain`` of ``(entry, current, owner)`` triples adds no
+    generator layer per check to the accept path; the class and database
+    filters are list comprehensions — they select, evaluation stays lazy.
     """
     index = store.dependency_index()
     pruned = (
@@ -629,42 +626,30 @@ def _failing_checks(
         else frozenset()
     )
     scope = getattr(store, "constraint_scope", None)
-    for entry, obj in _affected_object_checks(store, delta, index, pruned):
-        ctx = store.eval_context(current=obj)
+    checks = chain(
+        _affected_object_checks(store, delta, index, pruned),
+        [
+            (entry, None, entry.constraint.owner)
+            for entry in index.class_constraints
+            if (scope is None or entry.constraint in scope)
+            and entry.affected_by(delta)
+        ],
+        [
+            (entry, None, None)
+            for entry in index.database_constraints
+            if (scope is None or entry.constraint in scope)
+            and entry.affected_by(delta)
+        ],
+    )
+    for entry, current, owner in checks:
+        ctx = store.eval_context(current=current, self_extent_class=owner)
         try:
             if entry.evaluate_with(ctx):
                 continue
             error = None
-        except (EvaluationError, EngineError) as exc:
+        except _EVAL_FAILURES as exc:
             error = exc
-        yield entry.constraint, obj, None, error
-    for entry in index.class_constraints:
-        if scope is not None and entry.constraint not in scope:
-            continue
-        if not entry.affected_by(delta):
-            continue
-        owner = entry.constraint.owner
-        ctx = store.eval_context(self_extent_class=owner)
-        try:
-            if entry.evaluate_with(ctx):
-                continue
-            error = None
-        except (EvaluationError, EngineError) as exc:
-            error = exc
-        yield entry.constraint, None, owner, error
-    for entry in index.database_constraints:
-        if scope is not None and entry.constraint not in scope:
-            continue
-        if not entry.affected_by(delta):
-            continue
-        ctx = store.eval_context()
-        try:
-            if entry.evaluate_with(ctx):
-                continue
-            error = None
-        except (EvaluationError, EngineError) as exc:
-            error = exc
-        yield entry.constraint, None, None, error
+        yield violation(store, entry.constraint, error, current, owner)
 
 
 def check_delta(store: "ObjectStore", delta: MutationDelta) -> None:
@@ -672,35 +657,22 @@ def check_delta(store: "ObjectStore", delta: MutationDelta) -> None:
 
     Raises :class:`ConstraintViolation` for the first violated constraint,
     checking object constraints, then class constraints, then database
-    constraints.  Given a store that satisfied its constraints before the
-    delta, it raises iff the full check
-    (:func:`repro.engine.enforcement.all_violations`) finds a violation.
+    constraints; it carries that one :class:`Violation`.  Given a store
+    that satisfied its constraints before the delta, it raises iff the full
+    check (:func:`repro.engine.enforcement.all_violations`) finds a
+    violation.
     """
-    from repro.engine.explain import failure_trace
-
-    for constraint, obj, owner, error in _failing_checks(store, delta):
-        if obj is not None:
-            detail = (
-                f"cannot evaluate on {obj.oid}: {error}"
-                if error is not None
-                else f"object {obj.oid} with state {obj.state!r}"
-            )
-        elif error is not None:
-            detail = str(error)
-        elif owner is not None:
-            detail = f"extent of {owner} ({len(store.extent(owner))} objects)"
-        else:
-            detail = "database constraint violated"
+    found = next(_violations(store, delta), None)
+    if found is not None:
         raise ConstraintViolation(
-            constraint.qualified_name,
-            detail,
-            trace=failure_trace(
-                store, constraint, current=obj, self_extent_class=owner
-            ),
-        ) from error
+            found.constraint_name,
+            found.detail,
+            violations=(found,),
+            trace=found.trace,
+        )
 
 
-def delta_violations(store: "ObjectStore", delta: MutationDelta) -> list:
+def delta_violations(store: "ObjectStore", delta: MutationDelta) -> list[Violation]:
     """Every violation among the constraints affected by ``delta``.
 
     The commit-time counterpart of
@@ -710,31 +682,7 @@ def delta_violations(store: "ObjectStore", delta: MutationDelta) -> list:
     violations overall — only the affected ones — but never zero when full
     validation reports some).
     """
-    from repro.engine.enforcement import Violation
-    from repro.engine.explain import failure_trace
-
-    found: list[Violation] = []
-    for constraint, obj, owner, error in _failing_checks(store, delta):
-        if error is not None:
-            detail = str(error)
-        elif obj is not None:
-            detail = f"object {obj.oid}"
-        elif owner is not None:
-            detail = f"extent of {owner}"
-        else:
-            detail = "database constraint"
-        found.append(
-            Violation(
-                constraint.qualified_name,
-                detail,
-                constraint=constraint,
-                oid=obj.oid if obj is not None else None,
-                trace=failure_trace(
-                    store, constraint, current=obj, self_extent_class=owner
-                ),
-            )
-        )
-    return found
+    return list(_violations(store, delta))
 
 
 # ---------------------------------------------------------------------------

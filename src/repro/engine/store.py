@@ -16,7 +16,7 @@ from repro.constraints.evaluate import EvalContext
 from repro.engine.concurrency import ConcurrencyControl, Snapshot
 from repro.engine.faults import FaultInjector
 from repro.engine import incremental
-from repro.engine.incremental import ConstraintDependencyIndex, MutationDelta, check_delta
+from repro.engine.incremental import ConstraintDependencyIndex, MutationDelta
 from repro.engine.indexes import IndexManager, oid_sort_key
 from repro.engine.objects import DBObject, check_types
 from repro.engine.wal import RecoveredImage, WriteAheadLog, load_image
@@ -119,7 +119,7 @@ class _StoreSurface:
             # pass yet, or the schema changed since the last one).
             self._raise_violations("full revalidation", self.audit())
             return
-        check_delta(self, delta)
+        incremental.check_delta(self, delta)
 
     def _check_transaction(self, delta: "MutationDelta | None") -> None:
         """The check stage of an outermost transaction (plain, or the

@@ -130,9 +130,10 @@ ticket, no window, immediate fsync.
 Failure model
 -------------
 
-Every file operation is routed through an optional
-:class:`~repro.engine.faults.FaultInjector` (a no-op by default), and the
-log is **fail-stop**: an IO failure at a commit point — the append whose
+Every file operation goes through one file layer, picked once when the log
+is built: a :class:`~repro.engine.faults.FaultInjector` when the caller
+passes one, the plain OS calls (``_OsFiles``) otherwise.  The log is
+**fail-stop**: an IO failure at a commit point — the append whose
 bytes may now sit partially in a userspace buffer, the flush whose state
 is unknown, or the fsync that must never be retried (fsyncgate: the kernel
 may have dropped the dirty pages while marking them clean) — **poisons**
@@ -195,6 +196,10 @@ SNAPSHOT_FORMAT = 2
 #: :meth:`WriteAheadLog.poison`.
 _RETRY_ATTEMPTS = 3
 _RETRY_BACKOFF = 0.001
+
+#: The short wait a group-commit fsync leader adds while the system is
+#: under concurrent commit load (see :meth:`WriteAheadLog.wait_durable`).
+_GROUP_WINDOW = 0.001
 
 
 def schema_digest(schema_source: str, constants: Iterable[tuple[str, Any]] = ()) -> str:
@@ -301,9 +306,34 @@ def _count(telemetry: "dict | None", key: str) -> None:
         telemetry[key] = telemetry.get(key, 0) + 1
 
 
+class _OsFiles:
+    """The plain file layer: the :class:`~repro.engine.faults.FaultInjector`
+    interface with every operation passed straight to the OS (``point``
+    names the call site and is ignored)."""
+
+    def write(self, handle, data: bytes, point: str) -> None:
+        handle.write(data)
+
+    def flush(self, handle, point: str) -> None:
+        handle.flush()
+
+    def fsync(self, fd: int, point: str) -> None:
+        os.fsync(fd)
+
+    def replace(self, src, dst, point: str) -> None:
+        os.replace(src, dst)
+
+    def truncate(self, handle, size: int, point: str) -> None:
+        handle.truncate(size)
+
+
+#: The file layer of every write that names no fault injector.
+_OS_FILES = _OsFiles()
+
+
 def _fsync_directory(
     path: Path,
-    faults: "FaultInjector | None" = None,
+    files: "FaultInjector | _OsFiles" = _OS_FILES,
     telemetry: "dict | None" = None,
 ) -> None:
     """Fsync a directory entry, with errors classified instead of swallowed.
@@ -320,21 +350,10 @@ def _fsync_directory(
     for attempt in range(_RETRY_ATTEMPTS):
         try:
             fd = os.open(path, os.O_RDONLY)
-        except OSError as exc:
-            kind = classify_os_error(exc, UNSUPPORTED_DIR_FSYNC_ERRNOS)
-            if kind == "unsupported":
-                _count(telemetry, "dir_fsync_unsupported")
-                return
-            if kind == "transient" and attempt + 1 < _RETRY_ATTEMPTS:
-                _count(telemetry, "dir_fsync_retries")
-                time.sleep(_RETRY_BACKOFF * (2**attempt))
-                continue
-            raise
-        try:
-            if faults is not None:
-                faults.fsync(fd, "dir.fsync")
-            else:
-                os.fsync(fd)
+            try:
+                files.fsync(fd, "dir.fsync")
+            finally:
+                os.close(fd)
             return
         except OSError as exc:
             kind = classify_os_error(exc, UNSUPPORTED_DIR_FSYNC_ERRNOS)
@@ -346,15 +365,13 @@ def _fsync_directory(
                 time.sleep(_RETRY_BACKOFF * (2**attempt))
                 continue
             raise
-        finally:
-            os.close(fd)
 
 
 def _replace_with_retry(
     src: Path,
     dst: Path,
     point: str,
-    faults: "FaultInjector | None" = None,
+    files: "FaultInjector | _OsFiles" = _OS_FILES,
     telemetry: "dict | None" = None,
 ) -> None:
     """``os.replace`` with a bounded retry on the transient errno classes
@@ -362,10 +379,7 @@ def _replace_with_retry(
     rename either happened or did not — re-issuing it is idempotent)."""
     for attempt in range(_RETRY_ATTEMPTS):
         try:
-            if faults is not None:
-                faults.replace(src, dst, point)
-            else:
-                os.replace(src, dst)
+            files.replace(src, dst, point)
             return
         except OSError as exc:
             if (
@@ -391,31 +405,28 @@ def snapshot_payload_digest(payload: Mapping[str, Any]) -> str:
 def _write_atomic(
     path: Path,
     data: bytes,
-    faults: "FaultInjector | None" = None,
+    files: "FaultInjector | _OsFiles" = _OS_FILES,
     telemetry: "dict | None" = None,
     retain: "Path | None" = None,
+    points: str = "snapshot.",
 ) -> None:
     """Atomically publish ``data`` at ``path`` (tmp + fsync + rename +
     directory fsync).  With ``retain``, the previous file at ``path`` is
     rotated there first — the rotation order (tmp written and fsynced →
     current→retain rename → tmp→current rename → directory fsync) leaves
     every crash window recoverable: at any instant at least one of
-    ``path``/``retain`` holds a complete, verifiable payload."""
+    ``path``/``retain`` holds a complete, verifiable payload.  ``points``
+    prefixes the fault-point names (``snapshot.fsync``, ``log.reset_fsync``
+    ...)."""
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as handle:
-        if faults is not None:
-            faults.write(handle, data, "snapshot.write")
-        else:
-            handle.write(data)
+        files.write(handle, data, points + "write")
         handle.flush()
-        if faults is not None:
-            faults.fsync(handle.fileno(), "snapshot.fsync")
-        else:
-            os.fsync(handle.fileno())
+        files.fsync(handle.fileno(), points + "fsync")
     if retain is not None and path.exists():
-        _replace_with_retry(path, retain, "snapshot.retain", faults, telemetry)
-    _replace_with_retry(tmp, path, "snapshot.replace", faults, telemetry)
-    _fsync_directory(path.parent, faults, telemetry)
+        _replace_with_retry(path, retain, points + "retain", files, telemetry)
+    _replace_with_retry(tmp, path, points + "replace", files, telemetry)
+    _fsync_directory(path.parent, files, telemetry)
 
 
 # ---------------------------------------------------------------------------
@@ -728,10 +739,10 @@ class WriteAheadLog:
     auto-checkpoint threshold in log records (0 disables).
 
     Under concurrent committers, ``sync=True`` commits coalesce through
-    group commit (see the module docstring): ``group_window`` is the short
-    wait the fsync leader adds while the system is under concurrent commit
-    load, letting more committers flush before the single fsync that
-    covers them all.  It never delays a lone committer.
+    group commit (see the module docstring): the fsync leader waits
+    :data:`_GROUP_WINDOW` while the system is under concurrent commit load,
+    letting more committers flush before the single fsync that covers them
+    all.  It never delays a lone committer.
     """
 
     def __init__(
@@ -739,16 +750,14 @@ class WriteAheadLog:
         path: str | Path,
         sync: bool = False,
         checkpoint_every: int = 10_000,
-        group_window: float = 0.001,
         faults: "FaultInjector | None" = None,
     ):
         self.path = Path(path)
         self.sync = sync
         self.checkpoint_every = checkpoint_every
-        self.group_window = group_window
-        #: Optional fault-injection shim every file operation routes
-        #: through (:mod:`repro.engine.faults`); ``None`` costs nothing.
-        self.faults = faults
+        #: The file layer every file operation routes through: the fault
+        #: injector (:mod:`repro.engine.faults`), or the plain OS calls.
+        self.files = faults if faults is not None else _OS_FILES
         #: Why this log fail-stopped, or ``None`` while healthy.  Set once
         #: (first failure wins) by :meth:`poison`; never cleared — recovery
         #: means reopening the directory, not resuscitating this object.
@@ -880,17 +889,11 @@ class WriteAheadLog:
         if self.log_path.exists():
             if self.log_path.stat().st_size > image.log_valid_bytes:
                 with open(self.log_path, "r+b") as handle:
-                    if self.faults is not None:
-                        self.faults.truncate(
-                            handle, image.log_valid_bytes, "wal.resume_truncate"
-                        )
-                    else:
-                        handle.truncate(image.log_valid_bytes)
+                    self.files.truncate(
+                        handle, image.log_valid_bytes, "wal.resume_truncate"
+                    )
                     handle.flush()
-                    if self.faults is not None:
-                        self.faults.fsync(handle.fileno(), "wal.resume_fsync")
-                    else:
-                        os.fsync(handle.fileno())
+                    self.files.fsync(handle.fileno(), "wal.resume_fsync")
         else:  # snapshot-only directory (e.g. crash between snapshot and log reset)
             self.log_path.touch()
         self._next_lsn = image.next_lsn
@@ -905,7 +908,7 @@ class WriteAheadLog:
         _write_atomic(
             self.snapshot_path,
             self.prev_snapshot_path.read_bytes(),
-            self.faults,
+            self.files,
             self.telemetry,
         )
 
@@ -952,10 +955,7 @@ class WriteAheadLog:
         data = _frame(record)
         handle = self._open_handle()
         try:
-            if self.faults is not None:
-                self.faults.write(handle, data, "wal.append")
-            else:
-                handle.write(data)
+            self.files.write(handle, data, "wal.append")
         except BaseException:
             # The record's durable fate is unknown (none, some, or all of
             # its bytes may reach the log).  Fail stop: the caller rolls
@@ -988,10 +988,7 @@ class WriteAheadLog:
             return None
         self.check_poisoned()
         try:
-            if self.faults is not None:
-                self.faults.flush(self._handle, "wal.flush")
-            else:
-                self._handle.flush()
+            self.files.flush(self._handle, "wal.flush")
         except BaseException:
             # How much of the buffer reached the OS is unknown; nothing
             # sound can be appended behind it.  Fail stop.
@@ -1066,10 +1063,10 @@ class WriteAheadLog:
                 # -- leader, outside the condition lock --------------------
                 synced = False
                 try:
-                    if under_load and self.group_window > 0:
+                    if under_load:
                         # Let concurrently running committers reach their
                         # commit_flush; one fsync will cover them all.
-                        time.sleep(self.group_window)
+                        time.sleep(_GROUP_WINDOW)
                     with self._sync_cond:
                         cover = self._flushed_lsn
                     handle = self._handle
@@ -1082,10 +1079,7 @@ class WriteAheadLog:
                             "was waiting for its fsync"
                         )
                     try:
-                        if self.faults is not None:
-                            self.faults.fsync(handle.fileno(), "wal.fsync")
-                        else:
-                            os.fsync(handle.fileno())
+                        self.files.fsync(handle.fileno(), "wal.fsync")
                     except OSError as exc:
                         self.poison(f"commit-point fsync failed: {exc}")
                         raise StorePoisonedError(
@@ -1249,7 +1243,7 @@ class WriteAheadLog:
         _write_atomic(
             self.snapshot_path,
             json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8"),
-            self.faults,
+            self.files,
             self.telemetry,
             retain=self.prev_snapshot_path,
         )
@@ -1263,17 +1257,9 @@ class WriteAheadLog:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-        tmp = self.log_path.with_name(self.log_path.name + ".tmp")
-        with open(tmp, "wb") as handle:
-            handle.flush()
-            if self.faults is not None:
-                self.faults.fsync(handle.fileno(), "log.reset_fsync")
-            else:
-                os.fsync(handle.fileno())
-        _replace_with_retry(
-            tmp, self.log_path, "log.reset_replace", self.faults, self.telemetry
+        _write_atomic(
+            self.log_path, b"", self.files, self.telemetry, points="log.reset_"
         )
-        _fsync_directory(self.path, self.faults, self.telemetry)
         self._handle = open(self.log_path, "ab")
 
 

@@ -88,10 +88,10 @@ class ConstraintViolation(EngineError):
     detail:
         Explanation of the violation, including the offending object(s).
     violations:
-        The structured per-constraint findings behind a multi-constraint
-        failure (objects with ``constraint_name``/``detail`` attributes —
-        see :class:`repro.engine.enforcement.Violation`); empty when the
-        exception names a single constraint directly.
+        The structured per-constraint findings behind the failure (objects
+        with ``constraint_name``/``detail`` attributes — see
+        :class:`repro.engine.enforcement.Violation`): every one of a
+        multi-constraint failure, the one of a rejected single operation.
     trace:
         The reason graph of the failing check, when the raising store had
         explanations enabled: a
