@@ -23,13 +23,14 @@ specification as editable files, giving ``report``/``validate`` something to
 run on out of the box.  ``recover`` and ``snapshot`` operate on the durable
 store directories of :meth:`repro.ObjectStore.open` (``snapshot.json`` +
 ``wal.jsonl``); ``recover`` exits non-zero when the recovered state violates
-its constraints, and warns (non-zero under ``--strict``) when the log tail
-carries schema-change records newer than the snapshot's schema digest.
-``fsck`` scrubs a durable directory *without* opening it for writing —
-CRC-checking every log frame, verifying the snapshot digests (newest and
-retained fallback), and replay-certifying the recoverable committed
-prefix — and exits 0 (clean), 1 (damaged but a committed prefix is
-recoverable by reopening) or 2 (no committed prefix survives).
+its constraints, and warns with every finding recovery recorded (a torn
+tail, a snapshot fallback, an LSN gap, schema drift — non-zero under
+``--strict`` on schema drift).
+``fsck`` scrubs a durable directory *without* opening it for writing — it
+grades the one recovery read by the same findings, and verifies the
+retained fallback snapshot — and exits 0 (clean), 1 (damaged but a
+committed prefix is recoverable by reopening) or 2 (no committed prefix
+survives); a sharded store root is scrubbed shard by shard.
 ``stress`` exercises the store under concurrent load: writer threads
 committing updates and transactions against one shared store (a sharded
 one with ``--shards``) while reader threads consume lock-free snapshots —
@@ -110,32 +111,12 @@ def _run_durable_command(args: argparse.Namespace) -> int:
             f"repro: cannot open {args.directory!r}: {exc}"
         ) from exc
     try:
-        drifted = False
         info = store.recovery_info
-        if info is not None and info.used_fallback_snapshot:
-            reason = info.snapshot_error or "newest snapshot missing"
-            print(
-                f"warning: recovered from the retained previous snapshot "
-                f"({reason}); run `repro snapshot` to write a fresh one",
-                file=sys.stderr,
-            )
-            if info.lsn_gap:
-                print(
-                    "warning: the log was reset for a checkpoint newer than "
-                    "the fallback snapshot — its records were dropped, and "
-                    "the store holds the fallback checkpoint's committed "
-                    "state",
-                    file=sys.stderr,
-                )
-        if info is not None and info.schema_drift:
-            drifted = args.command == "recover"
-            print(
-                f"warning: the log tail carries {info.schema_changes} "
-                "schema-change record(s) newer than the snapshot's schema "
-                "digest — the snapshot no longer describes the running "
-                "schema; run `repro snapshot` to fold the changes in",
-                file=sys.stderr,
-            )
+        drifted = False
+        if info is not None:
+            for _, finding in info.findings:
+                print(f"warning: {finding}", file=sys.stderr)
+            drifted = args.command == "recover" and info.schema_drift
         violations = store.check_all()
         by_class: dict[str, int] = {}
         for obj in store.objects():
@@ -215,11 +196,9 @@ def _deep_audit(open_store, severity: int) -> int:
 
 
 def _run_fsck(args: argparse.Namespace) -> int:
-    """``fsck``: read-only scrub of a durable store directory — or, with
-    ``--all``, of every shard directory under a sharded store root."""
-    if not args.all:
-        return _scrub_directory(args.directory, args.deep)
-
+    """``fsck``: read-only scrub of a durable store directory — shard by
+    shard when it is a sharded store root (it holds a manifest or
+    ``shard-*`` directories), exiting with the worst severity."""
     from repro.engine.sharding import ShardedStore, read_manifest, shard_directory
 
     root = Path(args.directory)
@@ -236,8 +215,7 @@ def _run_fsck(args: argparse.Namespace) -> int:
             entry for entry in root.glob("shard-*") if entry.is_dir()
         )
     if not directories:
-        print(f"{root}: no shard directories to scrub", file=sys.stderr)
-        return 2
+        return _scrub_directory(args.directory, args.deep)
     # Per-shard deep audits would resolve in-doubt two-phase prepares
     # without the other shards' decide records, so the scrub stays
     # per-directory and the deep audit (if asked) opens the store whole.
@@ -657,20 +635,17 @@ def main(argv: list[str] | None = None) -> int:
         "1 truncatable damage, 2 unrecoverable)",
     )
     fsck.add_argument(
-        "directory", help="durable store directory (snapshot.json + wal.jsonl)"
+        "directory",
+        help="durable store directory (snapshot.json + wal.jsonl), or a "
+        "sharded store root: every shard directory is scrubbed and the "
+        "worst severity is the exit code",
     )
     fsck.add_argument(
         "--deep",
         action="store_true",
         help="additionally open the recoverable prefix and audit its "
-        "constraints (repairs the directory on the way in, like any reopen)",
-    )
-    fsck.add_argument(
-        "--all",
-        action="store_true",
-        help="treat DIRECTORY as a sharded store root: scrub every shard "
-        "directory and exit with the worst severity (with --deep, the "
-        "audit opens the store whole so in-doubt two-phase prepares "
+        "constraints (repairs the directory on the way in, like any reopen; "
+        "a sharded root is opened whole, so in-doubt two-phase prepares "
         "resolve against every shard's log)",
     )
 

@@ -82,12 +82,10 @@ from repro.engine.store import (
     redeem,
     schema_from_image,
 )
-from repro.engine.wal import _write_atomic, load_image
+from repro.engine.wal import MANIFEST_NAME, WriteAheadLog, _write_atomic, load_image
 from repro.errors import EngineError, ShardingError, UnknownObjectError
 from repro.tm.schema import DatabaseSchema
 
-#: Name of the shard-layout manifest inside a sharded store root.
-MANIFEST_NAME = "shards.json"
 _MANIFEST_FORMAT = 1
 
 
@@ -773,13 +771,13 @@ class ShardedStore(_StoreSurface):
         verbatim (``shards`` may be omitted, and must match when given);
         otherwise ``schema`` and ``shards`` create a fresh layout.
 
-        Recovery first loads every shard's log image to pool the decided
-        outcomes of two-phase commits, then recovers each core with that
-        pool as its in-doubt ``resolutions`` — a transaction prepared on one
-        shard commits iff *some* shard's log holds its durable ``decide``,
-        and is discarded otherwise (presumed abort).  The schema is parsed
-        once (from shard 0's image) and shared by every core.  With
-        ``verify`` the merged store is audited after recovery.
+        Recovery loads every shard's log image once to pool the decided
+        outcomes of two-phase commits, then builds each core from its image
+        with that pool resolving its in-doubt prepares — a transaction
+        prepared on one shard commits iff *some* shard's log holds its
+        durable ``decide``, and is discarded otherwise (presumed abort).  The
+        schema is parsed once (from shard 0's image) and shared by every
+        core.  With ``verify`` the merged store is audited after recovery.
 
         ``faults`` is a single :class:`~repro.engine.faults.FaultInjector`
         shared by every shard, or a mapping of shard index to injector for
@@ -844,18 +842,16 @@ class ShardedStore(_StoreSurface):
         if not manifest_path.exists() or manifest_path.read_bytes() != layout:
             _write_atomic(manifest_path, layout)
         cores = [
-            ObjectStore.open(
-                directory,
+            ObjectStore._recover(
+                WriteAheadLog(directory, sync, checkpoint_every, injector_for(shard)),
+                image,
                 schema,
-                enforce=enforce,
-                sync=sync,
-                checkpoint_every=checkpoint_every,
                 verify=False,
-                faults=injector_for(shard),
-                oid_namespace=shard,
                 resolutions=outcomes,
+                enforce=enforce,
+                oid_namespace=shard,
             )
-            for shard, directory in enumerate(directories)
+            for shard, (directory, image) in enumerate(zip(directories, images))
         ]
         store = cls(
             schema,

@@ -19,7 +19,12 @@ from repro.engine import incremental
 from repro.engine.incremental import ConstraintDependencyIndex, MutationDelta
 from repro.engine.indexes import IndexManager, oid_sort_key
 from repro.engine.objects import DBObject, check_types
-from repro.engine.wal import RecoveredImage, WriteAheadLog, load_image
+from repro.engine.wal import (
+    RecoveredImage,
+    WriteAheadLog,
+    apply_resolutions,
+    load_image,
+)
 from repro.errors import (
     ConstraintViolation,
     EngineError,
@@ -278,7 +283,7 @@ class ObjectStore(_StoreSurface):
         #: Snapshot-read machinery; inert until the first snapshot() call.
         self._concurrency = ConcurrencyControl(self)
         #: The image the store was recovered from; ``None`` for fresh
-        #: stores.  Carries schema-drift diagnostics for the CLI.
+        #: stores.  Carries the recovery findings for the CLI.
         self._recovery_info: RecoveredImage | None = None
         #: (class, attribute) → declared type, for the dereferencing hot
         #: path.  Safe to cache for the store's lifetime: an attribute's
@@ -690,7 +695,6 @@ class ObjectStore(_StoreSurface):
         faults: "FaultInjector | None" = None,
         analyze: bool = False,
         oid_namespace: int | None = None,
-        resolutions: "Mapping[str, bool] | None" = None,
     ) -> "ObjectStore":
         """Open the durable store at ``path``, recovering existing state.
 
@@ -702,7 +706,8 @@ class ObjectStore(_StoreSurface):
         overrides it (the caller owns compatibility).
 
         When the directory is empty or missing, ``schema`` is required and
-        a fresh durable store is created.
+        a fresh durable store is created.  A sharded store root is refused
+        (open it with :meth:`ShardedStore.open`).
 
         With ``verify`` (the default) recovery ends with a full constraint
         audit — raising :class:`ConstraintViolation` (with structured
@@ -719,49 +724,59 @@ class ObjectStore(_StoreSurface):
         :class:`ObjectStore`).
 
         ``oid_namespace`` restores a shard core's oid prefix (see
-        ``__init__``); ``resolutions`` is the commit router's recovery hook
-        for two-phase commits: a mapping of global transaction ids to their
-        decided outcomes.  Prepared-but-unresolved redo sets found in the
-        log are applied (``True``) or discarded (``False``, also the
-        presumed-abort default for gids missing from the mapping) and a
-        ``resolve`` record is logged for each.  With ``resolutions=None``
-        (the default, standalone behaviour) in-doubt prepares stay
+        ``__init__``).  In-doubt two-phase prepares found in the log stay
         unapplied and unlogged — only a router that has seen *every*
         shard's log may decide them.
         """
-        wal = WriteAheadLog(
-            path, sync=sync, checkpoint_every=checkpoint_every, faults=faults
+        return cls._recover(
+            WriteAheadLog(
+                path, sync=sync, checkpoint_every=checkpoint_every, faults=faults
+            ),
+            load_image(path),
+            schema,
+            verify=verify,
+            enforce=enforce,
+            analyze=analyze,
+            oid_namespace=oid_namespace,
         )
-        image = load_image(path)
+
+    @classmethod
+    def _recover(
+        cls,
+        wal: WriteAheadLog,
+        image: "RecoveredImage | None",
+        schema: DatabaseSchema | None,
+        *,
+        verify: bool,
+        resolutions: "Mapping[str, bool] | None" = None,
+        **options: Any,
+    ) -> "ObjectStore":
+        """The store over ``wal`` holding ``image``, the one recovery read
+        :func:`~repro.engine.wal.load_image` made of its directory (a fresh
+        store when ``image`` is ``None``), built with the constructor
+        ``options``.
+
+        ``resolutions`` is the commit router's hook for two-phase commits:
+        a mapping of global transaction ids to their decided outcomes.
+        Prepared-but-unresolved redo sets in the image are applied
+        (``True``) or discarded (``False``, also the presumed-abort default
+        for gids missing from the mapping) and a ``resolve`` record is
+        logged for each."""
         if image is None:
             if schema is None:
                 raise EngineError(
-                    f"no durable store at {str(path)!r}; pass a schema to "
+                    f"no durable store at {str(wal.path)!r}; pass a schema to "
                     "create one"
                 )
-            return cls(
-                schema,
-                enforce=enforce,
-                wal=wal,
-                analyze=analyze,
-                oid_namespace=oid_namespace,
-            )
+            return cls(schema, wal=wal, **options)
         if schema is None:
             # Callers overriding ``schema`` own the whole schema, replayed
             # changes included.
             schema = schema_from_image(image)
         resolved: list[tuple[str, bool]] = []
-        if resolutions is not None and image.prepared:
-            from repro.engine.wal import apply_resolutions
-
+        if resolutions is not None:
             resolved = apply_resolutions(image, resolutions)
-        store = cls(
-            schema,
-            enforce=enforce,
-            wal=False,
-            analyze=analyze,
-            oid_namespace=oid_namespace,
-        )
+        store = cls(schema, wal=False, **options)
         store._load_image(image)
         wal.resume(image)
         for gid, ok in resolved:
@@ -770,10 +785,10 @@ class ObjectStore(_StoreSurface):
             ticket = wal.commit_flush()
             if ticket is not None:
                 wal.wait_durable(ticket)
-        # Keep the image as diagnostics (replay counts, schema drift) but
-        # drop its O(store) contents list: the store must not pin every
+        # Keep the image as diagnostics (replay counts, findings) but drop
+        # its O(store) contents: the store must not pin every
         # recovery-time state dict for its whole lifetime.
-        image.objects = []
+        image.objects = {}
         store._recovery_info = image
         store._wal = wal
         if verify:
@@ -785,7 +800,7 @@ class ObjectStore(_StoreSurface):
         indexes from them (the same O(store) fingerprint-rebuild machinery
         schema changes use — recovery is a rebuild trigger, not a replay of
         per-mutation hooks)."""
-        for oid, class_name, state in image.objects:
+        for oid, (class_name, state) in image.objects.items():
             obj = DBObject(oid, class_name, state)
             self._objects[oid] = obj
             self._direct_extents.setdefault(class_name, set()).add(oid)
@@ -923,10 +938,9 @@ class ObjectStore(_StoreSurface):
     @property
     def recovery_info(self) -> "RecoveredImage | None":
         """Diagnostics of the recovery this store was opened from
-        (``None`` for fresh stores) — replay counts, torn-tail flag, and
-        whether post-checkpoint schema records drifted the schema past the
-        snapshot's digest.  Its ``objects`` list is emptied once adopted:
-        only the scalar diagnostics are retained."""
+        (``None`` for fresh stores) — replay counts, schema drift, and the
+        ``findings`` recovery worked around.  Its ``objects`` are emptied
+        once adopted: only the diagnostics are retained."""
         return self._recovery_info
 
     # -- concurrency --------------------------------------------------------------------

@@ -151,8 +151,10 @@ On the read side every snapshot payload carries a whole-file digest that
 as ``snapshot.prev.json`` with automatic fallback when the newest is
 damaged (an LSN-contiguity check then truncates any log tail the older
 base cannot replay onto, so fallback recovery still yields exactly a
-committed prefix — the previous checkpoint's), and :func:`fsck` scrubs a
-directory offline: CRC frames, snapshot digests, replay certification,
+committed prefix — the previous checkpoint's).  :func:`load_image` is the
+one reader of a durable directory and records each condition it worked
+around as one of the image's ``findings``; :func:`fsck` scrubs a directory
+offline by grading them (plus the retained previous snapshot's digest),
 with ``clean``/``truncatable``/``fatal`` verdicts mapped to exit codes
 0/1/2 by the ``repro fsck`` CLI.
 
@@ -188,6 +190,8 @@ if TYPE_CHECKING:  # pragma: no cover
 SNAPSHOT_NAME = "snapshot.json"
 SNAPSHOT_PREV_NAME = "snapshot.prev.json"
 LOG_NAME = "wal.jsonl"
+#: Name of the shard-layout manifest inside a sharded store root.
+MANIFEST_NAME = "shards.json"
 SNAPSHOT_FORMAT = 2
 
 #: Bounded-retry policy for the call sites where retry is *sound*
@@ -440,8 +444,8 @@ class RecoveredImage:
 
     schema_source: str
     database: str
-    #: ``(oid, class name, state)`` in insertion order.
-    objects: list[tuple[str, str, dict]]
+    #: oid -> ``(class name, state)``, in insertion order.
+    objects: dict[str, tuple[str, dict]]
     #: Highest oid counter the history used: the snapshot's, raised by each
     #: replayed ``commit``/``prepare`` record's high-water mark ``c`` (oids
     #: burned by rejected or aborted work before a commit included).
@@ -458,8 +462,10 @@ class RecoveredImage:
     replayed: int
     #: Operations discarded: prepared redo sets resolved as aborted.
     discarded: int
-    #: True when the log ended in a torn or corrupt line.
-    torn: bool
+    #: Intact CRC frames at the head of the log, as found on disk.
+    frames: int
+    #: Byte length of the log file, as found on disk.
+    log_bytes: int
     #: Constant rebinds replayed from post-snapshot ``set_constant``
     #: records, in log order, to apply after parsing ``schema_source``.
     constants: list[tuple[str, Any]] = field(default_factory=list)
@@ -472,13 +478,12 @@ class RecoveredImage:
     #: True when ``snapshot.json`` was missing or damaged and recovery fell
     #: back to the retained ``snapshot.prev.json``.
     used_fallback_snapshot: bool = False
-    #: What was wrong with the newest snapshot when the fallback was taken.
-    snapshot_error: "str | None" = None
-    #: True when the log's LSN sequence had a hole relative to the recovered
-    #: snapshot base (only possible after a fallback: the log was reset for
-    #: a newer checkpoint the fallback predates).  Replay truncates at the
-    #: gap, so the recovered state is exactly the fallback checkpoint's.
-    lsn_gap: bool = False
+    #: What recovery had to work around, as ``(verdict, text)`` pairs in
+    #: detection order: ``truncatable`` for damage a reopen repairs at the
+    #: cost of a suffix (a torn log tail, a snapshot fallback, an LSN gap),
+    #: ``clean`` for a condition that loses nothing (schema drift).  The
+    #: one wording :func:`fsck` grades and ``repro recover`` warns with.
+    findings: list[tuple[str, str]] = field(default_factory=list)
     #: In-doubt two-phase commits: gid -> the ``prepare`` record's redo
     #: entries, durably prepared but with no ``resolve`` in this log.
     #: Neither applied nor discarded — the commit router resolves them from
@@ -544,18 +549,19 @@ def load_image(path: str | Path) -> RecoveredImage | None:
     ``lsn >= snapshot.next_lsn``, holding each ``prepare`` until its
     ``resolve`` (see the module docstring).  A damaged or missing
     ``snapshot.json`` falls back to the retained ``snapshot.prev.json``
-    when one exists (``used_fallback_snapshot`` flags it); a hole in the log's LSN sequence relative to the recovered
-    base truncates replay at the hole, so the result is always exactly a
-    committed prefix.  Raises :class:`EngineError` when no intact snapshot
-    survives, or on a log with no snapshot at all (the snapshot holds the
-    schema, so a bare log is unrecoverable).
+    when one exists (``used_fallback_snapshot`` flags it); a hole in the
+    log's LSN sequence relative to the recovered base truncates replay at
+    the hole, so the result is always exactly a committed prefix.  Each
+    condition recovery works around is recorded in ``findings`` where it
+    is detected.  Raises :class:`EngineError` when no intact snapshot
+    survives, on a log with no snapshot at all (the snapshot holds the
+    schema, so a bare log is unrecoverable), and on a sharded store root.
     """
     base = Path(path)
     snapshot_path = base / SNAPSHOT_NAME
     prev_path = base / SNAPSHOT_PREV_NAME
     log_path = base / LOG_NAME
-    used_fallback = False
-    snapshot_error: str | None = None
+    findings: list[tuple[str, str]] = []
     if snapshot_path.exists():
         try:
             snapshot = _read_snapshot(snapshot_path)
@@ -563,32 +569,46 @@ def load_image(path: str | Path) -> RecoveredImage | None:
             if not prev_path.exists():
                 raise
             # Newest snapshot damaged but the previous checkpoint was
-            # retained: fall back.  If the fallback is damaged too, its
-            # (chained) error propagates — nothing recoverable remains.
+            # retained: fall back.  If the fallback is damaged too,
+            # nothing recoverable remains: the error names both.
             try:
                 snapshot = _read_snapshot(prev_path)
             except EngineError as prev_exc:
                 raise EngineError(
-                    f"{prev_exc} (after falling back from the newest "
-                    f"snapshot, itself unusable: {exc})"
+                    f"snapshot damaged and no intact fallback exists: {exc} "
+                    f"(retained previous snapshot: {prev_exc})"
                 ) from exc
-            used_fallback = True
-            snapshot_error = str(exc)
+            findings.append((
+                "truncatable",
+                f"snapshot damaged ({exc}); recovery falls back to the "
+                "retained previous snapshot",
+            ))
     elif prev_path.exists():
         # Crash window inside the snapshot rotation: the old current was
         # renamed to .prev but the new file never made it into place.
         snapshot = _read_snapshot(prev_path)
-        used_fallback = True
-        snapshot_error = (
-            f"missing {SNAPSHOT_NAME} (crash during snapshot rotation)"
-        )
+        findings.append((
+            "truncatable",
+            f"missing {SNAPSHOT_NAME} (crash during snapshot rotation); "
+            "recovery falls back to the retained previous snapshot",
+        ))
     elif log_path.exists():
         raise EngineError(
             f"write-ahead log without a snapshot at {str(base)!r}: the "
             "snapshot holds the schema, so the log alone cannot be recovered"
         )
+    elif (base / MANIFEST_NAME).exists():
+        # Recovering the root as a plain store would find nothing and then
+        # create a fresh store beside the shard directories.
+        raise EngineError(
+            f"{str(base)!r} is a sharded store root (it holds "
+            f"{MANIFEST_NAME}): open it with ShardedStore.open, or scrub it "
+            "with `repro fsck`"
+        )
     else:
         return None
+    # Only a snapshot fallback can have been recorded so far.
+    used_fallback = bool(findings)
 
     objects: dict[str, tuple[str, dict]] = {}
     counter = int(snapshot.get("counter", 0))
@@ -602,10 +622,17 @@ def load_image(path: str | Path) -> RecoveredImage | None:
     schema_changes = 0
 
     records: list[dict] = []
-    valid_bytes = 0
-    torn = False
+    valid_bytes = log_bytes = 0
     if log_path.exists():
+        log_bytes = log_path.stat().st_size
         records, valid_bytes, torn = scan_log(log_path.read_bytes())
+        if torn:
+            findings.append((
+                "truncatable",
+                f"log: torn or corrupt frame at byte {valid_bytes} "
+                f"({log_bytes - valid_bytes} trailing bytes unreadable)",
+            ))
+    frames = len(records)
 
     prepared: dict[str, list[dict]] = {}
     decisions: dict[str, bool] = {}
@@ -614,7 +641,6 @@ def load_image(path: str | Path) -> RecoveredImage | None:
     #: Post-snapshot records that survive in the log after recovery.
     kept = 0
     max_lsn = start_lsn - 1
-    lsn_gap = False
     if used_fallback and records and int(records[0]["n"]) > start_lsn:
         # The log starts *above* the fallback base's LSN horizon: it was
         # reset for a checkpoint the fallback predates, so the records
@@ -623,10 +649,14 @@ def load_image(path: str | Path) -> RecoveredImage | None:
         # the older base would fabricate a state no commit ever produced —
         # drop the whole log instead; recovery then yields exactly the
         # fallback checkpoint's committed state (still a committed prefix).
-        lsn_gap = True
+        findings.append((
+            "truncatable",
+            "log: LSN gap behind the fallback snapshot (the log was reset "
+            "for a newer checkpoint); replay drops its records and stops at "
+            "the fallback checkpoint's committed state",
+        ))
         records = []
         valid_bytes = 0
-        torn = False
     for record in records:
         lsn = int(record["n"])
         if lsn < start_lsn:
@@ -662,24 +692,35 @@ def load_image(path: str | Path) -> RecoveredImage | None:
         # unknown record kinds are skipped: forward compatibility
         kept += 1
 
-    final_digest = schema_digest(schema_source, constants)
+    schema_drift = (
+        schema_changes > 0
+        and schema_digest(schema_source, constants) != baseline_digest
+    )
+    if schema_drift:
+        findings.append((
+            "clean",
+            f"schema drift: the log tail carries {schema_changes} "
+            "schema-change record(s) newer than the snapshot's schema "
+            "digest — the snapshot no longer describes the running schema; "
+            "run `repro snapshot` to fold the changes in",
+        ))
     return RecoveredImage(
         schema_source=schema_source,
         database=snapshot.get("database", ""),
-        objects=[(oid, cls, state) for oid, (cls, state) in objects.items()],
+        objects=objects,
         counter=counter,
         next_lsn=max_lsn + 1,
         log_valid_bytes=valid_bytes,
         log_records=kept,
         replayed=replayed,
         discarded=discarded,
-        torn=torn,
+        frames=frames,
+        log_bytes=log_bytes,
         constants=constants,
         schema_changes=schema_changes,
-        schema_drift=schema_changes > 0 and final_digest != baseline_digest,
+        schema_drift=schema_drift,
         used_fallback_snapshot=used_fallback,
-        snapshot_error=snapshot_error,
-        lsn_gap=lsn_gap,
+        findings=findings,
         prepared=prepared,
         decisions=decisions,
     )
@@ -698,21 +739,15 @@ def apply_resolutions(
     resolution order so the caller can append matching ``resolve`` records
     to the re-attached log, making the next recovery self-contained.
     """
-    if not image.prepared:
-        return []
-    objects: dict[str, tuple[str, dict]] = {
-        oid: (cls, state) for oid, cls, state in image.objects
-    }
     resolved: list[tuple[str, bool]] = []
     for gid, ops in image.prepared.items():
         ok = bool(outcomes.get(gid, False))
         if ok:
-            _apply_ops(objects, ops)
+            _apply_ops(image.objects, ops)
             image.replayed += len(ops)
         else:
             image.discarded += len(ops)
         resolved.append((gid, ok))
-    image.objects = [(oid, cls, state) for oid, (cls, state) in objects.items()]
     image.prepared = {}
     return resolved
 
@@ -1274,7 +1309,7 @@ _FSCK_RANK = {"clean": 0, "truncatable": 1, "fatal": 2}
 class FsckReport:
     """What :func:`fsck` found in one durable directory.
 
-    ``status`` is the worst verdict across the scrub passes:
+    ``status`` is the worst verdict across the findings:
 
     ``clean``
         Every frame checks out, every present snapshot verifies, replay
@@ -1282,11 +1317,14 @@ class FsckReport:
     ``truncatable``
         Damage was found, but a committed prefix is recoverable: a torn or
         bit-flipped log tail, a damaged newest snapshot with an intact
-        fallback, or an LSN gap behind a fallback.  Reopening the directory repairs it (by truncation
-        and/or snapshot fallback) at the cost of the damaged suffix.
+        fallback, an LSN gap behind a fallback, or a damaged retained
+        previous snapshot.  Reopening the directory repairs it (by
+        truncation and/or snapshot fallback) at the cost of the damaged
+        suffix.
     ``fatal``
         No committed prefix is recoverable: no intact snapshot survives,
-        or the directory holds a log with no snapshot at all.
+        or the directory holds a log with no snapshot at all.  A fatal
+        report carries no frame or prefix counts.
     """
 
     path: str
@@ -1309,9 +1347,11 @@ class FsckReport:
 
 def fsck(path: str | Path) -> FsckReport:
     """Scrub the durable directory at ``path`` without opening it for
-    writing: CRC-check every log frame, verify both snapshot digests, and
-    replay-certify the recoverable committed prefix.  Never mutates the
-    directory — the verdict says what a reopen *would* do."""
+    writing: grade the recovery read :func:`load_image` makes — CRC frames,
+    snapshot digests and fallback, replay — by the findings it records,
+    and verify the retained previous snapshot recovery did not need.
+    Never mutates the directory — the verdict says what a reopen *would*
+    do."""
     base = Path(path)
     report = FsckReport(path=str(base), status="clean")
 
@@ -1320,86 +1360,33 @@ def fsck(path: str | Path) -> FsckReport:
         if _FSCK_RANK[status] > _FSCK_RANK[report.status]:
             report.status = status
 
-    snapshot_path = base / SNAPSHOT_NAME
-    prev_path = base / SNAPSHOT_PREV_NAME
-    log_path = base / LOG_NAME
-    if not (snapshot_path.exists() or prev_path.exists() or log_path.exists()):
-        degrade("fatal", f"no durable store at {str(base)!r}")
-        return report
-
-    # Pass 1: physical frame scan of the log.
-    log_size = 0
-    if log_path.exists():
-        data = log_path.read_bytes()
-        log_size = len(data)
-        records, valid_bytes, torn = scan_log(data)
-        report.frames_valid = len(records)
-        if torn:
-            degrade(
-                "truncatable",
-                f"log: torn or corrupt frame at byte {valid_bytes} "
-                f"({log_size - valid_bytes} trailing bytes unreadable)",
-            )
-
-    # Pass 2: snapshot digest verification, newest and retained.
-    snapshot_ok = prev_ok = False
-    for label, candidate in (
-        ("snapshot", snapshot_path),
-        ("previous snapshot", prev_path),
-    ):
-        if not candidate.exists():
-            continue
-        try:
-            _read_snapshot(candidate)
-        except EngineError as exc:
-            # Severity is decided below, once both verdicts are known.
-            report.findings.append(f"{label}: {exc}")
-        else:
-            if candidate is snapshot_path:
-                snapshot_ok = True
-            else:
-                prev_ok = True
-    if snapshot_path.exists() and not snapshot_ok:
-        if prev_ok:
-            degrade(
-                "truncatable",
-                "snapshot damaged; recovery falls back to the retained "
-                "previous snapshot",
-            )
-        else:
-            degrade("fatal", "snapshot damaged and no intact fallback exists")
-    elif not snapshot_path.exists() and prev_ok:
-        degrade(
-            "truncatable",
-            f"missing {SNAPSHOT_NAME} (crash during snapshot rotation); "
-            "recovery falls back to the retained previous snapshot",
-        )
-    if prev_path.exists() and not prev_ok and snapshot_ok:
-        degrade(
-            "truncatable",
-            "retained previous snapshot damaged (fallback protection lost "
-            "until the next checkpoint rotates a fresh one)",
-        )
-
-    # Pass 3: replay certification — does a committed prefix recover?
     try:
         image = load_image(base)
     except EngineError as exc:
         degrade("fatal", f"replay: {exc}")
         return report
-    if image is None:  # pragma: no cover - presence-checked above
+    if image is None:
         degrade("fatal", f"no durable store at {str(base)!r}")
         return report
+    for status, finding in image.findings:
+        degrade(status, finding)
+    prev_path = base / SNAPSHOT_PREV_NAME
+    if not image.used_fallback_snapshot and prev_path.exists():
+        # Recovery never reads the retained previous snapshot while the
+        # newest one verifies, so only the scrub notices it rotting.
+        try:
+            _read_snapshot(prev_path)
+        except EngineError as exc:
+            degrade(
+                "truncatable",
+                f"retained previous snapshot damaged ({exc}): fallback "
+                "protection lost until the next checkpoint rotates a fresh one",
+            )
+    report.frames_valid = image.frames
     report.objects = len(image.objects)
     report.replayed = image.replayed
     report.discarded = image.discarded
-    report.tail_bytes = max(0, log_size - image.log_valid_bytes)
-    if image.lsn_gap:
-        degrade(
-            "truncatable",
-            "log: LSN gap behind the fallback snapshot; replay stops at "
-            "the fallback checkpoint's committed state",
-        )
+    report.tail_bytes = image.log_bytes - image.log_valid_bytes
     if image.discarded:
         report.findings.append(
             f"replay: {image.discarded} operation(s) of two-phase "
@@ -1412,10 +1399,5 @@ def fsck(path: str | Path) -> FsckReport:
         report.findings.append(
             f"replay: {len(image.prepared)} in-doubt prepared "
             "transaction(s) awaiting the commit router's resolution"
-        )
-    if image.schema_drift:
-        report.findings.append(
-            "schema drift: post-checkpoint schema records moved the schema "
-            "past the snapshot's digest (checkpoint to fold them in)"
         )
     return report

@@ -18,7 +18,8 @@ checkpoints and closes every open store.
 
 Store flavor per tenant: ``shards=None`` opens a plain
 :class:`~repro.engine.store.ObjectStore`, ``shards=N`` a
-:class:`~repro.engine.sharding.ShardedStore` — both behind
+:class:`~repro.engine.sharding.ShardedStore` (a durable tenant whose
+directory holds a shard manifest reopens sharded either way) — both behind
 :class:`~repro.engine.api.StoreAPI`, so the connection layer never cares.
 With a server ``root`` directory tenants are durable under
 ``<root>/<tenant>/``; without one they are in-memory (testing, benches).
@@ -35,7 +36,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.engine.api import StoreAPI
-from repro.engine.sharding import ShardedStore
+from repro.engine.sharding import ShardedStore, read_manifest
 from repro.engine.store import ObjectStore
 from repro.errors import EngineError, ProtocolError, SchemaError
 
@@ -157,7 +158,9 @@ class TenantRegistry:
                     f"under {str(directory)!r} and no schema in the open "
                     "request"
                 )
-            if shards is None:
+            # The directory decides the flavor: a root that holds a shard
+            # manifest reopens sharded even when the request names none.
+            if shards is None and read_manifest(directory) is None:
                 store = ObjectStore.open(
                     directory,
                     schema,
@@ -176,7 +179,7 @@ class TenantRegistry:
         return _TenantRecord(
             store=store,
             database=store.schema.name,  # type: ignore[attr-defined]
-            flavor="object" if shards is None else "sharded",
+            flavor="sharded" if isinstance(store, ShardedStore) else "object",
         )
 
     def _check_compatible(

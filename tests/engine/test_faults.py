@@ -990,3 +990,62 @@ class TestDurableCliFaultHandling:
         assert fsck(path).status == "clean"
         records, _, torn = scan_log((path / "wal.jsonl").read_bytes())
         assert records == [] and not torn
+
+    def _fallback(self, tmp_path):
+        path = self._populated(tmp_path)
+        flip_byte(path / "snapshot.json", -10)
+        return path
+
+    def _lsn_gap(self, tmp_path):
+        # Two checkpoints, so the log restarts above the retained previous
+        # snapshot's LSN horizon; damaging the newest one forces the
+        # fallback onto a base the log cannot replay onto.
+        path = self._populated(tmp_path)
+        store = ObjectStore.open(path)
+        store.checkpoint()
+        insert_pair(store, "three")
+        store.close()
+        flip_byte(path / "snapshot.json", -10)
+        return path
+
+    def _drift(self, tmp_path):
+        path = tmp_path / "db"
+        store = ObjectStore.open(
+            path,
+            parse_database(
+                "Database DriftDB\n\nconstants\n  CAP = 100\n\n"
+                "Class Item\nattributes\n  name : string\n  price : real\n"
+                "object constraints\n  oc1: price <= CAP\nend Item\n"
+            ),
+        )
+        store.insert("Item", name="a", price=10.0)
+        store.checkpoint()
+        store.set_constant("CAP", 1000)
+        store.close()
+        return path
+
+    @pytest.mark.parametrize(
+        "build, expected",
+        [
+            ("_fallback", "falls back"),
+            ("_lsn_gap", "LSN gap"),
+            ("_drift", "schema-change record(s) newer than the snapshot"),
+        ],
+    )
+    def test_recover_warns_in_fscks_words(self, tmp_path, capsys, build, expected):
+        """`repro recover` and `repro fsck` word recovery's findings once:
+        every warning recover prints is one of fsck's findings."""
+        from repro.cli import main
+
+        path = getattr(self, build)(tmp_path)
+        findings = fsck(path).findings
+        assert any(expected in finding for finding in findings)
+        capsys.readouterr()
+        assert main(["recover", str(path)]) == 0
+        warnings = [
+            line.removeprefix("warning: ")
+            for line in capsys.readouterr().err.splitlines()
+            if line.startswith("warning: ")
+        ]
+        assert warnings
+        assert all(warning in findings for warning in warnings)

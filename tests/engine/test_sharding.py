@@ -581,6 +581,48 @@ class TestDurableSharding:
         with pytest.raises(EngineError, match="no durable store"):
             ShardedStore.open(tmp_path / "void")
 
+    def test_open_reads_each_shard_once(self, tmp_path, monkeypatch):
+        """Each core is built from the image the router already loaded:
+        one recovery read per shard directory, not two."""
+        import repro.engine.sharding as sharding_module
+        import repro.engine.store as store_module
+
+        store = ShardedStore.open(tmp_path, shardlab_schema(), 2)
+        _scripted_mix(store)
+        store.close()
+        reads = []
+        for module in (sharding_module, store_module):
+            original = module.load_image
+
+            def counted(path, _original=original):
+                reads.append(path)
+                return _original(path)
+
+            monkeypatch.setattr(module, "load_image", counted)
+        reopened = ShardedStore.open(tmp_path, verify=True)
+        try:
+            assert sorted(reads) == [
+                shard_directory(tmp_path, 0),
+                shard_directory(tmp_path, 1),
+            ]
+            assert _names(reopened) == {"a1", "b1", "a2", "b2", "a3"}
+        finally:
+            reopened.close()
+
+    def test_plain_open_refuses_a_sharded_root(self, tmp_path):
+        store = ShardedStore.open(tmp_path, shardlab_schema(), 2)
+        _scripted_mix(store)
+        store.close()
+        for schema in (None, shardlab_schema()):
+            with pytest.raises(EngineError, match="sharded store root"):
+                ObjectStore.open(tmp_path, schema)
+        assert not (tmp_path / "snapshot.json").exists()
+        assert not (tmp_path / LOG_NAME).exists()
+        # The root still opens whole.
+        reopened = ShardedStore.open(tmp_path)
+        assert len(reopened) == 5
+        reopened.close()
+
     def test_cross_shard_commit_uses_two_phases(self, tmp_path):
         store = ShardedStore.open(tmp_path, shardlab_schema(), 2)
         _scripted_mix(store)
@@ -1310,7 +1352,7 @@ class TestShardingCli:
         from repro.cli import main
 
         self._make_store(tmp_path)
-        assert main(["fsck", "--all", str(tmp_path)]) == 0
+        assert main(["fsck", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "shard-0" in out and "shard-1" in out
 
@@ -1318,7 +1360,7 @@ class TestShardingCli:
         from repro.cli import main
 
         self._make_store(tmp_path)
-        assert main(["fsck", "--all", "--deep", str(tmp_path)]) == 0
+        assert main(["fsck", "--deep", str(tmp_path)]) == 0
         assert "deep audit: all constraints hold" in capsys.readouterr().out
 
     def test_fsck_all_reports_worst_shard(self, tmp_path):
@@ -1328,7 +1370,7 @@ class TestShardingCli:
         log = shard_directory(tmp_path, 1) / LOG_NAME
         with log.open("ab") as handle:
             handle.write(b"\x00garbage tail not a frame\n")
-        assert main(["fsck", "--all", str(tmp_path)]) >= 1
+        assert main(["fsck", str(tmp_path)]) >= 1
         # The single-directory scrub agrees on the damaged shard...
         assert main(["fsck", str(shard_directory(tmp_path, 1))]) >= 1
         # ...and the intact shard still scrubs clean.
@@ -1337,7 +1379,15 @@ class TestShardingCli:
     def test_fsck_all_without_shards_is_fatal(self, tmp_path):
         from repro.cli import main
 
-        assert main(["fsck", "--all", str(tmp_path)]) == 2
+        assert main(["fsck", str(tmp_path)]) == 2
+
+    def test_recover_refuses_a_sharded_root(self, tmp_path):
+        from repro.cli import main
+
+        self._make_store(tmp_path)
+        with pytest.raises(SystemExit, match="sharded store root"):
+            main(["recover", str(tmp_path)])
+        assert not (tmp_path / "snapshot.json").exists()
 
     def test_stress_shards_in_memory(self, capsys):
         from repro.cli import main
@@ -1396,4 +1446,4 @@ class TestShardingCli:
         assert "two-phase commit(s)" in out
         assert "fsyncs/commit" in out
         # The directory the stressor leaves behind scrubs clean.
-        assert main(["fsck", "--all", str(tmp_path / "db")]) == 0
+        assert main(["fsck", str(tmp_path / "db")]) == 0

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.client import connect
-from repro.engine import ObjectStore
+from repro.engine import ObjectStore, ShardedStore
 from repro.errors import (
     AdmissionError,
     ConnectionLostError,
@@ -24,6 +24,7 @@ from repro.errors import (
     SchemaError,
 )
 from repro.server import ServerConfig, ServerThread
+from repro.server.tenants import TenantRegistry
 from repro.server.protocol import OP_TXN_COMMIT
 
 
@@ -174,6 +175,29 @@ def test_shutdown_checkpoints_durable_tenants(tmp_path, servlab_source):
         assert reopened.audit() == []
     finally:
         reopened.close()
+
+
+@pytest.mark.parametrize("with_schema", [False, True])
+def test_sharded_durable_tenant_reopens_sharded(
+    tmp_path, servlab_source, with_schema
+):
+    """The tenant directory decides the flavor: a reopen that names no
+    shard count still finds the sharded store and its data."""
+    registry = TenantRegistry(tmp_path)
+    store = registry.lease("t", servlab_source, shards=2)
+    store.insert("Alpha", name="kept", score=1)
+    registry.shutdown()
+
+    again = TenantRegistry(tmp_path)
+    try:
+        reopened = again.lease("t", servlab_source if with_schema else None)
+        assert isinstance(reopened, ShardedStore)
+        assert len(reopened) == 1
+        assert again.stats()[0]["flavor"] == "sharded"
+    finally:
+        again.shutdown()
+    # Nothing plain was written into the sharded root.
+    assert not (tmp_path / "t" / "snapshot.json").exists()
 
 
 # -- disconnect handling -----------------------------------------------------
