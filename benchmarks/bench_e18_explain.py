@@ -25,11 +25,10 @@ the latencies kept as records; extraction is gated against scan checks:
   asserts the 10³→10⁴ growth stays linear-ish.
 * ``aggregate_core_extraction`` — the opposite shape: CSLibrary's
   ``sum(ourprice) < MAX`` violated over 2 000 publications (the workbench's
-  ``integrate`` shape), whose core has ~1 500 members and costs ~2 500
-  shrink probes.  Untraced probes answer the sum from frozen columns
-  instead of re-reading every member, so extraction must stay within
-  1 000 scan-semantics checks of ``cc2`` (the per-member re-evaluation
-  this replaced costs ~3 000).
+  ``integrate`` shape), whose core has ~1 400 members.  The violation is
+  monotone (non-negative prices), so the core is found in closed form:
+  acceptance is at most 16 probes (deletion shrinking took ~2 500), and
+  extraction must stay within 1 000 scan-semantics checks of ``cc2``.
 
 Results land in ``BENCH_e18_explain.json`` via the shared harness
 (see ``conftest.py``).
@@ -271,10 +270,12 @@ AGGREGATE_PUBLICATIONS = 2_000
 
 
 def test_e18_aggregate_core_extraction(benchmark):
-    """Aggregate cores: every shrink probe re-decides ``sum < MAX`` on a
-    masked view of ~2 000 publications.  Probes filter frozen columns, so
-    extraction costs a bounded number of scan checks of ``cc2`` even at
-    ~2 500 probes — re-reading every member per probe costs ~3 000."""
+    """Aggregate cores: ``sum < MAX`` over non-negative prices is a
+    monotone violation, so its core is the shortest largest-first prefix
+    reaching ``MAX`` — a binary search over ~2 000 prefix lengths plus one
+    drop-last certificate, gated as a probe count (deletion shrinking took
+    ~2 500).  Probes filter frozen columns, so extraction also stays within
+    a bounded number of scan checks of ``cc2``."""
     from repro.constraints.evaluate import evaluate
     from repro.fixtures import cslibrary_schema
 
@@ -311,6 +312,10 @@ def test_e18_aggregate_core_extraction(benchmark):
     benchmark.extra_info["extract_ms"] = round(t_extract * 1000, 2)
     benchmark.extra_info["checks_per_scan"] = round(t_extract / t_scan, 1)
 
+    assert core.checks <= 16, (
+        f"aggregate core extraction took {core.checks} probes — the "
+        f"closed-form prefix search should need ~12"
+    )
     assert t_extract <= 1000 * t_scan, (
         f"aggregate core extraction costs {t_extract / t_scan:.0f} scan "
         f"checks of cc2 ({core.checks} probes) — probes are re-reading "

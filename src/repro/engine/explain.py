@@ -32,22 +32,36 @@ Complexity: with ``s = |support|`` and ``k = |core|``, the chunked pass does
 O(k·log s) conflict tests and the fixpoint pass O(k²) in the worst case;
 every test is one evaluation over a view of ≤ s objects.  Quantifier tracing
 records only decisive iterations, so ``s`` is usually far below the extent
-size (a dangling reference seeds 1–2 objects at any store size).  Aggregate
-supports are whole extents, so tests are made cheap instead: the store is
-frozen for the extraction (callers hold its writer lock), every read goes
-through one :class:`FrozenView`, and an untraced test answers an aggregate
-by filtering a frozen numeric column by the visible set rather than calling
-the evaluator once per member.  The seed and the certification are traced
-and stay on scan semantics, so their traces list every member read.
+size (a dangling reference seeds 1–2 objects at any store size).
+
+Aggregate supports are whole extents, where deletion would take thousands
+of tests.  A *monotone* aggregate violation — one comparison of a ``sum``
+over non-negative finite numbers, a ``count`` or a ``max`` with an upper
+bound, or a ``min`` with a lower bound — skips shrinking: ordered by
+contribution, largest first, its shortest conflicting prefix is
+subset-minimal (dropping any member removes at least as much as dropping
+the last), found by binary search in O(log n) tests
+(:func:`monotone_order`, :func:`prefix_core`).  It is certified by the
+traced isolated evaluation plus one test that the core without its last
+member no longer conflicts.  Every other aggregate (``avg``, mixed signs,
+NaN, ±inf, references) shrinks as above.  Either way tests are cheap: the
+store is frozen for the extraction (callers hold its writer lock), every
+read goes through one :class:`FrozenView`, and an untraced test answers an
+aggregate by filtering a frozen numeric column by the visible set rather
+than calling the evaluator once per member.  The seed and the
+certification are traced and stay on scan semantics, so their traces list
+every member read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Mapping
 from itertools import compress
 from typing import Any, TYPE_CHECKING
 
+from repro.constraints.ast import Aggregate, Comparison, Literal, NamedConstant
 from repro.constraints.evaluate import (
     INDEX_MISS,
     EvalContext,
@@ -429,6 +443,105 @@ def shrink(
 
 
 # ---------------------------------------------------------------------------
+# closed-form cores of monotone aggregate violations
+# ---------------------------------------------------------------------------
+
+#: ``(aggregate, operator)`` pairs, aggregate on the left, whose violation
+#: is monotone in the member set: adding a member never resolves it.
+#: ``sum`` is monotone only over non-negative operands (checked per column).
+_MONOTONE = {
+    ("sum", "<"),
+    ("sum", "<="),
+    ("count", "<"),
+    ("count", "<="),
+    ("max", "<"),
+    ("max", "<="),
+    ("min", ">"),
+    ("min", ">="),
+}
+
+
+def monotone_order(view: FrozenView, constraint: Constraint) -> list[str] | None:
+    """The members of a monotone aggregate violation, largest contribution
+    first — or ``None`` when ``constraint`` is not such a violation.
+
+    The shape is one comparison of an aggregate with a constant, in either
+    operand order, on a class or database constraint, for the pairs in
+    :data:`_MONOTONE`; aggregated columns must be plain numbers (``sum``'s
+    finite and ≥ 0).  Every prefix of the order then conflicts at least as
+    much as any other set of its size, so the shortest conflicting prefix is
+    subset-minimal: dropping any member removes at least as much as
+    dropping the last.  Everything else (``avg``, mixed signs, NaN, ±inf,
+    references, compound formulas) is left to :func:`shrink`.
+    """
+    formula = constraint.formula
+    if constraint.kind is ConstraintKind.OBJECT or not isinstance(formula, Comparison):
+        return None
+    if isinstance(formula.right, Aggregate):
+        formula = formula.mirrored()
+    aggregate = formula.left
+    if (
+        not isinstance(aggregate, Aggregate)
+        or not isinstance(formula.right, (NamedConstant, Literal))
+        or (aggregate.func, formula.op) not in _MONOTONE
+    ):
+        return None
+    base = aggregate.collection
+    if base == "self":
+        if constraint.kind is not ConstraintKind.CLASS:
+            return None
+        base = constraint.owner
+    if base is None or not view.schema.has_class(base):
+        return None
+    if aggregate.over is None:
+        return [obj.oid for obj in view.extent(base)]
+    column = view.column(base, aggregate.over)
+    if column is None:
+        return None
+    oids, values, _ = column
+    if aggregate.func == "count":
+        return list(oids)
+    if aggregate.func == "sum" and not all(0 <= value < math.inf for value in values):
+        return None
+    ranked = sorted(range(len(oids)), key=values.__getitem__, reverse=aggregate.func != "min")
+    return [oids[index] for index in ranked]
+
+
+def prefix_core(
+    view: FrozenView,
+    constraint: Constraint,
+    order: list[str],
+    conflicts: Callable[[frozenset], bool],
+) -> tuple[list[str], int, ReasonTrace] | None:
+    """The shortest prefix of ``order`` (see :func:`monotone_order`) on
+    which the falsy-born ``constraint`` conflicts, certified; returns
+    ``(core, checks_spent, isolated_trace)``.
+
+    Binary search over prefix lengths, then the certificate: the traced
+    scan-semantics evaluation of the isolated core still conflicts, and one
+    more probe shows that the core without its last (smallest) member does
+    not.  ``None`` when either fails, for :func:`shrink` to take over.
+    """
+    low, high, checks = 0, len(order), 0
+    while low < high:
+        middle = (low + high) // 2
+        checks += 1
+        if conflicts(frozenset(order[:middle])):
+            high = middle
+        else:
+            low = middle + 1
+    core = order[:high]
+    iso_trace = ReasonTrace()
+    if not constraint_conflicts(view, constraint, frozenset(core), trace=iso_trace):
+        return None
+    if core:
+        checks += 1
+        if conflicts(frozenset(core[:-1])):
+            return None
+    return core, checks, iso_trace
+
+
+# ---------------------------------------------------------------------------
 # conflict cores
 # ---------------------------------------------------------------------------
 
@@ -575,28 +688,41 @@ def extract_core(
     def conflicts(visible: frozenset) -> bool:
         return constraint_conflicts(view, constraint, visible, errors_conflict)
 
-    # Support from the trace, widened to the whole store if the decisive
-    # subset alone does not conflict (conservative, rarely taken).
-    support = [o for o in seed_trace.support() if o in visible_all]
-    if anchor is not None and anchor not in support:
-        support.insert(0, anchor)
-    if not conflicts(frozenset(support)):
-        if not conflicts(visible_all):
-            return None
-        support = sorted(visible_all)
-
-    core_oids, checks, minimal = shrink(support, conflicts, max_checks)
-
-    # Certify + explain the isolated core: one traced evaluation on the
-    # masked view containing exactly the members.
-    iso_trace = ReasonTrace()
-    constraint_conflicts(
-        view,
-        constraint,
-        frozenset(core_oids),
-        errors_conflict,
-        trace=iso_trace,
+    # A monotone aggregate violation has its core in closed form: the
+    # shortest conflicting prefix of its members, largest first.
+    order = None if errors_conflict else monotone_order(view, constraint)
+    closed = (
+        prefix_core(view, constraint, order, conflicts)
+        if order is not None and len(order).bit_length() < max_checks
+        else None
     )
+    if closed is not None:
+        core_oids, checks, iso_trace = closed
+        minimal = True
+    else:
+        # Support from the trace, widened to the whole store if the
+        # decisive subset alone does not conflict (conservative, rarely
+        # taken).
+        support = [o for o in seed_trace.support() if o in visible_all]
+        if anchor is not None and anchor not in support:
+            support.insert(0, anchor)
+        if not conflicts(frozenset(support)):
+            if not conflicts(visible_all):
+                return None
+            support = sorted(visible_all)
+
+        core_oids, checks, minimal = shrink(support, conflicts, max_checks)
+
+        # Certify + explain the isolated core: one traced evaluation on
+        # the masked view containing exactly the members.
+        iso_trace = ReasonTrace()
+        constraint_conflicts(
+            view,
+            constraint,
+            frozenset(core_oids),
+            errors_conflict,
+            trace=iso_trace,
+        )
     chains, reads = iso_trace.member_index()
     members = tuple(
         CoreMember(

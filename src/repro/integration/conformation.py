@@ -427,19 +427,33 @@ def _conform_instances(conformed: ConformedDatabase, store: ObjectStore) -> None
     virtual_cache: dict[tuple[str, Any], str] = {}
 
     hidden_classes = {h.hidden_class for h in conformed.hidings}
-    relocations_by_class: dict[str, list[Relocation]] = {}
-    for relocation in conformed.relocations:
-        relocations_by_class.setdefault(relocation.class_name, []).append(relocation)
+    # The schema cannot change during the call, so per-class maps and
+    # per-(class, attribute) plans — relocation, hiding, declared type —
+    # are looked up once, not once per object.
+    class_maps: dict[str, tuple] = {}
+    plans: dict[tuple[str, str], tuple] = {}
 
     for obj in store.objects():
         if obj.class_name in hidden_classes:
             continue  # cast into values; handled below per referencing object
-        renames = conformed.rename_map(obj.class_name)
-        conversions = conformed.conversion_map(obj.class_name)
+        maps = class_maps.get(obj.class_name)
+        if maps is None:
+            maps = class_maps[obj.class_name] = (
+                conformed.rename_map(obj.class_name),
+                conformed.conversion_map(obj.class_name),
+            )
+        renames, conversions = maps
         state: dict[str, Any] = {}
         for attr, value in obj.state.items():
             new_name = renames.get(attr, attr)
-            relocation = _relocation_for(conformed, obj.class_name, attr)
+            plan = plans.get((obj.class_name, attr))
+            if plan is None:
+                plan = plans[obj.class_name, attr] = (
+                    _relocation_for(conformed, obj.class_name, attr),
+                    _value_hiding_for(conformed, obj.class_name, attr),
+                    _original_type(conformed, obj.class_name, attr),
+                )
+            relocation, hiding, tm_type = plan
             if relocation is not None:
                 key = (relocation.virtual_class, value)
                 if key not in virtual_cache:
@@ -462,12 +476,10 @@ def _conform_instances(conformed: ConformedDatabase, store: ObjectStore) -> None
                     virtual_cache[key] = virtual_oid
                 state[new_name] = virtual_cache[key]
                 continue
-            hiding = _value_hiding_for(conformed, obj.class_name, attr)
             if hiding is not None:
                 target = store.get(value)
                 state[new_name] = target.state[hiding.object_attribute]
                 continue
-            tm_type = _original_type(conformed, obj.class_name, attr)
             if isinstance(tm_type, ClassRef) and isinstance(value, str):
                 state[new_name] = f"{prefix}:{value}"
             elif attr in conversions:

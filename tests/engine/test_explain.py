@@ -22,9 +22,12 @@ state; and the ``repro explain`` CLI covers every violation class.
 Shrink probes answer aggregates from frozen columns; a Hypothesis oracle
 holds them to the scan semantics the traced path keeps, a cost guard counts
 store reads per extraction, and contention tests prove extraction runs under
-the writer lock(s).
+the writer lock(s).  Monotone aggregate violations get closed-form cores:
+Hypothesis holds them to the same isolation and minimality properties in
+O(log n) probes, and shows every other aggregate shape still shrinks.
 """
 
+import math
 import threading
 
 import pytest
@@ -820,10 +823,12 @@ def test_columns_answer_only_plain_numbers_exactly():
 
 
 def test_core_extraction_reads_each_attribute_once(monkeypatch):
-    """Cost guard: shrink probes answer ``sum < MAX`` from frozen
-    columns, so ``explain_violations()`` reads each attribute of each
-    publication a bounded number of times — not once per probe per core
-    member — while the probe sequence (``checks``) stays exactly the same."""
+    """Cost guard: probes answer ``sum < MAX`` from frozen columns, so
+    ``explain_violations()`` reads each attribute of each publication a
+    bounded number of times — not once per probe per core member — and
+    the closed form pins the core and its probe count: the shortest
+    largest-first prefix reaching ``MAX``, found by binary search over 200
+    prefix lengths (8 probes) plus the drop-last certificate."""
     from repro.fixtures import cslibrary_schema
 
     publications = 200
@@ -849,9 +854,136 @@ def test_core_extraction_reads_each_attribute_once(monkeypatch):
     monkeypatch.setattr(ObjectStore, "get_attr", counting)
     (core,) = store.explain_violations()
     assert core.constraint_name == "CSLibrary.Publication.cc2"
-    assert core.minimal and len(core.members) == 156
-    assert core.checks == 263
+    assert core.minimal and len(core.members) == 143
+    assert core.checks == 9
     assert calls <= 4 * publications, calls
+
+
+# ---------------------------------------------------------------------------
+# closed-form cores of monotone aggregate violations
+# ---------------------------------------------------------------------------
+
+MONOLAB_SOURCE = """
+Database MonoLab
+
+constants
+  MAX = 1
+  LIMIT = 2
+
+Class Row
+attributes
+  v : real
+class constraints
+  c_sum: (sum (collect x for x in self) over v) < MAX
+  c_sum_mirrored: MAX >= (sum (collect x for x in self) over v)
+  c_sum_literal: (sum (collect x for x in self) over v) < 0.3
+  c_count: (count (collect x for x in self) over v) < LIMIT
+  c_count_all: LIMIT > (count (collect x for x in self))
+  c_max: (max (collect x for x in self) over v) <= MAX
+  c_min: (min (collect x for x in self) over v) > MAX
+end Row
+
+Database constraints
+  d_sum: (sum (collect x for x in Row) over v) <= MAX
+"""
+
+#: Non-negative operands with ties, zeros and tenths whose float sums round.
+NON_NEGATIVE = st.one_of(
+    st.integers(0, 5),
+    st.floats(0, 5),
+    st.sampled_from([0, 0.0, 0.1, 0.2, 0.3, 0.7, 1.0]),
+)
+BOUNDS = st.one_of(
+    st.integers(-2, 8),
+    st.floats(-1, 8),
+    st.sampled_from([0, 0.3, 0.6, 1.0]),
+)
+
+
+def _no_shrink(*args, **kwargs):
+    raise AssertionError("a monotone aggregate core must not be shrunk")
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(NON_NEGATIVE, max_size=12), bound=BOUNDS, limit=BOUNDS)
+@example(values=[0.1, 0.2, 0.3, 0.1, 0.2], bound=0.6, limit=2)
+@example(values=[1, 1, 1, 1], bound=2, limit=3)
+@example(values=[0, 0.0, 2], bound=0, limit=0)
+@example(values=[], bound=-1, limit=-1)
+def test_monotone_aggregate_cores_are_closed_form(values, bound, limit):
+    """Every violation of a monotone aggregate shape gets its core without
+    shrinking, in O(log n) probes, and that core conflicts in isolation
+    (independent evaluator) while every single-member removal resolves
+    it — including the empty core of a bound no deletion can meet."""
+    store = ObjectStore(parse_database(MONOLAB_SOURCE), enforce=False)
+    store.schema.set_constant("MAX", bound)
+    store.schema.set_constant("LIMIT", limit)
+    for value in values:
+        store.insert("Row", v=value)
+    violated = {violation.constraint_name for violation in store.audit()}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(explain, "shrink", _no_shrink)
+        cores = store.explain_violations()
+    assert {core.constraint_name for core in cores} == violated
+    probes = math.ceil(math.log2(max(len(values), 1))) + 3
+    for core in cores:
+        keep = frozenset(core.oids())
+        assert core.minimal and core.verdict == "falsy"
+        assert core.checks <= probes, (core.constraint_name, core.checks)
+        assert violated_in_isolation(store, core.constraint, keep, False), (
+            core.constraint_name
+        )
+        for member in keep:
+            assert not violated_in_isolation(
+                store, core.constraint, keep - {member}, False
+            ), (core.constraint_name, sorted(keep), member)
+
+
+#: Operands that break monotonicity of ``sum`` or leave the plain-number
+#: column: each forces the ``c_sum``/``d_sum`` cores back onto shrinking.
+SPOILERS = st.sampled_from([-1, -0.5, float("nan"), float("inf")])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(NON_NEGATIVE, max_size=6),
+    spoiler=SPOILERS,
+    at=st.integers(0, 6),
+)
+@example(values=[1, 1], spoiler=float("inf"), at=0)
+@example(values=[0.5, 2], spoiler=float("nan"), at=1)
+@example(values=[3, 2], spoiler=-1, at=2)
+def test_non_monotone_aggregates_fall_back_to_shrinking(values, spoiler, at):
+    """A negative, NaN or infinite operand, an ``avg`` and a count over
+    references keep the deletion path: ``shrink`` runs once per falsy-born
+    core and the core it returns is still minimal in isolation."""
+    values = values[:at] + [spoiler] + values[at:]
+    rows = [(value, "a", index % 2) for index, value in enumerate(values)]
+    store = columnlab_store(rows)
+    view = FrozenView(store)
+    shrink = explain.shrink
+    for constraint in store.schema.all_constraints():
+        if constraint.name not in ("c_sum", "d_sum", "c_avg", "c_tag_count"):
+            continue
+        assert explain.monotone_order(view, constraint) is None, constraint.name
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                explain,
+                "shrink",
+                lambda *args: calls.append(constraint.name) or shrink(*args),
+            )
+            core = explain.extract_core(store, constraint)
+        if core is None or core.verdict != "falsy":
+            continue
+        assert calls == [constraint.name]
+        keep = frozenset(core.oids())
+        assert core.minimal
+        assert violated_in_isolation(store, constraint, keep, False)
+        for member in keep:
+            assert not violated_in_isolation(
+                store, constraint, keep - {member}, False
+            )
 
 
 # ---------------------------------------------------------------------------
