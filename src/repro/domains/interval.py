@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 
 
 @dataclass(frozen=True)
@@ -244,26 +244,34 @@ class IntervalSet:
     # -- set algebra ---------------------------------------------------------
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
+        """A two-pointer merge of the sorted sides: at most ``n + m`` pairs."""
         pieces = []
-        for a in self.intervals:
-            for b in other.intervals:
-                piece = a.intersect(b)
-                if not piece.is_empty():
-                    pieces.append(piece)
+        i = j = 0
+        while i < len(self.intervals) and j < len(other.intervals):
+            a, b = self.intervals[i], other.intervals[j]
+            piece = a.intersect(b)
+            if not piece.is_empty():
+                pieces.append(piece)
+            # The piece ends where the earlier-ending side does: advance it.
+            end = (piece.high, piece.high_open)
+            i += end == (a.high, a.high_open)
+            j += end == (b.high, b.high_open)
         return IntervalSet(pieces)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet(self.intervals + other.intervals)
 
     def complement(self) -> "IntervalSet":
-        """The complement with respect to the real line."""
-        result = [Interval()]
+        """The complement with respect to the real line: the gaps between canonical intervals."""
+        gaps = []
+        gap = Interval()  # the gap after the intervals swept so far, up to +inf
         for interval in self.intervals:
-            next_result = []
-            for piece in result:
-                next_result.extend(_subtract(piece, interval))
-            result = next_result
-        return IntervalSet(result)
+            if interval.low is not None:
+                gaps.append(Interval(gap.low, interval.low, gap.low_open, not interval.low_open))
+            if interval.high is None:
+                return IntervalSet(gaps)
+            gap = Interval(interval.high, None, not interval.high_open)
+        return IntervalSet((*gaps, gap))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         return self.intersect(other.complement())
@@ -371,21 +379,3 @@ def _normalise(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
         else:
             merged.append(interval)
     return tuple(merged)
-
-
-def _subtract(piece: Interval, cut: Interval) -> Sequence[Interval]:
-    """``piece \\ cut`` as up to two intervals.
-
-    Implemented as ``piece ∩ complement(cut)``: the complement of the cut is
-    the (possibly empty) half-lines on either side of it.
-    """
-    results = []
-    if cut.low is not None:
-        left = piece.intersect(Interval(None, cut.low, high_open=not cut.low_open))
-        if not left.is_empty():
-            results.append(left)
-    if cut.high is not None:
-        right = piece.intersect(Interval(cut.high, None, low_open=not cut.high_open))
-        if not right.is_empty():
-            results.append(right)
-    return results

@@ -14,6 +14,7 @@ reason trace — for this check and the delta-driven checks of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
 from typing import TYPE_CHECKING, Any
 
@@ -95,11 +96,12 @@ def all_violations(store: "ObjectStore") -> list[Violation]:
     """Every violation in the store (does not stop at the first)."""
     schema = store.schema
     scope = getattr(store, "constraint_scope", None)
+    object_constraints = cache(schema.effective_object_constraints)
     checks = chain(
         (
             (constraint, obj, None)
             for obj in store.objects()
-            for constraint in schema.effective_object_constraints(obj.class_name)
+            for constraint in object_constraints(obj.class_name)
         ),
         (
             (constraint, None, class_def.name)
@@ -108,11 +110,14 @@ def all_violations(store: "ObjectStore") -> list[Violation]:
         ),
         ((constraint, None, None) for constraint in schema.database_constraints),
     )
+    # No evaluation changes the store: object and database checks share one probe.
+    shared = store.eval_context()
     found: list[Violation] = []
     for constraint, current, owner in checks:
         if scope is not None and constraint not in scope:
             continue
-        ctx = store.eval_context(current=current, self_extent_class=owner)
+        shared.current = current
+        ctx = shared if owner is None else store.eval_context(self_extent_class=owner)
         try:
             if evaluate(constraint.formula, ctx):
                 continue

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Any
 
 from repro.integration.conformation import (
@@ -85,8 +86,8 @@ def merge_instances(
         view.add_object(GlobalObject(oid, {obj.side: obj}, {}))
         conformed_to_global[conformed_oid] = oid
 
-    _compute_states(spec, conformation, view, conformed_to_global)
-    _classify(spec, conformation, match, view, conformed_to_global)
+    _compute_states(conformation, view, conformed_to_global)
+    _classify(conformation, match, view, conformed_to_global)
     return view
 
 
@@ -171,17 +172,18 @@ def _group_pairs(
 
 
 def _compute_states(
-    spec: IntegrationSpecification,
     conformation: ConformationResult,
     view,
     conformed_to_global: dict[str, str],
 ) -> None:
+    # A propeq depends only on (local class, remote class, property).
+    propeqs: dict[tuple[str, str, str], ConformedPropeq | None] = {}
     for global_obj in view.objects():
         local = global_obj.component_on(Side.LOCAL)
         remote = global_obj.component_on(Side.REMOTE)
         if local is not None and remote is not None:
             state = _merge_states(
-                conformation, local, remote, global_obj, conformed_to_global
+                conformation, local, remote, global_obj, conformed_to_global, propeqs
             )
         else:
             only = local if local is not None else remote
@@ -206,6 +208,7 @@ def _merge_states(
     remote: ConformedObject,
     global_obj: GlobalObject,
     conformed_to_global: dict[str, str],
+    propeqs: dict,
 ) -> dict[str, Any]:
     state: dict[str, Any] = {}
     shared = set(local.state) & set(remote.state)
@@ -218,7 +221,10 @@ def _merge_states(
         # to the same merged object do not read as a value conflict.
         local_value = _remap(local.state[key], conformed_to_global)
         remote_value = _remap(remote.state[key], conformed_to_global)
-        propeq = _conformed_propeq_for(conformation, local, remote, key)
+        triple = (local.class_name, remote.class_name, key)
+        if triple not in propeqs:
+            propeqs[triple] = _conformed_propeq_for(conformation, local, remote, key)
+        propeq = propeqs[triple]
         if local_value != remote_value:
             global_obj.value_differences[key] = (local_value, remote_value)
         if propeq is not None:
@@ -259,22 +265,22 @@ def _conformed_propeq_for(
 
 
 def _classify(
-    spec: IntegrationSpecification,
     conformation: ConformationResult,
     match: MatchResult,
     view,
     conformed_to_global: dict[str, str],
 ) -> None:
+    @cache
+    def qualified_ancestors(side: Side, class_name: str) -> tuple[str, ...]:
+        schema = conformation.on(side).schema
+        if not schema.has_class(class_name):  # pragma: no cover - defensive
+            return (f"{schema.name}.{class_name}",)
+        return tuple(f"{schema.name}.{a.name}" for a in schema.ancestors(class_name))
+
     # Component classes (with ancestors) on their own side.
     for global_obj in view.objects():
         for side, component in global_obj.components.items():
-            schema = conformation.on(side).schema
-            database = schema.name
-            if schema.has_class(component.class_name):
-                for ancestor in schema.ancestors(component.class_name):
-                    global_obj.classes.add(f"{database}.{ancestor.name}")
-            else:  # pragma: no cover - defensive
-                global_obj.classes.add(f"{database}.{component.class_name}")
+            global_obj.classes.update(qualified_ancestors(side, component.class_name))
     # Similarity classifications place the source object into target classes.
     for similarity in match.similarities:
         source_conformed = f"{similarity.source_side.value}:{similarity.source.oid}"
@@ -292,6 +298,5 @@ def _classify(
             )
             continue
         if target_schema.has_class(similarity.target_class):
-            for ancestor in target_schema.ancestors(similarity.target_class):
-                global_obj.classes.add(f"{target_schema.name}.{ancestor.name}")
+            global_obj.classes.update(qualified_ancestors(target_side, similarity.target_class))
     view.rebuild_extents()

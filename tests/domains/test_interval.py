@@ -20,12 +20,24 @@ def intervals(draw):
 
 @st.composite
 def interval_sets(draw):
-    return IntervalSet(draw(st.lists(intervals(), max_size=4)))
+    return IntervalSet(draw(st.lists(intervals(), max_size=12)))
 
+
+@st.composite
+def point_sets(draw):
+    """Finite sets of half-step values, shaped like the up-to-18-point rating
+    domains (``{1.5, 2, ..., 10}``) that constraint derivation compares."""
+    steps = draw(st.lists(st.integers(0, 24), max_size=18, unique=True))
+    return IntervalSet.points(step / 2 for step in steps)
+
+
+#: Both shapes: general unions (unbounded, open/closed, overlapping before
+#: normalisation) and point-heavy finite sets.
+value_sets = st.one_of(interval_sets(), point_sets())
 
 probe_values = st.one_of(
     st.integers(-22, 22),
-    st.sampled_from([-20.5, -0.5, 0.5, 3.5, 19.5, 20.5]),
+    st.integers(-44, 44).map(lambda half_steps: half_steps / 2),
 )
 
 
@@ -139,27 +151,82 @@ class TestIntervalSetAlgebra:
         assert IntervalSet.closed(2, 3).is_subset(IntervalSet.closed(1, 5))
         assert not IntervalSet.closed(0, 3).is_subset(IntervalSet.closed(1, 5))
 
-    @given(interval_sets(), interval_sets(), probe_values)
+    @given(value_sets, value_sets, probe_values)
     def test_intersection_semantics(self, a, b, probe):
         assert a.intersect(b).contains(probe) == (a.contains(probe) and b.contains(probe))
 
-    @given(interval_sets(), interval_sets(), probe_values)
+    @given(value_sets, value_sets, probe_values)
     def test_union_semantics(self, a, b, probe):
         assert a.union(b).contains(probe) == (a.contains(probe) or b.contains(probe))
 
-    @given(interval_sets(), probe_values)
+    @given(value_sets, probe_values)
     def test_complement_semantics(self, a, probe):
         assert a.complement().contains(probe) == (not a.contains(probe))
 
-    @given(interval_sets(), interval_sets())
+    @given(value_sets, value_sets)
     def test_subset_via_difference(self, a, b):
         assert a.is_subset(b) == a.difference(b).is_empty()
 
-    @given(interval_sets())
+    @given(value_sets, value_sets, probe_values)
+    def test_difference_semantics(self, a, b, probe):
+        assert a.difference(b).contains(probe) == (a.contains(probe) and not b.contains(probe))
+
+    @given(value_sets)
     def test_canonical_equality(self, a):
         rebuilt = IntervalSet(a.intervals)
         assert rebuilt == a
         assert hash(rebuilt) == hash(a)
+
+    @given(value_sets)
+    def test_complement_is_canonical_involution(self, a):
+        complement = a.complement()
+        assert complement.intervals == IntervalSet(complement.intervals).intervals
+        # describe(), not ==: an open flag on an infinite bound is kept as
+        # given, so (-inf, 5] built with low_open=True is not == to the
+        # complement's own (-inf, 5].
+        assert complement.complement().describe() == a.describe()
+
+    def test_complement_gaps(self):
+        around = IntervalSet([Interval(None, 1, high_open=True), Interval(1, None, low_open=True)])
+        assert around.complement() == IntervalSet.point(1)
+        split = IntervalSet([Interval(1, 2), Interval(3, None, low_open=True)])
+        assert split.complement().describe() == "(-inf, 1) ∪ (2, 3]"
+        assert IntervalSet.empty().complement().is_all()
+        assert IntervalSet.all().complement().is_empty()
+
+    def test_intersect_advances_the_earlier_end(self):
+        # Equal upper bounds, one open: the open one ends first.
+        a = IntervalSet([Interval(0, 5), Interval(7, 9)])
+        b = IntervalSet([Interval(1, 5, high_open=True), Interval(5, 8, low_open=True)])
+        assert a.intersect(b).describe() == "[1, 5) ∪ [7, 8]"
+
+    def test_algebra_is_linear_in_interval_pairs(self, monkeypatch):
+        """``complement`` of n intervals and ``intersect`` (so ``difference``
+        and ``is_subset``) of n and m intervals meet at most n + m pairs."""
+        calls = 0
+        original = Interval.intersect
+
+        def counting(self, other):
+            nonlocal calls
+            calls += 1
+            return original(self, other)
+
+        monkeypatch.setattr(Interval, "intersect", counting)
+        ratings = IntervalSet.points(step / 2 for step in range(3, 21))  # 18 points
+        bands = IntervalSet([Interval(k, k + 1.5, low_open=True) for k in range(0, 30, 3)])
+        n, m = len(ratings.intervals), len(bands.intervals)
+        assert (n, m) == (18, 10)
+        ratings.complement()
+        assert calls <= n
+        calls = 0
+        ratings.intersect(bands)
+        assert calls <= n + m
+        calls = 0
+        ratings.difference(bands)
+        assert calls <= n + (m + 1)
+        calls = 0
+        bands.is_subset(ratings)
+        assert calls <= m + (n + 1)
 
 
 class TestTransformations:

@@ -261,3 +261,39 @@ class TestPersonnelMerging:
         assert len(personnel_view.extent("PersonnelDB1.Employee")) == 2
         assert len(personnel_view.extent("PersonnelDB2.Employee")) == 2
         assert len(list(personnel_view.objects())) == 3
+
+
+class TestMergeLookups:
+    def test_one_propeq_scan_per_class_pair_and_property(self, library_setup, monkeypatch):
+        from collections import Counter
+
+        from repro.integration import merging
+
+        scans = Counter()
+        original = merging._conformed_propeq_for
+
+        def counting(conformation, local, remote, name):
+            scans[(local.class_name, remote.class_name, name)] += 1
+            return original(conformation, local, remote, name)
+
+        monkeypatch.setattr(merging, "_conformed_propeq_for", counting)
+        conformation = library_setup["conformation"]
+        view = merge_instances(library_setup["spec"], conformation, library_setup["match"])
+        merged = view.merged_objects()
+        shared = sum(
+            len(obj.component_on(Side.LOCAL).state.keys() & obj.component_on(Side.REMOTE).state)
+            for obj in merged
+        )
+        assert scans and max(scans.values()) == 1
+        assert sum(scans.values()) < shared
+        expected = library_setup["view"]
+        assert [(o.oid, o.state, o.value_differences, o.classes) for o in view.objects()] == [
+            (o.oid, o.state, o.value_differences, o.classes) for o in expected.objects()
+        ]
+        # Every merged value is the one a fresh lookup's decision function gives.
+        for obj in merged:
+            local, remote = obj.component_on(Side.LOCAL), obj.component_on(Side.REMOTE)
+            for key, (local_value, remote_value) in obj.value_differences.items():
+                propeq = original(conformation, local, remote, key)
+                if propeq is not None:
+                    assert obj.state[key] == propeq.df.apply(local_value, remote_value)
