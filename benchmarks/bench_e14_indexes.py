@@ -212,10 +212,10 @@ def test_e14_indexed_oracle_equivalence(benchmark, e14_size):
             with pytest.raises(ConstraintViolation, match="cc1"):
                 with store.transaction():
                     store.update(target, isbn="ISBN-1")
-            store.schema.set_constant("MAX", 1)
+            store.set_constant("MAX", 1)
             with pytest.raises(ConstraintViolation, match="cc2"):
                 store.update(target, ourprice=44.0)
-            store.schema.set_constant("MAX", 10**12)
+            store.set_constant("MAX", 10**12)
             assert store.check_all() == []
         return True
 

@@ -370,7 +370,11 @@ class IntervalSet:
 
 
 def _normalise(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
-    live = [interval for interval in intervals if not interval.is_empty()]
+    live = [
+        _closed_at_infinity(interval)
+        for interval in intervals
+        if not interval.is_empty()
+    ]
     live.sort(key=_low_key)
     merged: list[Interval] = []
     for interval in live:
@@ -379,3 +383,19 @@ def _normalise(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
         else:
             merged.append(interval)
     return tuple(merged)
+
+
+def _closed_at_infinity(interval: Interval) -> Interval:
+    """``interval`` with the open flag of an infinite bound cleared: the
+    flag means nothing there, so one canonical value keeps ``==`` set
+    equality (``(-inf, 5]`` whether or not its low side was built open)."""
+    if (interval.low is None and interval.low_open) or (
+        interval.high is None and interval.high_open
+    ):
+        return Interval(
+            interval.low,
+            interval.high,
+            interval.low_open and interval.low is not None,
+            interval.high_open and interval.high is not None,
+        )
+    return interval

@@ -58,10 +58,12 @@ almost nothing.  The first call freezes the committed store under the
 writer lock (O(store), once); from then on maintenance is O(touched).
 
 What is and isn't linearizable is documented in
-``docs/architecture.md`` — in short: single mutations and transaction
-commits are linearizable (they serialize on the writer lock), snapshots
-are consistent prefixes of that order, but *schema* mutations are shared
-state outside snapshot isolation.
+``docs/architecture.md`` — in short: single mutations, transaction
+commits and schema changes are linearizable (they serialize on the writer
+lock), and snapshots are consistent prefixes of that order.  A snapshot
+pins the schema value it was taken under: the store's schema is a frozen
+value that ``change_schema`` replaces whole, so a snapshot taken before a
+rebind or an added attribute keeps reading under the old schema.
 
 Fail-stop interaction: when a durable store's write-ahead log poisons
 itself (a commit-point IO failure — see :mod:`repro.engine.faults` and
@@ -90,7 +92,7 @@ from repro.errors import (
 from repro.types.primitives import ClassRef
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.store import ObjectStore
+    from repro.tm.schema import DatabaseSchema
 
 #: Publish calls between garbage-collection sweeps.
 _GC_EVERY = 64
@@ -153,9 +155,13 @@ class Snapshot:
     context managers.
     """
 
-    def __init__(self, control: "ConcurrencyControl", version: int):
+    def __init__(
+        self, control: "ConcurrencyControl", version: int, schema: "DatabaseSchema"
+    ):
         self._control = control
         self.version = version
+        #: The schema value the snapshot was taken under.
+        self.schema = schema
         self._closed = False
         self._finalizer = weakref.finalize(
             self, _release_version, control, version
@@ -215,7 +221,7 @@ class Snapshot:
         value = obj.state[name]
         if isinstance(value, str):
             try:
-                tm_type = self._control._schema.attribute_type(
+                tm_type = self.schema.attribute_type(
                     obj.class_name, name
                 )
             except SchemaError:
@@ -229,11 +235,10 @@ class Snapshot:
     def extent(self, class_name: str, deep: bool = True) -> list[SnapshotObject]:
         """The class extent at this version, in ``(counter, oid)`` order.
 
-        ``deep`` resolves the subclass closure through the store's schema —
-        see the module docstring for the (non-)isolation caveat on
-        concurrent *schema* mutation.
+        ``deep`` resolves the subclass closure through the schema the
+        snapshot was taken under.
         """
-        schema = self._control._schema
+        schema = self.schema
         if not schema.has_class(class_name):
             raise UnknownClassError(
                 f"no class {class_name!r} in database {schema.name}"
@@ -286,8 +291,9 @@ class ConcurrencyControl:
     ordering documented in the module docstring instead of locks.
     """
 
-    def __init__(self, store: "ObjectStore"):
-        self._store_ref = weakref.ref(store)
+    def __init__(self, schema: "DatabaseSchema"):
+        #: The store's schema value, swapped by :meth:`adopt`.
+        self.schema = schema
         self.active = False
         #: Committed version counter; bumped *after* a change set is fully
         #: threaded into the history.
@@ -307,13 +313,6 @@ class ConcurrencyControl:
         #: Oids touched since the last GC sweep — bounds the sweep to
         #: O(recently touched), not O(store).
         self._dirty_since_gc: set[str] = set()
-
-    @property
-    def _schema(self):
-        store = self._store_ref()
-        if store is None:  # pragma: no cover - snapshots outliving the store
-            raise EngineError("the snapshot's store no longer exists")
-        return store.schema
 
     # -- activation --------------------------------------------------------
 
@@ -385,13 +384,21 @@ class ConcurrencyControl:
 
     # -- the reader side ---------------------------------------------------
 
+    def adopt(self, schema: "DatabaseSchema") -> None:
+        """Let later snapshots read under ``schema``.  Called under the
+        writer lock; the registry lock makes a snapshot's version and
+        schema one pair that held together."""
+        with self._registry_lock:
+            self.schema = schema
+
     def snapshot(self) -> Snapshot:
-        """Pin and return the current committed version — O(1), no writer
-        lock (see :func:`_release_version` for the un-pin)."""
+        """Pin and return the current committed version and schema — O(1),
+        no writer lock (see :func:`_release_version` for the un-pin)."""
         with self._registry_lock:
             version = self._version
+            schema = self.schema
             self._pinned[version] = self._pinned.get(version, 0) + 1
-        return Snapshot(self, version)
+        return Snapshot(self, version, schema)
 
     # -- garbage collection ------------------------------------------------
 

@@ -8,8 +8,9 @@ delta can possibly have invalidated.
 Three pieces cooperate:
 
 * :class:`ConstraintDependencyIndex` — a static index, built once per schema
-  (and rebuilt when :meth:`~repro.tm.schema.DatabaseSchema.fingerprint`
-  changes), that walks each constraint's AST and records what it *reads*:
+  value (memoised on the schema, which a store freezes, so a schema change
+  is a new value with an index of its own), that walks each constraint's
+  AST and records what it *reads*:
   ``(class, attribute)`` pairs, class extents whose membership matters, and
   references into other classes.  Reads are expanded over the subclass
   closure, because an object of a subclass lives in every ancestor's extent.
@@ -31,8 +32,8 @@ accepted commit writes the net effect of the touched set its delta
 describes to the write-ahead log (:mod:`repro.engine.wal`) as one redo
 record, and a recovered store re-enters this module's contract
 by taking a fresh full-validation baseline (a clean
-:meth:`~repro.engine.store.ObjectStore.audit` re-baselines the schema
-fingerprint, after which checking is delta-driven again).
+:meth:`~repro.engine.store.ObjectStore.audit` records the schema value it
+validated, after which checking is delta-driven again).
 
 Correctness argument: assuming the store satisfied all constraints before the
 delta, any newly violated constraint must read something the delta wrote
@@ -51,8 +52,6 @@ from dataclasses import dataclass, field
 from collections.abc import Iterator
 from itertools import chain
 from typing import Any, TYPE_CHECKING
-import weakref
-from weakref import WeakKeyDictionary
 
 from repro.constraints.ast import (
     Aggregate,
@@ -349,12 +348,6 @@ class _ReadSetBuilder:
                 current = None
 
 
-#: schema → index, invalidated by fingerprint comparison.
-_INDEX_CACHE: "WeakKeyDictionary[DatabaseSchema, ConstraintDependencyIndex]" = (
-    WeakKeyDictionary()
-)
-
-
 class ConstraintDependencyIndex:
     """Read sets for every constraint of a schema, grouped by kind.
 
@@ -364,11 +357,7 @@ class ConstraintDependencyIndex:
     """
 
     def __init__(self, schema: "DatabaseSchema"):
-        # Held weakly: the index is a value in the schema-keyed
-        # WeakKeyDictionary cache, and a strong reference here would pin the
-        # key alive, leaking one (schema, index) pair per schema forever.
-        self._schema_ref = weakref.ref(schema)
-        self.fingerprint = schema.fingerprint()
+        self._schema = schema
         self.object_constraints: list[IndexedConstraint] = []
         self.class_constraints: list[IndexedConstraint] = []
         self.database_constraints: list[IndexedConstraint] = []
@@ -410,8 +399,7 @@ class ConstraintDependencyIndex:
         self._pruned: frozenset[Constraint] | None = None
 
     def _analyze(self, constraint: Constraint) -> IndexedConstraint:
-        schema = self._schema_ref()
-        assert schema is not None  # only called while building, schema alive
+        schema = self._schema
         builder = _ReadSetBuilder(schema, constraint.owner)
         try:
             builder.walk(constraint.formula, {})
@@ -470,13 +458,9 @@ class ConstraintDependencyIndex:
         on first use and cached for the index lifetime.  Consumed only by
         stores opened with ``analyze=True``; audits never prune."""
         if self._pruned is None:
-            schema = self._schema_ref()
-            if schema is None:
-                self._pruned = frozenset()
-            else:
-                from repro.constraints.analysis import prunable_constraints
+            from repro.constraints.analysis import prunable_constraints
 
-                self._pruned = frozenset(prunable_constraints(schema))
+            self._pruned = frozenset(prunable_constraints(self._schema))
         return self._pruned
 
     def aggregate_specs(self) -> frozenset[tuple[str, str, str | None]]:
@@ -504,18 +488,10 @@ class ConstraintDependencyIndex:
             specs |= entry.reference_specs
         return frozenset(specs)
 
-    def is_stale(self) -> bool:
-        schema = self._schema_ref()
-        return schema is None or schema.fingerprint() != self.fingerprint
-
     @classmethod
     def for_schema(cls, schema: "DatabaseSchema") -> "ConstraintDependencyIndex":
-        """The cached index for ``schema``, rebuilt when the schema changed."""
-        index = _INDEX_CACHE.get(schema)
-        if index is None or index.is_stale():
-            index = cls(schema)
-            _INDEX_CACHE[schema] = index
-        return index
+        """The index of ``schema``, memoised on the schema value."""
+        return schema.memo("dependency_index", lambda: cls(schema))
 
 
 # ---------------------------------------------------------------------------

@@ -46,11 +46,11 @@ O(touched).  Index deltas need no separate log: each hook is
 deterministic in the (pre-image, post-image) pair the undo log already
 carries.
 
-Schema changes are detected by fingerprint
-(:meth:`~repro.tm.schema.DatabaseSchema.fingerprint`): every hook and probe
-first compares fingerprints and rebuilds all indexes from the live store
-contents when stale — a rebuild *replaces* the incremental application, since
-the store already reflects the mutation by the time a hook runs.
+Nothing here watches the schema.  A store's schema is a frozen value, and
+the store's one schema write path
+(:meth:`~repro.engine.store.ObjectStore.change_schema`) calls
+:meth:`IndexManager.rebuild` once it adopts the next value, re-deriving
+every index from the new schema and the live store contents.
 
 Graceful degradation: an index that meets a value it cannot maintain (a
 non-numeric aggregate operand, an unhashable key component, a NaN or
@@ -60,7 +60,7 @@ infinity, a non-string reference slot) marks itself invalid and answers
 pre-index semantics.  Reference indexes additionally answer
 :data:`~repro.constraints.evaluate.INDEX_MISS` while any counted reference
 dangles — only the scan reproduces dangling-dereference errors.  The next
-fingerprint-triggered rebuild retries.
+rebuild (a schema change, or recovery) retries.
 """
 
 from __future__ import annotations
@@ -427,7 +427,7 @@ class ReferenceIndex:
     Degradation mirrors the other indexes: a value that cannot be counted
     (a non-string where an oid belongs, a removal never added) marks the
     index invalid; probes answer :data:`INDEX_MISS` and evaluation falls
-    back to the extent scan until the next fingerprint-triggered rebuild.
+    back to the extent scan until the next rebuild.
     """
 
     __slots__ = (
@@ -525,33 +525,19 @@ class ReferenceIndex:
 class IndexManager:
     """Owns and maintains all auxiliary indexes of one store.
 
-    Construction (and every fingerprint-triggered rebuild) registers what to
-    materialize from the store's constraint-dependency index and replays the
-    current store contents.  See the module docstring for the consistency
+    Construction (and every rebuild, once per schema change) registers what
+    to materialize from the store's constraint-dependency index and replays
+    the current store contents.  See the module docstring for the consistency
     contract with mutations and rollback.
     """
 
     def __init__(self, store: "ObjectStore"):
         self._store = store
-        self._fingerprint: int | None = None
         #: Rebuild counter, exposed for tests and benchmarks.
         self.rebuilds = 0
         self.rebuild()
 
-    # -- construction / freshness ------------------------------------------------
-
-    def _stale(self) -> bool:
-        return self._fingerprint != self._store.schema.fingerprint()
-
-    def ensure_fresh(self) -> None:
-        if self._stale():
-            self.rebuild()
-
-    def probe(self) -> "IndexManager":
-        """The fast-path probe handed to evaluation contexts (checked fresh
-        once per context, not per query)."""
-        self.ensure_fresh()
-        return self
+    # -- construction ---------------------------------------------------------------
 
     def rebuild(self) -> None:
         """Re-derive every index from the schema and live store contents.
@@ -561,7 +547,6 @@ class IndexManager:
         """
         store = self._store
         schema = store.schema
-        self._fingerprint = schema.fingerprint()
         self.rebuilds += 1
         self._extents: dict[str, OrderedOidSet] = {
             name: OrderedOidSet() for name in schema.classes
@@ -638,19 +623,11 @@ class IndexManager:
     # -- mutation hooks -----------------------------------------------------------
     #
     # Each hook runs *after* the store applied the mutation to ``_objects``.
-    # When the schema changed underneath, the rebuild replays the already-
-    # mutated store, so the incremental application is skipped entirely.
 
     def on_insert(self, obj: "DBObject") -> None:
-        if self._stale():
-            self.rebuild()
-            return
         self._apply_insert(obj)
 
     def on_delete(self, obj: "DBObject") -> None:
-        if self._stale():
-            self.rebuild()
-            return
         # Referenced-side leave before referrer-side remove: a self-pointing
         # object must first flip its own counted entry to dangling so its
         # referrer removal declassifies the same state it observes.
@@ -673,9 +650,6 @@ class IndexManager:
     ) -> None:
         """Transition hook; also used in reverse by rollback (the hook is
         symmetric in its explicit state pair, whatever ``obj.state`` holds)."""
-        if self._stale():
-            self.rebuild()
-            return
         for aggregate in self._agg_feeds.get(obj.class_name, ()):
             old = old_state.get(aggregate.over, _ABSENT)
             new = new_state.get(aggregate.over, _ABSENT)

@@ -40,11 +40,10 @@ class Oracle:
     unenforced store; :meth:`audit` still reports the violations."""
 
     def __init__(self, schema: DatabaseSchema, enforce: bool = True):
-        self.schema = schema
+        self.schema = schema.freeze()
         self.enforce = enforce
         self._objects: dict[str, DBObject] = {}
-        #: (class, attribute) → declared type; an attribute's type cannot
-        #: be redeclared once its class exists.
+        #: (class, attribute) → declared type under the current schema.
         self._attr_types: dict[tuple[str, str], Any] = {}
         self._oid_seq = 0
         self._in_transaction = False
@@ -168,6 +167,19 @@ class Oracle:
 
     def delete(self, target: DBObject | str) -> None:
         self._write(self.get(target.oid if isinstance(target, DBObject) else target).oid, None)
+
+    def change_schema(self, schema: DatabaseSchema) -> None:
+        """Adopt ``schema`` in place of the current value (no re-audit: the
+        next commit point runs the full check anyway)."""
+        if self._in_transaction:
+            raise EngineError("cannot change the schema inside a transaction")
+        self.schema = schema.freeze()
+        self._attr_types = {}
+
+    def set_constant(self, name: str, value: Any) -> None:
+        schema = self.schema.copy()
+        schema.set_constant(name, value)
+        self.change_schema(schema)
 
     @contextmanager
     def transaction(self) -> Iterator[None]:

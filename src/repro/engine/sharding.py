@@ -291,7 +291,7 @@ class _MergedProbe:
 
     def __init__(self, router: "ShardedStore"):
         self._router = router
-        self._probes = [core._indexes.probe() for core in router.cores]
+        self._probes = [core._indexes for core in router.cores]
 
     def aggregate_value(self, func: str, class_name: str, over: str | None) -> Any:
         if func == "count":
@@ -415,7 +415,9 @@ class ShardedStore(_StoreSurface):
         placement: "Mapping[str, int] | None" = None,
         _cores: "list[ObjectStore] | None" = None,
     ):
-        self.schema = schema
+        #: The frozen schema value the router and every core share; only
+        #: :meth:`change_schema` replaces it.
+        self.schema = schema.freeze()
         self.shards = int(shards)
         self.spread = frozenset(spread)
         self.enforce = enforce
@@ -457,10 +459,9 @@ class ShardedStore(_StoreSurface):
         #: Per-spread-class insert cursor (next shard, round-robin).
         self._spread_seq: dict[str, int] = {}
         self._attr_types: dict[tuple[str, str], Any] = {}
-        #: Schema fingerprint of the last clean full validation of the
+        #: The schema value of the last clean full validation of the
         #: *merged* store; mirrors the plain store's validated baseline.
-        self._validated_fingerprint: int | None = None
-        self._routing_fingerprint: int | None = None
+        self._validated_schema: DatabaseSchema | None = None
         #: class → every affected constraint is local to the class's home
         #: core(s); insert/delete may skip the router.
         self._class_fast: dict[str, bool] = {}
@@ -478,8 +479,8 @@ class ShardedStore(_StoreSurface):
 
     def _rebuild_routing(self) -> None:
         """(Re)derive constraint scopes and fast-path tables from the
-        current schema.  Called under the router lock (or from ``__init__``
-        before the store is shared)."""
+        current schema.  Called from ``__init__`` before the store is
+        shared, and by :meth:`change_schema` on a quiesced store."""
         from repro.engine.incremental import classify_constraints, shard_scopes
 
         self.placement = plan_placement(
@@ -534,7 +535,6 @@ class ShardedStore(_StoreSurface):
         self._plans = plans
         self._class_fast = class_fast
         self._attr_fast = attr_fast
-        self._routing_fingerprint = self.schema.fingerprint()
 
     def constraint_plans(self) -> list:
         """The current constraint classification
@@ -543,17 +543,13 @@ class ShardedStore(_StoreSurface):
         return list(self._plans)
 
     def _fast_ready(self) -> bool:
-        """Whether the fast path may run: the routing tables were built for
-        the current schema *and* the merged store holds a clean validation
-        baseline under it.  A stale baseline (first ever mutation, or a
-        schema/constant change since) forces one routed operation, which
-        fully revalidates and re-baselines — mirroring the plain store's
-        incremental fallback."""
-        fingerprint = self.schema.fingerprint()
-        return (
-            fingerprint == self._routing_fingerprint
-            and fingerprint == self._validated_fingerprint
-        )
+        """Whether the fast path may run: the merged store holds a clean
+        validation baseline under the current schema value (the routing
+        tables are rebuilt whenever that value is replaced).  A missing
+        baseline (first ever mutation, or a schema change since) forces
+        one routed operation, which fully revalidates and re-baselines —
+        mirroring the plain store's incremental fallback."""
+        return self._validated_schema is self.schema
 
     def _in_transaction(self) -> bool:
         return self._txn_depth > 0 and self._txn_owner == threading.get_ident()
@@ -619,12 +615,12 @@ class ShardedStore(_StoreSurface):
         whole holds on the merge)."""
         from repro.engine.enforcement import all_violations
 
+        schema = self.schema
         found = all_violations(self)
         if not found:
-            fingerprint = self.schema.fingerprint()
-            self._validated_fingerprint = fingerprint
+            self._validated_schema = schema
             for core in self.cores:
-                core._validated_fingerprint = fingerprint
+                core._validated_schema = schema
         return found
 
     def explain_violations(self, violations=None) -> list:
@@ -705,8 +701,6 @@ class ShardedStore(_StoreSurface):
         auto-commit op, and a rejection raises the plain store's exception
         shapes.  The commit's ticket is redeemed with the locks released."""
         with self._quiesced():
-            if self.schema.fingerprint() != self._routing_fingerprint:
-                self._rebuild_routing()
             self.routed_global_ops += 1
             undo: dict = {}
             delta = MutationDelta()
@@ -717,19 +711,52 @@ class ShardedStore(_StoreSurface):
         redeem(owed)
         return result
 
-    def set_constant(self, name: str, value: Any) -> None:
-        """Rebind a schema constant through every core: the shared schema
-        is set once (idempotently re-set per core) and each durable core
-        logs its own schema-change record, so any single shard's log
-        replays the binding.  Invalidates the merged validation baseline —
-        the next routed operation fully revalidates, as on a plain store."""
-        with self._lock:
+    def change_schema(self, schema: DatabaseSchema) -> None:
+        """Replace the schema of the router and every core with ``schema``
+        (see :meth:`ObjectStore.change_schema`): on a quiesced store each
+        core logs its own ``schema`` record and adopts the value, then the
+        router adopts it and rebuilds its routing tables.  The next routed
+        operation fully revalidates, as on a plain store.  Should a later
+        core's append fail, the value is adopted everywhere all the same:
+        a reopen reads the schema from the first shard's log, which holds
+        it."""
+        owed: list = []
+        with self._quiesced():
             if self._txn_depth:
-                raise EngineError(
-                    "cannot rebind a schema constant inside a transaction"
-                )
-            for core in self.cores:
-                core.set_constant(name, value)
+                raise EngineError("cannot change the schema inside a transaction")
+            # Refuse a schema the placement cannot hold before anything is
+            # logged.
+            plan_placement(schema, self.shards, self.spread, existing=self.placement)
+            try:
+                for core in self.cores:
+                    owed.append((core, core._change_schema_locked(schema)))
+            except BaseException:
+                for core, ticket in owed:
+                    if ticket is not None:
+                        core._wal.abandon_ticket(ticket)
+                if owed:
+                    self._adopt(schema)
+                raise
+            self._adopt(schema)
+        redeem(owed)
+
+    def set_constant(self, name: str, value: Any) -> None:
+        """Rebind a schema constant: :meth:`change_schema` with a copy of
+        the schema that binds ``name`` to ``value``."""
+        with self._lock:
+            schema = self.schema.copy()
+            schema.set_constant(name, value)
+            self.change_schema(schema)
+
+    def _adopt(self, schema: DatabaseSchema) -> None:
+        """Make ``schema`` the value of the router and of every core that
+        did not adopt it itself (store quiesced)."""
+        for core in self.cores:
+            if core.schema is not schema:
+                core._adopt(schema)
+        self.schema = schema.freeze()
+        self._attr_types = {}
+        self._rebuild_routing()
 
     # -- transactions ---------------------------------------------------------
 
@@ -886,7 +913,7 @@ class ShardedStore(_StoreSurface):
         one behaviour whichever flavor they hold."""
         if not self.durable:
             raise EngineError("store has no write-ahead log attached")
-        # The router lock first, as set_constant takes it: another thread's
+        # The router lock first, as change_schema takes it: another thread's
         # transaction is waited out, only this thread's own is refused.
         with self._lock:
             if self._txn_depth:
@@ -985,8 +1012,6 @@ class _ShardedTransaction:
         try:
             self._outer = router._txn_depth == 0
             if self._outer:
-                if router.schema.fingerprint() != router._routing_fingerprint:
-                    router._rebuild_routing()
                 router._txn_owner = threading.get_ident()
             txns: list = []
             try:
@@ -1160,6 +1185,11 @@ class MergedSnapshot:
         self.close()
 
     # -- reads -------------------------------------------------------------
+
+    @property
+    def schema(self) -> DatabaseSchema:
+        """The schema value the cut was taken under (every member's)."""
+        return self._members[0].schema
 
     def __contains__(self, oid: object) -> bool:
         return isinstance(oid, str) and _owner(self._members, oid) is not None

@@ -42,9 +42,10 @@ class _StoreSurface:
     (:class:`~repro.engine.sharding.ShardedStore`): reference-dereferencing
     attribute reads, evaluation contexts, and the check stages of the
     commit tail.  The host class provides ``schema``, ``enforce``,
-    ``_attr_types``, ``_validated_fingerprint``, ``get``/``__contains__``/
-    ``extent``, :meth:`audit` (a clean audit re-baselines the fingerprint)
-    and ``_probe`` (the index probe its evaluation contexts consult)."""
+    ``_attr_types``, ``_validated_schema``, ``get``/``__contains__``/
+    ``extent``, :meth:`audit` (a clean audit records the schema value it
+    validated) and ``_probe`` (the index probe its evaluation contexts
+    consult)."""
 
     def get_attr(self, obj: Any, name: str) -> Any:
         """Attribute accessor for the constraint evaluator.
@@ -103,15 +104,8 @@ class _StoreSurface:
         )
 
     def dependency_index(self):
-        """The cached constraint-dependency index for this store's schema,
-        rebuilt when the schema fingerprint changes."""
+        """The constraint-dependency index of this store's schema value."""
         return ConstraintDependencyIndex.for_schema(self.schema)
-
-    def _schema_changed_since_validation(self) -> bool:
-        return (
-            self._validated_fingerprint is None
-            or self.schema.fingerprint() != self._validated_fingerprint
-        )
 
     def _check_op(self, delta: MutationDelta) -> None:
         """The check stage of an auto-commit op (plain or routed): re-check
@@ -119,7 +113,7 @@ class _StoreSurface:
         no validated baseline)."""
         if not self.enforce:
             return
-        if self._schema_changed_since_validation():
+        if self._validated_schema is not self.schema:
             # Full-store validation: no validated baseline exists (no full
             # pass yet, or the schema changed since the last one).
             self._raise_violations("full revalidation", self.audit())
@@ -131,14 +125,14 @@ class _StoreSurface:
         router's over the merged delta of every core): every violation the
         delta can have caused — delta-driven when this store holds a
         validated baseline for the current schema, a full audit otherwise
-        (a rebound constant can invalidate constraints with no data delta,
-        whether it changed mid-transaction or before).  Raises one
+        (a schema adopted since the last clean audit can invalidate
+        constraints with no data delta).  Raises one
         :class:`ConstraintViolation` naming them all, with conflict cores
         extracted before the commit tail's undo destroys the violating
         state they explain."""
         if not self.enforce:
             return
-        if delta is None or self._schema_changed_since_validation():
+        if delta is None or self._validated_schema is not self.schema:
             violations = self.audit()
         else:
             violations = incremental.delta_violations(self, delta)
@@ -233,7 +227,9 @@ class ObjectStore(_StoreSurface):
         analyze: bool = False,
         oid_namespace: int | None = None,
     ):
-        self.schema = schema
+        #: The schema value this store enforces, frozen on adoption; only
+        #: :meth:`change_schema` replaces it.
+        self.schema = schema.freeze()
         self.enforce = enforce
         #: Shard namespace stamped into minted oids (``Class#S.N``); ``None``
         #: keeps the plain ``Class#N`` shape.  Set by the commit router
@@ -281,24 +277,22 @@ class ObjectStore(_StoreSurface):
         #: Reentrant, so transactions hold it across their operations.
         self._lock = threading.RLock()
         #: Snapshot-read machinery; inert until the first snapshot() call.
-        self._concurrency = ConcurrencyControl(self)
+        self._concurrency = ConcurrencyControl(schema)
         #: The image the store was recovered from; ``None`` for fresh
         #: stores.  Carries the recovery findings for the CLI.
         self._recovery_info: RecoveredImage | None = None
         #: (class, attribute) → declared type, for the dereferencing hot
-        #: path.  Safe to cache for the store's lifetime: an attribute's
-        #: type cannot be redeclared once the class exists, and states are
-        #: type-checked against the schema before they are stored.
+        #: path.  Valid for one schema value: :meth:`change_schema` clears it.
         self._attr_types: dict[tuple[str, str], Any] = {}
-        #: Schema fingerprint as of the last *full* validation known to hold
-        #: on this store; ``None`` until one has run.  Incremental
+        #: The schema value the last *full* validation known to hold on
+        #: this store ran under; ``None`` until one has run.  Incremental
         #: enforcement needs a validated starting point (even an empty store
-        #: can violate an ``exists``-style constraint) and must notice
-        #: schema changes since — a rebound constant can invalidate
-        #: constraints with no data delta at all.  When the baseline is
-        #: missing or stale, enforcement falls back to full revalidation,
-        #: and any clean full pass re-baselines.
-        self._validated_fingerprint: int | None = None
+        #: can violate an ``exists``-style constraint), and a new schema
+        #: value can invalidate constraints with no data delta at all (a
+        #: rebound constant).  When it is not the current schema,
+        #: enforcement falls back to full revalidation, and any clean full
+        #: pass re-baselines.
+        self._validated_schema: DatabaseSchema | None = None
         #: Maintained auxiliary indexes (deep extents, running aggregates,
         #: key hash maps, reference counts).  Created last: the manager
         #: reads the store's schema and (empty) contents.
@@ -372,14 +366,11 @@ class ObjectStore(_StoreSurface):
                 self._direct_extents.get(class_name, ()), key=oid_sort_key
             )
             return [objects[oid] for oid in oids]
-        # A class added since the last rebuild changed the schema
-        # fingerprint, so ensure_fresh() indexes it before the lookup.
-        self._indexes.ensure_fresh()
         return [objects[oid] for oid in self._indexes.deep_extent_oids(class_name)]
 
     def _probe(self):
         """The index probe of this store's evaluation contexts."""
-        return self._indexes.probe()
+        return self._indexes
 
     # -- mutation -----------------------------------------------------------------
 
@@ -642,14 +633,15 @@ class ObjectStore(_StoreSurface):
         """Validate the entire store; returns structured
         :class:`~repro.engine.enforcement.Violation` objects.
 
-        A clean full pass re-baselines the validated schema fingerprint:
-        the store is known consistent under the *current* schema, so
-        incremental enforcement may resume."""
+        A clean full pass re-baselines: the store is known consistent under
+        the schema value it ran under, so incremental enforcement may
+        resume."""
         from repro.engine.enforcement import all_violations
 
+        schema = self.schema
         found = all_violations(self)
         if not found:
-            self._validated_fingerprint = self.schema.fingerprint()
+            self._validated_schema = schema
         return found
 
     def explain_violations(self, violations=None) -> list:
@@ -797,9 +789,9 @@ class ObjectStore(_StoreSurface):
 
     def _load_image(self, image: RecoveredImage) -> None:
         """Adopt recovered contents wholesale, then rebuild the maintained
-        indexes from them (the same O(store) fingerprint-rebuild machinery
-        schema changes use — recovery is a rebuild trigger, not a replay of
-        per-mutation hooks)."""
+        indexes from them (the same O(store) rebuild a schema change runs —
+        recovery is a rebuild trigger, not a replay of per-mutation
+        hooks)."""
         for oid, (class_name, state) in image.objects.items():
             obj = DBObject(oid, class_name, state)
             self._objects[oid] = obj
@@ -868,72 +860,55 @@ class ObjectStore(_StoreSurface):
         if ticket is not None and self._wal is not None:
             self._wal.wait_durable(ticket)
 
-    def set_constant(self, name: str, value: Any) -> None:
-        """Rebind a schema constant *through the store*.
+    def change_schema(self, schema: DatabaseSchema) -> None:
+        """Replace the store's schema with ``schema`` — the one schema write
+        path.  Typically ``schema`` is ``store.schema.copy()`` changed.
 
-        Equivalent to ``store.schema.set_constant`` for in-memory stores,
-        but durable: the rebind is logged as a schema-change record, so
-        recovery re-applies it even when it postdates the last checkpoint.
-        Refused inside a transaction (rollback does not undo schema
-        changes).  Like a direct schema mutation, it does not re-audit
-        eagerly — the next mutation notices the fingerprint change and
-        falls back to full revalidation.
-        """
+        Under the writer lock, refused inside a transaction (rollback does
+        not undo schema changes) and on a poisoned log: a durable store
+        appends and flushes one ``schema`` record first, and only then
+        adopts the value — freezing it, dropping the attribute-type cache
+        and rebuilding the maintained indexes — and runs the checkpoint
+        policy.  A failed append leaves the store on its old schema.  The
+        store does not re-audit eagerly: the next commit finds its
+        validated baseline belongs to another schema value and
+        revalidates fully."""
         with self._lock:
-            if self._deferred:
-                raise EngineError(
-                    "cannot rebind a schema constant inside a transaction"
-                )
-            self._check_writable()
-            existed = name in self.schema.constants
-            previous = self.schema.constants.get(name)
-            self.schema.set_constant(name, value)
-            ticket = None
-            if self._wal is not None:
-                try:
-                    self._wal.log_set_constant(name, value)
-                    ticket = self._wal.commit_flush()
-                except BaseException:
-                    # The record's durable fate is unknown: restore the
-                    # in-memory binding so the schema never runs ahead of
-                    # the durable prefix.
-                    if existed:
-                        self.schema.set_constant(name, previous)
-                    else:
-                        self.schema.constants.pop(name, None)
-                    raise
-                ticket = self._wal_checkpoint_policy(ticket)
+            ticket = self._change_schema_locked(schema)
         self._await_durability(ticket)
 
-    def log_schema_change(self) -> None:
-        """Record the *current* schema in the write-ahead log.
-
-        Call after mutating the schema in place (added classes or
-        constraints, conformation-style rebinds): the re-printed source is
-        logged as a full schema record, so recovery replays the change
-        instead of resurrecting the checkpoint's stale schema.  No-op for
-        in-memory stores; refused inside a transaction.
-
-        The schema was already mutated in place by the caller, so a log
-        failure here cannot be rolled back — the write-ahead log poisons
-        itself (the store degrades to read-only) and the error propagates;
-        reopening the directory recovers the schema as of the durable
-        prefix, without the unlogged change.
-        """
+    def set_constant(self, name: str, value: Any) -> None:
+        """Rebind a schema constant: :meth:`change_schema` with a copy of
+        the schema that binds ``name`` to ``value``."""
         with self._lock:
-            if self._wal is None:
-                return
-            if self._deferred:
-                raise EngineError(
-                    "cannot log a schema change inside a transaction"
-                )
-            self._check_writable()
+            schema = self.schema.copy()
+            schema.set_constant(name, value)
+            ticket = self._change_schema_locked(schema)
+        self._await_durability(ticket)
+
+    def _change_schema_locked(self, schema: DatabaseSchema) -> "int | None":
+        """:meth:`change_schema` under the writer lock; returns the ticket
+        to redeem once the lock is released."""
+        if self._deferred:
+            raise EngineError("cannot change the schema inside a transaction")
+        self._check_writable()
+        ticket = None
+        if self._wal is not None:
             from repro.tm.printer import schema_to_source
 
-            self._wal.log_schema(schema_to_source(self.schema))
+            self._wal.log_schema(schema_to_source(schema))
             ticket = self._wal.commit_flush()
+        self._adopt(schema)
+        if self._wal is not None:
             ticket = self._wal_checkpoint_policy(ticket)
-        self._await_durability(ticket)
+        return ticket
+
+    def _adopt(self, schema: DatabaseSchema) -> None:
+        """Make ``schema`` this store's schema value (writer lock held)."""
+        self.schema = schema.freeze()
+        self._concurrency.adopt(schema)
+        self._attr_types = {}
+        self._indexes.rebuild()
 
     @property
     def recovery_info(self) -> "RecoveredImage | None":
@@ -1019,15 +994,11 @@ def _item_sort_key(item: tuple[str, DBObject]) -> tuple[int, int, str]:
 
 
 def schema_from_image(image: RecoveredImage) -> DatabaseSchema:
-    """The schema a recovered image describes: its source re-parsed, then
-    the constant rebinds replayed from post-checkpoint schema-change
-    records (a full-schema record already folded them into the source)."""
+    """The schema a recovered image describes: the source of its last
+    ``schema`` record, or of its snapshot when the log holds none."""
     from repro.tm.parser import parse_database
 
-    schema = parse_database(image.schema_source)
-    for name, value in image.constants:
-        schema.set_constant(name, value)
-    return schema
+    return parse_database(image.schema_source)
 
 
 def redeem(owed) -> None:

@@ -25,9 +25,9 @@ proportional to what the transaction *touched*, not to the store size:
   read set (per the cached
   :class:`~repro.engine.incremental.ConstraintDependencyIndex`) intersects
   the accumulated delta are re-checked.  The transaction falls back to full
-  revalidation when the schema changed since the store's last validated
-  state (detected by fingerprint comparison — whether the change happened
-  before or during the transaction).
+  revalidation when the store's last validated state belongs to another
+  schema value (a ``change_schema`` since the last clean audit; the store
+  refuses one inside a transaction, and its schema is frozen).
 
 Transactions nest: an inner transaction inside an already-deferred store
 keeps deferring to the *outermost* commit, which validates everything.  An

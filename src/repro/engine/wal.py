@@ -18,7 +18,6 @@ a directory holding two files:
       {"n": lsn, "t": "prepare", "g": gid, "c": counter, "ops": [entry, ...]}
       {"n": lsn, "t": "decide",  "g": gid, "ok": true|false}
       {"n": lsn, "t": "resolve", "g": gid, "ok": true|false}
-      {"n": lsn, "t": "set_constant", "name": ..., "value": ...}
       {"n": lsn, "t": "schema", "source": ...}
 
   where an ``entry`` is one touched object's redo::
@@ -54,17 +53,19 @@ Schema-change records
 ---------------------
 
 A checkpoint snapshot captures the schema, but the schema can *move* after
-the checkpoint — ``set_constant`` retunes a constant the constraints read,
-and conformation-style surgery rebinds whole constraint sets.  Without log
-records those mutations silently vanished on recovery.  The store now logs
-them (:meth:`~repro.engine.store.ObjectStore.set_constant` writes a compact
-``set_constant`` record; :meth:`~repro.engine.store.ObjectStore.log_schema_change`
-re-prints the whole schema into a ``schema`` record), and recovery replays
-them: a ``schema`` record swaps the schema source wholesale (and clears any
-earlier constant records — the re-printed source already embeds them), a
-``set_constant`` record is applied to whatever schema is current after the
-replay.  The store refuses schema changes inside a transaction, so a schema
-record never falls between a transaction's operations and its commit.
+the checkpoint: a store's schema is a frozen value, and
+:meth:`~repro.engine.store.ObjectStore.change_schema` (which
+``set_constant`` also goes through) replaces it.  That is the one schema
+write path, and it logs one record kind: the next schema re-printed whole
+into a ``schema`` record, appended and flushed *before* the store adopts
+the value, so memory never runs ahead of the log.  Recovery replays the
+last ``schema`` record's source in place of the snapshot's.  The store
+refuses schema changes inside a transaction, so a schema record never
+falls between a transaction's operations and its commit.
+``SNAPSHOT_FORMAT`` 3 marks directories written since format 2's separate
+constant-rebind record kind was retired: this reader would skip such a
+record as an unknown kind and silently lose the rebind, so format-2
+directories are refused.
 
 The snapshot additionally stores a stable digest of its schema surface
 (``schema_digest``).  When the replayed tail moves the schema past that
@@ -192,7 +193,7 @@ SNAPSHOT_PREV_NAME = "snapshot.prev.json"
 LOG_NAME = "wal.jsonl"
 #: Name of the shard-layout manifest inside a sharded store root.
 MANIFEST_NAME = "shards.json"
-SNAPSHOT_FORMAT = 2
+SNAPSHOT_FORMAT = 3
 
 #: Bounded-retry policy for the call sites where retry is *sound*
 #: (directory fsync, rename): attempts and the base backoff that doubles
@@ -206,17 +207,9 @@ _RETRY_BACKOFF = 0.001
 _GROUP_WINDOW = 0.001
 
 
-def schema_digest(schema_source: str, constants: Iterable[tuple[str, Any]] = ()) -> str:
-    """A stable (cross-process) digest of a schema surface.
-
-    ``DatabaseSchema.fingerprint`` hashes Python objects and is salted per
-    interpreter, so snapshots store this digest instead: the re-printed
-    schema source, plus any constant rebinds replayed on top of it.
-    """
-    hasher = hashlib.sha256(schema_source.encode("utf-8"))
-    for name, value in constants:
-        hasher.update(f"\x00{name}={encode_value(value)!r}".encode("utf-8"))
-    return hasher.hexdigest()
+def schema_digest(schema_source: str) -> str:
+    """A stable (cross-process) digest of a re-printed schema source."""
+    return hashlib.sha256(schema_source.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +459,6 @@ class RecoveredImage:
     frames: int
     #: Byte length of the log file, as found on disk.
     log_bytes: int
-    #: Constant rebinds replayed from post-snapshot ``set_constant``
-    #: records, in log order, to apply after parsing ``schema_source``.
-    constants: list[tuple[str, Any]] = field(default_factory=list)
     #: Schema-affecting records replayed from the log tail.
     schema_changes: int = 0
     #: True when the replayed tail moved the schema past the snapshot's
@@ -618,7 +608,6 @@ def load_image(path: str | Path) -> RecoveredImage | None:
     start_lsn = int(snapshot.get("next_lsn", 0))
     schema_source = snapshot.get("schema", "")
     baseline_digest = snapshot.get("schema_digest") or schema_digest(schema_source)
-    constants: list[tuple[str, Any]] = []
     schema_changes = 0
 
     records: list[dict] = []
@@ -680,21 +669,15 @@ def load_image(path: str | Path) -> RecoveredImage | None:
                     replayed += len(ops)
                 else:
                     discarded += len(ops)
-        elif kind == "set_constant":
-            constants.append((record["name"], decode_value(record["value"])))
-            schema_changes += 1
         elif kind == "schema":
-            # A full re-print supersedes the source *and* any earlier
-            # constant records — the printed source embeds the constants.
             schema_source = record["source"]
-            constants = []
             schema_changes += 1
         # unknown record kinds are skipped: forward compatibility
         kept += 1
 
     schema_drift = (
         schema_changes > 0
-        and schema_digest(schema_source, constants) != baseline_digest
+        and schema_digest(schema_source) != baseline_digest
     )
     if schema_drift:
         findings.append((
@@ -716,7 +699,6 @@ def load_image(path: str | Path) -> RecoveredImage | None:
         discarded=discarded,
         frames=frames,
         log_bytes=log_bytes,
-        constants=constants,
         schema_changes=schema_changes,
         schema_drift=schema_drift,
         used_fallback_snapshot=used_fallback,
@@ -1174,13 +1156,9 @@ class WriteAheadLog:
         self._append({"t": "commit", "c": counter, "ops": ops})
         return self.commit_flush()
 
-    def log_set_constant(self, name: str, value: Any) -> None:
-        """Schema-change record: a constant rebind."""
-        self._append({"t": "set_constant", "name": name, "value": encode_value(value)})
-
     def log_schema(self, schema_source: str) -> None:
-        """Schema-change record: a full schema re-print, superseding the
-        snapshot's source (and any earlier constant records) on replay."""
+        """Schema-change record: the next schema re-printed whole,
+        superseding the snapshot's source on replay."""
         self._append({"t": "schema", "source": schema_source})
 
     def begin(self) -> None:

@@ -38,7 +38,7 @@ from repro.integration.propeq import PropertyEquivalence
 from repro.integration.relationships import Side
 from repro.integration.rules import ComparisonRule
 from repro.integration.spec import IntegrationSpecification
-from repro.tm.schema import Attribute, ClassDef, DatabaseSchema
+from repro.tm.schema import ClassDef, DatabaseSchema
 from repro.types.primitives import ClassRef, Type
 
 
@@ -224,7 +224,8 @@ def _clone_schema(schema: DatabaseSchema) -> DatabaseSchema:
         for attribute in class_def.attributes.values():
             copy.add_attribute(attribute.name, attribute.tm_type)
         clone.add_class(copy)
-    clone.constants.update(schema.constants)
+    for name, value in schema.constants.items():
+        clone.set_constant(name, value)
     # Constraints are attached by constraint conformation, not copied.
     return clone
 
@@ -247,9 +248,7 @@ def _virtualise_values(conformed: ConformedDatabase, rule: ComparisonRule) -> No
     if not schema.has_class(virtual_name):
         virtual = schema.new_class(virtual_name, virtual=True)
         virtual.add_attribute(object_attribute, value_type)
-    schema.class_named(declaring).attributes[attribute] = Attribute(
-        attribute, ClassRef(virtual_name)
-    )
+    schema.class_named(declaring).set_attribute(attribute, ClassRef(virtual_name))
     conformed.relocations.append(
         Relocation(conformed.side, declaring, attribute, virtual_name, object_attribute)
     )
@@ -282,11 +281,9 @@ def _hide_objects(
                 isinstance(attribute.tm_type, ClassRef)
                 and attribute.tm_type.class_name == hidden_class
             ):
-                class_def.attributes[attribute.name] = Attribute(
-                    attribute.name, surviving_type
-                )
+                class_def.set_attribute(attribute.name, surviving_type)
                 casting_classes.append((class_def.name, attribute.name))
-    del schema.classes[hidden_class]
+    schema.remove_class(hidden_class)
     for casting_class, value_attribute in casting_classes:
         conformed.hidings.append(
             Hiding(
@@ -379,8 +376,8 @@ def _apply_to_schema(
         )
     tm_type = class_def.attributes[prop].tm_type
     conformed_type: Type = cf.convert_type(tm_type) if not cf.is_identity else tm_type
-    del class_def.attributes[prop]
-    class_def.attributes[conformed_name] = Attribute(conformed_name, conformed_type)
+    class_def.remove_attribute(prop)
+    class_def.set_attribute(conformed_name, conformed_type)
 
 
 def _declaring_class(schema: DatabaseSchema, class_name: str, attribute: str) -> str:

@@ -11,7 +11,7 @@ here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from typing import Any
 
 from repro.constraints.model import Constraint, ConstraintKind
@@ -32,7 +32,11 @@ class Attribute:
 
 @dataclass
 class ClassDef:
-    """A TM class: attributes, a single optional parent, own constraints."""
+    """A TM class: attributes, a single optional parent, own constraints.
+
+    Change it through its mutators only: once the class belongs to a
+    schema they clear that schema's memo of derived lookups, and they
+    raise :class:`SchemaError` when the schema is frozen."""
 
     name: str
     parent: str | None = None
@@ -40,13 +44,30 @@ class ClassDef:
     constraints: list[Constraint] = field(default_factory=list)
     #: True for classes synthesised during integration (virtual classes).
     virtual: bool = False
+    #: The schema this class belongs to (set by ``add_class``).
+    schema: "DatabaseSchema | None" = field(default=None, repr=False, compare=False)
+
+    def _changing(self) -> None:
+        if self.schema is not None:
+            self.schema._changing()
 
     def add_attribute(self, name: str, tm_type: Type) -> None:
+        self._changing()
         if name in self.attributes:
             raise SchemaError(f"duplicate attribute {name!r} in class {self.name}")
         self.attributes[name] = Attribute(name, tm_type)
 
+    def set_attribute(self, name: str, tm_type: Type) -> None:
+        """Declare ``name`` or retype it in place (conformation's retype)."""
+        self._changing()
+        self.attributes[name] = Attribute(name, tm_type)
+
+    def remove_attribute(self, name: str) -> None:
+        self._changing()
+        del self.attributes[name]
+
     def add_constraint(self, constraint: Constraint) -> None:
+        self._changing()
         if any(c.name == constraint.name for c in self.constraints):
             raise SchemaError(
                 f"duplicate constraint label {constraint.name!r} in class {self.name}"
@@ -61,42 +82,93 @@ class ClassDef:
 
 
 class DatabaseSchema:
-    """A component database schema: classes + database constraints + constants."""
+    """A component database schema: classes + database constraints + constants.
+
+    A schema is a value once a store adopts it: the store calls
+    :meth:`freeze`, after which every mutator raises :class:`SchemaError`,
+    and a change is a :meth:`copy`, changed and handed to the store's
+    ``change_schema``.  Derived lookups (ancestry chains, subclass
+    closures, effective attribute maps, the engine's constraint-dependency
+    index) are memoised in one dict that every mutator clears, so an
+    unfrozen schema under construction never serves a stale answer
+    either."""
 
     def __init__(self, name: str):
         self.name = name
         self.classes: dict[str, ClassDef] = {}
         self.database_constraints: list[Constraint] = []
         self.constants: dict[str, Any] = {}
-        self._version = 0
-        self._fingerprint_cache: tuple[tuple, int] | None = None
-        #: Per-token cache of derived lookups (ancestry chains, subclass
-        #: closures, effective attribute maps).  These sit on the mutation
-        #: hot path — every insert maintains the deep-extent index of each
-        #: ancestor class — so they are memoised behind the same validity
-        #: token the fingerprint cache uses and dropped wholesale when the
-        #: schema changes.
-        self._derived_cache: tuple[tuple, dict[str, dict]] | None = None
+        self.frozen = False
+        self._memo: dict[str, Any] = {}
+
+    def _changing(self) -> None:
+        """Every mutator's first step: refuse on a frozen schema, else drop
+        the memo the change is about to invalidate."""
+        if self.frozen:
+            raise SchemaError(
+                f"schema {self.name} is frozen: a store adopted it; change a "
+                "copy() and pass it to the store's change_schema"
+            )
+        self._memo.clear()
+
+    def freeze(self) -> "DatabaseSchema":
+        """Refuse every further mutation; returns ``self``."""
+        self.frozen = True
+        return self
+
+    def copy(self) -> "DatabaseSchema":
+        """The next, unfrozen value: fresh class definitions and lists
+        sharing this schema's immutable attributes and constraints."""
+        clone = DatabaseSchema(self.name)
+        for class_def in self.classes.values():
+            clone.add_class(
+                ClassDef(
+                    class_def.name,
+                    class_def.parent,
+                    dict(class_def.attributes),
+                    list(class_def.constraints),
+                    class_def.virtual,
+                )
+            )
+        clone.database_constraints = list(self.database_constraints)
+        clone.constants = dict(self.constants)
+        return clone
+
+    def memo(self, key: str, build: Callable[[], Any]) -> Any:
+        """The derived value memoised under ``key``, built on first use and
+        dropped by the next mutation.  Treat it as read-only."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
 
     # -- construction -----------------------------------------------------------
 
     def add_class(self, class_def: ClassDef) -> ClassDef:
+        self._changing()
         if class_def.name in self.classes:
             raise SchemaError(f"duplicate class {class_def.name!r} in {self.name}")
+        class_def.schema = self
         self.classes[class_def.name] = class_def
-        self._version += 1
         return class_def
 
     def new_class(self, name: str, parent: str | None = None, virtual: bool = False) -> ClassDef:
         return self.add_class(ClassDef(name, parent, virtual=virtual))
 
+    def remove_class(self, name: str) -> ClassDef:
+        self._changing()
+        class_def = self.class_named(name)
+        del self.classes[name]
+        class_def.schema = None
+        return class_def
+
     def add_database_constraint(self, constraint: Constraint) -> None:
+        self._changing()
         self.database_constraints.append(constraint)
-        self._version += 1
 
     def set_constant(self, name: str, value: Any) -> None:
+        self._changing()
         self.constants[name] = value
-        self._version += 1
 
     # -- lookups ------------------------------------------------------------------
 
@@ -132,19 +204,8 @@ class DatabaseSchema:
         ]
 
     def _derived(self, kind: str) -> dict:
-        """The memo dict for one family of derived lookups; see
-        ``_derived_cache``.  Returned dicts (and the values cached in them)
-        must be treated as immutable by callers.
-
-        Each lookup rebuilds the O(|classes|) validity token; that cost was
-        already on the per-mutation path (the enforcement staleness probe
-        calls :meth:`fingerprint` per operation), so this only raises its
-        constant, and the token cannot be keyed on ``_version`` alone —
-        :class:`ClassDef`-level additions bypass the schema's mutators."""
-        token = self._validity_token()
-        if self._derived_cache is None or self._derived_cache[0] != token:
-            self._derived_cache = (token, {})
-        return self._derived_cache[1].setdefault(kind, {})
+        """The memo dict of one family of per-class lookups."""
+        return self.memo(kind, dict)
 
     def ancestry(self, class_name: str) -> tuple[str, ...]:
         """Cached name-only inheritance chain (``class_name`` first)."""
@@ -254,77 +315,6 @@ class DatabaseSchema:
                     attribute.tm_type.class_name, f"{path}.", into, depth - 1
                 )
 
-    # -- change detection --------------------------------------------------------------
-
-    def _validity_token(self) -> tuple:
-        """A cheap token that changes whenever the schema structure can have
-        changed: the schema-level mutation counter plus per-class
-        attribute/constraint counts (which catch :class:`ClassDef`-level
-        additions that bypass the schema's mutators).  Guards both the
-        fingerprint cache and the derived-lookup caches."""
-        return (
-            self._version,
-            len(self.database_constraints),
-            len(self.constants),
-            tuple(
-                (name, len(cls.attributes), len(cls.constraints))
-                for name, cls in self.classes.items()
-            ),
-        )
-
-    def fingerprint(self) -> int:
-        """A structural hash of everything constraint enforcement depends on.
-
-        The incremental enforcement layer (:mod:`repro.engine.incremental`)
-        caches a constraint-dependency index per schema and must notice when
-        the schema changes underneath it — classes or attributes added,
-        constraints attached, constants rebound (``set_constant`` is used by
-        tests and the conformation pipeline to retune e.g. ``MAX``).
-
-        Called on every mutation (staleness probe), so the full structural
-        hash is cached behind a cheap validity token: the schema-level
-        mutation counter plus per-class attribute/constraint counts.  The
-        counts catch :class:`ClassDef`-level additions, which bypass the
-        schema's mutators; replacing a constraint formula *in place* while
-        keeping the same label count is not detected — nothing in the
-        codebase does that (constraint lists are append-only, conformation
-        rewrites into fresh schemas).
-        """
-        token = self._validity_token()
-        if self._fingerprint_cache is not None:
-            cached_token, cached_value = self._fingerprint_cache
-            if cached_token == token:
-                return cached_value
-        pieces: list[Any] = [self.name]
-        for name in sorted(self.classes):
-            class_def = self.classes[name]
-            pieces.append(
-                (
-                    name,
-                    class_def.parent,
-                    tuple(sorted(class_def.attributes)),
-                    tuple(
-                        (c.qualified_name, c.kind.value, hash(c.formula))
-                        for c in class_def.constraints
-                    ),
-                )
-            )
-        pieces.append(
-            tuple(
-                (c.qualified_name, hash(c.formula))
-                for c in self.database_constraints
-            )
-        )
-        pieces.append(
-            tuple(
-                (name, _hashable(self.constants[name]))
-                for name in sorted(self.constants)
-            )
-        )
-        value = hash(tuple(pieces))
-        self._fingerprint_cache = (token, value)
-        return value
-
     # -- misc ----------------------------------------------------------------------------
 
     def all_constraints(self) -> Iterator[Constraint]:
@@ -338,11 +328,3 @@ class DatabaseSchema:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DatabaseSchema({self.name!r}, {len(self.classes)} classes)"
 
-
-def _hashable(value: Any) -> Any:
-    """Constants are numbers, strings or (frozen)sets of those."""
-    if isinstance(value, (set, frozenset)):
-        return tuple(sorted(value, key=repr))
-    if isinstance(value, (list, tuple)):
-        return tuple(_hashable(item) for item in value)
-    return value

@@ -181,10 +181,15 @@ class TestIntervalSetAlgebra:
     def test_complement_is_canonical_involution(self, a):
         complement = a.complement()
         assert complement.intervals == IntervalSet(complement.intervals).intervals
-        # describe(), not ==: an open flag on an infinite bound is kept as
-        # given, so (-inf, 5] built with low_open=True is not == to the
-        # complement's own (-inf, 5].
-        assert complement.complement().describe() == a.describe()
+        assert complement.complement() == a
+
+    def test_open_flag_on_an_infinite_bound_is_canonical(self):
+        built_open = IntervalSet([Interval(None, 5, low_open=True)])
+        assert built_open == IntervalSet.at_most(5)
+        assert hash(built_open) == hash(IntervalSet.at_most(5))
+        assert built_open.complement().complement() == built_open
+        assert IntervalSet([Interval(2, None, high_open=True)]) == IntervalSet.at_least(2)
+        assert IntervalSet([Interval(None, None, True, True)]).is_all()
 
     def test_complement_gaps(self):
         around = IntervalSet([Interval(None, 1, high_open=True), Interval(1, None, low_open=True)])

@@ -1,6 +1,6 @@
 """The full audit (repro.engine.enforcement.all_violations) establishes its
-evaluation context once: the index probe and the schema fingerprint behind
-it are consulted a number of times that does not grow with the store, and
+evaluation context once: the index probe is consulted a number of times
+that does not grow with the store, and
 the violations it returns equal those of a check-by-check reference that
 builds a fresh context per check."""
 
@@ -9,9 +9,7 @@ import pytest
 from repro.constraints.evaluate import evaluate
 from repro.engine import ObjectStore, ShardedStore
 from repro.engine.enforcement import _EVAL_FAILURES, violation
-from repro.engine.indexes import IndexManager
 from repro.fixtures import cslibrary_schema
-from repro.tm.schema import DatabaseSchema
 
 PUBLISHERS = ("ACM", "IEEE", "Springer", "Elsevier", "Kluwer")
 
@@ -81,22 +79,15 @@ def _rendered(violations):
 
 
 def _counted_audit(monkeypatch, store):
-    counts = {"probe": 0, "fingerprint": 0}
+    counts = {"probe": 0}
+    original = type(store)._probe
 
-    def counting(name, original):
-        def wrapper(self, *args, **kwargs):
-            counts[name] += 1
-            return original(self, *args, **kwargs)
-
-        return wrapper
+    def counting(self):
+        counts["probe"] += 1
+        return original(self)
 
     with monkeypatch.context() as patch:
-        patch.setattr(IndexManager, "probe", counting("probe", IndexManager.probe))
-        patch.setattr(
-            DatabaseSchema,
-            "fingerprint",
-            counting("fingerprint", DatabaseSchema.fingerprint),
-        )
+        patch.setattr(type(store), "_probe", counting)
         found = store.audit()
     return found, counts
 

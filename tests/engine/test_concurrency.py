@@ -30,6 +30,7 @@ from repro.engine import ObjectStore
 from repro.errors import (
     ConstraintViolation,
     EngineError,
+    SchemaError,
     UnknownObjectError,
 )
 from repro.tm import parse_database
@@ -459,14 +460,19 @@ end Item
         assert clean.recovery_info.schema_drift is False
         clean.close()
 
-    def test_log_schema_change_replays_schema_surgery(self, tmp_path):
+    def test_change_schema_replays_schema_surgery(self, tmp_path):
         store = self._open(tmp_path / "db")
         store.insert("Item", name="a", price=10.0)
         store.checkpoint()
-        # Direct schema surgery the WAL cannot see — then log it wholesale.
-        store.schema.set_constant("CAP", 555)
-        store.schema.set_constant("FLOOR", 1)
-        store.log_schema_change()
+        # The adopted schema is frozen: surgery happens on a copy, which
+        # change_schema logs wholesale and adopts.
+        with pytest.raises(SchemaError):
+            store.schema.set_constant("CAP", 555)
+        surgery = store.schema.copy()
+        surgery.set_constant("CAP", 555)
+        surgery.set_constant("FLOOR", 1)
+        store.change_schema(surgery)
+        assert store.schema is surgery and surgery.frozen
         del store
 
         recovered = ObjectStore.open(tmp_path / "db")
@@ -481,7 +487,7 @@ end Item
             with pytest.raises(EngineError):
                 store.set_constant("CAP", 7)
             with pytest.raises(EngineError):
-                store.log_schema_change()
+                store.change_schema(store.schema.copy())
         # The refusal left schema and log consistent.
         assert store.schema.constants["CAP"] == 100
         store.close()

@@ -833,7 +833,7 @@ def test_core_extraction_reads_each_attribute_once(monkeypatch):
 
     publications = 200
     store = ObjectStore(cslibrary_schema(), enforce=False)
-    store.schema.set_constant("MAX", 10_000)
+    store.set_constant("MAX", 10_000)
     for index in range(publications):
         store.insert(
             "Publication",
@@ -916,8 +916,8 @@ def test_monotone_aggregate_cores_are_closed_form(values, bound, limit):
     (independent evaluator) while every single-member removal resolves
     it — including the empty core of a bound no deletion can meet."""
     store = ObjectStore(parse_database(MONOLAB_SOURCE), enforce=False)
-    store.schema.set_constant("MAX", bound)
-    store.schema.set_constant("LIMIT", limit)
+    store.set_constant("MAX", bound)
+    store.set_constant("LIMIT", limit)
     for value in values:
         store.insert("Row", v=value)
     violated = {violation.constraint_name for violation in store.audit()}

@@ -12,6 +12,7 @@ Marked ``faults`` so CI can run the matrix as a dedicated job
 in the tier-1 suite at the default count.
 """
 
+import json
 import os
 import shutil
 import tempfile
@@ -310,7 +311,7 @@ class TestAppendRollback:
         assert store_state(recovered) == {}
         recovered.close()
 
-    def test_failed_set_constant_restores_binding(self, tmp_path):
+    def test_failed_set_constant_leaves_the_binding_unchanged(self, tmp_path):
         source = FLAT_SCHEMA_SOURCE.replace(
             "Database FaultDB\n", "Database FaultDB\n\nconstants\n  MAX = 10\n"
         )
@@ -889,6 +890,125 @@ class TestCrashMatrix:
             assert report.status in ("clean", "truncatable")
         finally:
             recovered.close()
+
+
+#: Schema whose object constraint reads a constant, so a data commit can
+#: be legal only under a rebind.
+CAP_SCHEMA_SOURCE = """
+Database CapDB
+
+constants
+  CAP = 10
+
+Class Item
+attributes
+  name  : string
+  price : real
+object constraints
+  oc1: price <= CAP
+end Item
+"""
+
+
+class TestSchemaChangeCrashWindows:
+    """The crash matrix around the one schema write path: a schema record
+    is appended and flushed before the store adopts the value, and the
+    checkpoint policy runs after adoption."""
+
+    @pytest.mark.parametrize(
+        "at, kind, cap",
+        [
+            # Crossing 1 is the schema record, crossing 2 the data commit
+            # after it (crossing 0 is the first insert).
+            (1, "torn", 10),
+            (1, "crash", 10),
+            (1, "io_error", 10),
+            (2, "torn", 1000),
+            (2, "crash", 1000),
+            (2, "io_error", 1000),
+        ],
+    )
+    def test_crash_between_a_schema_commit_and_the_next_data_commit(
+        self, tmp_path, at, kind, cap
+    ):
+        injector = FaultInjector([FaultSpec("wal.append", kind, at=at)])
+        store = ObjectStore.open(
+            tmp_path / "db",
+            schema=parse_database(CAP_SCHEMA_SOURCE),
+            faults=injector,
+        )
+        store.insert("Item", name="a", price=5.0)
+        try:
+            store.set_constant("CAP", 1000)
+            store.insert("Item", name="b", price=500.0)  # legal only post-rebind
+        except FAULT_EXCEPTIONS:
+            pass
+        assert injector.hits("wal.append") == at + 1
+        # Memory never runs ahead of the log: the schema is adopted only
+        # once its record is flushed.
+        assert store.schema.constants["CAP"] == cap
+        assert store_state(store) == {"Item#1": ("Item", {"name": "a", "price": 5.0})}
+        del store  # crash: no close
+
+        recovered = ObjectStore.open(tmp_path / "db")
+        assert recovered.schema.constants["CAP"] == cap
+        assert store_state(recovered) == {
+            "Item#1": ("Item", {"name": "a", "price": 5.0})
+        }
+        assert recovered.recovery_info.schema_drift is (cap == 1000)
+        assert recovered.check_all() == []
+        if cap == 1000:
+            recovered.insert("Item", name="b", price=500.0)
+        else:
+            with pytest.raises(ConstraintViolation, match="oc1"):
+                recovered.insert("Item", name="b", price=500.0)
+        recovered.close()
+
+    def test_checkpoint_right_after_a_schema_change_holds_the_new_schema(
+        self, tmp_path
+    ):
+        path = tmp_path / "db"
+        store = ObjectStore.open(
+            path, schema=parse_database(CAP_SCHEMA_SOURCE), checkpoint_every=1
+        )
+        store.insert("Item", name="a", price=5.0)
+        store.set_constant("CAP", 1000)
+        # The policy checkpointed after adoption: the log is folded away.
+        assert store.wal.pending_records == 0
+        del store  # crash: no close
+
+        recovered = ObjectStore.open(path)
+        assert recovered.schema.constants["CAP"] == 1000
+        info = recovered.recovery_info
+        assert info.schema_changes == 0 and info.schema_drift is False
+        recovered.insert("Item", name="b", price=500.0)
+        recovered.close()
+
+    def test_format_2_directory_is_refused(self, tmp_path):
+        """Format 2 logged constant rebinds as their own record kind, which
+        this reader would skip as unknown and so silently lose."""
+        from repro.engine.wal import _frame, snapshot_payload_digest
+
+        path = tmp_path / "db"
+        store = ObjectStore.open(path, schema=parse_database(CAP_SCHEMA_SOURCE))
+        store.insert("Item", name="a", price=5.0)
+        store.checkpoint()
+        store.close()
+        for name in ("snapshot.prev.json", "snapshot.json"):
+            payload = json.loads((path / name).read_bytes())
+            payload["format"] = 2
+            payload["digest"] = snapshot_payload_digest(payload)
+            (path / name).write_text(json.dumps(payload))
+        with open(path / "wal.jsonl", "ab") as log:
+            log.write(_frame({
+                "n": payload["next_lsn"],
+                "t": "set_constant",
+                "name": "CAP",
+                "value": 1000,
+            }))
+        with pytest.raises(EngineError, match="unsupported snapshot format"):
+            ObjectStore.open(path)
+        assert fsck(path).status == "fatal"
 
 
 class TestDurableCliFaultHandling:

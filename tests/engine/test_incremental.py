@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro import ObjectStore
 from repro.engine.incremental import ConstraintDependencyIndex, MutationDelta
 from repro.engine.oracle import Oracle
-from repro.errors import ConstraintViolation
+from repro.errors import ConstraintViolation, EngineError, SchemaError
 from repro.fixtures import bookseller_schema, bookseller_store, cslibrary_schema
 
 
@@ -286,10 +286,14 @@ class TestValidationBaseline:
 
 
 class TestSchemaChangeFallback:
-    def test_constant_rebind_inside_transaction_falls_back_to_full(self):
+    def test_constant_rebind_inside_transaction_is_refused(self):
+        """The schema cannot move under an open transaction's delta: the
+        adopted value is frozen and the store refuses a change until the
+        transaction ends, so the commit validates under the schema it
+        started with."""
         schema = cslibrary_schema()
         store = ObjectStore(schema)
-        store.insert(
+        obj = store.insert(
             "Publication",
             title="A",
             isbn="1",
@@ -297,15 +301,15 @@ class TestSchemaChangeFallback:
             shopprice=60.0,
             ourprice=60.0,
         )
-        # Tightening MAX mid-transaction makes the *existing* extent violate
-        # cc2; only full revalidation notices, since the delta itself never
-        # touched ourprice.
-        with pytest.raises(ConstraintViolation, match="cc2"):
-            with store.transaction():
+        with store.transaction():
+            with pytest.raises(SchemaError):
                 schema.set_constant("MAX", 50)
-                store.update(
-                    next(iter(store.objects())), title="A, renamed"
-                )
+            with pytest.raises(EngineError):
+                store.set_constant("MAX", 50)
+            store.update(obj, title="A, renamed")
+        assert store.schema is schema
+        assert schema.constants["MAX"] == 100000
+        assert obj.state["title"] == "A, renamed"
 
     def test_constant_rebind_before_transaction_falls_back_to_full(self):
         """A rebind *between* transactions can invalidate constraints with
@@ -321,7 +325,7 @@ class TestSchemaChangeFallback:
             shopprice=60.0,
             ourprice=60.0,
         )
-        schema.set_constant("MAX", 50)  # existing extent now violates cc2
+        store.set_constant("MAX", 50)  # existing extent now violates cc2
         with pytest.raises(ConstraintViolation, match="cc2"):
             with store.transaction():
                 store.update(obj, title="A, renamed")  # delta misses cc2
@@ -331,7 +335,7 @@ class TestSchemaChangeFallback:
             store.update(obj, title="A, renamed")
         # After the schema is repaired, a clean full pass re-baselines and
         # incremental validation resumes.
-        schema.set_constant("MAX", 100000)
+        store.set_constant("MAX", 100000)
         assert store.check_all() == []
         store.update(obj, title="A, renamed")
         assert obj.state["title"] == "A, renamed"

@@ -412,13 +412,14 @@ class TestRegistrationAndRebuild:
         assert store._indexes.aggregate_value("count", "Base", None) == 2
         assert store._indexes.aggregate_value("count", "Sub", None) == 1
 
-    def test_schema_fingerprint_change_triggers_rebuild(self):
+    def test_schema_change_triggers_one_rebuild(self):
         schema = indexlab_schema()
         store = ObjectStore(schema)
         store.insert("Base", name="a", score=1)
         manager = store._indexes
         rebuilds = manager.rebuilds
-        schema.set_constant("CEILING", 2_000_000)
+        store.set_constant("CEILING", 2_000_000)
+        assert manager.rebuilds == rebuilds + 1
         store.insert("Base", name="b", score=2)
         assert manager.rebuilds == rebuilds + 1
         assert_indexes_match_naive_scan(store)
@@ -426,10 +427,11 @@ class TestRegistrationAndRebuild:
     def test_class_added_after_population_is_indexed_after_rebuild(self):
         from repro.types.primitives import StringType
 
-        schema = indexlab_schema()
-        store = ObjectStore(schema)
+        store = ObjectStore(indexlab_schema())
         store.insert("Base", name="a", score=1)
-        schema.new_class("Leaf", parent="Sub").add_attribute("kind", StringType())
+        grown = store.schema.copy()
+        grown.new_class("Leaf", parent="Sub").add_attribute("kind", StringType())
+        store.change_schema(grown)
         leaf = store.insert("Leaf", name="b", score=2, extra=1, kind="x")
         assert leaf in store.extent("Base")
         assert leaf in store.extent("Sub")

@@ -50,9 +50,9 @@ def test_cslibrary_cc2_rejects_the_sum_after_max_is_lowered():
     oracle = Oracle(schema)
     _publication(oracle, "ISBN-1", ourprice=60.0)
     _publication(oracle, "ISBN-2", ourprice=30.0)
-    schema.set_constant("MAX", 100)
+    oracle.set_constant("MAX", 100)
     _publication(oracle, "ISBN-3", ourprice=9.0)  # sum 99 < 100
-    schema.set_constant("MAX", 90)
+    oracle.set_constant("MAX", 90)
     # The standing state now violates cc2, so even an unrelated
     # operation's full check rejects it.
     with pytest.raises(ConstraintViolation) as info:

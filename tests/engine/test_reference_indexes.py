@@ -222,7 +222,7 @@ def _apply_one(
             except _Abort:
                 pass
         else:  # rebind: schema change with no data delta → rebuild path
-            store.schema.set_constant("TUNING", c)
+            store.set_constant("TUNING", c)
     except ConstraintViolation as exc:
         if on_reject is not None:
             on_reject(exc)
@@ -303,7 +303,8 @@ class TestIncrementalMatchesOracle:
             acm = store.insert("Publisher", name="ACM")
             store.insert("Item", title="a", publisher=acm)
         rebuilds = store._indexes.rebuilds
-        schema.set_constant("TUNING", 7)
+        store.set_constant("TUNING", 7)
+        assert store._indexes.rebuilds == rebuilds + 1
         store.insert("Item", title="b", publisher=acm)
         assert store._indexes.rebuilds == rebuilds + 1
         assert_reference_indexes_match_naive_scan(store)

@@ -259,3 +259,45 @@ class TestPersonnelConformation:
         result = conform(spec, db1, db2)
         assert len(result.local.instances) == 2
         assert len(result.remote.instances) == 2
+
+
+class TestSchemaSurgeryIsSeenByLookups:
+    """Conformation retypes, removes and renames through the schema's
+    mutators, so memoised lookups never outlive the surgery."""
+
+    LOCAL = """Database L
+
+Class A
+attributes
+  x : string
+end A
+
+Class B
+attributes
+  y : string
+end B
+"""
+    REMOTE = """Database R
+
+Class Pub
+attributes
+  name : string
+end Pub
+"""
+
+    def test_two_descriptivity_rules_sharing_a_source_class(self):
+        from repro.integration.rules import ComparisonRule
+        from repro.integration.spec import IntegrationSpecification
+        from repro.tm import parse_database
+
+        spec = IntegrationSpecification(
+            parse_database(self.LOCAL), parse_database(self.REMOTE)
+        )
+        spec.add_rule(ComparisonRule.descriptivity("Pub", "A", "x", "name"))
+        spec.add_rule(ComparisonRule.descriptivity("Pub", "B", "y", "name"))
+        local = conform(spec).local.schema
+        # The second rule finds VirtPub already made and only retypes B.y,
+        # after attribute_type() had memoised B's effective attributes.
+        assert local.effective_attributes("A")["x"].tm_type == ClassRef("VirtPub")
+        assert local.effective_attributes("B")["y"].tm_type == ClassRef("VirtPub")
+        assert local.attribute_type("B", "y") == ClassRef("VirtPub")
