@@ -118,7 +118,7 @@ def test_e11_entailment_throughput(benchmark):
     def run():
         return [solver.entails(p, c) for p, c, _ in parsed]
 
-    results = benchmark(run)
+    results = _cold_and_warm(benchmark, run, rounds=300)
     assert results == [expected for _, _, expected in parsed]
     benchmark.extra_info["judgements per round"] = len(parsed)
 
@@ -129,9 +129,66 @@ def test_e11_workbench_constraint_analysis(benchmark):
     from repro.integration import IntegrationWorkbench
 
     spec = library_integration_spec()
-    result = benchmark(lambda: IntegrationWorkbench(spec).run())
+    result = _cold_and_warm(benchmark, lambda: IntegrationWorkbench(spec).run(), rounds=20)
     assert result.derivation is not None
     benchmark.extra_info["global constraints"] = len(result.global_constraints)
+
+
+def _cold_and_warm(benchmark, fn, rounds: int):
+    """Time ``fn`` with the solver's judgement memo cleared before every
+    round, so the benchmark keeps measuring the decision procedure; record
+    the median of as many warm (memo-hit) calls as ``warm_median_ms``."""
+    from repro.constraints.solver import _clear_memo
+
+    result = benchmark.pedantic(fn, setup=_clear_memo, rounds=rounds, iterations=1)
+    warm = []
+    for _ in range(rounds):
+        begin = time.perf_counter()
+        fn()
+        warm.append(time.perf_counter() - begin)
+    benchmark.extra_info["warm_median_ms"] = round(statistics.median(warm) * 1000, 4)
+    return result
+
+
+def _decided(result) -> tuple:
+    """What a workbench run decided through the solver, as text."""
+    derivation = result.derivation
+    return (
+        [constraint.describe() for constraint in result.global_constraints],
+        [conflict.describe() for conflict in result.rule_checks.conflicts],
+        [conflict.describe() for conflict in derivation.explicit_conflicts],
+        [risk.describe() for risk in derivation.implicit_risks],
+        [diagnostic.render() for diagnostic in result.static_warnings],
+        [suggestion.describe() for suggestion in result.suggestions],
+        result.conflict_count(),
+    )
+
+
+def test_e11_second_workbench_run_solves_nothing(library_setup, monkeypatch):
+    """The solver's judgements are a pure function of (formula, typing
+    environment), so a second run over the same specification asks the
+    memo every question the first run decided: zero branch solves, and the
+    same derived constraints, conflicts, warnings and suggestions."""
+    from repro.constraints import solver
+    from repro.integration import IntegrationWorkbench
+
+    spec, local_store, remote_store = library_setup
+    solves = []
+    original = solver._Branch._solve
+
+    def counting(branch):
+        solves.append(branch)
+        return original(branch)
+
+    monkeypatch.setattr(solver._Branch, "_solve", counting)
+    solver._clear_memo()
+    first = IntegrationWorkbench(spec, local_store, remote_store).run()
+    cold_solves = len(solves)
+    solves.clear()
+    second = IntegrationWorkbench(spec, local_store, remote_store).run()
+    assert cold_solves > 0 and solves == []
+    assert _decided(second) == _decided(first)
+    assert first.global_constraints and first.suggestions
 
 
 #: Publications per side of the small and the large view; both run even in

@@ -23,6 +23,7 @@ n−1 of n are pruned).  Run with ``--quick`` for the CI smoke size.
 import time
 
 from repro import ObjectStore
+from repro.constraints.solver import _clear_memo
 from repro.fixtures import cslibrary_schema
 from repro.tm.parser import parse_database
 
@@ -72,6 +73,9 @@ def test_e20_registration_cost_is_bounded(benchmark, e20_size):
     source = _ladder_source(e20_size)
 
     def register_analyzed():
+        # Cold: the solver's judgement memo would answer a repeated
+        # registration's questions without deciding them.
+        _clear_memo()
         return ObjectStore(parse_database(source), analyze=True)
 
     def register_plain():

@@ -521,7 +521,7 @@ def _environment_for(
         env = schema.type_environment(constraint.owner)
         assert isinstance(env, TypeEnvironment)
         return env
-    return TypeEnvironment({}, dict(schema.constants))
+    return TypeEnvironment({}, schema.constants)
 
 
 def check_satisfiability(

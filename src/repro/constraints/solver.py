@@ -28,12 +28,33 @@ membership atoms); pathological combinations of many disequalities over small
 finite domains may be reported SAT conservatively.  The property-based test
 suite cross-checks the solver against brute-force enumeration on randomly
 generated formulas within the fragment.
+
+Memo: :meth:`Solver.is_satisfiable` and :meth:`Solver.domain_of` are the two
+primitive judgements (``entails``, ``conflicts``, ``equivalent`` and the
+module-level helpers all reduce to them), and each is a pure function of the
+formula, the path and the :class:`TypeEnvironment` — the solver reads nothing
+else.  One process-wide table therefore remembers every answer under the key
+``(judgement, formula, path, environment)``, so a workbench re-run over the
+same specification asks the table, not the decision procedure.  Every part of
+the key compares by structure *and type*: dataclass equality would make
+``Literal(1)``, ``Literal(1.0)`` and ``Literal(True)`` equal (with equal
+hashes), yet the solver treats ``True`` as a boolean and ``1`` as a number,
+so the formula enters the key as its ``repr`` —
+one type-tagged form, since ``pos`` is ``repr=False`` — and the environment
+by its own type-tagged key (:meth:`TypeEnvironment.__eq__`).  The table holds
+at most ``_MEMO_CAPACITY`` entries and evicts the least recently used.  A
+cached :class:`~repro.domains.valueset.ValueSet` is handed to every caller
+that asks the same question; that is safe because value sets are never
+mutated after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from collections.abc import Mapping
+import threading
+from collections import OrderedDict
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any
 
 from repro.constraints.ast import (
@@ -69,7 +90,6 @@ from repro.types.primitives import Type
 _MAX_FIXPOINT_ROUNDS = 12
 
 
-@dataclass
 class TypeEnvironment:
     """Typing context for the solver.
 
@@ -77,10 +97,44 @@ class TypeEnvironment:
     being solved, e.g. ``"rating"`` or ``"O'.publisher.name"``) to TM types;
     ``constants`` binds named schema constants to scalars or collections.
     Unknown paths default to the unconstrained domain.
+
+    An environment is a value: both maps are copied into read-only mappings
+    at construction (collection constants become tuples and frozensets), and
+    two environments are equal when they bind the same names to the same
+    types and to constants of the same type and value — ``{"M": 1}`` and
+    ``{"M": True}`` differ, although ``1 == True``.
     """
 
-    attribute_types: Mapping[str, Type] = field(default_factory=dict)
-    constants: Mapping[str, Any] = field(default_factory=dict)
+    __slots__ = ("attribute_types", "constants", "_key", "_hash")
+
+    def __init__(
+        self,
+        attribute_types: Mapping[str, Type] | None = None,
+        constants: Mapping[str, Any] | None = None,
+    ):
+        self.attribute_types: Mapping[str, Type] = MappingProxyType(dict(attribute_types or {}))
+        self.constants: Mapping[str, Any] = MappingProxyType(
+            {name: _frozen(value) for name, value in (constants or {}).items()}
+        )
+        self._key = (
+            tuple(sorted((path, repr(tm_type)) for path, tm_type in self.attribute_types.items())),
+            tuple(sorted((name, _tagged(value)) for name, value in self.constants.items())),
+        )
+        self._hash = hash(self._key)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TypeEnvironment):
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return (
+            f"TypeEnvironment(attribute_types={dict(self.attribute_types)!r}, "
+            f"constants={dict(self.constants)!r})"
+        )
 
     def domain_for(self, path: Path) -> ValueSet:
         tm_type = self.attribute_types.get(path.dotted())
@@ -91,18 +145,35 @@ class TypeEnvironment:
 
     def merged_with(self, other: "TypeEnvironment") -> "TypeEnvironment":
         """A new environment with the union of both (``other`` wins ties)."""
-        types = dict(self.attribute_types)
-        types.update(other.attribute_types)
-        constants = dict(self.constants)
-        constants.update(other.constants)
-        return TypeEnvironment(types, constants)
+        return TypeEnvironment(
+            {**self.attribute_types, **other.attribute_types},
+            {**self.constants, **other.constants},
+        )
 
     def prefixed(self, root: str) -> "TypeEnvironment":
         """All attribute types re-keyed under a root variable (``O.rating``)."""
         return TypeEnvironment(
             {f"{root}.{key}": value for key, value in self.attribute_types.items()},
-            dict(self.constants),
+            self.constants,
         )
+
+
+def _frozen(value: Any) -> Any:
+    """An immutable copy of a constant's binding (the solver reads a
+    collection constant only by iterating it)."""
+    if isinstance(value, (set, frozenset)):
+        return frozenset(value)
+    if isinstance(value, list):
+        return tuple(value)
+    return value
+
+
+def _tagged(value: Any) -> str:
+    """A form of ``value`` that tells ``1``, ``1.0`` and ``True`` apart and
+    does not depend on a set's iteration order."""
+    if isinstance(value, frozenset):
+        return "{" + ", ".join(sorted(_tagged(member) for member in value)) + "}"
+    return repr(value)
 
 
 EMPTY_ENVIRONMENT = TypeEnvironment()
@@ -118,6 +189,37 @@ def entails(premise: Node, conclusion: Node, env: TypeEnvironment | None = None)
     return Solver(env).entails(premise, conclusion)
 
 
+#: Entries the judgement memo keeps.  A workbench run over the Figure 1
+#: specification asks ~160 distinct questions, so this keeps many
+#: specifications warm while bounding the table's memory.
+_MEMO_CAPACITY = 4096
+
+_memo: OrderedDict[tuple, Any] = OrderedDict()
+_memo_lock = threading.Lock()
+
+
+def _memoised(key: tuple, decide: Callable[[], Any]) -> Any:
+    """The remembered answer under ``key``, deciding it on a miss.  Two
+    threads missing on one key both decide it; the answers are equal."""
+    with _memo_lock:
+        if key in _memo:
+            _memo.move_to_end(key)
+            return _memo[key]
+    answer = decide()
+    with _memo_lock:
+        _memo[key] = answer
+        if len(_memo) > _MEMO_CAPACITY:
+            _memo.popitem(last=False)
+    return answer
+
+
+def _clear_memo() -> None:
+    """Forget every remembered judgement, for tests and benchmarks that
+    count or time the decision procedure itself."""
+    with _memo_lock:
+        _memo.clear()
+
+
 class Solver:
     """See module docstring.  Stateless apart from the environment."""
 
@@ -127,8 +229,11 @@ class Solver:
     # -- public API -----------------------------------------------------------
 
     def is_satisfiable(self, formula: Node) -> bool:
-        return any(
-            _Branch(self.env, branch).satisfiable() for branch in to_dnf(formula)
+        return _memoised(
+            ("sat", repr(formula), None, self.env),
+            lambda: any(
+                _Branch(self.env, branch).satisfiable() for branch in to_dnf(formula)
+            ),
         )
 
     def is_unsatisfiable(self, formula: Node) -> bool:
@@ -156,6 +261,12 @@ class Solver:
         """
         if isinstance(path, str):
             path = Path(tuple(path.split(".")))
+        return _memoised(
+            ("domain", repr(formula), path.parts, self.env),
+            lambda: self._decide_domain(formula, path),
+        )
+
+    def _decide_domain(self, formula: Node, path: Path) -> ValueSet:
         result: ValueSet = BOTTOM
         for branch_literals in to_dnf(formula):
             branch = _Branch(self.env, branch_literals)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import EngineError
+from repro.errors import EngineError, TypeSystemError
 from repro.types.primitives import ClassRef
 from repro.types.values import check_value, coerce_value
 
@@ -110,3 +110,34 @@ def check_types(
             check_value(value, attribute.tm_type, context)
             checked[name] = value
     return checked
+
+
+def check_schema_fit(
+    old: "DatabaseSchema", new: "DatabaseSchema", objects: Mapping[str, DBObject]
+) -> None:
+    """Raise :class:`EngineError` unless the stored ``objects`` fit ``new``.
+
+    Only an object whose class ``new`` drops, or gives another effective
+    attribute map than ``old`` does, can misfit; each such object must pass
+    :func:`check_types` under ``new``.  A change that leaves every attribute
+    map alone (a constant rebound, a constraint added) checks no object.
+    """
+    changed = {
+        name
+        for name in old.classes
+        if not new.has_class(name)
+        or new.effective_attributes(name) != old.effective_attributes(name)
+    }
+    if not changed:
+        return
+    for obj in objects.values():
+        if obj.class_name not in changed:
+            continue
+        if not new.has_class(obj.class_name):
+            raise EngineError(
+                f"the new schema drops class {obj.class_name}, which {obj.oid} belongs to"
+            )
+        try:
+            check_types(new, objects, obj.class_name, obj.state)
+        except (EngineError, TypeSystemError) as exc:
+            raise EngineError(f"{obj.oid} does not fit the new schema: {exc}") from None

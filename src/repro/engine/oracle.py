@@ -25,7 +25,7 @@ from typing import Any
 
 from repro.constraints.evaluate import EvalContext
 from repro.engine.enforcement import Violation, all_violations
-from repro.engine.objects import DBObject, check_types
+from repro.engine.objects import DBObject, check_schema_fit, check_types
 from repro.engine.store import _ExtentView
 from repro.errors import ConstraintViolation, EngineError, SchemaError, UnknownClassError
 from repro.errors import UnknownObjectError
@@ -170,9 +170,11 @@ class Oracle:
 
     def change_schema(self, schema: DatabaseSchema) -> None:
         """Adopt ``schema`` in place of the current value (no re-audit: the
-        next commit point runs the full check anyway)."""
+        next commit point runs the full check anyway), unless a stored
+        object does not fit it."""
         if self._in_transaction:
             raise EngineError("cannot change the schema inside a transaction")
+        check_schema_fit(self.schema, schema, self._objects)
         self.schema = schema.freeze()
         self._attr_types = {}
 

@@ -74,7 +74,7 @@ from typing import Any
 from repro.constraints.evaluate import INDEX_MISS, VACUOUS, exact_aggregate
 from repro.engine.incremental import MutationDelta
 from repro.engine.indexes import oid_shard, oid_sort_key
-from repro.engine.objects import DBObject
+from repro.engine.objects import DBObject, check_schema_fit
 from repro.engine.store import (
     ObjectStore,
     _StoreSurface,
@@ -724,9 +724,11 @@ class ShardedStore(_StoreSurface):
         with self._quiesced():
             if self._txn_depth:
                 raise EngineError("cannot change the schema inside a transaction")
-            # Refuse a schema the placement cannot hold before anything is
-            # logged.
+            # Refuse a schema the placement cannot hold, or a stored object
+            # does not fit, before anything is logged.
             plan_placement(schema, self.shards, self.spread, existing=self.placement)
+            for core in self.cores:
+                check_schema_fit(self.schema, schema, core._objects)
             try:
                 for core in self.cores:
                     owed.append((core, core._change_schema_locked(schema)))

@@ -18,7 +18,7 @@ from repro.engine.faults import FaultInjector
 from repro.engine import incremental
 from repro.engine.incremental import ConstraintDependencyIndex, MutationDelta
 from repro.engine.indexes import IndexManager, oid_sort_key
-from repro.engine.objects import DBObject, check_types
+from repro.engine.objects import DBObject, check_schema_fit, check_types
 from repro.engine.wal import (
     RecoveredImage,
     WriteAheadLog,
@@ -865,7 +865,8 @@ class ObjectStore(_StoreSurface):
         path.  Typically ``schema`` is ``store.schema.copy()`` changed.
 
         Under the writer lock, refused inside a transaction (rollback does
-        not undo schema changes) and on a poisoned log: a durable store
+        not undo schema changes), on a poisoned log and when a stored
+        object does not fit ``schema`` (:func:`check_schema_fit`): a durable store
         appends and flushes one ``schema`` record first, and only then
         adopts the value — freezing it, dropping the attribute-type cache
         and rebuilding the maintained indexes — and runs the checkpoint
@@ -874,6 +875,7 @@ class ObjectStore(_StoreSurface):
         validated baseline belongs to another schema value and
         revalidates fully."""
         with self._lock:
+            check_schema_fit(self.schema, schema, self._objects)
             ticket = self._change_schema_locked(schema)
         self._await_durability(ticket)
 

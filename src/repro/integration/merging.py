@@ -14,8 +14,9 @@ remote objects they mirror — ``VirtPublisher('ACM')`` vs. the bookseller's
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from typing import Any
 
 from repro.integration.conformation import (
@@ -26,6 +27,7 @@ from repro.integration.conformation import (
 from repro.integration.matching import MatchResult
 from repro.integration.relationships import Side
 from repro.integration.spec import IntegrationSpecification
+from repro.types.primitives import ClassRef
 
 
 @dataclass
@@ -178,53 +180,68 @@ def _compute_states(
 ) -> None:
     # A propeq depends only on (local class, remote class, property).
     propeqs: dict[tuple[str, str, str], ConformedPropeq | None] = {}
+
+    @cache
+    def references(side: Side, class_name: str) -> tuple[str, ...]:
+        """The class's reference attributes: only these hold conformed oids."""
+        schema = conformation.on(side).schema
+        if not schema.has_class(class_name):  # pragma: no cover - defensive
+            return ()
+        return tuple(
+            name
+            for name, attribute in schema.effective_attributes(class_name).items()
+            if isinstance(attribute.tm_type, ClassRef)
+        )
+
+    def remapped(obj: ConformedObject) -> dict[str, Any]:
+        """``obj``'s state with its conformed reference oids made global."""
+        state = dict(obj.state)
+        for name in references(obj.side, obj.class_name):
+            value = state.get(name)
+            if value in conformed_to_global:
+                state[name] = conformed_to_global[value]
+        return state
+
+    def propeq_for(local: ConformedObject, remote: ConformedObject, key: str):
+        triple = (local.class_name, remote.class_name, key)
+        if triple not in propeqs:
+            propeqs[triple] = _conformed_propeq_for(conformation, local, remote, key)
+        return propeqs[triple]
+
     for global_obj in view.objects():
         local = global_obj.component_on(Side.LOCAL)
         remote = global_obj.component_on(Side.REMOTE)
         if local is not None and remote is not None:
-            state = _merge_states(
-                conformation, local, remote, global_obj, conformed_to_global, propeqs
+            global_obj.state = _merge_states(
+                remapped(local),
+                remapped(remote),
+                global_obj,
+                partial(propeq_for, local, remote),
             )
         else:
             only = local if local is not None else remote
             assert only is not None
-            state = {
-                key: _remap(value, conformed_to_global)
-                for key, value in only.state.items()
-            }
-        global_obj.state = state
-
-
-def _remap(value: Any, conformed_to_global: dict[str, str]) -> Any:
-    """Conformed reference oids become global oids."""
-    if isinstance(value, str) and value in conformed_to_global:
-        return conformed_to_global[value]
-    return value
+            global_obj.state = remapped(only)
 
 
 def _merge_states(
-    conformation: ConformationResult,
-    local: ConformedObject,
-    remote: ConformedObject,
+    local_state: dict[str, Any],
+    remote_state: dict[str, Any],
     global_obj: GlobalObject,
-    conformed_to_global: dict[str, str],
-    propeqs: dict,
+    propeq_for: Callable[[str], ConformedPropeq | None],
 ) -> dict[str, Any]:
+    """Merge two remapped component states.  References are compared after
+    remapping, so two references to the same merged object do not read as a
+    value conflict."""
     state: dict[str, Any] = {}
-    shared = set(local.state) & set(remote.state)
-    for key in local.state.keys() | remote.state.keys():
+    shared = set(local_state) & set(remote_state)
+    for key in local_state.keys() | remote_state.keys():
         if key not in shared:
-            value = local.state.get(key, remote.state.get(key))
-            state[key] = _remap(value, conformed_to_global)
+            state[key] = local_state.get(key, remote_state.get(key))
             continue
-        # References are compared *after* remapping so that two references
-        # to the same merged object do not read as a value conflict.
-        local_value = _remap(local.state[key], conformed_to_global)
-        remote_value = _remap(remote.state[key], conformed_to_global)
-        triple = (local.class_name, remote.class_name, key)
-        if triple not in propeqs:
-            propeqs[triple] = _conformed_propeq_for(conformation, local, remote, key)
-        propeq = propeqs[triple]
+        local_value = local_state[key]
+        remote_value = remote_state[key]
+        propeq = propeq_for(key)
         if local_value != remote_value:
             global_obj.value_differences[key] = (local_value, remote_value)
         if propeq is not None:

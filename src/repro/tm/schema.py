@@ -288,13 +288,18 @@ class DatabaseSchema:
 
         Dotted paths through reference attributes are expanded up to
         ``max_depth`` levels (``publisher.name`` resolves to the ``name``
-        attribute of the referenced ``Publisher`` class).
+        attribute of the referenced ``Publisher`` class).  An environment is
+        a value, so one is built per class and shared until the next change.
         """
         from repro.constraints.solver import TypeEnvironment
 
-        attribute_types: dict[str, Type] = {}
-        self._collect_paths(class_name, "", attribute_types, max_depth)
-        return TypeEnvironment(attribute_types, dict(self.constants))
+        cache = self._derived("type_environment")
+        env = cache.get((class_name, max_depth))
+        if env is None:
+            attribute_types: dict[str, Type] = {}
+            self._collect_paths(class_name, "", attribute_types, max_depth)
+            env = cache[class_name, max_depth] = TypeEnvironment(attribute_types, self.constants)
+        return env
 
     def _collect_paths(
         self,

@@ -8,7 +8,9 @@
 * writes build no index and no constraint-dependency index; one
   ``change_schema`` rebuilds each core's indexes once and builds one
   dependency index for the new value (shared by every core holding it);
-* a snapshot reads under the schema it was taken under.
+* a snapshot reads under the schema it was taken under;
+* a schema the stored objects do not fit is refused before anything is
+  logged, and checking for that costs a rebind nothing.
 """
 
 import pytest
@@ -17,10 +19,10 @@ from repro.engine import ObjectStore, ShardedStore
 from repro.engine.incremental import ConstraintDependencyIndex
 from repro.engine.indexes import IndexManager
 from repro.engine.oracle import Oracle
-from repro.errors import ConstraintViolation, SchemaError, ShardingError
+from repro.errors import ConstraintViolation, EngineError, SchemaError, ShardingError
 from repro.tm import parse_database
 from repro.tm.schema import ClassDef
-from repro.types import STRING, ClassRef
+from repro.types import STRING, ClassRef, EnumType
 
 SOURCE = """
 Database Counting
@@ -186,6 +188,8 @@ def test_snapshot_reads_under_the_schema_it_was_taken_under(shards):
     store = ObjectStore(schema, wal=False) if shards is None else ShardedStore(schema, shards)
     first = store.insert("Item", name="a", price=1.0, owner="-")
     item = store.insert("Item", name="b", price=1.0, owner=first.oid)
+    # Every owner names an Item, so both objects fit the retype below.
+    store.update(first, owner=item.oid)
     before_rebind = store.snapshot()
     store.set_constant("CAP", 7)
     before_growth = store.snapshot()
@@ -243,3 +247,80 @@ def test_router_adopts_a_change_the_first_shard_logged(tmp_path):
     reopened = ShardedStore.open(tmp_path / "db")
     assert reopened.schema.constants["CAP"] == 5
     reopened.close()
+
+
+def _durable_flavors(tmp_path):
+    return {
+        "plain": lambda schema: ObjectStore.open(tmp_path / "db", schema),
+        "sharded": lambda schema: ShardedStore.open(tmp_path / "db", schema, 2),
+        "oracle": Oracle,
+    }
+
+
+def _logs(store):
+    cores = getattr(store, "cores", [store])
+    return [core.wal.pending_records for core in cores if getattr(core, "wal", None)]
+
+
+@pytest.mark.parametrize("flavor", ["plain", "sharded", "oracle"])
+def test_a_schema_the_stored_objects_do_not_fit_is_refused(flavor, tmp_path):
+    """Adding an attribute to a class with stored objects would leave them
+    unable to take any update ("missing attributes"); the change is refused
+    with nothing logged and the old schema still adopted."""
+    schema = _schema()
+    store = _durable_flavors(tmp_path)[flavor](schema)
+    item = store.insert("Item", name="a", price=1.0, owner="x")
+    logged = _logs(store)
+    grown = schema.copy()
+    grown.class_named("Item").add_attribute("note", STRING)
+    misfit = rf"{item.oid} does not fit .*missing attributes for Item: \['note'\]"
+    with pytest.raises(EngineError, match=misfit):
+        store.change_schema(grown)
+    retyped = schema.copy()
+    retyped.class_named("Item").set_attribute("owner", ClassRef("Item"))
+    with pytest.raises(EngineError, match="reference to unknown object 'x'"):
+        store.change_schema(retyped)
+    dropped = schema.copy()
+    dropped.remove_class("Item")
+    with pytest.raises(EngineError, match=f"drops class Item, which {item.oid}"):
+        store.change_schema(dropped)
+    assert store.schema is schema
+    assert all(core.schema is schema for core in getattr(store, "cores", []))
+    assert _logs(store) == logged
+    store.update(item, price=2.0)
+    # The same attribute on a class with no objects fits.
+    tagged = schema.copy()
+    tagged.class_named("Tag").add_attribute("note", STRING)
+    store.change_schema(tagged)
+    assert store.schema is tagged
+    store.insert("Tag", label="fine", note="n")
+    if flavor != "oracle":
+        store.close()
+
+
+@pytest.mark.parametrize("flavor", ["plain", "sharded", "oracle"])
+def test_a_rebind_checks_no_stored_object(flavor, monkeypatch):
+    from repro.engine import objects
+
+    store = _flavors()[flavor](_schema())
+    for number in range(20):
+        store.insert("Item", name=f"i{number}", price=1.0, owner="x")
+    checked = []
+    original = objects.check_types
+
+    def counting(schema, stored, class_name, state):
+        checked.append(class_name)
+        return original(schema, stored, class_name, state)
+
+    monkeypatch.setattr(objects, "check_types", counting)
+    store.set_constant("CAP", 2_000)
+    assert checked == []
+    # Only the objects of a class whose attribute map changed are checked.
+    tagged = store.schema.copy()
+    tagged.class_named("Tag").add_attribute("note", STRING)
+    store.change_schema(tagged)
+    assert checked == []
+    narrowed = store.schema.copy()
+    narrowed.class_named("Item").set_attribute("owner", EnumType(frozenset({"x"})))
+    store.change_schema(narrowed)
+    assert checked == ["Item"] * 20

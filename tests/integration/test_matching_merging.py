@@ -297,3 +297,47 @@ class TestMergeLookups:
                 propeq = original(conformation, local, remote, key)
                 if propeq is not None:
                     assert obj.state[key] == propeq.df.apply(local_value, remote_value)
+
+
+class TestReferenceRemap:
+    def test_fixture_states_are_the_components_with_every_oid_remapped(self, library_setup):
+        """No fixture string spells a conformed oid, so each state and value
+        difference is what remapping *every* string value gives."""
+        view = library_setup["view"]
+        to_global = {
+            component.oid: obj.oid
+            for obj in view.objects()
+            for component in obj.components.values()
+        }
+
+        def remap(value):
+            return to_global.get(value, value) if isinstance(value, str) else value
+
+        remapped = 0
+        for obj in view.objects():
+            states = {side: component.state for side, component in obj.components.items()}
+            assert obj.state.keys() == set().union(*states.values())
+            for side, state in states.items():
+                other = states.get(side.other, {})
+                for key, value in state.items():
+                    remapped += remap(value) != value
+                    if key in obj.value_differences:
+                        assert obj.value_differences[key][side is Side.REMOTE] == remap(value)
+                    elif key in other:
+                        assert remap(value) == remap(other[key])
+                    else:
+                        assert obj.state[key] == remap(value)
+        assert remapped > 0
+
+    def test_string_spelling_a_conformed_oid_is_not_remapped(self):
+        local_store, local_named = cslibrary_store()
+        remote_store, _ = bookseller_store()
+        spelled = f"remote:{remote_store.extent('Publisher')[0].oid}"
+        local_store.update(local_named["dutch_day"], title=spelled)
+        spec = library_integration_spec()
+        conformation = conform(spec, local_store, remote_store)
+        view = merge_instances(spec, conformation, match_instances(spec, local_store, remote_store))
+        assert spelled in conformation.instances_by_oid
+        dutch_day = next(obj for obj in view.objects() if obj.state.get("isbn") == "ISBN-003")
+        assert dutch_day.state["title"] == spelled
+        assert view.get(dutch_day.state["publisher"]).state["name"] == "Kluwer"
