@@ -133,12 +133,6 @@ class Path(Node):
     def dotted(self) -> str:
         return ".".join(self.parts)
 
-    def strip_root(self, root_names: tuple[str, ...]) -> Path:
-        """Drop a leading variable name in ``root_names``, if present."""
-        if len(self.parts) > 1 and self.parts[0] in root_names:
-            return Path(self.parts[1:], pos=self.pos)
-        return self
-
     def with_root(self, root: str) -> Path:
         """Prefix the path with an explicit root variable."""
         return Path((root,) + self.parts, pos=self.pos)

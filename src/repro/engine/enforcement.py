@@ -13,8 +13,8 @@ reason trace — for this check and the delta-driven checks of
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import chain
 from typing import TYPE_CHECKING, Any
 
@@ -93,16 +93,16 @@ def violation(
 
 
 def all_violations(store: "ObjectStore") -> list[Violation]:
-    """Every violation in the store (does not stop at the first)."""
+    """Every violation in the store (does not stop at the first).
+
+    Object checks run class by class in schema declaration order, and each
+    class's objects in its own insertion order, so a plain store, a shard
+    router and the oracle report one order whatever order their object
+    tables keep."""
     schema = store.schema
     scope = getattr(store, "constraint_scope", None)
-    object_constraints = cache(schema.effective_object_constraints)
     checks = chain(
-        (
-            (constraint, obj, None)
-            for obj in store.objects()
-            for constraint in object_constraints(obj.class_name)
-        ),
+        _object_checks(schema, store.objects()),
         (
             (constraint, None, class_def.name)
             for class_def in schema.classes.values()
@@ -126,3 +126,17 @@ def all_violations(store: "ObjectStore") -> list[Violation]:
             error = exc
         found.append(violation(store, constraint, error, current, owner))
     return found
+
+
+def _object_checks(schema, objects: Iterable) -> Iterator[tuple]:
+    """``(constraint, object, None)`` for every object check, grouped by
+    class in declaration order; ``objects`` lists each class's objects in
+    its insertion order on every store."""
+    by_class: dict[str, list] = {name: [] for name in schema.classes}
+    for obj in objects:
+        by_class[obj.class_name].append(obj)
+    for class_name, members in by_class.items():
+        constraints = schema.effective_object_constraints(class_name)
+        for obj in members:
+            for constraint in constraints:
+                yield constraint, obj, None

@@ -61,13 +61,6 @@ class DBObject:
         return f"<{self.class_name} {self.oid} {self.state!r}>"
 
 
-def state_of(obj: "DBObject | Mapping[str, Any]") -> Mapping[str, Any]:
-    """The raw state mapping behind an object or plain dict."""
-    if isinstance(obj, DBObject):
-        return obj.state
-    return obj
-
-
 def check_types(
     schema: "DatabaseSchema",
     objects: Mapping[str, DBObject],
@@ -117,16 +110,29 @@ def check_schema_fit(
 ) -> None:
     """Raise :class:`EngineError` unless the stored ``objects`` fit ``new``.
 
-    Only an object whose class ``new`` drops, or gives another effective
-    attribute map than ``old`` does, can misfit; each such object must pass
-    :func:`check_types` under ``new``.  A change that leaves every attribute
-    map alone (a constant rebound, a constraint added) checks no object.
+    Only an object whose class ``new`` drops, gives another effective
+    attribute map than ``old`` does, or whose references point at a class
+    with another set of subclasses (a re-parent can move a referenced
+    object out of the declared target) can misfit; each such object must
+    pass :func:`check_types` under ``new``.  A change that leaves every
+    attribute map and the hierarchy alone (a constant rebound, a constraint
+    added) checks no object.
     """
+    regrouped = {
+        name
+        for name in old.classes
+        if new.has_class(name)
+        and set(new.subclass_closure(name)) != set(old.subclass_closure(name))
+    }
     changed = {
         name
         for name in old.classes
         if not new.has_class(name)
         or new.effective_attributes(name) != old.effective_attributes(name)
+        or any(
+            isinstance(attribute.tm_type, ClassRef) and attribute.tm_type.class_name in regrouped
+            for attribute in new.effective_attributes(name).values()
+        )
     }
     if not changed:
         return

@@ -467,7 +467,6 @@ class ShardedStore(_StoreSurface):
         self._class_fast: dict[str, bool] = {}
         #: (class, attr) → ditto for single-attribute updates.
         self._attr_fast: dict[tuple[str, str], bool] = {}
-        self._plans: list = []
         #: Operation counters (observability; the stress harness reports
         #: them alongside per-shard group-commit stats).
         self.fast_path_ops = 0
@@ -532,15 +531,8 @@ class ShardedStore(_StoreSurface):
                     if entry.universal or (class_name, attr) in entry.attrs
                 }
                 attr_fast[(class_name, attr)] = affected <= allowed
-        self._plans = plans
         self._class_fast = class_fast
         self._attr_fast = attr_fast
-
-    def constraint_plans(self) -> list:
-        """The current constraint classification
-        (:class:`~repro.engine.incremental.ConstraintShardPlan` per
-        constraint), as derived at the last routing rebuild."""
-        return list(self._plans)
 
     def _fast_ready(self) -> bool:
         """Whether the fast path may run: the merged store holds a clean

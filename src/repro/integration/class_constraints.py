@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.constraints.ast import Comparison, KeyConstraint, Node, Path
-from repro.constraints.model import Constraint, ConstraintKind
+from repro.constraints.model import ConstraintKind
 from repro.constraints.normalize import split_conjunction
 from repro.integration.conformation import ConformationResult
 from repro.integration.derivation import GlobalConstraint
@@ -67,12 +67,12 @@ def integrate_class_constraints(
         for class_def in schema.classes.values():
             qualified_class = f"{schema.name}.{class_def.name}"
             for constraint in class_def.own_class_constraints():
-                original = _original_name(conformed, constraint)
+                original = conformed.original_name(constraint)
                 if class_def.name not in affected:
                     report.propagated.append(
                         GlobalConstraint(
                             f"cc{counter}",
-                            qualified_class,
+                            (qualified_class,),
                             constraint.formula,
                             "objective-extension",
                             (original,),
@@ -86,7 +86,7 @@ def integrate_class_constraints(
                     report.propagated.append(
                         GlobalConstraint(
                             f"cc{counter}",
-                            qualified_class,
+                            (qualified_class,),
                             constraint.formula,
                             "key-propagation",
                             (original,),
@@ -208,10 +208,3 @@ def _is_key_to_key(
         if constraint.kind is ConstraintKind.CLASS:
             other_keys.update(_key_attributes(constraint.formula))
     return other_path.parts[1] in other_keys
-
-
-def _original_name(conformed, constraint: Constraint) -> str:
-    for original, candidate in conformed.conformed_constraints.items():
-        if candidate is constraint:
-            return original
-    return constraint.qualified_name

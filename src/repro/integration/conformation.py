@@ -34,12 +34,12 @@ from repro.engine.store import ObjectStore
 from repro.errors import ConformationError
 from repro.integration.conversion import ConversionFunction
 from repro.integration.decision import DecisionFunction
-from repro.integration.propeq import PropertyEquivalence
+from repro.integration.propeq import PropertyEquivalence, first_covering
 from repro.integration.relationships import Side
 from repro.integration.rules import ComparisonRule
 from repro.integration.spec import IntegrationSpecification
 from repro.tm.schema import ClassDef, DatabaseSchema
-from repro.types.primitives import ClassRef, Type
+from repro.types.primitives import ClassRef, SetType, Type
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,12 @@ class ConformedPropeq:
     df: DecisionFunction
     original: PropertyEquivalence
 
+    def class_on(self, side: Side) -> str:
+        return self.local_class if side is Side.LOCAL else self.remote_class
+
+    def property_on(self, side: Side) -> str:
+        return self.name
+
 
 @dataclass
 class ConformedDatabase:
@@ -135,6 +141,20 @@ class ConformedDatabase:
                 merged.setdefault(attr, cf)
         return merged
 
+    def original_name(self, constraint: Constraint) -> str:
+        """The original qualified name of a conformed constraint (its own
+        name for constraints conformation did not produce)."""
+        return self._originals.get(id(constraint), constraint.qualified_name)
+
+    @cached_property
+    def _originals(self) -> dict[int, str]:
+        """Conformed constraint identity → original qualified name; built on
+        first use, once constraint conformation is complete."""
+        names: dict[int, str] = {}
+        for original, conformed in self.conformed_constraints.items():
+            names.setdefault(id(conformed), original)
+        return names
+
     def conformed_attribute_name(self, class_name: str, attribute: str) -> str:
         return self.rename_map(class_name).get(attribute, attribute)
 
@@ -166,6 +186,38 @@ class ConformationResult:
             for side in (Side.LOCAL, Side.REMOTE)
             for obj in self.on(side).instances
         }
+
+    # -- the conformed propeqs, resolved by the one rule (first_covering) ----
+
+    def propeq_for(self, side: Side, class_name: str, prop: str) -> ConformedPropeq | None:
+        """The conformed propeq covering ``class_name.prop`` on ``side``."""
+        key = (side, class_name, prop)
+        memo = self._covering
+        if key not in memo:
+            memo[key] = first_covering(self.propeqs, prop, ((side, class_name),), self._schema_on)
+        return memo[key]
+
+    def propeq_between(
+        self, local_class: str, remote_class: str, prop: str
+    ) -> ConformedPropeq | None:
+        """The conformed propeq covering ``prop`` of a merged pair of a
+        ``local_class`` and a ``remote_class`` object."""
+        key = (local_class, remote_class, prop)
+        memo = self._covering
+        if key not in memo:
+            placements = ((Side.LOCAL, local_class), (Side.REMOTE, remote_class))
+            memo[key] = first_covering(self.propeqs, prop, placements, self._schema_on)
+        return memo[key]
+
+    def _schema_on(self, side: Side) -> DatabaseSchema:
+        return self.on(side).schema
+
+    @cached_property
+    def _covering(self) -> dict[tuple, ConformedPropeq | None]:
+        """The memo of both lookups (a ``propeq_for`` key starts with a side,
+        a ``propeq_between`` key with a class name), made on first use, once
+        :func:`conform` has settled the propeqs and schemas."""
+        return {}
 
 
 def conform(
@@ -425,8 +477,9 @@ def _conform_instances(conformed: ConformedDatabase, store: ObjectStore) -> None
 
     hidden_classes = {h.hidden_class for h in conformed.hidings}
     # The schema cannot change during the call, so per-class maps and
-    # per-(class, attribute) plans — relocation, hiding, declared type —
-    # are looked up once, not once per object.
+    # per-(class, attribute) plans — relocation, hiding, whether the
+    # declared type is a reference or a set of references — are looked up
+    # once, not once per object.
     class_maps: dict[str, tuple] = {}
     plans: dict[tuple[str, str], tuple] = {}
 
@@ -445,12 +498,14 @@ def _conform_instances(conformed: ConformedDatabase, store: ObjectStore) -> None
             new_name = renames.get(attr, attr)
             plan = plans.get((obj.class_name, attr))
             if plan is None:
+                tm_type = _original_type(conformed, obj.class_name, attr)
                 plan = plans[obj.class_name, attr] = (
                     _relocation_for(conformed, obj.class_name, attr),
                     _value_hiding_for(conformed, obj.class_name, attr),
-                    _original_type(conformed, obj.class_name, attr),
+                    isinstance(tm_type, ClassRef),
+                    is_reference_set(tm_type),
                 )
-            relocation, hiding, tm_type = plan
+            relocation, hiding, reference, reference_set = plan
             if relocation is not None:
                 key = (relocation.virtual_class, value)
                 if key not in virtual_cache:
@@ -477,8 +532,10 @@ def _conform_instances(conformed: ConformedDatabase, store: ObjectStore) -> None
                 target = store.get(value)
                 state[new_name] = target.state[hiding.object_attribute]
                 continue
-            if isinstance(tm_type, ClassRef) and isinstance(value, str):
+            if reference and isinstance(value, str):
                 state[new_name] = f"{prefix}:{value}"
+            elif reference_set and isinstance(value, frozenset | set):
+                state[new_name] = frozenset(f"{prefix}:{oid}" for oid in value)
             elif attr in conversions:
                 state[new_name] = conversions[attr].apply(value)
             else:
@@ -488,6 +545,11 @@ def _conform_instances(conformed: ConformedDatabase, store: ObjectStore) -> None
                 f"{prefix}:{obj.oid}", obj.class_name, state, side, obj.oid
             )
         )
+
+
+def is_reference_set(tm_type: Type | None) -> bool:
+    """Whether ``tm_type`` is a set of references (``partners : P Publisher``)."""
+    return isinstance(tm_type, SetType) and isinstance(tm_type.element, ClassRef)
 
 
 def _value_hiding_for(

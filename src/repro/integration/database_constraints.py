@@ -31,17 +31,9 @@ def integrate_database_constraints(
     for side in (Side.LOCAL, Side.REMOTE):
         conformed = conformation.on(side)
         for constraint in conformed.schema.database_constraints:
-            original = next(
-                (
-                    name
-                    for name, candidate in conformed.conformed_constraints.items()
-                    if candidate is constraint
-                ),
-                constraint.qualified_name,
-            )
             report.retained_locally.append(
                 (
-                    original,
+                    conformed.original_name(constraint),
                     "database constraints are subjective (Section 5.2.3): "
                     "they remain enforced by their component database only",
                 )

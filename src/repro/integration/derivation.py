@@ -76,13 +76,24 @@ class GlobalConstraint:
     """One constraint of the integrated view, with provenance."""
 
     name: str
-    scope: str  # qualified global class name
+    #: The global classes it constrains: a qualified class, the two classes
+    #: of a merged pair, or an approximate-similarity virtual class.
+    classes: tuple[str, ...]
     formula: Node
     origin: str  # objective-union | derived | rule-derived | key | cv-disjunction
     sources: tuple[str, ...] = ()
 
+    @property
+    def scope(self) -> str:
+        """The display form of ``classes``, ``A ⋈ B`` for a merged pair."""
+        return joined_scope(self.classes)
+
     def describe(self) -> str:
         return f"[{self.origin}] {self.scope}: {to_source(self.formula)}"
+
+
+def joined_scope(classes: tuple[str, ...]) -> str:
+    return " ⋈ ".join(classes)
 
 
 @dataclass
@@ -147,16 +158,8 @@ class ConstraintDeriver:
             return []
         return schema.effective_object_constraints(class_name)
 
-    def _original_name(self, side: Side, conformed: Constraint) -> str:
-        """Map a conformed constraint back to its original qualified name."""
-        table = self.conformation.on(side).conformed_constraints
-        for original, candidate in table.items():
-            if candidate is conformed:
-                return original
-        return conformed.qualified_name
-
     def _is_subjective(self, side: Side, conformed: Constraint) -> bool:
-        original = self._original_name(side, conformed)
+        original = self.conformation.on(side).original_name(conformed)
         status = self.analysis.constraint_status.get(original)
         if status is not None:
             return status.subjective
@@ -170,19 +173,6 @@ class ConstraintDeriver:
             return schema.type_environment(class_name)
         return TypeEnvironment()
 
-    def _propeq_for_conformed(
-        self, side: Side, class_name: str, prop: str
-    ) -> ConformedPropeq | None:
-        schema = self.conformation.on(side).schema
-        for propeq in self.conformation.propeqs:
-            declared = propeq.local_class if side is Side.LOCAL else propeq.remote_class
-            if propeq.name != prop:
-                continue
-            if schema.has_class(class_name) and schema.has_class(declared):
-                if schema.is_subclass_of(class_name, declared):
-                    return propeq
-        return None
-
     def _subjective_props(
         self, side: Side, class_name: str, formula: Node
     ) -> dict[str, ConformedPropeq]:
@@ -190,7 +180,7 @@ class ConstraintDeriver:
         found: dict[str, ConformedPropeq] = {}
         for path in paths_in(formula):
             prop = path.parts[0]
-            propeq = self._propeq_for_conformed(side, class_name, prop)
+            propeq = self.conformation.propeq_for(side, class_name, prop)
             if propeq is None:
                 continue
             objective_sides = propeq.df.objective_sides()
@@ -198,15 +188,17 @@ class ConstraintDeriver:
                 found[prop] = propeq
         return found
 
-    def _add(self, scope: str, formula: Node, origin: str, sources: tuple[str, ...]) -> None:
+    def _add(
+        self, classes: tuple[str, ...], formula: Node, origin: str, sources: tuple[str, ...]
+    ) -> None:
         existing = {
-            (c.scope, c.formula) for c in self.result.constraints
+            (c.classes, c.formula) for c in self.result.constraints
         }
-        if (scope, formula) in existing:
+        if (classes, formula) in existing:
             return
         self.result.constraints.append(
             GlobalConstraint(
-                f"gc{next(self._counter)}", scope, formula, origin, sources
+                f"gc{next(self._counter)}", classes, formula, origin, sources
             )
         )
 
@@ -268,9 +260,9 @@ class ConstraintDeriver:
     def _derive_equality_pair(
         self, rule: ComparisonRule, local_class: str, remote_class: str
     ) -> None:
-        scope = (
-            f"{self._qualified(Side.LOCAL, local_class)}"
-            f" ⋈ {self._qualified(Side.REMOTE, remote_class)}"
+        classes = (
+            self._qualified(Side.LOCAL, local_class),
+            self._qualified(Side.REMOTE, remote_class),
         )
         local_constraints = self._object_constraints(Side.LOCAL, local_class)
         remote_constraints = self._object_constraints(Side.REMOTE, remote_class)
@@ -295,10 +287,10 @@ class ConstraintDeriver:
         )
         for side, constraint in objective:
             self._add(
-                scope,
+                classes,
                 constraint.formula,
                 "objective-union",
-                (self._original_name(side, constraint),),
+                (self.conformation.on(side).original_name(constraint),),
             )
 
         # 2. Explicit conflict: the integrated set is unsatisfiable.
@@ -306,8 +298,8 @@ class ConstraintDeriver:
         if formulas and Solver(env).is_unsatisfiable(conjoin(formulas)):
             self.result.explicit_conflicts.append(
                 ExplicitConflict(
-                    scope,
-                    tuple(self._original_name(s, c) for s, c in objective),
+                    joined_scope(classes),
+                    tuple(self.conformation.on(s).original_name(c) for s, c in objective),
                     "the union of objective object constraints is "
                     "unsatisfiable (Ω ⊨ false)",
                 )
@@ -315,19 +307,19 @@ class ConstraintDeriver:
 
         # 3. Derivation from subjective constraints.
         self._derive_subjective(
-            scope, local_class, remote_class, subjective, env
+            classes, local_class, remote_class, subjective, env
         )
 
         # 4. Implicit conflict risks (conflict-ignoring functions).
         self._implicit_risks(
-            scope, local_class, remote_class, objective
+            classes, local_class, remote_class, objective
         )
 
     # -- subjective derivation ------------------------------------------------------------
 
     def _derive_subjective(
         self,
-        scope: str,
+        classes: tuple[str, ...],
         local_class: str,
         remote_class: str,
         subjective: dict[Side, list[Constraint]],
@@ -361,12 +353,12 @@ class ConstraintDeriver:
                     if prop in self._subjective_props(Side.REMOTE, remote_class, p)
                 ]
                 self._derive_single_property(
-                    scope, prop, propeq, (constraint, part), partners, class_of, env
+                    classes, prop, propeq, (constraint, part), partners, class_of, env
                 )
                 seen_props.add(prop)
             else:
                 self._derive_identical_pair(
-                    scope, xi, (constraint, part), normalized[Side.REMOTE], class_of
+                    classes, xi, (constraint, part), normalized[Side.REMOTE], class_of
                 )
         # Remote-only subjective constraints on props never touched above
         # still derive (combined with the local type domain).
@@ -382,7 +374,7 @@ class ConstraintDeriver:
             ):
                 continue
             self._derive_single_property(
-                scope, prop, propeq, (constraint, part), [], class_of, env,
+                classes, prop, propeq, (constraint, part), [], class_of, env,
                 driving_side=Side.REMOTE,
             )
 
@@ -430,7 +422,7 @@ class ConstraintDeriver:
 
     def _derive_single_property(
         self,
-        scope: str,
+        classes: tuple[str, ...],
         prop: str,
         propeq: ConformedPropeq,
         driving: tuple[Constraint, Node],
@@ -502,7 +494,7 @@ class ConstraintDeriver:
         if unconditional is not None:
             consequent = domain_to_formula(path, unconditional, global_type_domain)
             if consequent is not None:
-                self._add(scope, consequent, "derived", sources)
+                self._add(classes, consequent, "derived", sources)
 
         # Conditional derivations: one candidate condition per objective
         # atom (and its negation) appearing in either formula — the ACM case.
@@ -520,7 +512,7 @@ class ConstraintDeriver:
             consequent = domain_to_formula(path, combined, global_type_domain)
             if consequent is None:
                 continue
-            self._add(scope, Implies(condition, consequent), "derived", sources)
+            self._add(classes, Implies(condition, consequent), "derived", sources)
 
     def _candidate_conditions(
         self,
@@ -553,7 +545,7 @@ class ConstraintDeriver:
         return list(candidates)
 
     def _is_prop_subjective(self, side: Side, class_name: str, prop: str) -> bool:
-        propeq = self._propeq_for_conformed(side, class_name, prop)
+        propeq = self.conformation.propeq_for(side, class_name, prop)
         if propeq is None:
             return False
         return side not in propeq.df.objective_sides()
@@ -562,7 +554,7 @@ class ConstraintDeriver:
 
     def _derive_identical_pair(
         self,
-        scope: str,
+        classes: tuple[str, ...],
         xi: dict[str, ConformedPropeq],
         driving: tuple[Constraint, Node],
         remote_normalized: list[tuple[Constraint, Node]],
@@ -586,7 +578,7 @@ class ConstraintDeriver:
         for partner, partner_part in remote_normalized:
             if partner_part == part:
                 self._add(
-                    scope,
+                    classes,
                     part,
                     "derived",
                     (constraint.qualified_name, partner.qualified_name),
@@ -601,7 +593,7 @@ class ConstraintDeriver:
 
     def _implicit_risks(
         self,
-        scope: str,
+        classes: tuple[str, ...],
         local_class: str,
         remote_class: str,
         objective: list[tuple[Side, Constraint]],
@@ -610,7 +602,7 @@ class ConstraintDeriver:
         for side, constraint in objective:
             for path in paths_in(constraint.formula):
                 prop = path.parts[0]
-                propeq = self._propeq_for_conformed(side, class_of[side], prop)
+                propeq = self.conformation.propeq_for(side, class_of[side], prop)
                 if propeq is None:
                     continue
                 if propeq.df.category is not DecisionCategory.IGNORING:
@@ -627,8 +619,8 @@ class ConstraintDeriver:
                     continue  # equivalent constraint exists on p'
                 self.result.implicit_risks.append(
                     ImplicitConflictRisk(
-                        scope,
-                        self._original_name(side, constraint),
+                        joined_scope(classes),
+                        self.conformation.on(side).original_name(constraint),
                         prop,
                         "the conflict-ignoring decision function may take "
                         "the global value from the unconstrained side",
@@ -649,7 +641,7 @@ class ConstraintDeriver:
         target_constraints = [
             c
             for c in self._object_constraints(target_side, target_class)
-            if self._original_name(target_side, c)
+            if self.conformation.on(target_side).original_name(c)
             not in self.spec.declared_subjective
         ]
         analysis = self.rule_checks.analysis_for(rule)
@@ -695,7 +687,7 @@ class ConstraintDeriver:
         source_formula = conjoin([c.formula for c in source_constraints])
         target_formula = conjoin([c.formula for c in target_constraints])
         self._add(
-            rule.virtual_class,
+            (rule.virtual_class,),
             disjoin([target_formula, source_formula]),
             "cv-disjunction",
             tuple(

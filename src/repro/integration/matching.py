@@ -45,9 +45,6 @@ class MatchResult:
     equalities: list[EqualityMatch] = field(default_factory=list)
     similarities: list[SimilarityMatch] = field(default_factory=list)
 
-    def similarity_targets(self, obj: DBObject) -> list[SimilarityMatch]:
-        return [m for m in self.similarities if m.source == obj]
-
 
 def match_instances(
     spec: IntegrationSpecification,

@@ -23,6 +23,7 @@ from repro.integration.conformation import (
     ConformationResult,
     ConformedObject,
     ConformedPropeq,
+    is_reference_set,
 )
 from repro.integration.matching import MatchResult
 from repro.integration.relationships import Side
@@ -178,35 +179,30 @@ def _compute_states(
     view,
     conformed_to_global: dict[str, str],
 ) -> None:
-    # A propeq depends only on (local class, remote class, property).
-    propeqs: dict[tuple[str, str, str], ConformedPropeq | None] = {}
-
     @cache
-    def references(side: Side, class_name: str) -> tuple[str, ...]:
-        """The class's reference attributes: only these hold conformed oids."""
+    def references(side: Side, class_name: str) -> tuple[tuple[str, bool], ...]:
+        """The class's reference attributes, each with whether it holds a set
+        of references: only these hold conformed oids."""
         schema = conformation.on(side).schema
         if not schema.has_class(class_name):  # pragma: no cover - defensive
             return ()
         return tuple(
-            name
+            (name, is_reference_set(attribute.tm_type))
             for name, attribute in schema.effective_attributes(class_name).items()
-            if isinstance(attribute.tm_type, ClassRef)
+            if isinstance(attribute.tm_type, ClassRef) or is_reference_set(attribute.tm_type)
         )
 
     def remapped(obj: ConformedObject) -> dict[str, Any]:
         """``obj``'s state with its conformed reference oids made global."""
         state = dict(obj.state)
-        for name in references(obj.side, obj.class_name):
+        for name, many in references(obj.side, obj.class_name):
             value = state.get(name)
-            if value in conformed_to_global:
+            if many:
+                if value:
+                    state[name] = frozenset(conformed_to_global.get(oid, oid) for oid in value)
+            elif value in conformed_to_global:
                 state[name] = conformed_to_global[value]
         return state
-
-    def propeq_for(local: ConformedObject, remote: ConformedObject, key: str):
-        triple = (local.class_name, remote.class_name, key)
-        if triple not in propeqs:
-            propeqs[triple] = _conformed_propeq_for(conformation, local, remote, key)
-        return propeqs[triple]
 
     for global_obj in view.objects():
         local = global_obj.component_on(Side.LOCAL)
@@ -216,7 +212,7 @@ def _compute_states(
                 remapped(local),
                 remapped(remote),
                 global_obj,
-                partial(propeq_for, local, remote),
+                partial(conformation.propeq_between, local.class_name, remote.class_name),
             )
         else:
             only = local if local is not None else remote
@@ -249,31 +245,6 @@ def _merge_states(
         else:
             state[key] = local_value  # default: keep the local view
     return state
-
-
-def _conformed_propeq_for(
-    conformation: ConformationResult,
-    local: ConformedObject,
-    remote: ConformedObject,
-    name: str,
-) -> ConformedPropeq | None:
-    for propeq in conformation.propeqs:
-        if propeq.name != name:
-            continue
-        local_schema = conformation.local.schema
-        remote_schema = conformation.remote.schema
-        if not (
-            local_schema.has_class(local.class_name)
-            and local_schema.has_class(propeq.local_class)
-            and remote_schema.has_class(remote.class_name)
-            and remote_schema.has_class(propeq.remote_class)
-        ):
-            continue
-        if local_schema.is_subclass_of(
-            local.class_name, propeq.local_class
-        ) and remote_schema.is_subclass_of(remote.class_name, propeq.remote_class):
-            return propeq
-    return None
 
 
 # ---------------------------------------------------------------------------

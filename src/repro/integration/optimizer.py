@@ -49,7 +49,7 @@ class GlobalQueryOptimizer:
         self.result = result
         self._by_class: dict[str, list] = {}
         for constraint in result.global_constraints:
-            for class_name in _scope_classes(constraint.scope):
+            for class_name in constraint.classes:
                 self._by_class.setdefault(class_name, []).append(constraint)
 
     # -- constraint lookup -------------------------------------------------------
@@ -130,10 +130,6 @@ class GlobalQueryOptimizer:
         if isinstance(predicate, str):
             predicate = parse_expression(predicate)
         return view.select(class_name, predicate)
-
-
-def _scope_classes(scope: str) -> list[str]:
-    return [part.strip() for part in scope.split("⋈")]
 
 
 def _minimal_culprits(

@@ -6,16 +6,60 @@ both into a common domain; the conformed property gets one shared name
 (``conformed_name``, defaulting to the local property's name — the paper
 renames ``ourprice`` to ``libprice`` by choosing the remote name) and the
 decision function determines global values for *equal* objects.
+
+:func:`first_covering` is the one rule deciding which assertion governs a
+property, for original and conformed assertions alike.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Protocol, TypeVar
 
 from repro.errors import SpecificationError
 from repro.integration.conversion import ConversionFunction, IdentityConversion
 from repro.integration.decision import DecisionFunction
 from repro.integration.relationships import Side
+
+if TYPE_CHECKING:
+    from repro.tm.schema import DatabaseSchema
+
+
+class Placed(Protocol):
+    """A property equivalence, original or conformed: a class and a property
+    on each side."""
+
+    def class_on(self, side: Side) -> str: ...
+
+    def property_on(self, side: Side) -> str: ...
+
+
+P = TypeVar("P", bound=Placed)
+
+
+def first_covering(
+    propeqs: Iterable[P],
+    prop: str,
+    placements: tuple[tuple[Side, str], ...],
+    schema_on: Callable[[Side], DatabaseSchema],
+) -> P | None:
+    """The first of ``propeqs`` that equates ``prop`` and covers the class of
+    every ``(side, class_name)`` placement in ``schema_on(side)``, or ``None``.
+
+    A propeq declared on a class covers its subclasses: the ``ourprice``
+    assertion on Publication covers RefereedPubl objects too (Sections 2.3
+    and 5.1).
+    """
+    for propeq in propeqs:
+        if all(
+            propeq.property_on(side) == prop
+            and schema_on(side).has_class(class_name)
+            and propeq.class_on(side) in schema_on(side).ancestry(class_name)
+            for side, class_name in placements
+        ):
+            return propeq
+    return None
 
 
 @dataclass

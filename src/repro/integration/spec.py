@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import SpecificationError
-from repro.integration.propeq import PropertyEquivalence
+from repro.integration.propeq import PropertyEquivalence, first_covering
 from repro.integration.relationships import RelationshipKind, Side
 from repro.integration.rules import ComparisonRule
 from repro.tm.schema import DatabaseSchema
@@ -98,22 +98,9 @@ class IntegrationSpecification:
         return [r for r in self.rules if r.kind is RelationshipKind.DESCRIPTIVITY]
 
     def propeq_for(self, side: Side, class_name: str, prop: str) -> PropertyEquivalence | None:
-        """The propeq covering ``class_name.prop`` on ``side``.
-
-        Property equivalences declared on an ancestor class apply to
-        subclasses (the ``ourprice`` assertion on Publication covers
-        RefereedPubl objects too).
-        """
-        schema = self.schema_on(side)
-        for propeq in self.propeqs:
-            declared = propeq.class_on(side)
-            if propeq.property_on(side) != prop:
-                continue
-            if not schema.has_class(declared) or not schema.has_class(class_name):
-                continue
-            if schema.is_subclass_of(class_name, declared):
-                return propeq
-        return None
+        """The propeq covering ``class_name.prop`` on ``side`` (declarations
+        on an ancestor class cover subclasses; see :func:`first_covering`)."""
+        return first_covering(self.propeqs, prop, ((side, class_name),), self.schema_on)
 
     def affected_classes(self, side: Side) -> set[str]:
         """Classes on ``side`` whose (deep) extents the integration can

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 from repro.constraints.ast import Path, paths_in
 from repro.constraints.model import Constraint, ConstraintKind
-from repro.errors import SpecificationError
 from repro.integration.relationships import Side
 from repro.integration.spec import IntegrationSpecification
 from repro.tm.schema import DatabaseSchema
@@ -65,18 +64,13 @@ class SubjectivityAnalysis:
     # -- property queries ------------------------------------------------------
 
     def status_of_property(self, side: Side, class_name: str, prop: str) -> PropertyStatus:
-        """The status of ``class_name.prop`` on ``side`` (default objective).
-
-        Propeq declarations on ancestors cover subclasses.
-        """
-        schema = self.spec.schema_on(side)
-        for (s, declared_class, declared_prop), status in self.property_status.items():
-            if s is not side or declared_prop != prop:
-                continue
-            if schema.has_class(class_name) and schema.has_class(declared_class):
-                if schema.is_subclass_of(class_name, declared_class):
-                    return status
-        return PropertyStatus.OBJECTIVE
+        """The status of ``class_name.prop`` on ``side``: that of the propeq
+        covering it (declarations on ancestors cover subclasses), objective
+        if none does."""
+        propeq = self.spec.propeq_for(side, class_name, prop)
+        if propeq is None:
+            return PropertyStatus.OBJECTIVE
+        return self.property_status[side, propeq.class_on(side), prop]
 
     def subjective_properties_in(
         self, constraint: Constraint, side: Side
@@ -100,19 +94,6 @@ class SubjectivityAnalysis:
                 ):
                     found.add((class_name, prop))
         return found
-
-    # -- constraint queries ----------------------------------------------------------
-
-    def is_subjective(self, constraint: Constraint) -> bool:
-        status = self.constraint_status.get(constraint.qualified_name)
-        if status is None:
-            raise SpecificationError(
-                f"constraint {constraint.qualified_name} was not analysed"
-            )
-        return status.subjective
-
-    def reason_for(self, constraint: Constraint) -> str:
-        return self.constraint_status[constraint.qualified_name].reason
 
 
 def analyse_subjectivity(spec: IntegrationSpecification) -> SubjectivityAnalysis:

@@ -21,7 +21,6 @@ from repro.constraints.model import Constraint
 from repro.constraints.printer import to_source
 from repro.engine.incremental import ConstraintDependencyIndex
 from repro.integration.conformation import ConformedObject
-from repro.integration.decision import DecisionCategory
 from repro.integration.relationships import Side
 from repro.integration.workbench import IntegrationResult
 
@@ -61,7 +60,7 @@ class GlobalUpdateValidator:
     """See module docstring.
 
     The constructor turns the integration result into a validation plan:
-    the scope classes of each global constraint, the merged component
+    the global constraints with their classes, the merged component
     constants, and per (side, conformed class) the component's object
     constraints with the attributes each reads off the constrained object.
     :meth:`validate` then costs in proportion to the updated object and its
@@ -76,10 +75,7 @@ class GlobalUpdateValidator:
         self.result = result
         self.view = result.view
         self.conformation = result.conformation
-        self._global_plan = [
-            (constraint, [part.strip() for part in constraint.scope.split("⋈")])
-            for constraint in result.global_constraints
-        ]
+        self._global_constraints = result.global_constraints
         self._constants = {
             **self.conformation.remote.schema.constants,
             **self.conformation.local.schema.constants,
@@ -108,8 +104,10 @@ class GlobalUpdateValidator:
     # -- global level ---------------------------------------------------------------
 
     def _check_global_constraints(self, obj, proposed, verdict) -> None:
-        for constraint, classes in self._global_plan:
-            if not all(cls in obj.classes or self._virtual_member(cls, obj) for cls in classes):
+        for constraint in self._global_constraints:
+            if not all(
+                cls in obj.classes or self._virtual_member(cls, obj) for cls in constraint.classes
+            ):
                 continue
             satisfied = self._evaluate(constraint.formula, proposed)
             if satisfied is False:
@@ -131,18 +129,21 @@ class GlobalUpdateValidator:
         """A component's own constraints must hold on the state it would
         store — the subtransaction its transaction manager will see.
 
-        A changed global value maps back to a component value through the
-        decision function: a trusted side receives it, a conflict-ignored
-        property may land on either side (checked on both), and settling /
-        eliminating functions are not invertible — constraints over such
-        properties cannot be pre-validated from the global state and are
-        skipped (the derived *global* constraints cover them instead).
+        A changed global value maps back to the sides whose property stays
+        objective under the decision function: a trusted side receives it, a
+        conflict-ignored property may land on either side (checked on both).
+        Settling / eliminating functions keep no side objective and are not
+        invertible — constraints over such properties cannot be pre-validated
+        from the global state and are skipped (the derived *global*
+        constraints cover them instead).
         """
         changes = {
             key: value
             for key, value in proposed.items()
             if obj.state.get(key) != value
         }
+        local = obj.component_on(Side.LOCAL)
+        remote = obj.component_on(Side.REMOTE)
         for side, component in obj.components.items():
             checks = self._component_plan.get((side, component.class_name))
             if checks is None:
@@ -152,18 +153,18 @@ class GlobalUpdateValidator:
             for key, value in changes.items():
                 if key not in component.state:
                     continue
-                propeq = self._propeq_for(obj, key)
+                propeq = None
+                if local is not None and remote is not None:
+                    propeq = self.conformation.propeq_between(
+                        local.class_name, remote.class_name, key
+                    )
                 if propeq is None:
                     projected[key] = value
                     continue
-                category = propeq.df.category
-                if category is DecisionCategory.AVOIDING:
-                    trusted = getattr(propeq.df, "trusted", None)
-                    if trusted is side:
-                        projected[key] = value
-                elif category is DecisionCategory.IGNORING:
+                sides = propeq.df.objective_sides()
+                if side in sides:
                     projected[key] = value
-                else:  # settling / eliminating: not invertible
+                elif not sides:  # settling / eliminating: not invertible
                     untranslatable.add(key)
             for constraint, reads in checks:
                 if not reads.isdisjoint(untranslatable):
@@ -181,15 +182,6 @@ class GlobalUpdateValidator:
                             f"{to_source(constraint.formula)}",
                         )
                     )
-
-    def _propeq_for(self, obj, name):
-        local = obj.component_on(Side.LOCAL)
-        remote = obj.component_on(Side.REMOTE)
-        if local is None or remote is None:
-            return None
-        from repro.integration.merging import _conformed_propeq_for
-
-        return _conformed_propeq_for(self.conformation, local, remote, name)
 
     def _component_get_attr(self, obj, name):
         """Read a conformed component state, dereferencing conformed object

@@ -295,28 +295,22 @@ def _validate_states(result: IntegrationResult) -> list[StateViolation]:
     view = result.view
     violations: list[StateViolation] = []
     for constraint in result.derivation.constraints:
-        for class_name in _scope_classes(constraint.scope):
-            if not view.has_class(class_name):
-                break
-        else:
-            extents = [
-                view.extent_oids(name) for name in _scope_classes(constraint.scope)
-            ]
-            members = set.intersection(*(set(e) for e in extents)) if extents else set()
-            for oid in sorted(members):
-                obj = view.get(oid)
-                verdict = view.satisfies(obj, constraint.formula)
-                if verdict is False:
-                    violations.append(
-                        StateViolation(
-                            constraint.scope,
-                            constraint.name,
-                            oid,
-                            f"state {obj.state!r} falsifies "
-                            f"{constraint.describe()}",
-                            core=_state_violation_core(view, constraint, oid),
-                        )
+        if not all(view.has_class(name) for name in constraint.classes):
+            continue
+        members = frozenset.intersection(*map(view.extent_oids, constraint.classes))
+        for oid in sorted(members):
+            obj = view.get(oid)
+            verdict = view.satisfies(obj, constraint.formula)
+            if verdict is False:
+                violations.append(
+                    StateViolation(
+                        constraint.scope,
+                        constraint.name,
+                        oid,
+                        f"state {obj.state!r} falsifies {constraint.describe()}",
+                        core=_state_violation_core(view, constraint, oid),
                     )
+                )
     return violations
 
 
@@ -410,10 +404,6 @@ def _state_violation_core(view: IntegratedView, constraint, oid: str):
         trace=iso_trace,
         constants=iso_trace.constants_read(),
     )
-
-
-def _scope_classes(scope: str) -> list[str]:
-    return [part.strip() for part in scope.split("⋈")]
 
 
 # ---------------------------------------------------------------------------

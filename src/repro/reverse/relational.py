@@ -66,12 +66,6 @@ class Table:
     #: Table-level CHECK bodies in SQL syntax.
     checks: list[str] = field(default_factory=list)
 
-    def column_named(self, name: str) -> Column:
-        for column in self.columns:
-            if column.name == name:
-                return column
-        raise SchemaError(f"table {self.name} has no column {name!r}")
-
     def has_column(self, name: str) -> bool:
         return any(column.name == name for column in self.columns)
 

@@ -327,9 +327,6 @@ class DatabaseSchema:
             yield from class_def.constraints
         yield from self.database_constraints
 
-    def root_classes(self) -> list[str]:
-        return [name for name, cls in self.classes.items() if cls.parent is None]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DatabaseSchema({self.name!r}, {len(self.classes)} classes)"
 

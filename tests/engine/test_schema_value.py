@@ -298,6 +298,51 @@ def test_a_schema_the_stored_objects_do_not_fit_is_refused(flavor, tmp_path):
         store.close()
 
 
+REPARENT_SOURCE = """
+Database Owners
+
+Class Base
+attributes
+  label : string
+end Base
+
+Class Sub isa Base
+attributes
+  rank : int
+end Sub
+
+Class Item
+attributes
+  owner : Base
+end Item
+"""
+
+
+@pytest.mark.parametrize("flavor", ["plain", "sharded", "oracle"])
+def test_a_reparent_that_strands_a_reference_is_refused(flavor, tmp_path):
+    """Making ``Sub`` a root with the same attributes changes no attribute
+    map, yet an ``Item.owner : Base`` pointing at a ``Sub`` would no longer
+    point at a ``Base``: the change is refused before anything is logged."""
+    schema = parse_database(REPARENT_SOURCE)
+    store = _durable_flavors(tmp_path)[flavor](schema)
+    sub = store.insert("Sub", label="s", rank=1)
+    item = store.insert("Item", owner=sub)
+    logged = _logs(store)
+    rooted = schema.copy()
+    rooted.remove_class("Sub")
+    root = rooted.new_class("Sub")
+    for attribute in schema.effective_attributes("Sub").values():
+        root.add_attribute(attribute.name, attribute.tm_type)
+    assert rooted.effective_attributes("Sub") == schema.effective_attributes("Sub")
+    with pytest.raises(EngineError, match=rf"{item.oid} does not fit .*is a Sub, not a Base"):
+        store.change_schema(rooted)
+    assert store.schema is schema
+    assert _logs(store) == logged
+    store.update(item, owner=sub)
+    if flavor != "oracle":
+        store.close()
+
+
 @pytest.mark.parametrize("flavor", ["plain", "sharded", "oracle"])
 def test_a_rebind_checks_no_stored_object(flavor, monkeypatch):
     from repro.engine import objects

@@ -3,7 +3,9 @@ the Figure 2 process of the paper."""
 
 import pytest
 
+from repro.engine.store import ObjectStore
 from repro.fixtures import (
+    bookseller_schema,
     bookseller_store,
     cslibrary_store,
     library_integration_spec,
@@ -15,6 +17,7 @@ from repro.integration.hierarchy import derive_hierarchy
 from repro.integration.matching import match_instances
 from repro.integration.merging import merge_instances
 from repro.integration.relationships import Side
+from repro.types.primitives import ClassRef, SetType
 
 
 @pytest.fixture(scope="module")
@@ -265,26 +268,32 @@ class TestPersonnelMerging:
 
 class TestMergeLookups:
     def test_one_propeq_scan_per_class_pair_and_property(self, library_setup, monkeypatch):
+        """Merging resolves each (local class, remote class, property) once,
+        through the conformation's memoised ``propeq_between``."""
         from collections import Counter
 
-        from repro.integration import merging
+        from repro.integration import conformation as conformation_module
 
         scans = Counter()
-        original = merging._conformed_propeq_for
+        original = conformation_module.first_covering
 
-        def counting(conformation, local, remote, name):
-            scans[(local.class_name, remote.class_name, name)] += 1
-            return original(conformation, local, remote, name)
+        def counting(propeqs, prop, placements, schema_on):
+            scans[(*(class_name for _, class_name in placements), prop)] += 1
+            return original(propeqs, prop, placements, schema_on)
 
-        monkeypatch.setattr(merging, "_conformed_propeq_for", counting)
-        conformation = library_setup["conformation"]
-        view = merge_instances(library_setup["spec"], conformation, library_setup["match"])
+        monkeypatch.setattr(conformation_module, "first_covering", counting)
+        spec = library_setup["spec"]
+        local_store, _ = cslibrary_store()
+        remote_store, _ = bookseller_store()
+        conformation = conform(spec, local_store, remote_store)
+        view = merge_instances(spec, conformation, match_instances(spec, local_store, remote_store))
         merged = view.merged_objects()
         shared = sum(
             len(obj.component_on(Side.LOCAL).state.keys() & obj.component_on(Side.REMOTE).state)
             for obj in merged
         )
         assert scans and max(scans.values()) == 1
+        assert all(len(key) == 3 for key in scans)  # every lookup is a class pair's
         assert sum(scans.values()) < shared
         expected = library_setup["view"]
         assert [(o.oid, o.state, o.value_differences, o.classes) for o in view.objects()] == [
@@ -294,7 +303,12 @@ class TestMergeLookups:
         for obj in merged:
             local, remote = obj.component_on(Side.LOCAL), obj.component_on(Side.REMOTE)
             for key, (local_value, remote_value) in obj.value_differences.items():
-                propeq = original(conformation, local, remote, key)
+                propeq = original(
+                    conformation.propeqs,
+                    key,
+                    ((Side.LOCAL, local.class_name), (Side.REMOTE, remote.class_name)),
+                    lambda side: conformation.on(side).schema,
+                )
                 if propeq is not None:
                     assert obj.state[key] == propeq.df.apply(local_value, remote_value)
 
@@ -341,3 +355,45 @@ class TestReferenceRemap:
         dutch_day = next(obj for obj in view.objects() if obj.state.get("isbn") == "ISBN-003")
         assert dutch_day.state["title"] == spelled
         assert view.get(dutch_day.state["publisher"]).state["name"] == "Kluwer"
+
+
+class TestReferenceSets:
+    def test_a_set_of_references_is_conformed_and_remapped(self):
+        """``partners : P Publisher`` holds component oids: conformation
+        prefixes every element with its side, and merging makes every
+        element a global oid."""
+        schema = bookseller_schema()
+        schema.class_named("Publisher").add_attribute("partners", SetType(ClassRef("Publisher")))
+        remote_store = ObjectStore(schema)
+        with remote_store.transaction():
+            acm = remote_store.insert("Publisher", name="ACM", location="NY", partners=frozenset())
+            ieee = remote_store.insert(
+                "Publisher", name="IEEE", location="NJ", partners=frozenset({acm.oid})
+            )
+            remote_store.update(acm, partners=frozenset({ieee.oid}))
+            remote_store.insert(
+                "Monograph", title="Readings", isbn="ISBN-008", publisher=acm,
+                authors=frozenset({"Stonebraker"}), shopprice=55.0, libprice=50.0,
+                subjects=frozenset({"databases"}),
+            )  # fmt: skip
+            remote_store.insert(
+                "Monograph", title="Transactions", isbn="ISBN-009", publisher=ieee,
+                authors=frozenset({"Gray"}), shopprice=72.0, libprice=66.0,
+                subjects=frozenset({"transactions"}),
+            )  # fmt: skip
+        local_store, _ = cslibrary_store()
+        spec = library_integration_spec(remote=schema)
+        conformation = conform(spec, local_store, remote_store)
+        view = merge_instances(spec, conformation, match_instances(spec, local_store, remote_store))
+
+        publishers = conformation.remote.instances_of("Publisher")
+        assert {len(obj.state["partners"]) for obj in publishers} == {1}
+        for obj in publishers:
+            for oid in obj.state["partners"]:
+                assert oid.startswith("remote:")
+                assert conformation.instances_by_oid[oid].class_name == "Publisher"
+        partnered = [obj for obj in view.objects() if "partners" in obj.state]
+        assert len(partnered) == 2
+        for obj in partnered:
+            (partner,) = obj.state["partners"]
+            assert view.get(partner).state["name"] != obj.state["name"]

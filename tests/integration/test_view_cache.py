@@ -45,7 +45,7 @@ from repro.fixtures import (
 from repro.integration import IntegrationWorkbench
 from repro.integration.conformation import ConformationResult, ConformedObject
 from repro.integration.decision import DecisionCategory
-from repro.integration.merging import GlobalObject, _conformed_propeq_for
+from repro.integration.merging import GlobalObject
 from repro.integration.relationships import Side
 from repro.integration.updates import GlobalUpdateValidator
 from repro.integration.view import IntegratedView
@@ -173,6 +173,23 @@ def _naive_read_attrs(schema, constraint) -> set:
     return set(entry.own_attr_names())
 
 
+def _naive_propeq(conformation, local, remote, name):
+    """The first conformed propeq on ``name`` declared on an ancestor of
+    both components' classes, by a scan of every propeq."""
+    schemas = (conformation.local.schema, conformation.remote.schema)
+    for propeq in conformation.propeqs:
+        if propeq.name != name:
+            continue
+        pairs = ((local.class_name, propeq.local_class), (remote.class_name, propeq.remote_class))
+        if all(
+            schema.has_class(child) and schema.has_class(declared)
+            and schema.is_subclass_of(child, declared)
+            for schema, (child, declared) in zip(schemas, pairs)
+        ):
+            return propeq
+    return None
+
+
 def reference_validate(result, global_oid: str, changes: dict) -> list[tuple]:
     """``(level, constraint, detail)`` of every rejection, in order."""
     view, conformation = result.view, result.conformation
@@ -208,7 +225,7 @@ def reference_validate(result, global_oid: str, changes: dict) -> list[tuple]:
                 continue
             propeq = None
             if local is not None and remote is not None:
-                propeq = _conformed_propeq_for(conformation, local, remote, key)
+                propeq = _naive_propeq(conformation, local, remote, key)
             if propeq is None or propeq.df.category is DecisionCategory.IGNORING:
                 projected[key] = value
             elif propeq.df.category is DecisionCategory.AVOIDING:
