@@ -2,8 +2,8 @@
 
 PR 8 added a static-analysis subsystem over constraint ASTs
 (:mod:`repro.constraints.analysis`): lint, per-constraint satisfiability,
-cross-constraint contradiction/subsumption, and redundancy pruning feeding
-the incremental-enforcement dispatch tables.  This benchmark records its two
+cross-constraint contradiction/subsumption, and redundancy pruning folded
+into the incremental-enforcement check plans.  This benchmark records its two
 performance claims:
 
 * analysis is a **bounded one-time cost** paid at schema registration
@@ -11,8 +11,8 @@ performance claims:
   O(n²) solver calls over n object constraints, but runs once per schema,
   never per commit;
 * steady-state commits are **no slower** with analysis on (the paper-shaped
-  fixture schema has nothing to prune: both stores walk identical dispatch
-  tables), and **≥1.5x faster** where redundancy pruning applies (a ladder
+  fixture schema has nothing to prune: both stores run identical check
+  plans), and **≥1.5x faster** where redundancy pruning applies (a ladder
   of entailed constraints collapses to its strongest member).
 
 ``e20_size`` is the number of object constraints in the synthetic ladder
@@ -102,7 +102,7 @@ def test_e20_registration_cost_is_bounded(benchmark, e20_size):
 
 def test_e20_steady_state_parity_on_fixture_schema(benchmark, e20_size):
     """Nothing prunes on the paper's fixture schema, so analyze-on commits
-    must match the analyze-off baseline (same dispatch tables)."""
+    must match the analyze-off baseline (same check plans)."""
 
     def fresh(analyze: bool) -> ObjectStore:
         schema = cslibrary_schema()

@@ -14,18 +14,24 @@ Three pieces cooperate:
   ``(class, attribute)`` pairs, class extents whose membership matters, and
   references into other classes.  Reads are expanded over the subclass
   closure, because an object of a subclass lives in every ancestor's extent.
+  From the read sets it builds, on first use, one :class:`CheckPlan` per
+  *write shape* — a class (an insert or delete) or a ``(class, attribute)``
+  pair (an update) — and per store scope: the checks such a write can
+  falsify, in evaluation order, with the store's ``constraint_scope`` and
+  (on ``analyze=True`` stores) the analyser's pruning already applied
+  (:meth:`~ConstraintDependencyIndex.checks_for`).  The shard router's
+  fast path asks the same plans.
 
 * :class:`MutationDelta` — the dirty set.  Each ``insert``/``update``/
-  ``delete`` records the touched ``(class, attribute)`` pairs, the extents
-  whose membership changed, and the touched object identifiers (with the
-  attribute names changed per object).  Deltas merge, so a transaction
-  accumulates one delta across all of its operations.
+  ``delete`` records its write shapes and the touched object identifiers
+  (with the attribute names changed per object).  Deltas merge, so a
+  transaction accumulates one delta across all of its operations.
 
 * the delta-driven validators — :func:`check_delta` (fail-fast, used for
   single-operation enforcement) and :func:`delta_violations` (collecting,
-  used at transaction commit) — which intersect the dirty set with the index
-  and check only the affected constraints.  Both render a failed check with
-  the full check's builder, :func:`repro.engine.enforcement.violation`.
+  used at transaction commit) — which walk the union of the delta's plans,
+  sharing one evaluation context per commit.  Both render a failed check
+  with the full check's builder, :func:`repro.engine.enforcement.violation`.
 
 The same delta discipline underpins durability: on a durable store every
 accepted commit writes the net effect of the touched set its delta
@@ -37,11 +43,11 @@ validated, after which checking is delta-driven again).
 
 Correctness argument: assuming the store satisfied all constraints before the
 delta, any newly violated constraint must read something the delta wrote
-(an attribute value or an extent membership), so it is matched by the
-intersection.  Anything the extractor cannot resolve statically (a path
+(an attribute value or an extent membership), so one of the delta's shapes
+plans it.  Anything the extractor cannot resolve statically (a path
 through an unknown attribute, an unknown class) marks the constraint
-*universal* — checked on every delta — so approximation errs on the side of
-checking.  Stores that were already inconsistent (built with
+*universal* — planned for every write shape — so approximation errs on the
+side of checking.  Stores that were already inconsistent (built with
 ``enforce=False``) are outside this contract; use
 :meth:`~repro.engine.store.ObjectStore.check_all` for a full audit.
 """
@@ -86,37 +92,37 @@ if TYPE_CHECKING:  # pragma: no cover
 class MutationDelta:
     """What a batch of mutations touched.
 
-    ``objects`` maps oid → the set of attribute names changed on that object,
-    with ``None`` meaning "all of them" (inserts).  ``record_delete`` drops
-    the oid from its own delta, but merging per-operation deltas into a
-    transaction's accumulated delta can leave oids that were later deleted;
-    validators skip identifiers that no longer resolve.
+    ``shapes`` holds the write shapes seen, each naming one
+    :class:`CheckPlan`: a class name for an insert or a delete of one of
+    its objects, a ``(class, attribute)`` pair for an update of that
+    attribute.  ``objects`` maps oid → the set of attribute names
+    changed on that object, with ``None`` meaning "all of them" (inserts).
+    ``record_delete`` drops the oid from its own delta, but merging
+    per-operation deltas into a transaction's accumulated delta can leave
+    oids that were later deleted; validators skip identifiers that no
+    longer resolve.
     """
 
-    attrs: set[tuple[str, str]] = field(default_factory=set)
-    extents: set[str] = field(default_factory=set)
+    shapes: set[str | tuple[str, str]] = field(default_factory=set)
     objects: dict[str, set[str] | None] = field(default_factory=dict)
 
     def record_insert(self, obj: "DBObject") -> None:
-        self.extents.add(obj.class_name)
-        self.attrs.update((obj.class_name, name) for name in obj.state)
+        self.shapes.add(obj.class_name)
         self.objects[obj.oid] = None
 
     def record_update(self, obj: "DBObject", changed: set[str]) -> None:
-        self.attrs.update((obj.class_name, name) for name in changed)
+        self.shapes.update((obj.class_name, name) for name in changed)
         previous = self.objects.get(obj.oid, set())
         if previous is None:
             return  # inserted in this delta: already "all attributes"
         self.objects[obj.oid] = set(previous) | changed
 
     def record_delete(self, obj: "DBObject") -> None:
-        self.extents.add(obj.class_name)
-        self.attrs.update((obj.class_name, name) for name in obj.state)
+        self.shapes.add(obj.class_name)
         self.objects.pop(obj.oid, None)
 
     def merge(self, other: "MutationDelta") -> None:
-        self.attrs |= other.attrs
-        self.extents |= other.extents
+        self.shapes |= other.shapes
         for oid, changed in other.objects.items():
             if changed is None or self.objects.get(oid, set()) is None:
                 self.objects[oid] = None
@@ -125,8 +131,7 @@ class MutationDelta:
 
     def copy(self) -> "MutationDelta":
         return MutationDelta(
-            attrs=set(self.attrs),
-            extents=set(self.extents),
+            shapes=set(self.shapes),
             objects={
                 oid: (None if changed is None else set(changed))
                 for oid, changed in self.objects.items()
@@ -139,9 +144,10 @@ class MutationDelta:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexedConstraint:
-    """One constraint plus the statically extracted read set."""
+    """One constraint plus the statically extracted read set.  An index
+    builds one entry per constraint, so entries compare by identity."""
 
     constraint: Constraint
     #: The owner class and its subclasses (empty for database constraints).
@@ -190,18 +196,35 @@ class IndexedConstraint:
             return self.run(ctx)
         return evaluate(self.constraint.formula, ctx)
 
-    def foreign_attrs(self) -> frozenset[tuple[str, str]]:
-        return self.foreign
-
     def own_attr_names(self) -> frozenset[str]:
         """Attribute names read directly off the constrained object."""
         return frozenset(attr for _cls, attr in self.own)
 
-    def affected_by(self, delta: MutationDelta) -> bool:
-        return (
-            self.universal
-            or bool(self.attrs & delta.attrs)
-            or bool(self.extents & delta.extents)
+
+@dataclass(frozen=True)
+class CheckPlan:
+    """The checks a write of one shape can falsify, in evaluation order.
+
+    A check is planned when it is universal or its read set meets what the
+    shape writes: an insert or delete writes its class's extent and every
+    attribute, an update one attribute.  ``own`` are the object checks on
+    the touched object (its class's effective object constraints, all of
+    them for an insert); ``extents`` the object constraints whose owner
+    extents are re-checked, because the write meets a read outside the
+    constrained object (``foreign`` or ``extents``); ``classes`` and
+    ``database`` the class and database checks.
+    """
+
+    own: tuple[IndexedConstraint, ...] = ()
+    extents: tuple[IndexedConstraint, ...] = ()
+    classes: tuple[IndexedConstraint, ...] = ()
+    database: tuple[IndexedConstraint, ...] = ()
+
+    def constraints(self) -> frozenset[Constraint]:
+        """Every constraint the plan checks."""
+        return frozenset(
+            entry.constraint
+            for entry in chain(self.own, self.extents, self.classes, self.database)
         )
 
 
@@ -371,32 +394,12 @@ class ConstraintDependencyIndex:
                 self.class_constraints.append(entry)
             else:
                 self.database_constraints.append(entry)
-        # Martinenghi-style update-pattern dispatch: specialize the object
-        # constraints per mutation pattern at index-build time.  An insert
-        # into class C must check every effective object constraint of C; an
-        # update of attribute a on a C object must check exactly those whose
-        # read set contains (C, a) (plus universal ones).  Precomputing both
-        # replaces the per-mutation dirty-set ∩ read-set walk with a direct
-        # table lookup.  The tables are semantics-preserving (they encode the
-        # same relevance test the walk performed), so they serve every store.
-        self.insert_checks: dict[str, tuple[IndexedConstraint, ...]] = {}
-        self.update_checks: dict[tuple[str, str], tuple[IndexedConstraint, ...]] = {}
-        for class_name in schema.classes:
-            effective: list[IndexedConstraint] = []
-            for constraint in schema.effective_object_constraints(class_name):
-                entry = self._by_constraint.get(constraint)
-                if entry is not None:
-                    effective.append(entry)
-            self.insert_checks[class_name] = tuple(effective)
-            for attr in schema.effective_attributes(class_name):
-                self.update_checks[(class_name, attr)] = tuple(
-                    e
-                    for e in effective
-                    if e.universal or (class_name, attr) in e.attrs
-                )
         #: Lazily computed set of safely prunable constraints (analysis
         #: pass 4); ``None`` until a store with ``analyze=True`` asks.
         self._pruned: frozenset[Constraint] | None = None
+        #: ``(shape, scope, analyze)`` → :class:`CheckPlan`, built on first
+        #: use (:meth:`checks_for`).
+        self._plans: dict[tuple, CheckPlan] = {}
 
     def _analyze(self, constraint: Constraint) -> IndexedConstraint:
         schema = self._schema
@@ -429,28 +432,73 @@ class ConstraintDependencyIndex:
     def entry(self, constraint: Constraint) -> IndexedConstraint | None:
         return self._by_constraint.get(constraint)
 
-    def checks_for(
-        self, class_name: str, changed: set[str] | None
-    ) -> tuple[IndexedConstraint, ...] | None:
-        """The object-constraint checks one touched object needs, from the
-        update-pattern dispatch tables.
+    def checks_for(self, shape, store=None) -> CheckPlan:
+        """The :class:`CheckPlan` of one write shape (see
+        :class:`MutationDelta`) under ``store``'s ``constraint_scope`` and,
+        on an ``analyze=True`` store, without the analyser's pruned object
+        constraints; ``store=None`` gives the unscoped, unpruned plan.
+        Built on first use: relevance is decided once per schema value, not
+        per write."""
+        key = (
+            (shape, None, False)
+            if store is None
+            else (shape, store.constraint_scope, store.analyze)
+        )
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._plan(*key)
+        return plan
 
-        ``changed`` follows the :class:`MutationDelta` convention: ``None``
-        means "all attributes" (inserts).  Returns ``None`` when the class is
-        unknown to the tables (the caller falls back to the generic walk).
-        """
-        if changed is None:
-            return self.insert_checks.get(class_name)
-        if len(changed) == 1:
-            return self.update_checks.get((class_name, next(iter(changed))))
-        effective = self.insert_checks.get(class_name)
-        if effective is None:
-            return None
-        return tuple(
-            e
-            for e in effective
-            if e.universal
-            or any((class_name, attr) in e.attrs for attr in changed)
+    def _plan(
+        self, shape, scope: "frozenset[Constraint] | None", analyze: bool
+    ) -> CheckPlan:
+        """The plan of one shape, by :class:`CheckPlan`'s rule."""
+        schema = self._schema
+        whole = isinstance(shape, str)
+        if whole:
+            class_name, extents = shape, {shape}
+            attrs = {(shape, attr) for attr in schema.effective_attributes(shape)}
+        else:
+            class_name, extents, attrs = shape[0], set(), {shape}
+        # The pruned set holds object constraints only.
+        pruned = self.pruned_constraints() if analyze else frozenset()
+
+        def kept(entry: IndexedConstraint) -> bool:
+            constraint = entry.constraint
+            return (scope is None or constraint in scope) and constraint not in pruned
+
+        def reads(entry: IndexedConstraint, read: frozenset) -> bool:
+            return (
+                entry.universal
+                or not read.isdisjoint(attrs)
+                or not entry.extents.isdisjoint(extents)
+            )
+
+        effective = (
+            self._by_constraint[constraint]
+            for constraint in schema.effective_object_constraints(class_name)
+        )
+        return CheckPlan(
+            own=tuple(
+                entry
+                for entry in effective
+                if kept(entry) and (whole or reads(entry, entry.attrs))
+            ),
+            extents=tuple(
+                entry
+                for entry in self.object_constraints
+                if entry.owner_extent and kept(entry) and reads(entry, entry.foreign)
+            ),
+            classes=tuple(
+                entry
+                for entry in self.class_constraints
+                if kept(entry) and reads(entry, entry.attrs)
+            ),
+            database=tuple(
+                entry
+                for entry in self.database_constraints
+                if kept(entry) and reads(entry, entry.attrs)
+            ),
         )
 
     def pruned_constraints(self) -> frozenset[Constraint]:
@@ -499,126 +547,94 @@ class ConstraintDependencyIndex:
 # ---------------------------------------------------------------------------
 
 
-def _affected_object_checks(
-    store: "ObjectStore",
-    delta: MutationDelta,
-    index: ConstraintDependencyIndex,
-    pruned: frozenset[Constraint] = frozenset(),
-) -> Iterator[tuple[IndexedConstraint, "DBObject", None]]:
-    """(constraint, object, ``None``) checks that must be re-run, deduplicated.
+def _union(reference: tuple, parts) -> tuple:
+    """The entries of ``reference`` that are in any of ``parts``, in
+    ``reference``'s order."""
+    chosen = set().union(*parts)
+    return tuple(entry for entry in reference if entry in chosen)
 
-    Touched objects come first (in mutation order, each against its effective
-    constraints in the same order single-operation enforcement uses, selected
-    by the index's per-mutation-pattern dispatch tables); then full-extent
-    re-checks for constraints that read *other* classes through references —
-    a change to a referenced object can invalidate the constraint on any
-    referrer.
 
-    ``pruned`` (analysis pass 4, ``analyze=True`` stores only) names object
-    constraints whose rejections are guaranteed to be duplicated by a keeper
-    constraint in this same pass; they are skipped.
-    """
+def _checks(
+    store: "ObjectStore", delta: MutationDelta
+) -> Iterator[tuple[IndexedConstraint, "DBObject | None", str | None]]:
+    """The ``(entry, object, owner)`` checks of ``delta``'s plans, in
+    evaluation order: object checks on each touched object (in mutation
+    order), owner-extent re-checks (each ``(constraint, object)`` pair
+    once), then class checks and database checks.
+
+    A multi-shape delta runs the union of its shapes' plans; so does a
+    touched object updated on several attributes.  A write that changed
+    nothing has no shape and runs no check."""
+    index = store.dependency_index()
+    plans: dict = {}
+
+    def plan(shape) -> CheckPlan:
+        found = plans.get(shape)
+        if found is None:
+            found = plans[shape] = index.checks_for(shape, store)
+        return found
+
     seen: set[tuple[int, str]] = set()
-    schema = store.schema
-    # A shard core enforces only the constraints its router scoped to it
-    # (``None`` = everything, the plain-store default); cross-shard
-    # constraints are the router's to check against the merged view.
-    scope = getattr(store, "constraint_scope", None)
     for oid, changed in delta.objects.items():
         if oid not in store:
             continue  # deleted later in the same delta, or rolled back
         obj = store.get(oid)
-        entries = index.checks_for(obj.class_name, changed)
-        if entries is None:
-            # The class is unknown to the dispatch tables (added behind the
-            # index's back); fall back to the generic relevance walk.
-            entries = tuple(
-                entry
-                for constraint in schema.effective_object_constraints(
-                    obj.class_name
-                )
-                if (entry := index.entry(constraint)) is not None
-                and (
-                    entry.universal
-                    or changed is None
-                    or any(
-                        (obj.class_name, attr) in entry.attrs
-                        for attr in changed
-                    )
-                )
+        class_name = obj.class_name
+        if changed is None:
+            own = plan(class_name).own
+        elif len(changed) == 1:
+            own = plan((class_name, next(iter(changed)))).own
+        else:
+            own = _union(
+                plan(class_name).own,
+                [plan((class_name, attr)).own for attr in changed],
             )
-        for entry in entries:
-            if pruned and entry.constraint in pruned:
-                continue
-            if scope is not None and entry.constraint not in scope:
-                continue
-            key = (id(entry.constraint), oid)
-            if key not in seen:
-                seen.add(key)
-                yield entry, obj, None
-    for entry in index.object_constraints:
-        if pruned and entry.constraint in pruned:
-            continue
-        if scope is not None and entry.constraint not in scope:
-            continue
-        # Full-extent re-check when the delta touched something the
-        # constraint reads *outside* the constrained object itself: a
-        # referenced object's attributes, or the membership of an extent the
-        # formula quantifies/aggregates over.
-        triggered = (
-            entry.universal
-            or bool(entry.foreign & delta.attrs)
-            or bool(entry.extents & delta.extents)
+        for entry in own:
+            seen.add((id(entry), oid))
+            yield entry, obj, None
+    shaped = [plan(shape) for shape in delta.shapes]
+    if len(shaped) == 1:
+        (whole,) = shaped
+    else:
+        whole = CheckPlan(
+            extents=_union(index.object_constraints, [p.extents for p in shaped]),
+            classes=_union(index.class_constraints, [p.classes for p in shaped]),
+            database=_union(
+                index.database_constraints, [p.database for p in shaped]
+            ),
         )
-        if not triggered or not entry.owner_extent:
-            continue
-        owner = entry.constraint.owner
-        if owner is None or not schema.has_class(owner):
-            continue
-        for obj in store.extent(owner):
-            key = (id(entry.constraint), obj.oid)
+    for entry in whole.extents:
+        for obj in store.extent(entry.constraint.owner):
+            key = (id(entry), obj.oid)
             if key not in seen:
                 seen.add(key)
                 yield entry, obj, None
+    for entry in whole.classes:
+        yield entry, None, entry.constraint.owner
+    for entry in whole.database:
+        yield entry, None, None
 
 
 def _violations(store: "ObjectStore", delta: MutationDelta) -> Iterator[Violation]:
     """The check-stage walk shared by :func:`check_delta` and
-    :func:`delta_violations`: object constraints, then class constraints,
-    then database constraints, each filtered by the store's
-    ``constraint_scope`` (and, on ``analyze=True`` stores, the analyser's
-    pruned set) and by the delta's relevance.
+    :func:`delta_violations`: every check of the delta's plans
+    (:func:`_checks`), lazily yielding one
+    :func:`~repro.engine.enforcement.violation` per failing check, so a
+    fail-fast caller evaluates nothing past its first failure.
 
-    Lazily yields one :func:`~repro.engine.enforcement.violation` per
-    failing check, so a fail-fast caller evaluates nothing past its first
-    failure.  One ``chain`` of ``(entry, current, owner)`` triples adds no
-    generator layer per check to the accept path; the class and database
-    filters are list comprehensions — they select, evaluation stays lazy.
-    """
-    index = store.dependency_index()
-    pruned = (
-        index.pruned_constraints()
-        if getattr(store, "analyze", False)
-        else frozenset()
-    )
-    scope = getattr(store, "constraint_scope", None)
-    checks = chain(
-        _affected_object_checks(store, delta, index, pruned),
-        [
-            (entry, None, entry.constraint.owner)
-            for entry in index.class_constraints
-            if (scope is None or entry.constraint in scope)
-            and entry.affected_by(delta)
-        ],
-        [
-            (entry, None, None)
-            for entry in index.database_constraints
-            if (scope is None or entry.constraint in scope)
-            and entry.affected_by(delta)
-        ],
-    )
-    for entry, current, owner in checks:
-        ctx = store.eval_context(current=current, self_extent_class=owner)
+    No evaluation changes the store, so the walk shares one evaluation
+    context, with ``current`` rebound per object, and one per class-check
+    owner, as the full check does."""
+    shared = store.eval_context()
+    owners: dict[str, Any] = {}
+    for entry, current, owner in _checks(store, delta):
+        if owner is None:
+            shared.current = current
+            ctx = shared
+        else:
+            ctx = owners.get(owner)
+            if ctx is None:
+                ctx = owners[owner] = store.eval_context(self_extent_class=owner)
         try:
             if entry.evaluate_with(ctx):
                 continue

@@ -462,11 +462,10 @@ class ShardedStore(_StoreSurface):
         #: The schema value of the last clean full validation of the
         #: *merged* store; mirrors the plain store's validated baseline.
         self._validated_schema: DatabaseSchema | None = None
-        #: class → every affected constraint is local to the class's home
-        #: core(s); insert/delete may skip the router.
-        self._class_fast: dict[str, bool] = {}
-        #: (class, attr) → ditto for single-attribute updates.
-        self._attr_fast: dict[tuple[str, str], bool] = {}
+        #: Write shape → every constraint its plan checks is local to the
+        #: class's home core(s): an insert or delete (class), or an update
+        #: of each attribute ((class, attr)), may skip the router.
+        self._fast: dict = {}
         #: Operation counters (observability; the stress harness reports
         #: them alongside per-shard group-commit stats).
         self.fast_path_ops = 0
@@ -477,7 +476,7 @@ class ShardedStore(_StoreSurface):
     # -- routing -------------------------------------------------------------
 
     def _rebuild_routing(self) -> None:
-        """(Re)derive constraint scopes and fast-path tables from the
+        """(Re)derive constraint scopes and the fast-path table from the
         current schema.  Called from ``__init__`` before the store is
         shared, and by :meth:`change_schema` on a quiesced store."""
         from repro.engine.incremental import classify_constraints, shard_scopes
@@ -486,21 +485,15 @@ class ShardedStore(_StoreSurface):
             self.schema, self.shards, self.spread, existing=self.placement
         )
         index = self.dependency_index()
-        plans = classify_constraints(index, self.placement, self.spread)
-        scopes = shard_scopes(plans, self.shards)
+        tiers = classify_constraints(index, self.placement, self.spread)
+        scopes = shard_scopes(tiers, self.shards)
         total = len(index._by_constraint)
         for core, scope in zip(self.cores, scopes):
             # A scope covering every constraint filters nothing: drop it so
             # the core's hot path pays no membership tests (always the case
             # at shards=1).
             core.constraint_scope = None if len(scope) == total else scope
-        entries = (
-            *index.object_constraints,
-            *index.class_constraints,
-            *index.database_constraints,
-        )
-        class_fast: dict[str, bool] = {}
-        attr_fast: dict[tuple[str, str], bool] = {}
+        fast: dict = {}
         for class_name in self.schema.classes:
             if class_name in self.spread:
                 # A spread object may land on any core, so every affected
@@ -510,29 +503,10 @@ class ShardedStore(_StoreSurface):
                 )
             else:
                 allowed = scopes[self.placement.get(class_name, 0)]
-            # Constraints any insert/delete of this class can affect: its
-            # own effective object constraints, plus everything reading the
-            # class's extent or attributes from outside (foreign reads,
-            # aggregates, referential quantifiers), plus universal ones.
-            touched = {
-                entry.constraint
-                for entry in entries
-                if entry.universal
-                or class_name in entry.extents
-                or any(cls == class_name for cls, _attr in entry.attrs)
-            }
-            for entry in index.insert_checks.get(class_name, ()):
-                touched.add(entry.constraint)
-            class_fast[class_name] = touched <= allowed
-            for attr in self.schema.effective_attributes(class_name):
-                affected = {
-                    entry.constraint
-                    for entry in entries
-                    if entry.universal or (class_name, attr) in entry.attrs
-                }
-                attr_fast[(class_name, attr)] = affected <= allowed
-        self._class_fast = class_fast
-        self._attr_fast = attr_fast
+            attrs = self.schema.effective_attributes(class_name)
+            for shape in (class_name, *((class_name, attr) for attr in attrs)):
+                fast[shape] = index.checks_for(shape).constraints() <= allowed
+        self._fast = fast
 
     def _fast_ready(self) -> bool:
         """Whether the fast path may run: the merged store holds a clean
@@ -641,7 +615,7 @@ class ShardedStore(_StoreSurface):
         core = self._core_for_insert(class_name)
         return self._dispatch(
             core,
-            lambda: self._class_fast.get(class_name, False),
+            lambda: self._fast.get(class_name, False),
             core._insert_locked,
             class_name,
             state,
@@ -654,9 +628,7 @@ class ShardedStore(_StoreSurface):
 
         def fast() -> bool:
             class_name = core.get(oid).class_name
-            return all(
-                self._attr_fast.get((class_name, attr), False) for attr in changes
-            )
+            return all(self._fast.get((class_name, attr), False) for attr in changes)
 
         return self._dispatch(core, fast, core._update_locked, target, changes)
 
@@ -665,7 +637,7 @@ class ShardedStore(_StoreSurface):
         core = self._locate(oid)
         return self._dispatch(
             core,
-            lambda: self._class_fast.get(core.get(oid).class_name, False),
+            lambda: self._fast.get(core.get(oid).class_name, False),
             core._delete_locked,
             target,
         )

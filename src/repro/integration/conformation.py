@@ -325,16 +325,19 @@ def _hide_objects(
     assert hidden_class and object_attribute
     hidden_def = schema.class_named(hidden_class)
     surviving_type = schema.attribute_type(hidden_class, object_attribute)
-    # Re-type every reference to the hidden class as the surviving value type.
+    # Re-type every reference to the hidden class as the surviving value
+    # type, and every set of such references as a set of those values.
     casting_classes: list[tuple[str, str]] = []
     for class_def in schema.classes.values():
         for attribute in list(class_def.attributes.values()):
-            if (
-                isinstance(attribute.tm_type, ClassRef)
-                and attribute.tm_type.class_name == hidden_class
-            ):
+            tm_type = attribute.tm_type
+            if tm_type == ClassRef(hidden_class):
                 class_def.set_attribute(attribute.name, surviving_type)
-                casting_classes.append((class_def.name, attribute.name))
+            elif tm_type == SetType(ClassRef(hidden_class)):
+                class_def.set_attribute(attribute.name, SetType(surviving_type))
+            else:
+                continue
+            casting_classes.append((class_def.name, attribute.name))
     schema.remove_class(hidden_class)
     for casting_class, value_attribute in casting_classes:
         conformed.hidings.append(
@@ -529,8 +532,12 @@ def _conform_instances(conformed: ConformedDatabase, store: ObjectStore) -> None
                 state[new_name] = virtual_cache[key]
                 continue
             if hiding is not None:
-                target = store.get(value)
-                state[new_name] = target.state[hiding.object_attribute]
+                cast = hiding.object_attribute
+                state[new_name] = (
+                    frozenset(store.get(oid).state[cast] for oid in value)
+                    if reference_set
+                    else store.get(value).state[cast]
+                )
                 continue
             if reference and isinstance(value, str):
                 state[new_name] = f"{prefix}:{value}"

@@ -1,5 +1,5 @@
 """The ``analyze=`` store flag: registration-time rejection and the proof
-that redundancy pruning plus the update-pattern dispatch tables never change
+that redundancy pruning plus the per-write-shape check plans never change
 an enforcement verdict.
 
 The equivalence property is the acceptance bar of the static-analysis
@@ -17,7 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constraints.analysis import prunable_constraints
-from repro.engine.incremental import ConstraintDependencyIndex
+from repro.engine.incremental import (
+    CheckPlan,
+    ConstraintDependencyIndex,
+    MutationDelta,
+    _checks,
+)
 from repro.engine.store import ObjectStore
 from repro.errors import ConstraintViolation, SchemaError
 from repro.tm.parser import parse_database
@@ -87,33 +92,36 @@ class TestAnalyzeRegistration:
 
 
 class TestDispatchTables:
+    """The check plans of ``Widget``'s write shapes: an insert plans every
+    effective object constraint, an update only the attribute's readers,
+    and an ``analyze=True`` store's plans leave the pruned one out."""
+
     def test_single_attribute_update_narrows_the_checks(self):
         schema = parse_database(_REDUNDANT)
         index = ConstraintDependencyIndex(schema)
-        insert_names = [
-            e.constraint.name for e in index.checks_for("Widget", None)
-        ]
+        insert_names = [e.constraint.name for e in index.checks_for("Widget").own]
         assert insert_names == ["oc1", "oc2", "oc3"]
         size_names = [
-            e.constraint.name for e in index.checks_for("Widget", {"size"})
+            e.constraint.name for e in index.checks_for(("Widget", "size")).own
         ]
         assert size_names == ["oc1", "oc2", "oc3"]
-        # No constraint reads label: the update table is empty for it.
-        assert index.checks_for("Widget", {"label"}) == ()
+        # No constraint reads label: its plan is empty.
+        assert index.checks_for(("Widget", "label")) == CheckPlan()
 
     def test_multi_attribute_update_unions_the_patterns(self):
-        schema = parse_database(_REDUNDANT)
-        index = ConstraintDependencyIndex(schema)
-        names = [
-            e.constraint.name
-            for e in index.checks_for("Widget", {"size", "label"})
-        ]
+        store = ObjectStore(parse_database(_REDUNDANT))
+        widget = store.insert("Widget", size=5, label="a")
+        delta = MutationDelta()
+        delta.record_update(widget, {"size", "label"})
+        names = [entry.constraint.name for entry, _obj, _owner in _checks(store, delta)]
         assert names == ["oc1", "oc2", "oc3"]
 
-    def test_unknown_class_falls_back_to_generic_walk(self):
-        schema = parse_database(_REDUNDANT)
-        index = ConstraintDependencyIndex(schema)
-        assert index.checks_for("Gadget", None) is None
+    def test_an_analyze_store_plans_without_the_pruned_constraint(self):
+        store = ObjectStore(parse_database(_REDUNDANT), analyze=True)
+        index = store.dependency_index()
+        names = [e.constraint.name for e in index.checks_for("Widget", store).own]
+        assert names == ["oc1", "oc3"]
+        assert index.checks_for("Widget", store) is index.checks_for("Widget", store)
 
     def test_pruned_constraints_cached_on_the_index(self):
         schema = parse_database(_REDUNDANT)

@@ -44,7 +44,7 @@ class TestDependencyIndex:
         oc1 = _entry(index, "Proceedings.oc1")  # publisher.name = 'IEEE' ...
         assert ("Proceedings", "publisher") in oc1.attrs
         assert ("Publisher", "name") in oc1.attrs
-        assert ("Publisher", "name") in oc1.foreign_attrs()
+        assert ("Publisher", "name") in oc1.foreign
         assert "publisher" in oc1.own_attr_names()
         assert "name" not in oc1.own_attr_names()
 
@@ -79,34 +79,40 @@ class TestDependencyIndex:
 
 
 class TestDeltaMatching:
+    """A write shape's check plan selects the constraints whose read set
+    meets what the write dirties."""
+
     def test_untouched_constraints_not_selected(self):
-        schema = cslibrary_schema()
-        index = ConstraintDependencyIndex(schema)
-        delta = MutationDelta(attrs={("Publication", "title")})
+        index = ConstraintDependencyIndex(cslibrary_schema())
+        plan = index.checks_for(("Publication", "title"))
         cc2 = _entry(index, "Publication.cc2")
         cc1 = _entry(index, "Publication.cc1")
-        assert not cc2.affected_by(delta)
-        assert not cc1.affected_by(delta)
+        assert cc2 not in plan.classes
+        assert cc1 not in plan.classes
 
     def test_attribute_touch_selects_reader(self):
         index = ConstraintDependencyIndex(cslibrary_schema())
-        delta = MutationDelta(attrs={("RefereedPubl", "ourprice")})
-        assert _entry(index, "Publication.cc2").affected_by(delta)
+        plan = index.checks_for(("RefereedPubl", "ourprice"))
+        assert _entry(index, "Publication.cc2") in plan.classes
 
     def test_extent_touch_selects_membership_readers(self):
         index = ConstraintDependencyIndex(bookseller_schema())
-        delta = MutationDelta(extents={"Publisher"})
-        assert _entry(index, "db1").affected_by(delta)
+        assert _entry(index, "db1") in index.checks_for("Publisher").database
+
+    def test_foreign_touch_rechecks_the_referrers_extent(self):
+        index = ConstraintDependencyIndex(bookseller_schema())
+        plan = index.checks_for(("Publisher", "name"))
+        assert _entry(index, "Proceedings.oc1") in plan.extents
+        assert plan.own == ()
 
     def test_merge_accumulates_and_insert_dominates(self):
         a = MutationDelta()
-        b = MutationDelta(
-            attrs={("C", "x")}, extents={"C"}, objects={"C#1": {"x"}}
-        )
+        b = MutationDelta(shapes={("C", "x")}, objects={"C#1": {"x"}})
+        a.shapes.add("C")
         a.objects["C#1"] = None  # inserted here: all attributes dirty
         a.merge(b)
         assert a.objects["C#1"] is None
-        assert ("C", "x") in a.attrs and "C" in a.extents
+        assert a.shapes == {"C", ("C", "x")}
 
 
 class TestForeignReferenceEnforcement:

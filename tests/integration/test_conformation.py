@@ -12,6 +12,7 @@ import pytest
 from repro.constraints import parse_expression, to_source
 from repro.engine import ObjectStore
 from repro.fixtures import (
+    bookseller_schema,
     bookseller_store,
     cslibrary_store,
     library_integration_spec,
@@ -19,8 +20,10 @@ from repro.fixtures import (
     personnel_stores,
 )
 from repro.integration.conformation import conform
+from repro.integration.matching import match_instances
+from repro.integration.merging import merge_instances
 from repro.integration.relationships import Side
-from repro.types import STRING, ClassRef, EnumType
+from repro.types import STRING, ClassRef, EnumType, SetType
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +244,47 @@ class TestValueView:
             "Bookseller.Proceedings.oc1"
         ]
         assert oc1.formula == parse_expression("publisher = 'IEEE' implies ref? = true")
+
+    def test_a_set_of_references_to_the_hidden_class_becomes_a_set_of_values(self):
+        """``sellers : P Publisher`` is cast element by element, as the scalar
+        ``publisher`` is: its type becomes ``P string`` and each element the
+        publisher's name, so the merged view names no hidden object."""
+        schema = bookseller_schema()
+        schema.class_named("Item").add_attribute("sellers", SetType(ClassRef("Publisher")))
+        remote_store = ObjectStore(schema)
+        with remote_store.transaction():
+            acm = remote_store.insert("Publisher", name="ACM", location="NY")
+            ieee = remote_store.insert("Publisher", name="IEEE", location="NJ")
+            remote_store.insert(
+                "Monograph", title="Readings", isbn="ISBN-008", publisher=acm,
+                authors=frozenset({"Stonebraker"}), shopprice=55.0, libprice=50.0,
+                subjects=frozenset({"databases"}), sellers=frozenset({acm.oid, ieee.oid}),
+            )  # fmt: skip
+            remote_store.insert(
+                "Monograph", title="Transactions", isbn="ISBN-009", publisher=ieee,
+                authors=frozenset({"Gray"}), shopprice=72.0, libprice=66.0,
+                subjects=frozenset({"transactions"}), sellers=frozenset({ieee.oid}),
+            )  # fmt: skip
+        local_store, _ = cslibrary_store()
+        spec = library_integration_spec(remote=schema)
+        conformation = conform(spec, local_store, remote_store, descriptivity_view="value")
+
+        remote = conformation.remote
+        assert remote.schema.attribute_type("Item", "sellers") == SetType(STRING)
+        sellers = {
+            obj.state["title"]: obj.state["sellers"] for obj in remote.instances_of("Monograph")
+        }
+        assert sellers == {
+            "Readings": frozenset({"ACM", "IEEE"}),
+            "Transactions": frozenset({"IEEE"}),
+        }
+        view = merge_instances(spec, conformation, match_instances(spec, local_store, remote_store))
+        merged = {
+            obj.state["title"]: obj.state["sellers"]
+            for obj in view.objects()
+            if "sellers" in obj.state
+        }
+        assert merged == sellers
 
 
 class TestPersonnelConformation:
