@@ -11,9 +11,10 @@ scrubber.  This benchmark holds the bargain the shim makes:
   branch plus an empty-dict truthiness check; anything measurably slower
   than that fails the build.
 * ``fsck throughput`` — the scrubber's full three passes (CRC frame scan,
-  snapshot digest verification, replay certification) over a populated
-  directory; the numbers record objects/s so scrub cost stays visible
-  across PRs.
+  the snapshot's SHA-256 over exactly its body bytes, checked against its
+  header before the body is parsed once, and replay certification) over a
+  populated directory; the numbers record objects/s so scrub cost stays
+  visible across PRs.
 
 Store sizes 10³–10⁴ (10³ with ``--quick``).  Results land in
 ``BENCH_e19_faults.json`` via the shared harness (see ``conftest.py``).

@@ -100,7 +100,7 @@ def all_violations(store: "ObjectStore") -> list[Violation]:
     router and the oracle report one order whatever order their object
     tables keep."""
     schema = store.schema
-    scope = getattr(store, "constraint_scope", None)
+    scope = store.constraint_scope
     checks = chain(
         _object_checks(schema, store.objects()),
         (

@@ -39,6 +39,9 @@ class Oracle:
     ``enforce=False`` accepts every type-valid operation, like an
     unenforced store; :meth:`audit` still reports the violations."""
 
+    #: The oracle checks every constraint: it is never a scoped shard core.
+    constraint_scope = None
+
     def __init__(self, schema: DatabaseSchema, enforce: bool = True):
         self.schema = schema.freeze()
         self.enforce = enforce

@@ -9,7 +9,9 @@ a directory holding two files:
 * ``snapshot.json`` — a full image of the store at some checkpoint: the TM
   schema (as re-parseable surface syntax), the oid counter, every live
   object, and ``next_lsn``, the log sequence number the snapshot is current
-  up to.  Written atomically (temp file + fsync + rename).
+  up to.  One header line, ``repro-snapshot <format> sha256=<hex>``, then
+  the JSON body, rendered once; the hex digest is of exactly the body
+  bytes.  Written atomically (temp file + fsync + rename).
 
 * ``wal.jsonl`` — the write-ahead log: one CRC-framed JSON record per line,
   appended at the log stage of every accepted commit.  Record kinds::
@@ -62,17 +64,17 @@ the value, so memory never runs ahead of the log.  Recovery replays the
 last ``schema`` record's source in place of the snapshot's.  The store
 refuses schema changes inside a transaction, so a schema record never
 falls between a transaction's operations and its commit.
-``SNAPSHOT_FORMAT`` 3 marks directories written since format 2's separate
-constant-rebind record kind was retired: this reader would skip such a
-record as an unknown kind and silently lose the rebind, so format-2
-directories are refused.
+Format 2 logged constant rebinds as their own record kind, which this
+reader would skip as unknown and silently lose, so format-2 directories
+are refused; format 3 hashed a second, canonical rendering of its payload
+and accepted a payload with no digest at all, so format-3 directories are
+refused too.
 
-The snapshot additionally stores a stable digest of its schema surface
-(``schema_digest``).  When the replayed tail moves the schema past that
-digest, recovery flags ``schema_drift`` — ``repro recover`` warns (and
-exits non-zero under ``--strict``) that the snapshot no longer describes
-the schema the store actually runs, until a fresh checkpoint folds the
-change in.
+When a replayed ``schema`` record's source differs from the snapshot's
+``schema`` source, recovery flags ``schema_drift`` — ``repro recover``
+warns (and exits non-zero under ``--strict``) that the snapshot no longer
+describes the schema the store actually runs, until a fresh checkpoint
+folds the change in.
 
 Redo-only commits
 -----------------
@@ -147,8 +149,9 @@ transient errno classes (``EINTR``/``EAGAIN``), with unsupported-class
 errors (directory fsync on filesystems where it is advisory) counted in
 ``telemetry`` instead of silently swallowed.
 
-On the read side every snapshot payload carries a whole-file digest that
-:func:`load_image` verifies, the previous checkpoint snapshot is retained
+On the read side :func:`load_image` checks a snapshot's header, then
+hashes its body bytes against the header's digest, and only then parses
+the body (once); the previous checkpoint snapshot is retained
 as ``snapshot.prev.json`` with automatic fallback when the newest is
 damaged (an LSN-contiguity check then truncates any log tail the older
 base cannot replay onto, so fallback recovery still yields exactly a
@@ -193,7 +196,9 @@ SNAPSHOT_PREV_NAME = "snapshot.prev.json"
 LOG_NAME = "wal.jsonl"
 #: Name of the shard-layout manifest inside a sharded store root.
 MANIFEST_NAME = "shards.json"
-SNAPSHOT_FORMAT = 3
+SNAPSHOT_FORMAT = 4
+#: First word of a snapshot file's header line.
+_SNAPSHOT_MAGIC = b"repro-snapshot"
 
 #: Bounded-retry policy for the call sites where retry is *sound*
 #: (directory fsync, rename): attempts and the base backoff that doubles
@@ -205,11 +210,6 @@ _RETRY_BACKOFF = 0.001
 #: The short wait a group-commit fsync leader adds while the system is
 #: under concurrent commit load (see :meth:`WriteAheadLog.wait_durable`).
 _GROUP_WINDOW = 0.001
-
-
-def schema_digest(schema_source: str) -> str:
-    """A stable (cross-process) digest of a re-printed schema source."""
-    return hashlib.sha256(schema_source.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +389,6 @@ def _replace_with_retry(
             raise
 
 
-def snapshot_payload_digest(payload: Mapping[str, Any]) -> str:
-    """The whole-file integrity digest of a snapshot payload: SHA-256 over
-    the canonical JSON rendering of everything except the ``digest`` key
-    itself.  Catches silent corruption (bit rot, partial overwrites) that
-    still parses as JSON — which the format check alone would accept."""
-    body = {key: value for key, value in payload.items() if key != "digest"}
-    canonical = json.dumps(body, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def _write_atomic(
     path: Path,
     data: bytes,
@@ -461,9 +451,9 @@ class RecoveredImage:
     log_bytes: int
     #: Schema-affecting records replayed from the log tail.
     schema_changes: int = 0
-    #: True when the replayed tail moved the schema past the snapshot's
-    #: recorded digest — the snapshot no longer describes the running
-    #: schema until the next checkpoint.
+    #: True when the replayed tail moved the schema away from the
+    #: snapshot's ``schema`` source — the snapshot no longer describes the
+    #: running schema until the next checkpoint.
     schema_drift: bool = False
     #: True when ``snapshot.json`` was missing or damaged and recovery fell
     #: back to the retained ``snapshot.prev.json``.
@@ -486,36 +476,33 @@ class RecoveredImage:
 
 
 def _read_snapshot(snapshot_path: Path) -> dict:
-    """Parse and integrity-check one snapshot file.
+    """Verify, then parse, one snapshot file: the header line must name
+    this ``SNAPSHOT_FORMAT`` and the SHA-256 of exactly the body bytes
+    after it, and only then is the body parsed.
 
-    Raises :class:`EngineError` on unreadable bytes, non-JSON content, an
-    unknown format, or a digest mismatch (payloads written since digests
-    were introduced embed one; older snapshots without it are accepted on
-    parse alone)."""
+    Raises :class:`EngineError` on unreadable bytes, a missing or other
+    format's header (every file written before format 4 has none), a
+    digest mismatch, or a verified body that is not JSON."""
+    where = repr(str(snapshot_path))
     try:
         raw = snapshot_path.read_bytes()
     except OSError as exc:
+        raise EngineError(f"unreadable snapshot at {where}: {exc}") from exc
+    header, _, body = raw.partition(b"\n")
+    magic, _, rest = header.partition(b" ")
+    version, _, digest = rest.partition(b" ")
+    if magic != _SNAPSHOT_MAGIC or version != b"%d" % SNAPSHOT_FORMAT:
+        found = version.decode("ascii", "replace") if magic == _SNAPSHOT_MAGIC else "no header"
+        raise EngineError(f"unsupported snapshot format at {where}: {found}")
+    if digest != b"sha256=" + hashlib.sha256(body).hexdigest().encode("ascii"):
         raise EngineError(
-            f"unreadable snapshot at {str(snapshot_path)!r}: {exc}"
-        ) from exc
+            f"snapshot digest mismatch at {where}: the file was altered "
+            "after it was written"
+        )
     try:
-        # json.loads decodes the bytes itself; a bit flip landing inside a
-        # UTF-8 sequence raises UnicodeDecodeError, a ValueError subclass.
-        snapshot = json.loads(raw)
+        return json.loads(body)
     except ValueError as exc:
-        raise EngineError(f"corrupt snapshot at {str(snapshot_path)!r}: {exc}") from exc
-    if not isinstance(snapshot, dict) or snapshot.get("format") != SNAPSHOT_FORMAT:
-        raise EngineError(
-            f"unsupported snapshot format at {str(snapshot_path)!r}: "
-            f"{snapshot.get('format') if isinstance(snapshot, dict) else snapshot!r}"
-        )
-    digest = snapshot.get("digest")
-    if digest is not None and digest != snapshot_payload_digest(snapshot):
-        raise EngineError(
-            f"snapshot digest mismatch at {str(snapshot_path)!r}: the file "
-            "was altered after it was written"
-        )
-    return snapshot
+        raise EngineError(f"corrupt snapshot at {where}: {exc}") from exc
 
 
 def _apply_ops(objects: dict[str, tuple[str, dict]], ops: list[dict]) -> None:
@@ -607,7 +594,6 @@ def load_image(path: str | Path) -> RecoveredImage | None:
         counter = max(counter, oid_counter(oid, 0))
     start_lsn = int(snapshot.get("next_lsn", 0))
     schema_source = snapshot.get("schema", "")
-    baseline_digest = snapshot.get("schema_digest") or schema_digest(schema_source)
     schema_changes = 0
 
     records: list[dict] = []
@@ -675,16 +661,13 @@ def load_image(path: str | Path) -> RecoveredImage | None:
         # unknown record kinds are skipped: forward compatibility
         kept += 1
 
-    schema_drift = (
-        schema_changes > 0
-        and schema_digest(schema_source) != baseline_digest
-    )
+    schema_drift = schema_source != snapshot.get("schema", "")
     if schema_drift:
         findings.append((
             "clean",
             f"schema drift: the log tail carries {schema_changes} "
-            "schema-change record(s) newer than the snapshot's schema "
-            "digest — the snapshot no longer describes the running schema; "
+            "schema-change record(s) newer than the snapshot, and its schema "
+            "differs — the snapshot no longer describes the running schema; "
             "run `repro snapshot` to fold the changes in",
         ))
     return RecoveredImage(
@@ -1237,25 +1220,31 @@ class WriteAheadLog:
         objects: Iterable[tuple[str, str, Mapping[str, Any]]],
         counter: int,
     ) -> None:
-        payload = {
-            "format": SNAPSHOT_FORMAT,
-            "database": database,
-            "schema": schema_source,
-            "schema_digest": schema_digest(schema_source),
-            "counter": counter,
-            "next_lsn": self._next_lsn,
-            "objects": [
-                [oid, class_name, encode_state(state)]
-                for oid, class_name, state in objects
-            ],
-        }
-        # Whole-file integrity digest, verified by load_image/fsck; the
-        # previous snapshot is rotated to .prev so a damaged (or half-
+        body = json.dumps(
+            {
+                "database": database,
+                "schema": schema_source,
+                "counter": counter,
+                "next_lsn": self._next_lsn,
+                "objects": [
+                    [oid, class_name, encode_state(state)]
+                    for oid, class_name, state in objects
+                ],
+            },
+            separators=(",", ":"),
+            sort_keys=True,
+        ).encode("utf-8")
+        # The header seals the bytes written, verified by load_image/fsck;
+        # the previous snapshot is rotated to .prev so a damaged (or half-
         # rotated) newest file always leaves a verified fallback behind.
-        payload["digest"] = snapshot_payload_digest(payload)
+        header = b"%s %d sha256=%s\n" % (
+            _SNAPSHOT_MAGIC,
+            SNAPSHOT_FORMAT,
+            hashlib.sha256(body).hexdigest().encode("ascii"),
+        )
         _write_atomic(
             self.snapshot_path,
-            json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8"),
+            header + body,
             self.files,
             self.telemetry,
             retain=self.prev_snapshot_path,

@@ -12,7 +12,6 @@ Marked ``faults`` so CI can run the matrix as a dedicated job
 in the tier-1 suite at the default count.
 """
 
-import json
 import os
 import shutil
 import tempfile
@@ -627,6 +626,21 @@ class TestFsck:
         assert report.status == "truncatable"
         assert any("digest mismatch" in f for f in report.findings)
 
+    def test_edited_snapshot_without_digest_falls_back(self, tmp_path, snapshot_file):
+        # An edit that also strips the digest: still refused, so recovery
+        # falls back to the retained previous snapshot.
+        path = self._populated(tmp_path)
+        snapshot = path / "snapshot.json"
+        body = snapshot_file.read(snapshot)
+        body["counter"] += 1000
+        snapshot_file.seal(snapshot, body, digest=False)
+        report = fsck(path)
+        assert report.status == "truncatable"
+        assert any("digest mismatch" in f and "falls back" in f for f in report.findings)
+        recovered = ObjectStore.open(path)
+        assert recovered.recovery_info.used_fallback_snapshot
+        recovered.close()
+
     def test_both_snapshots_damaged_is_fatal(self, tmp_path):
         path = self._populated(tmp_path)
         flip_byte(path / "snapshot.json", -10)
@@ -984,10 +998,10 @@ class TestSchemaChangeCrashWindows:
         recovered.insert("Item", name="b", price=500.0)
         recovered.close()
 
-    def test_format_2_directory_is_refused(self, tmp_path):
+    def test_format_2_directory_is_refused(self, tmp_path, snapshot_file):
         """Format 2 logged constant rebinds as their own record kind, which
         this reader would skip as unknown and so silently lose."""
-        from repro.engine.wal import _frame, snapshot_payload_digest
+        from repro.engine.wal import _frame
 
         path = tmp_path / "db"
         store = ObjectStore.open(path, schema=parse_database(CAP_SCHEMA_SOURCE))
@@ -995,10 +1009,8 @@ class TestSchemaChangeCrashWindows:
         store.checkpoint()
         store.close()
         for name in ("snapshot.prev.json", "snapshot.json"):
-            payload = json.loads((path / name).read_bytes())
-            payload["format"] = 2
-            payload["digest"] = snapshot_payload_digest(payload)
-            (path / name).write_text(json.dumps(payload))
+            payload = snapshot_file.read(path / name)
+            snapshot_file.seal(path / name, payload, fmt=2)
         with open(path / "wal.jsonl", "ab") as log:
             log.write(_frame({
                 "n": payload["next_lsn"],

@@ -8,6 +8,7 @@ never a constraint-violating state — with the maintained indexes rebuilt
 consistent with the recovered contents.
 """
 
+import hashlib
 import json
 import shutil
 import tempfile
@@ -26,7 +27,6 @@ from repro.engine.wal import (
     fsck,
     load_image,
     scan_log,
-    snapshot_payload_digest,
 )
 from repro.errors import ConstraintViolation, EngineError
 from repro.tm import parse_database
@@ -396,7 +396,7 @@ class TestCheckpoints:
         assert recovered.wal.pending_records == 0
         recovered.close()
 
-    def test_automatic_checkpoint_after_threshold(self, tmp_path):
+    def test_automatic_checkpoint_after_threshold(self, tmp_path, snapshot_file):
         path = tmp_path / "db"
         store = ObjectStore.open(
             path, schema=fresh_schema(), checkpoint_every=5
@@ -406,7 +406,7 @@ class TestCheckpoints:
         # Each pair writes one commit record: the fifth crossed the
         # threshold and checkpointed, two records follow the snapshot.
         assert store.wal.pending_records == 2
-        snapshot = json.loads((path / "snapshot.json").read_bytes())
+        snapshot = snapshot_file.read(path / "snapshot.json")
         assert len(snapshot["objects"]) == 10
         store.close()
         recovered = ObjectStore.open(path)
@@ -719,19 +719,59 @@ class TestLogShape:
         )
         recovered.close()
 
-    def test_format_1_directory_is_refused(self, tmp_path):
+    def test_format_1_directory_is_refused(self, tmp_path, snapshot_file):
         path = tmp_path / "db"
         store = ObjectStore.open(path, schema=fresh_schema())
         insert_pair(store, "keep")
         store.close()
         snapshot_path = path / "snapshot.json"
-        payload = json.loads(snapshot_path.read_bytes())
-        payload["format"] = 1
-        payload["digest"] = snapshot_payload_digest(payload)
-        snapshot_path.write_text(json.dumps(payload))
+        snapshot_file.seal(snapshot_path, snapshot_file.read(snapshot_path), fmt=1)
         with pytest.raises(EngineError, match="unsupported snapshot format"):
             ObjectStore.open(path)
         assert fsck(path).status == "fatal"
+
+    def test_format_3_directory_is_refused(self, tmp_path, snapshot_file):
+        """Format 3 was one JSON object with no header line, whose ``digest``
+        key hashed a second, canonical rendering of the rest."""
+        path = tmp_path / "db"
+        store = ObjectStore.open(path, schema=fresh_schema())
+        insert_pair(store, "keep")
+        store.close()
+        snapshot_path = path / "snapshot.json"
+        payload = dict(snapshot_file.read(snapshot_path), format=3)
+        canonical = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+        payload["digest"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        snapshot_path.write_text(json.dumps(payload, separators=(",", ":"), sort_keys=True))
+        with pytest.raises(EngineError, match="unsupported snapshot format"):
+            ObjectStore.open(path)
+        report = fsck(path)
+        assert report.status == "fatal"
+        assert any("unsupported snapshot format" in f for f in report.findings)
+
+    def test_snapshot_is_rendered_once_and_read_without_rendering(
+        self, tmp_path, monkeypatch
+    ):
+        """A checkpoint hashes the bytes it writes, and a recovery read
+        hashes the bytes it reads: neither renders the payload again."""
+        path = tmp_path / "db"
+        store = ObjectStore.open(path, schema=fresh_schema())
+        insert_pair(store, "keep")
+        renders = []
+        dumps = json.dumps
+
+        def counting_dumps(*args, **kwargs):
+            renders.append(args[0])
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting_dumps)
+        store.checkpoint()
+        assert len(renders) == 1
+        renders.clear()
+        image = load_image(path)
+        assert renders == []
+        monkeypatch.undo()
+        assert len(image.objects) == 2
+        store.close()
 
 
 class TestEnvironmentToggle:
