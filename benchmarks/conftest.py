@@ -8,13 +8,14 @@ paper artifact or engine mechanism it covers; the whole-system benchmark
 (workloads, end-to-end and per-layer metrics) is declared in
 ``BENCHMARK.json`` and documented in ``benchmarks/suite/README.md``.
 
-Every run additionally writes one machine-readable ``BENCH_<name>.json``
-summary per benchmark module (median/p95 per case, plus each case's
-``extra_info``) into the repository root, stamped with the machine that
-produced it (CPU count, platform, Python, git commit and whether the tree
-had uncommitted changes), so the performance trajectory is comparable
-across changes.  Committed baselines (e.g. ``BENCH_e14_indexes.json``) are
-refreshed by simply re-running the module.
+Every clean full run additionally writes one machine-readable
+``BENCH_<name>.json`` summary per benchmark module (median/p95 per case,
+plus each case's ``extra_info``) into the repository root, stamped with the
+machine that produced it (CPU count, platform, Python, git commit and
+whether the tree had uncommitted changes), so the performance trajectory is
+comparable across changes.  Committed baselines (e.g.
+``BENCH_e14_indexes.json``) are refreshed by simply re-running the module;
+a ``--quick`` run leaves them as they are.
 """
 
 import json
@@ -142,9 +143,10 @@ def pytest_sessionfinish(session, exitstatus):
     """Write ``BENCH_<module>.json`` per benchmark module that ran.
 
     Only clean full runs update the files — a failing run must not replace a
-    committed baseline with its own numbers.  (Single-case runs still write
-    a single-case summary; refresh baselines with a full module run.)"""
-    if exitstatus != 0:
+    committed baseline with its own numbers, and a ``--quick`` run (capped
+    sizes, a gate check) writes nothing.  (Single-case runs still write a
+    single-case summary; refresh baselines with a full module run.)"""
+    if exitstatus != 0 or session.config.getoption("--quick"):
         return
     bench_session = getattr(session.config, "_benchmarksession", None)
     if bench_session is None or not getattr(bench_session, "benchmarks", None):
@@ -164,12 +166,11 @@ def pytest_sessionfinish(session, exitstatus):
                 "extra_info": dict(bench.extra_info),
             }
         )
-    quick = session.config.getoption("--quick")
     machine = _machine()
     for name, cases in by_module.items():
         summary = {
             "benchmark": f"bench_{name}",
-            "quick": bool(quick),
+            "quick": False,
             "python": platform.python_version(),
             "machine": machine,
             "cases": cases,

@@ -5,8 +5,11 @@ throughout (deduplicating atoms in the solver, comparing conformed constraints
 across databases, caching).  Collections inside nodes are tuples.
 
 Expression nodes produce values; formula nodes produce truth values.  Both
-share the :class:`Node` base so that rewriting (attribute substitution, domain
-conversion) can traverse uniformly.
+share the :class:`Node` base, and each node class states once, in
+``child_fields``, which of its fields hold sub-nodes (a node or a tuple of
+nodes).  :meth:`Node.children`, :meth:`Node.walk`, :meth:`Node.rewrite` (the
+one structural rebuild behind attribute substitution and domain conversion)
+and :attr:`Node.structural_key` all read that statement.
 
 Every node carries an optional ``pos`` — the 1-based ``(line, column)`` of its
 first token in the source it was parsed from — so diagnostics (static
@@ -18,13 +21,23 @@ solver, the compiled-closure cache and cross-database comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from collections.abc import Iterator
-from typing import Any
+from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Iterator
+from functools import cached_property
+from typing import Any, ClassVar
 
 def _pos_field() -> tuple[int, int] | None:
     """The shared ``pos`` field: carried along, never compared or hashed."""
     return field(default=None, compare=False, repr=False, kw_only=True)
+
+
+def _tagged(value: Any) -> Any:
+    """``value`` with the type of every non-string constant beside it."""
+    if type(value) is str:
+        return value
+    if type(value) is tuple:
+        return tuple(_tagged(member) for member in value)
+    return (type(value), value)
 
 
 # Comparison operators and their negations/mirrors.
@@ -54,10 +67,61 @@ class Node:
 
     #: Source position; overridden by the dataclass field on every subclass.
     pos: tuple[int, int] | None = None
+    #: The fields holding sub-nodes, in source order; a field holds one node
+    #: or a tuple of nodes.  Leaf classes keep the empty default.
+    child_fields: ClassVar[tuple[str, ...]] = ()
+    #: Set on every subclass by ``@dataclass``.
+    __dataclass_fields__: ClassVar[dict[str, Any]]
 
     def children(self) -> Iterator[Node]:
         """The node's direct sub-nodes, in source order."""
-        return iter(())
+        for name in self.child_fields:
+            value = getattr(self, name)
+            if type(value) is tuple:
+                yield from value
+            else:
+                yield value
+
+    def rewrite(self, rule: Callable[[Node], Node | None]) -> Node:
+        """Rebuild the subtree top-down through ``rule``.
+
+        ``rule(node)`` returns a replacement, which is not descended into,
+        or ``None`` to descend into the node's children.  A replacement
+        without a position takes the position of the node it replaces.  A
+        node is rebuilt (``dataclasses.replace``, so it keeps its ``pos``)
+        only when one of its children changed; an untouched subtree is
+        returned as the same object.
+        """
+        replacement = rule(self)
+        if replacement is not None:
+            if replacement.pos is None and self.pos is not None:
+                replacement = replace(replacement, pos=self.pos)
+            return replacement
+        changes: dict[str, Any] = {}
+        for name in self.child_fields:
+            value = getattr(self, name)
+            if type(value) is tuple:
+                rebuilt = tuple(child.rewrite(rule) for child in value)
+                if any(new is not old for new, old in zip(rebuilt, value)):
+                    changes[name] = rebuilt
+            else:
+                rebuilt_child = value.rewrite(rule)
+                if rebuilt_child is not value:
+                    changes[name] = rebuilt_child
+        return replace(self, **changes) if changes else self
+
+    @cached_property
+    def structural_key(self) -> tuple:
+        """A key equal exactly for nodes of the same class whose fields hold
+        the same values *of the same type*, ignoring ``pos``; computed once
+        per node.  Dataclass equality makes ``Literal(1)``, ``Literal(1.0)``
+        and ``Literal(True)`` equal; their keys differ."""
+        values = tuple(
+            _tagged(getattr(self, name))
+            for name in self.__dataclass_fields__
+            if name != "pos" and name not in self.child_fields
+        )
+        return (type(self), values, tuple(child.structural_key for child in self.children()))
 
     def walk(self) -> Iterator[Node]:
         """Depth-first pre-order traversal of the subtree rooted here."""
@@ -146,10 +210,7 @@ class BinaryOp(Node):
     left: Node
     right: Node
     pos: tuple[int, int] | None = _pos_field()
-
-    def children(self) -> Iterator[Node]:
-        yield self.left
-        yield self.right
+    child_fields = ("left", "right")
 
 
 @dataclass(frozen=True)
@@ -163,12 +224,10 @@ class FunctionCall(Node):
     name: str
     args: tuple[Node, ...]
     pos: tuple[int, int] | None = _pos_field()
+    child_fields = ("args",)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "args", tuple(self.args))
-
-    def children(self) -> Iterator[Node]:
-        return iter(self.args)
 
 
 @dataclass(frozen=True)
@@ -185,9 +244,6 @@ class Aggregate(Node):
     over: str | None  # attribute name; None only for count
     pos: tuple[int, int] | None = _pos_field()
 
-    def children(self) -> Iterator[Node]:
-        return iter(())
-
 
 # ---------------------------------------------------------------------------
 # Formulas
@@ -202,14 +258,11 @@ class Comparison(Node):
     left: Node
     right: Node
     pos: tuple[int, int] | None = _pos_field()
+    child_fields = ("left", "right")
 
     def __post_init__(self) -> None:
         if self.op not in COMPARISON_OPS:
             raise ValueError(f"unknown comparison operator {self.op!r}")
-
-    def children(self) -> Iterator[Node]:
-        yield self.left
-        yield self.right
 
     def negated(self) -> Comparison:
         return Comparison(NEGATED_OP[self.op], self.left, self.right, pos=self.pos)
@@ -227,43 +280,34 @@ class Membership(Node):
     element: Node
     collection: Node
     pos: tuple[int, int] | None = _pos_field()
-
-    def children(self) -> Iterator[Node]:
-        yield self.element
-        yield self.collection
+    child_fields = ("element", "collection")
 
 
 @dataclass(frozen=True)
 class Not(Node):
     operand: Node
     pos: tuple[int, int] | None = _pos_field()
-
-    def children(self) -> Iterator[Node]:
-        yield self.operand
+    child_fields = ("operand",)
 
 
 @dataclass(frozen=True)
 class And(Node):
     parts: tuple[Node, ...]
     pos: tuple[int, int] | None = _pos_field()
+    child_fields = ("parts",)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
-
-    def children(self) -> Iterator[Node]:
-        return iter(self.parts)
 
 
 @dataclass(frozen=True)
 class Or(Node):
     parts: tuple[Node, ...]
     pos: tuple[int, int] | None = _pos_field()
+    child_fields = ("parts",)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
-
-    def children(self) -> Iterator[Node]:
-        return iter(self.parts)
 
 
 @dataclass(frozen=True)
@@ -274,10 +318,7 @@ class Implies(Node):
     antecedent: Node
     consequent: Node
     pos: tuple[int, int] | None = _pos_field()
-
-    def children(self) -> Iterator[Node]:
-        yield self.antecedent
-        yield self.consequent
+    child_fields = ("antecedent", "consequent")
 
 
 @dataclass(frozen=True)
@@ -293,9 +334,7 @@ class Quantified(Node):
     class_name: str
     body: Node
     pos: tuple[int, int] | None = _pos_field()
-
-    def children(self) -> Iterator[Node]:
-        yield self.body
+    child_fields = ("body",)
 
 
 @dataclass(frozen=True)

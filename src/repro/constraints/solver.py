@@ -39,9 +39,10 @@ same specification asks the table, not the decision procedure.  Every part of
 the key compares by structure *and type*: dataclass equality would make
 ``Literal(1)``, ``Literal(1.0)`` and ``Literal(True)`` equal (with equal
 hashes), yet the solver treats ``True`` as a boolean and ``1`` as a number,
-so the formula enters the key as its ``repr`` —
-one type-tagged form, since ``pos`` is ``repr=False`` — and the environment
-by its own type-tagged key (:meth:`TypeEnvironment.__eq__`).  The table holds
+so the formula enters the key as its
+:attr:`~repro.constraints.ast.Node.structural_key` (type-tagged, without
+``pos``, computed once per node) and the environment by its own type-tagged
+key (:meth:`TypeEnvironment.__eq__`).  The table holds
 at most ``_MEMO_CAPACITY`` entries and evicts the least recently used.  A
 cached :class:`~repro.domains.valueset.ValueSet` is handed to every caller
 that asks the same question; that is safe because value sets are never
@@ -230,7 +231,7 @@ class Solver:
 
     def is_satisfiable(self, formula: Node) -> bool:
         return _memoised(
-            ("sat", repr(formula), None, self.env),
+            ("sat", formula.structural_key, None, self.env),
             lambda: any(
                 _Branch(self.env, branch).satisfiable() for branch in to_dnf(formula)
             ),
@@ -262,7 +263,7 @@ class Solver:
         if isinstance(path, str):
             path = Path(tuple(path.split(".")))
         return _memoised(
-            ("domain", repr(formula), path.parts, self.env),
+            ("domain", formula.structural_key, path.parts, self.env),
             lambda: self._decide_domain(formula, path),
         )
 

@@ -1,164 +1,173 @@
-"""AST rewriting utilities shared by conformation and rule repair."""
+"""AST rewriting rules shared by conformation and rule repair.
+
+Each rewrite here is one rule over :meth:`Node.rewrite`, the one structural
+rebuild of the constraint AST: the rule names the node types it replaces and
+the traversal reaches every other node, keeping positions and untouched
+subtrees.
+"""
 
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
+from dataclasses import replace
+from typing import Any
 
 from repro.constraints.ast import (
     Aggregate,
-    And,
-    BinaryOp,
     Comparison,
     FunctionCall,
-    Implies,
     KeyConstraint,
     Literal,
     Membership,
+    NamedConstant,
     Node,
-    Not,
-    Or,
     Path,
-    Quantified,
     SetLiteral,
 )
 from repro.errors import ConformationError
-from repro.integration.conversion import ConversionFunction
+from repro.integration.conversion import ConversionFunction, LinearConversion
 
 
 def map_paths(node: Node, fn: Callable[[Path], Path]) -> Node:
-    """Structurally rebuild ``node`` with every :class:`Path` passed through
-    ``fn``."""
-    if isinstance(node, Path):
-        return fn(node)
-    if isinstance(node, Comparison):
-        return Comparison(node.op, map_paths(node.left, fn), map_paths(node.right, fn))
-    if isinstance(node, Membership):
-        return Membership(
-            map_paths(node.element, fn), map_paths(node.collection, fn)
-        )
-    if isinstance(node, BinaryOp):
-        return BinaryOp(node.op, map_paths(node.left, fn), map_paths(node.right, fn))
-    if isinstance(node, FunctionCall):
-        return FunctionCall(node.name, tuple(map_paths(arg, fn) for arg in node.args))
-    if isinstance(node, Not):
-        return Not(map_paths(node.operand, fn))
-    if isinstance(node, And):
-        return And(tuple(map_paths(part, fn) for part in node.parts))
-    if isinstance(node, Or):
-        return Or(tuple(map_paths(part, fn) for part in node.parts))
-    if isinstance(node, Implies):
-        return Implies(map_paths(node.antecedent, fn), map_paths(node.consequent, fn))
-    if isinstance(node, Quantified):
-        return Quantified(node.kind, node.var, node.class_name, map_paths(node.body, fn))
-    return node
+    """Rebuild ``node`` with every :class:`Path` passed through ``fn``."""
+    return node.rewrite(lambda sub: fn(sub) if isinstance(sub, Path) else None)
 
 
-def rename_attributes(node: Node, renames: Mapping[str, str]) -> Node:
+def rename_attributes(
+    node: Node,
+    renames: Mapping[str, str],
+    rename_path: Callable[[Path], Path] | None = None,
+) -> Node:
     """Substitute conformed attribute names (Section 4, subtask 2).
 
     ``renames`` maps *first path segments* (attribute names of the class the
     constraint is allocated to) to their conformed names.  Key-constraint
-    attribute lists are renamed too; aggregate ``over`` attributes likewise.
+    attribute lists are renamed too; aggregate ``over`` attributes likewise,
+    wherever the aggregate sits.  ``rename_path``, when given, renames each
+    whole path instead (conformation's substitution along dotted paths).
     """
 
-    def rename(path: Path) -> Path:
-        first = path.parts[0]
-        if first in renames:
-            return Path((renames[first],) + path.parts[1:])
-        return path
+    def rule(sub: Node) -> Node | None:
+        if isinstance(sub, Path):
+            if rename_path is not None:
+                return rename_path(sub)
+            first = sub.parts[0]
+            if first in renames:
+                return replace(sub, parts=(renames[first],) + sub.parts[1:])
+            return sub
+        if isinstance(sub, KeyConstraint):
+            attributes = tuple(renames.get(attr, attr) for attr in sub.attributes)
+            return sub if attributes == sub.attributes else replace(sub, attributes=attributes)
+        if isinstance(sub, Aggregate):
+            if sub.over is not None and sub.over in renames:
+                return replace(sub, over=renames[sub.over])
+            return sub
+        return None
 
-    rebuilt = map_paths(node, rename)
-    return _rename_special(rebuilt, renames)
-
-
-def _rename_special(node: Node, renames: Mapping[str, str]) -> Node:
-    if isinstance(node, KeyConstraint):
-        return KeyConstraint(
-            tuple(renames.get(attr, attr) for attr in node.attributes)
-        )
-    if isinstance(node, Aggregate):
-        over = renames.get(node.over, node.over) if node.over else node.over
-        return Aggregate(node.func, node.item_var, node.collection, over)
-    if isinstance(node, Comparison):
-        return Comparison(
-            node.op,
-            _rename_special(node.left, renames),
-            _rename_special(node.right, renames),
-        )
-    if isinstance(node, Membership):
-        return Membership(
-            _rename_special(node.element, renames),
-            _rename_special(node.collection, renames),
-        )
-    if isinstance(node, Not):
-        return Not(_rename_special(node.operand, renames))
-    if isinstance(node, And):
-        return And(tuple(_rename_special(p, renames) for p in node.parts))
-    if isinstance(node, Or):
-        return Or(tuple(_rename_special(p, renames) for p in node.parts))
-    if isinstance(node, Implies):
-        return Implies(
-            _rename_special(node.antecedent, renames),
-            _rename_special(node.consequent, renames),
-        )
-    if isinstance(node, Quantified):
-        return Quantified(
-            node.kind, node.var, node.class_name, _rename_special(node.body, renames)
-        )
-    return node
+    return node.rewrite(rule)
 
 
-def convert_domains(node: Node, conversions: Mapping[str, ConversionFunction]) -> Node:
+def convert_domains(
+    node: Node,
+    conversions: Mapping[str, ConversionFunction],
+    constants: Mapping[str, Any] | None = None,
+) -> Node:
     """Domain conversion of constraint constants (Section 4, subtask 3).
 
     For every comparison/membership whose path's *first segment* is a
     converted property, the constant side is pushed through the conversion
     function: under ``multiply(2)`` on ``rating``, ``rating >= 2`` becomes
     ``rating >= 4`` and ``rating in {1, 2}`` becomes ``rating in {2, 4}``.
+    A comparison of an aggregate over a converted property converts when the
+    conversion is purely multiplicative (``avg(rating) < 4`` becomes
+    ``avg(rating) < 8``).  Scalar named ``constants``, when given, are bound
+    in every comparison first so that conversion can rewrite them.  A
+    converted property anywhere else (under arithmetic, in a function call,
+    inside a nested aggregate) raises rather than being left unconverted.
     """
-    if isinstance(node, Comparison):
-        return _convert_comparison(node, conversions)
-    if isinstance(node, Membership):
-        return _convert_membership(node, conversions)
-    if isinstance(node, Not):
-        return Not(convert_domains(node.operand, conversions))
-    if isinstance(node, And):
-        return And(tuple(convert_domains(p, conversions) for p in node.parts))
-    if isinstance(node, Or):
-        return Or(tuple(convert_domains(p, conversions) for p in node.parts))
-    if isinstance(node, Implies):
-        return Implies(
-            convert_domains(node.antecedent, conversions),
-            convert_domains(node.consequent, conversions),
-        )
-    if isinstance(node, Quantified):
-        return Quantified(
-            node.kind,
-            node.var,
-            node.class_name,
-            convert_domains(node.body, conversions),
-        )
-    return node
+
+    def rule(sub: Node) -> Node | None:
+        if isinstance(sub, Comparison):
+            return _convert_comparison(sub, conversions, constants or {})
+        if isinstance(sub, Membership):
+            return _convert_membership(sub, conversions)
+        if isinstance(sub, (Path, FunctionCall)):
+            _reject_converted(sub, conversions)
+            return sub
+        return None
+
+    return node.rewrite(rule)
 
 
-def _conversion_for(node: Node, conversions: Mapping[str, ConversionFunction]):
-    if isinstance(node, Path) and node.parts[0] in conversions:
-        cf = conversions[node.parts[0]]
-        if len(node.parts) > 1:
+def _bound(term: Node, constants: Mapping[str, Any]) -> Node:
+    """A scalar named constant as its literal value; any other term as is."""
+    value = constants.get(term.name) if isinstance(term, NamedConstant) else None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return Literal(value, pos=term.pos)
+    return term
+
+
+def _conversion_for(
+    term: Node, conversions: Mapping[str, ConversionFunction]
+) -> ConversionFunction | None:
+    """The conversion of a converted scalar property or of an aggregate over
+    one; ``None`` for any other term."""
+    if isinstance(term, Path) and term.parts[0] in conversions:
+        if len(term.parts) > 1:
             raise ConformationError(
-                f"cannot convert dotted path {node.dotted()!r}: conversion "
+                f"cannot convert dotted path {term.dotted()!r}: conversion "
                 f"functions apply to scalar properties"
+            )
+        return conversions[term.parts[0]]
+    if isinstance(term, Aggregate) and term.over is not None and term.over in conversions:
+        cf = conversions[term.over]
+        # Only purely multiplicative linear conversions commute with the
+        # aggregate; anything else would produce a wrong constraint.
+        if not (
+            isinstance(cf, LinearConversion)
+            and cf.offset == 0
+            and term.func in ("sum", "avg", "min", "max")
+        ):
+            raise ConformationError(
+                f"cannot conform aggregate {term.func} over converted "
+                f"attribute {term.over!r}: conversion {cf.name} does not "
+                "commute with the aggregate"
             )
         return cf
     return None
 
 
+def _reject_converted(term: Node, conversions: Mapping[str, ConversionFunction]) -> None:
+    """Raise if ``term`` mentions a converted property: reached here, it is
+    not compared directly with a constant, so no conversion applies."""
+    for sub in term.walk():
+        if isinstance(sub, Path):
+            name = sub.parts[0]
+        elif isinstance(sub, Aggregate):
+            name = sub.over
+        else:
+            continue
+        if name is not None and name in conversions:
+            raise ConformationError(
+                f"cannot convert property {name!r} under arithmetic, a function "
+                "call or a nested aggregate: conversion functions apply where "
+                "the property is compared directly with a constant"
+            )
+
+
 def _convert_comparison(
-    node: Comparison, conversions: Mapping[str, ConversionFunction]
+    node: Comparison,
+    conversions: Mapping[str, ConversionFunction],
+    constants: Mapping[str, Any],
 ) -> Node:
+    left, right = (_bound(side, constants) for side in (node.left, node.right))
+    if left is not node.left or right is not node.right:
+        node = replace(node, left=left, right=right)
     left_cf = _conversion_for(node.left, conversions)
     right_cf = _conversion_for(node.right, conversions)
     if left_cf is None and right_cf is None:
+        _reject_converted(node.left, conversions)
+        _reject_converted(node.right, conversions)
         return node
     if left_cf is not None and right_cf is not None:
         if left_cf.name == right_cf.name:
@@ -168,19 +177,17 @@ def _convert_comparison(
             if left_cf.order_preserving is False and node.op not in ("=", "!="):
                 return node.mirrored()
             return node
-        raise ConformationError(
-            "comparison relates two differently-converted properties"
-        )
-    if left_cf is not None and isinstance(node.right, Literal):
-        value, op = left_cf.convert_constant(node.right.value, node.op)
-        return Comparison(op, node.left, Literal(value))
-    if right_cf is not None and isinstance(node.left, Literal):
-        mirrored = node.mirrored()  # put the path on the left
-        value, op = right_cf.convert_constant(mirrored.right.value, mirrored.op)  # type: ignore[union-attr]
-        return Comparison(op, mirrored.left, Literal(value))
-    raise ConformationError(
-        f"cannot convert comparison {node!r}: non-constant operand"
-    )
+        raise ConformationError("comparison relates two differently-converted properties")
+    # Put the converted side on the left; an aggregate comparison turns back.
+    oriented, cf = (node, left_cf) if left_cf is not None else (node.mirrored(), right_cf)
+    assert cf is not None
+    if not isinstance(oriented.right, Literal):
+        raise ConformationError(f"cannot convert comparison {node!r}: non-constant operand")
+    value, op = cf.convert_constant(oriented.right.value, oriented.op)
+    converted = replace(oriented, op=op, right=replace(oriented.right, value=value))
+    if oriented is not node and isinstance(converted.left, Aggregate):
+        return converted.mirrored()
+    return converted
 
 
 def _convert_membership(
@@ -188,10 +195,11 @@ def _convert_membership(
 ) -> Node:
     cf = _conversion_for(node.element, conversions)
     if cf is None:
+        _reject_converted(node.element, conversions)
         return node
     if isinstance(node.collection, SetLiteral):
         converted = tuple(cf.apply(v) for v in node.collection.values)
-        return Membership(node.element, SetLiteral(converted))
+        return replace(node, collection=replace(node.collection, values=converted))
     raise ConformationError(
         f"cannot convert membership of {node.element!r} in a named constant: "
         "bind the constant to an explicit set first"

@@ -33,16 +33,7 @@ dropped constraints are recorded with a reason.
 
 from __future__ import annotations
 
-from repro.constraints.ast import (
-    Aggregate,
-    Comparison,
-    Literal,
-    NamedConstant,
-    Node,
-    Path,
-    Quantified,
-    paths_in,
-)
+from repro.constraints.ast import Node, Path, Quantified, paths_in
 from repro.constraints.model import Constraint
 from repro.errors import ConformationError
 from repro.integration._rewrite import convert_domains, map_paths, rename_attributes
@@ -247,15 +238,14 @@ def conform_formula(conformed: ConformedDatabase, owner: str, formula: Node) -> 
 def _substitute_and_convert(
     conformed: ConformedDatabase, owner: str, formula: Node
 ) -> Node:
+    """Subtask 2 then subtask 3: one rename pass, then one conversion pass."""
     formula = _rename_deep(conformed, owner, formula)
     conversions = {
         conformed.conformed_attribute_name(owner, original): cf
         for original, cf in conformed.conversion_map(owner).items()
     }
     if conversions:
-        formula = _fold_scalar_constants(conformed, formula)
-        formula = _convert_aggregates(formula, conversions)
-        formula = convert_domains(formula, conversions)
+        formula = convert_domains(formula, conversions, conformed.original_schema.constants)
     return formula
 
 
@@ -264,7 +254,8 @@ def _rename_deep(conformed: ConformedDatabase, owner: str, formula: Node) -> Nod
 
     The first segment renames by the owner's map; subsequent segments by the
     map of the class each reference points at (resolved in the *original*
-    schema).
+    schema).  Key attributes and aggregate ``over`` attributes rename by the
+    owner's map.
     """
     schema = conformed.original_schema
 
@@ -284,105 +275,10 @@ def _rename_deep(conformed: ConformedDatabase, owner: str, formula: Node) -> Nod
                     current = attributes[segment].tm_type.class_name
                     continue
             current = ""  # no further type info
-        return Path(tuple(segments))
+        parts = tuple(segments)
+        return path if parts == path.parts else Path(parts)
 
-    renamed = map_paths(formula, rewrite)
-    return rename_attributes(renamed, conformed.rename_map(owner))
-
-
-def _fold_scalar_constants(conformed: ConformedDatabase, formula: Node) -> Node:
-    """Bind scalar named constants so conversion can rewrite them."""
-    constants = conformed.original_schema.constants
-
-    def fold(node: Node) -> Node:
-        if isinstance(node, Comparison):
-            left, right = node.left, node.right
-            if isinstance(left, NamedConstant) and _is_scalar(constants.get(left.name)):
-                left = Literal(constants[left.name])
-            if isinstance(right, NamedConstant) and _is_scalar(constants.get(right.name)):
-                right = Literal(constants[right.name])
-            return Comparison(node.op, left, right)
-        return node
-
-    # Only comparisons need folding; traverse shallowly through connectives.
-    from repro.constraints.ast import And, Implies, Not, Or
-
-    if isinstance(formula, Comparison):
-        return fold(formula)
-    if isinstance(formula, Not):
-        return Not(_fold_scalar_constants(conformed, formula.operand))
-    if isinstance(formula, And):
-        return And(
-            tuple(_fold_scalar_constants(conformed, p) for p in formula.parts)
-        )
-    if isinstance(formula, Or):
-        return Or(tuple(_fold_scalar_constants(conformed, p) for p in formula.parts))
-    if isinstance(formula, Implies):
-        return Implies(
-            _fold_scalar_constants(conformed, formula.antecedent),
-            _fold_scalar_constants(conformed, formula.consequent),
-        )
-    return formula
-
-
-def _is_scalar(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _convert_aggregates(formula: Node, conversions) -> Node:
-    """Convert aggregate comparisons over converted attributes.
-
-    Only purely multiplicative linear conversions commute with ``sum`` /
-    ``avg`` / ``min`` / ``max``; anything else raises so the caller can
-    surface a conformation error instead of producing a wrong constraint.
-    """
-    from repro.integration.conversion import LinearConversion
-
-    if isinstance(formula, Comparison):
-        agg, other, mirrored = None, None, False
-        if isinstance(formula.left, Aggregate):
-            agg, other = formula.left, formula.right
-        elif isinstance(formula.right, Aggregate):
-            agg, other, mirrored = formula.right, formula.left, True
-        if agg is None or agg.over not in conversions:
-            return formula
-        cf = conversions[agg.over]
-        commutes = (
-            isinstance(cf, LinearConversion)
-            and cf.offset == 0
-            and agg.func in ("sum", "avg", "min", "max")
-        )
-        if not commutes:
-            raise ConformationError(
-                f"cannot conform aggregate {agg.func} over converted "
-                f"attribute {agg.over!r}: conversion {cf.name} does not "
-                "commute with the aggregate"
-            )
-        if not isinstance(other, Literal):
-            raise ConformationError(
-                f"cannot convert aggregate comparison with non-constant "
-                f"operand {other!r}"
-            )
-        value, op = cf.convert_constant(
-            other.value, formula.op if not mirrored else formula.mirrored().op
-        )
-        if mirrored:
-            return Comparison(op, agg, Literal(value)).mirrored()
-        return Comparison(op, agg, Literal(value))
-    from repro.constraints.ast import And, Implies, Not, Or
-
-    if isinstance(formula, Not):
-        return Not(_convert_aggregates(formula.operand, conversions))
-    if isinstance(formula, And):
-        return And(tuple(_convert_aggregates(p, conversions) for p in formula.parts))
-    if isinstance(formula, Or):
-        return Or(tuple(_convert_aggregates(p, conversions) for p in formula.parts))
-    if isinstance(formula, Implies):
-        return Implies(
-            _convert_aggregates(formula.antecedent, conversions),
-            _convert_aggregates(formula.consequent, conversions),
-        )
-    return formula
+    return rename_attributes(formula, conformed.rename_map(owner), rewrite)
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,17 @@ def test_the_table_stays_at_capacity():
             solver.is_satisfiable(first)  # recently used: kept
     assert len(solver_module._memo) == _MEMO_CAPACITY
     keys = {key[1] for key in solver_module._memo}
-    assert repr(first) in keys
-    assert repr(parse_expression("x = 1")) not in keys
-    assert repr(parse_expression(f"x = {_MEMO_CAPACITY + 49}")) in keys
+    assert first.structural_key in keys
+    assert parse_expression("x = 1").structural_key not in keys
+    assert parse_expression(f"x = {_MEMO_CAPACITY + 49}").structural_key in keys
+
+
+def test_the_structural_key_tells_literal_types_apart_and_ignores_positions():
+    keys = [
+        parse_expression(source).structural_key
+        for source in ("x = 1", "x = 1.0", "x = true", "x in {1}", "x in {1.0}", "x in {true}")
+    ]
+    assert len(set(keys)) == len(keys)
+    assert parse_expression("x = 1").structural_key == parse_expression("  x  =  1").structural_key
+    formula = parse_expression("a = 1 and not b in {2}")
+    assert formula.structural_key is formula.structural_key  # computed once

@@ -305,6 +305,31 @@ class TestPersonnelConformation:
         assert len(result.remote.instances) == 2
 
 
+@pytest.mark.parametrize(
+    "setup",
+    [
+        lambda: (library_integration_spec(), cslibrary_store()[0], bookseller_store()[0]),
+        lambda: (personnel_integration_spec(), *personnel_stores()[:2]),
+    ],
+    ids=["library", "personnel"],
+)
+def test_conformed_constraints_keep_their_positions(setup):
+    """Conformation rebuilds formulas without losing the source position a
+    diagnostic on the conformed constraint cites."""
+    result = conform(*setup())
+    for side in (Side.LOCAL, Side.REMOTE):
+        conformed = result.on(side)
+        originals = {
+            constraint.qualified_name: constraint
+            for constraint in conformed.original_schema.all_constraints()
+        }
+        assert conformed.conformed_constraints
+        for name, constraint in conformed.conformed_constraints.items():
+            position = originals[name].formula.position()
+            assert position is not None
+            assert constraint.formula.position() == position, name
+
+
 class TestSchemaSurgeryIsSeenByLookups:
     """Conformation retypes, removes and renames through the schema's
     mutators, so memoised lookups never outlive the surgery."""

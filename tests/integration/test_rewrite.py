@@ -28,12 +28,19 @@ class TestRenameAttributes:
         renamed = rename_attributes(formula, {"isbn": "code"})
         assert to_source(renamed) == "key code"
 
-    def test_aggregate_over_renamed(self):
-        formula = parse_expression(
-            "(sum (collect x for x in self) over ourprice) < MAX"
-        )
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "(sum (collect x for x in self) over ourprice) < MAX",
+            "(sum (collect x for x in self) over ourprice) + 1 < MAX",
+            "abs((sum (collect x for x in self) over ourprice)) < MAX",
+        ],
+    )
+    def test_aggregate_over_renamed(self, source):
+        formula = parse_expression(source)
         renamed = rename_attributes(formula, {"ourprice": "libprice"})
         assert "over libprice" in to_source(renamed)
+        assert "ourprice" not in to_source(renamed)
 
     def test_connectives_traversed(self):
         formula = parse_expression("a = 1 and (b = 2 or not c.d = 3)")
@@ -83,10 +90,20 @@ class TestConvertDomains:
                 {"rating": LinearConversion(2), "other": LinearConversion(3)},
             )
 
-    def test_dotted_converted_path_rejected(self):
-        formula = parse_expression("rating.sub = 1")
-        with pytest.raises(ConformationError):
-            convert_domains(formula, {"rating": LinearConversion(2)})
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "rating.sub = 1",
+            "rating + 1 < 100",
+            "abs(rating) < 100",
+            "(sum (collect x for x in self) over rating) + 1 < 100",
+            "a = 1 implies contains(rating, 'x')",
+        ],
+    )
+    def test_converted_property_out_of_reach_rejected(self, source):
+        formula = parse_expression(source)
+        with pytest.raises(ConformationError, match="rating"):
+            convert_domains(formula, {"rating": LinearConversion(2.0)})
 
     def test_membership_in_named_constant_rejected(self):
         formula = parse_expression("rating in RATINGS")
@@ -115,6 +132,25 @@ class TestMapPaths:
     def test_identity(self):
         formula = parse_expression("a.b = 1 and contains(c, 'x')")
         assert map_paths(formula, lambda p: p) == formula
+
+    def test_a_rule_that_never_fires_returns_the_same_object(self):
+        formula = parse_expression(
+            "forall p in Publisher | not (p.name = 'ACM' or abs(p.rating + 1) in {1, 2}) "
+            "implies (sum (collect x for x in self) over price) < MAX"
+        )
+        assert formula.rewrite(lambda node: None) is formula
+        assert map_paths(formula, lambda p: p) is formula
+        assert rename_attributes(formula, {"absent": "other"}) is formula
+        assert convert_domains(formula, {"absent": LinearConversion(2)}) is formula
+
+    def test_untouched_subtrees_keep_identity_and_positions_survive(self):
+        formula = parse_expression("a = 1 and b = 2")
+        renamed = rename_attributes(formula, {"b": "c"})
+        assert renamed == parse_expression("a = 1 and c = 2")
+        assert renamed.parts[0] is formula.parts[0]
+        assert [node.pos for node in renamed.walk()] == [
+            node.pos for node in formula.walk()
+        ]
 
     def test_prefixing(self):
         from repro.constraints.ast import Path
