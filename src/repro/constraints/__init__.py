@@ -17,7 +17,9 @@ This package implements the language end to end: an immutable AST
 accept the Figure 1 surface syntax (:mod:`~repro.constraints.parser`), a
 pretty-printer that round-trips (:mod:`~repro.constraints.printer`), structural
 classification (:mod:`~repro.constraints.classify`), normalisation into the
-paper's *normalised constraints* (:mod:`~repro.constraints.normalize`),
+paper's *normalised constraints* (:mod:`~repro.constraints.normalize`), the
+one scope rule and path walk every schema-aware pass resolves names by
+(:mod:`~repro.constraints.scope`),
 evaluation against object states (:mod:`~repro.constraints.evaluate`) and the
 symbolic solver used for conflict detection and entailment
 (:mod:`~repro.constraints.solver`).

@@ -64,6 +64,14 @@ from repro.constraints.ast import (
 from repro.constraints.evaluate import BUILTIN_FUNCTIONS
 from repro.constraints.model import Constraint, ConstraintKind
 from repro.constraints.normalize import negate
+from repro.constraints.scope import (
+    NOT_A_REFERENCE,
+    UNBOUND_PATH,
+    UNKNOWN_ATTRIBUTE,
+    UNKNOWN_CLASS,
+    Scope,
+    traverse,
+)
 from repro.constraints.solver import Solver, TypeEnvironment
 from repro.errors import SolverError
 from repro.types.primitives import BoolType, ClassRef, EnumType, SetType, Type
@@ -232,11 +240,22 @@ def _dereference_free(formula: Node) -> bool:
 # ---------------------------------------------------------------------------
 
 
+#: A path's diagnostic message, by the reason its walk stopped (the code).
+_PATH_MESSAGES = {
+    UNBOUND_PATH: "path {path!r} is not rooted at a quantified variable, "
+    "and the constraint has no owning class",
+    NOT_A_REFERENCE: "path {path!r} dereferences through {through!r}, "
+    "which is not a reference attribute",
+    UNKNOWN_CLASS: "path {path!r} traverses unknown class {on!r}",
+    UNKNOWN_ATTRIBUTE: "class {on} has no attribute {at!r} (in path {path!r})",
+}
+
+
 class _Linter:
-    """Walks one constraint formula, mirroring the scoping rules of
-    evaluation (:mod:`repro.constraints.evaluate`) and of the read-set
-    extractor (:mod:`repro.engine.incremental`), emitting diagnostics instead
-    of read sets."""
+    """Walks one constraint formula by the scope rule and path walk of
+    :mod:`repro.constraints.scope`, which the read-set extractor
+    (:mod:`repro.engine.incremental`), schema validation and conformation
+    share, emitting diagnostics instead of read sets."""
 
     def __init__(self, schema: "DatabaseSchema", constraint: Constraint):
         self.schema = schema
@@ -257,27 +276,25 @@ class _Linter:
         )
 
     def run(self) -> list[Diagnostic]:
-        self._walk(self.constraint.formula, {})
+        scope = Scope(self.schema, self.constraint.owner)
+        traverse(self.constraint.formula, scope, self._visit)
         return self.diagnostics
 
     # -- traversal -----------------------------------------------------------
 
-    def _walk(self, node: Node, env: dict[str, str]) -> None:
+    def _visit(self, node: Node, scope: Scope) -> Node | None:
+        """Check one node; ``None`` descends into its children."""
         if isinstance(node, Quantified):
-            if not self.schema.has_class(node.class_name):
-                self._emit(
-                    "error",
-                    "unknown-class",
-                    f"quantifier ranges over unknown class {node.class_name!r}",
-                    node,
-                )
-                return
-            self._walk(node.body, {**env, node.var: node.class_name})
-            return
-        if isinstance(node, Aggregate):
-            base = (
-                self.constraint.owner if node.collection == "self" else node.collection
+            if self.schema.has_class(node.class_name):
+                return None
+            self._emit(
+                "error",
+                "unknown-class",
+                f"quantifier ranges over unknown class {node.class_name!r}",
+                node,
             )
+        elif isinstance(node, Aggregate):
+            base = scope.base(node)
             if base is None:
                 self._emit(
                     "error",
@@ -285,19 +302,14 @@ class _Linter:
                     "aggregate over 'self' in a constraint with no owning class",
                     node,
                 )
-                return
-            if not self.schema.has_class(base):
+            elif not self.schema.has_class(base):
                 self._emit(
                     "error",
                     "unknown-class",
                     f"aggregate ranges over unknown class {base!r}",
                     node,
                 )
-                return
-            if (
-                node.over is not None
-                and node.over not in self.schema.effective_attributes(base)
-            ):
+            elif node.over is not None and scope.resolve_over(node).failure:
                 self._emit(
                     "error",
                     "unknown-attribute",
@@ -305,9 +317,8 @@ class _Linter:
                     f"(aggregate 'over' target)",
                     node,
                 )
-            return
-        if isinstance(node, KeyConstraint):
-            owner = self.constraint.owner
+        elif isinstance(node, KeyConstraint):
+            owner = scope.owner
             if owner is None or not self.schema.has_class(owner):
                 self._emit(
                     "error",
@@ -315,21 +326,21 @@ class _Linter:
                     "key constraint outside a class",
                     node,
                 )
-                return
-            attributes = self.schema.effective_attributes(owner)
+                return node
             for attr in node.attributes:
-                if attr not in attributes:
+                if scope.resolve_key(attr).failure:
                     self._emit(
                         "error",
                         "unknown-attribute",
                         f"class {owner} has no attribute {attr!r} (key component)",
                         node,
                     )
-            return
-        if isinstance(node, Path):
-            self._check_path(node, env)
-            return
-        if isinstance(node, FunctionCall):
+        elif isinstance(node, Path):
+            resolution = scope.resolve(node)
+            if resolution.failure is not None:
+                message = resolution.explain(_PATH_MESSAGES, node)
+                self._emit("error", resolution.failure, message, node)
+        elif isinstance(node, FunctionCall):
             if node.name not in BUILTIN_FUNCTIONS:
                 self._emit(
                     "warn",
@@ -338,10 +349,8 @@ class _Linter:
                     f"supplied at evaluation time (EvalContext.functions)",
                     node,
                 )
-            for arg in node.args:
-                self._walk(arg, env)
-            return
-        if isinstance(node, NamedConstant):
+            return None
+        elif isinstance(node, NamedConstant):
             if node.name not in self.schema.constants:
                 self._emit(
                     "warn",
@@ -349,72 +358,19 @@ class _Linter:
                     f"named constant {node.name!r} has no binding in the schema",
                     node,
                 )
-            return
-        if isinstance(node, Comparison):
-            self._walk(node.left, env)
-            self._walk(node.right, env)
-            self._check_comparison(node, env)
-            return
-        for child in node.children():
-            self._walk(child, env)
-
-    # -- paths ---------------------------------------------------------------
-
-    def _check_path(self, path: Path, env: dict[str, str]) -> None:
-        if path.parts[0] in env:
-            start: str | None = env[path.parts[0]]
-            parts = path.parts[1:]
-            if not parts:
-                return  # a bare quantifier variable (identity comparison)
+        elif isinstance(node, Comparison):
+            traverse(node.left, scope, self._visit)
+            traverse(node.right, scope, self._visit)
+            self._check_comparison(node, scope)
         else:
-            start = self.constraint.owner
-            parts = path.parts
-            if start is None:
-                self._emit(
-                    "error",
-                    "unbound-path",
-                    f"path {path.dotted()!r} is not rooted at a quantified "
-                    f"variable, and the constraint has no owning class",
-                    path,
-                )
-                return
-        current: str | None = start
-        for index, part in enumerate(parts):
-            if current is None:
-                self._emit(
-                    "error",
-                    "not-a-reference",
-                    f"path {path.dotted()!r} dereferences through "
-                    f"{parts[index - 1]!r}, which is not a reference attribute",
-                    path,
-                )
-                return
-            if not self.schema.has_class(current):
-                self._emit(
-                    "error",
-                    "unknown-class",
-                    f"path {path.dotted()!r} traverses unknown class {current!r}",
-                    path,
-                )
-                return
-            attributes = self.schema.effective_attributes(current)
-            if part not in attributes:
-                self._emit(
-                    "error",
-                    "unknown-attribute",
-                    f"class {current} has no attribute {part!r} "
-                    f"(in path {path.dotted()!r})",
-                    path,
-                )
-                return
-            tm_type = attributes[part].tm_type
-            current = tm_type.class_name if isinstance(tm_type, ClassRef) else None
+            return None
+        return node
 
     # -- comparisons ---------------------------------------------------------
 
-    def _check_comparison(self, node: Comparison, env: dict[str, str]) -> None:
-        left = self._type_kind(node.left, env)
-        right = self._type_kind(node.right, env)
+    def _check_comparison(self, node: Comparison, scope: Scope) -> None:
+        left = self._type_kind(node.left, scope)
+        right = self._type_kind(node.right, scope)
         if left is None or right is None or left == right:
             return
         if node.op in ("<", "<=", ">", ">="):
@@ -435,7 +391,7 @@ class _Linter:
                 node,
             )
 
-    def _type_kind(self, node: Node, env: dict[str, str]) -> str | None:
+    def _type_kind(self, node: Node, scope: Scope) -> str | None:
         """A coarse static kind — ``number`` / ``string`` / ``bool`` — or
         ``None`` when unknown (references, sets, opaque calls)."""
         if isinstance(node, Literal):
@@ -448,29 +404,9 @@ class _Linter:
         if isinstance(node, (BinaryOp, Aggregate)):
             return "number"
         if isinstance(node, Path):
-            tm_type = self._path_type(node, env)
-            return _kind_of_type(tm_type) if tm_type is not None else None
+            end = scope.resolve(node).end
+            return _kind_of_type(end.tm_type) if end is not None else None
         return None
-
-    def _path_type(self, path: Path, env: dict[str, str]) -> Type | None:
-        if path.parts[0] in env:
-            current: str | None = env[path.parts[0]]
-            parts = path.parts[1:]
-        else:
-            current = self.constraint.owner
-            parts = path.parts
-        tm_type: Type | None = None
-        for part in parts:
-            if current is None or not self.schema.has_class(current):
-                return None
-            attribute = self.schema.effective_attributes(current).get(part)
-            if attribute is None:
-                return None
-            tm_type = attribute.tm_type
-            current = (
-                tm_type.class_name if isinstance(tm_type, ClassRef) else None
-            )
-        return tm_type
 
 
 def _kind_of_value(value: object) -> str | None:

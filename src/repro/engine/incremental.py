@@ -69,6 +69,7 @@ from repro.constraints.ast import (
 )
 from repro.constraints.evaluate import compiled, evaluate
 from repro.constraints.model import Constraint, ConstraintKind
+from repro.constraints.scope import Resolution, Scope, Step, traverse
 from repro.engine.enforcement import _EVAL_FAILURES, Violation, violation
 from repro.errors import (
     ConstraintViolation,
@@ -229,7 +230,8 @@ class CheckPlan:
 
 
 class _ReadSetBuilder:
-    """Walks one constraint formula, accumulating the read set."""
+    """Walks one constraint formula in its scope
+    (:mod:`repro.constraints.scope`), accumulating the read set."""
 
     def __init__(self, schema: "DatabaseSchema", owner: str | None):
         self.schema = schema
@@ -245,59 +247,47 @@ class _ReadSetBuilder:
     def closure(self, class_name: str) -> list[str]:
         return [class_name, *self.schema.subclasses_of(class_name)]
 
-    def walk(self, node: Node, env: dict[str, str | None]) -> None:
+    def walk(self, formula: Node) -> None:
+        traverse(formula, Scope(self.schema, self.owner), self._visit)
+
+    def _visit(self, node: Node, scope: Scope) -> Node | None:
+        """Record one node's reads; ``None`` descends into its children."""
         if isinstance(node, Quantified):
             if not self.schema.has_class(node.class_name):
                 self.universal = True
-                return
+                return node
             self.extents.update(self.closure(node.class_name))
             self._note_referential(node)
-            self.walk(node.body, {**env, node.var: node.class_name})
-            return
+            return None
         if isinstance(node, Aggregate):
-            base = self.owner if node.collection == "self" else node.collection
+            base = scope.base(node)
             if base is None or not self.schema.has_class(base):
                 self.universal = True
-                return
+                return node
             self.extents.update(self.closure(base))
-            if node.over is not None:
-                self._walk_path(base, (node.over,), owner_rooted=False)
             # Register the aggregate for materialization when its reads are
             # statically resolvable (the attribute is effective on the base
             # class, hence on every member of the deep extent).
-            if node.over is None or node.over in self.schema.effective_attributes(base):
+            if node.over is None or self._read(scope.resolve_over(node)):
                 self.aggregates.add((node.func, base, node.over))
-            return
+            return node
         if isinstance(node, KeyConstraint):
-            if self.owner is None or not self.schema.has_class(self.owner):
+            owner = scope.owner
+            if owner is None or not self.schema.has_class(owner):
                 self.universal = True
-                return
-            self.extents.update(self.closure(self.owner))
-            for attr in node.attributes:
-                self._walk_path(self.owner, (attr,), owner_rooted=False)
-            attributes = self.schema.effective_attributes(self.owner)
+                return node
+            self.extents.update(self.closure(owner))
+            ends = [self._read(scope.resolve_key(attr)) for attr in node.attributes]
             # Reference-typed key components are left to the scan path: it
             # *dereferences* them (raising on a dangling oid), while a hash
             # index would compare raw oids — a semantic divergence.
-            if all(
-                attr in attributes
-                and not isinstance(attributes[attr].tm_type, ClassRef)
-                for attr in node.attributes
-            ):
-                self.keys.add((self.owner, node.attributes))
-            return
+            if all(end is not None and not isinstance(end.tm_type, ClassRef) for end in ends):
+                self.keys.add((owner, node.attributes))
+            return node
         if isinstance(node, Path):
-            if node.parts[0] in env:
-                # Rooted at a quantifier variable: a read of *another*
-                # object, whatever its class.
-                self._walk_path(
-                    env[node.parts[0]], node.parts[1:], owner_rooted=False
-                )
-            else:
-                self._walk_path(self.owner, node.parts, owner_rooted=True)
-            return
-        for child in node.children():
-            self.walk(child, env)
+            self._read(scope.resolve(node))
+            return node
+        return None
 
     def _note_referential(self, node: Quantified) -> None:
         """Register a reference spec for a referential existential.
@@ -330,45 +320,24 @@ class _ReadSetBuilder:
         if referenced is not None and self.schema.has_class(referenced):
             self.references.add((node.class_name, attribute, referenced))
 
-    def _walk_path(
-        self, start: str | None, parts: tuple[str, ...], owner_rooted: bool
-    ) -> None:
-        """Record ``(class, attr)`` reads along a dotted path, following
-        reference attributes into the classes they point at.
-
-        Only the *first* segment of an owner-rooted path reads the
-        constrained object itself; every segment after a dereference (and
-        every segment of a variable-rooted path) reads a different object
-        and lands in ``foreign``.
-        """
-        current: str | None = start
-        for index, part in enumerate(parts):
-            if current is None or not self.schema.has_class(current):
-                self.universal = True
-                return
-            attributes = self.schema.effective_attributes(current)
-            if part not in attributes:
-                # A variable-free name we cannot type (e.g. a quantifier
-                # variable compared wholesale, or a rewritten attribute):
-                # treat conservatively.
-                self.universal = True
-                return
-            target = self.own if owner_rooted and index == 0 else self.foreign
-            for cls in self.closure(current):
-                target.add((cls, part))
-            tm_type = attributes[part].tm_type
-            if isinstance(tm_type, ClassRef):
+    def _read(self, resolution: Resolution) -> Step | None:
+        """Record a resolved path's ``(class, attr)`` reads; its last step
+        when it fully resolved (else the constraint is universal).  Only the
+        first step of an owner-rooted path reads the constrained object
+        itself; every other step reads a different object (``foreign``)."""
+        for index, step in enumerate(resolution.steps):
+            target = self.own if resolution.owner_rooted and index == 0 else self.foreign
+            for cls in self.closure(step.class_name):
+                target.add((cls, step.attribute))
+            if isinstance(step.tm_type, ClassRef):
                 # Reading a reference depends on the referenced object's
                 # *existence* even when no attribute of it is read (a bare
                 # ref comparison): deleting a member of the target extent
                 # can leave the reference dangling.
-                self.extents.update(self.closure(tm_type.class_name))
-                current = tm_type.class_name
-            elif index < len(parts) - 1:
-                self.universal = True
-                return
-            else:
-                current = None
+                self.extents.update(self.closure(step.tm_type.class_name))
+        if resolution.failure is not None:
+            self.universal = True
+        return resolution.end
 
 
 class ConstraintDependencyIndex:
@@ -405,7 +374,7 @@ class ConstraintDependencyIndex:
         schema = self._schema
         builder = _ReadSetBuilder(schema, constraint.owner)
         try:
-            builder.walk(constraint.formula, {})
+            builder.walk(constraint.formula)
         except SchemaError:
             builder.universal = True
         owner_extent: frozenset[str] = frozenset()

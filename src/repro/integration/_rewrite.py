@@ -3,7 +3,9 @@
 Each rewrite here is one rule over :meth:`Node.rewrite`, the one structural
 rebuild of the constraint AST: the rule names the node types it replaces and
 the traversal reaches every other node, keeping positions and untouched
-subtrees.
+subtrees.  Domain conversion keys on what each path reads, so its rule runs
+over :func:`repro.constraints.scope.traverse`, the same rebuild with each
+node's scope.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.constraints.ast import (
     Path,
     SetLiteral,
 )
+from repro.constraints.scope import Scope, traverse
 from repro.errors import ConformationError
 from repro.integration.conversion import ConversionFunction, LinearConversion
 
@@ -33,24 +36,18 @@ def map_paths(node: Node, fn: Callable[[Path], Path]) -> Node:
     return node.rewrite(lambda sub: fn(sub) if isinstance(sub, Path) else None)
 
 
-def rename_attributes(
-    node: Node,
-    renames: Mapping[str, str],
-    rename_path: Callable[[Path], Path] | None = None,
-) -> Node:
-    """Substitute conformed attribute names (Section 4, subtask 2).
+def rename_attributes(node: Node, renames: Mapping[str, str]) -> Node:
+    """Substitute attribute names by first path segment.
 
-    ``renames`` maps *first path segments* (attribute names of the class the
-    constraint is allocated to) to their conformed names.  Key-constraint
-    attribute lists are renamed too; aggregate ``over`` attributes likewise,
-    wherever the aggregate sits.  ``rename_path``, when given, renames each
-    whole path instead (conformation's substitution along dotted paths).
+    ``renames`` maps *first path segments* (attribute names of the one class
+    the formula is written against) to new names.  Key-constraint attribute
+    lists are renamed too; aggregate ``over`` attributes likewise, wherever
+    the aggregate sits.  Conformation's own substitution resolves every
+    segment instead (:mod:`repro.integration.constraint_conformation`).
     """
 
     def rule(sub: Node) -> Node | None:
         if isinstance(sub, Path):
-            if rename_path is not None:
-                return rename_path(sub)
             first = sub.parts[0]
             if first in renames:
                 return replace(sub, parts=(renames[first],) + sub.parts[1:])
@@ -67,36 +64,43 @@ def rename_attributes(
     return node.rewrite(rule)
 
 
+#: ``(class, attribute)`` → the conversion of that property's values.
+Conversions = Mapping[tuple[str, str], ConversionFunction]
+
+
 def convert_domains(
     node: Node,
-    conversions: Mapping[str, ConversionFunction],
+    scope: Scope,
+    conversions: Conversions,
     constants: Mapping[str, Any] | None = None,
 ) -> Node:
     """Domain conversion of constraint constants (Section 4, subtask 3).
 
-    For every comparison/membership whose path's *first segment* is a
-    converted property, the constant side is pushed through the conversion
-    function: under ``multiply(2)`` on ``rating``, ``rating >= 2`` becomes
-    ``rating >= 4`` and ``rating in {1, 2}`` becomes ``rating in {2, 4}``.
-    A comparison of an aggregate over a converted property converts when the
-    conversion is purely multiplicative (``avg(rating) < 4`` becomes
-    ``avg(rating) < 8``).  Scalar named ``constants``, when given, are bound
-    in every comparison first so that conversion can rewrite them.  A
-    converted property anywhere else (under arithmetic, in a function call,
-    inside a nested aggregate) raises rather than being left unconverted.
+    A conversion keys on the ``(class, attribute)`` a path or an aggregate's
+    ``over`` ends at, resolved in ``scope`` (:mod:`repro.constraints.scope`).
+    For every comparison/membership with a converted side, the constant side
+    is pushed through the conversion function: under ``multiply(2)`` on
+    ``rating``, ``rating >= 2`` becomes ``rating >= 4`` and ``rating in {1,
+    2}`` becomes ``rating in {2, 4}``.  A comparison of an aggregate over a
+    converted property converts when the conversion is purely multiplicative
+    (``avg(rating) < 4`` becomes ``avg(rating) < 8``).  Scalar named
+    ``constants``, when given, are bound in a converted comparison first so
+    that conversion can rewrite them.  A converted property anywhere else
+    (mid-path, under arithmetic, in a function call, inside a nested
+    aggregate) raises rather than being left unconverted.
     """
 
-    def rule(sub: Node) -> Node | None:
+    def rule(sub: Node, scope: Scope) -> Node | None:
         if isinstance(sub, Comparison):
-            return _convert_comparison(sub, conversions, constants or {})
+            return _convert_comparison(sub, scope, conversions, constants or {})
         if isinstance(sub, Membership):
-            return _convert_membership(sub, conversions)
+            return _convert_membership(sub, scope, conversions)
         if isinstance(sub, (Path, FunctionCall)):
-            _reject_converted(sub, conversions)
+            _reject_converted(sub, scope, conversions)
             return sub
         return None
 
-    return node.rewrite(rule)
+    return traverse(node, scope, rule)
 
 
 def _bound(term: Node, constants: Mapping[str, Any]) -> Node:
@@ -108,19 +112,28 @@ def _bound(term: Node, constants: Mapping[str, Any]) -> Node:
 
 
 def _conversion_for(
-    term: Node, conversions: Mapping[str, ConversionFunction]
+    term: Node, scope: Scope, conversions: Conversions
 ) -> ConversionFunction | None:
     """The conversion of a converted scalar property or of an aggregate over
     one; ``None`` for any other term."""
-    if isinstance(term, Path) and term.parts[0] in conversions:
-        if len(term.parts) > 1:
-            raise ConformationError(
-                f"cannot convert dotted path {term.dotted()!r}: conversion "
-                f"functions apply to scalar properties"
-            )
-        return conversions[term.parts[0]]
-    if isinstance(term, Aggregate) and term.over is not None and term.over in conversions:
-        cf = conversions[term.over]
+    if isinstance(term, Path):
+        resolution = scope.resolve(term)
+        for step in resolution.steps:
+            cf = conversions.get((step.class_name, step.attribute))
+            if cf is None:
+                continue
+            if step is not resolution.end:
+                raise ConformationError(
+                    f"cannot convert dotted path {term.dotted()!r}: conversion "
+                    f"functions apply to scalar properties"
+                )
+            return cf
+        return None
+    if isinstance(term, Aggregate) and term.over is not None:
+        end = scope.resolve_over(term).end
+        cf = conversions.get((end.class_name, end.attribute)) if end is not None else None
+        if cf is None:
+            return None
         # Only purely multiplicative linear conversions commute with the
         # aggregate; anything else would produce a wrong constraint.
         if not (
@@ -137,37 +150,36 @@ def _conversion_for(
     return None
 
 
-def _reject_converted(term: Node, conversions: Mapping[str, ConversionFunction]) -> None:
+def _reject_converted(term: Node, scope: Scope, conversions: Conversions) -> None:
     """Raise if ``term`` mentions a converted property: reached here, it is
     not compared directly with a constant, so no conversion applies."""
     for sub in term.walk():
         if isinstance(sub, Path):
-            name = sub.parts[0]
-        elif isinstance(sub, Aggregate):
-            name = sub.over
+            steps = scope.resolve(sub).steps
+        elif isinstance(sub, Aggregate) and sub.over is not None:
+            steps = scope.resolve_over(sub).steps
         else:
             continue
-        if name is not None and name in conversions:
-            raise ConformationError(
-                f"cannot convert property {name!r} under arithmetic, a function "
-                "call or a nested aggregate: conversion functions apply where "
-                "the property is compared directly with a constant"
-            )
+        for step in steps:
+            if (step.class_name, step.attribute) in conversions:
+                raise ConformationError(
+                    f"cannot convert property {step.attribute!r} under arithmetic, a "
+                    "function call or a nested aggregate: conversion functions apply "
+                    "where the property is compared directly with a constant"
+                )
 
 
 def _convert_comparison(
     node: Comparison,
-    conversions: Mapping[str, ConversionFunction],
+    scope: Scope,
+    conversions: Conversions,
     constants: Mapping[str, Any],
 ) -> Node:
-    left, right = (_bound(side, constants) for side in (node.left, node.right))
-    if left is not node.left or right is not node.right:
-        node = replace(node, left=left, right=right)
-    left_cf = _conversion_for(node.left, conversions)
-    right_cf = _conversion_for(node.right, conversions)
+    left_cf = _conversion_for(node.left, scope, conversions)
+    right_cf = _conversion_for(node.right, scope, conversions)
     if left_cf is None and right_cf is None:
-        _reject_converted(node.left, conversions)
-        _reject_converted(node.right, conversions)
+        _reject_converted(node.left, scope, conversions)
+        _reject_converted(node.right, scope, conversions)
         return node
     if left_cf is not None and right_cf is not None:
         if left_cf.name == right_cf.name:
@@ -178,6 +190,9 @@ def _convert_comparison(
                 return node.mirrored()
             return node
         raise ConformationError("comparison relates two differently-converted properties")
+    left, right = (_bound(side, constants) for side in (node.left, node.right))
+    if left is not node.left or right is not node.right:
+        node = replace(node, left=left, right=right)
     # Put the converted side on the left; an aggregate comparison turns back.
     oriented, cf = (node, left_cf) if left_cf is not None else (node.mirrored(), right_cf)
     assert cf is not None
@@ -190,12 +205,10 @@ def _convert_comparison(
     return converted
 
 
-def _convert_membership(
-    node: Membership, conversions: Mapping[str, ConversionFunction]
-) -> Node:
-    cf = _conversion_for(node.element, conversions)
+def _convert_membership(node: Membership, scope: Scope, conversions: Conversions) -> Node:
+    cf = _conversion_for(node.element, scope, conversions)
     if cf is None:
-        _reject_converted(node.element, conversions)
+        _reject_converted(node.element, scope, conversions)
         return node
     if isinstance(node.collection, SetLiteral):
         converted = tuple(cf.apply(v) for v in node.collection.values)

@@ -155,6 +155,36 @@ class ConformedDatabase:
             names.setdefault(id(conformed), original)
         return names
 
+    @cached_property
+    def attribute_conversions(self) -> dict[tuple[str, str], ConversionFunction]:
+        """``(original class, attribute)`` → conversion, inherited ones
+        included; built on first use, once property conformation is done."""
+        return {
+            (class_name, attribute): cf
+            for class_name in self.original_schema.classes
+            for attribute, cf in self.conversion_map(class_name).items()
+        }
+
+    def relocation_of(self, class_name: str, attribute: str) -> Relocation | None:
+        """The relocation that virtualised ``attribute`` of original class
+        ``class_name`` (declared there or on an ancestor), if any."""
+        for relocation in self.relocations:
+            if relocation.value_attribute == attribute and self._below(class_name, relocation.class_name):
+                return relocation
+        return None
+
+    def hiding_of(self, class_name: str, attribute: str) -> Hiding | None:
+        """The hiding that cast ``attribute`` of original class ``class_name``
+        (declared there or on an ancestor) into values, if any."""
+        for hiding in self.hidings:
+            if hiding.value_attribute == attribute and self._below(class_name, hiding.casting_class):
+                return hiding
+        return None
+
+    def _below(self, class_name: str, ancestor: str) -> bool:
+        schema = self.original_schema
+        return schema.has_class(class_name) and schema.is_subclass_of(class_name, ancestor)
+
     def conformed_attribute_name(self, class_name: str, attribute: str) -> str:
         return self.rename_map(class_name).get(attribute, attribute)
 
@@ -218,6 +248,28 @@ class ConformationResult:
         a ``propeq_between`` key with a class name), made on first use, once
         :func:`conform` has settled the propeqs and schemas."""
         return {}
+
+    def references(self, side: Side, class_name: str) -> tuple[frozenset[str], frozenset[str]]:
+        """The conformed class's reference attributes and its sets of
+        references: only these hold conformed (later global) oids."""
+        return self._references.get((side, class_name), _NO_REFERENCES)
+
+    @cached_property
+    def _references(self) -> dict[tuple[Side, str], tuple[frozenset[str], frozenset[str]]]:
+        """Made on first use, once :func:`conform` has settled the schemas."""
+        found = {}
+        for side in (Side.LOCAL, Side.REMOTE):
+            schema = self.on(side).schema
+            for class_name in schema.classes:
+                attributes = schema.effective_attributes(class_name).items()
+                found[side, class_name] = (
+                    frozenset(name for name, a in attributes if isinstance(a.tm_type, ClassRef)),
+                    frozenset(name for name, a in attributes if is_reference_set(a.tm_type)),
+                )
+        return found
+
+
+_NO_REFERENCES: tuple[frozenset[str], frozenset[str]] = (frozenset(), frozenset())
 
 
 def conform(
@@ -373,7 +425,7 @@ def _conform_properties(
             conformed = result.on(side)
             class_name = propeq.class_on(side)
             prop = propeq.property_on(side)
-            relocation = _relocation_for(conformed, class_name, prop)
+            relocation = conformed.relocation_of(class_name, prop)
             if relocation is not None:
                 # The equivalence now lives on the virtual class.
                 conformed_sides[side] = (
@@ -444,20 +496,6 @@ def _declaring_class(schema: DatabaseSchema, class_name: str, attribute: str) ->
     )
 
 
-def _relocation_for(
-    conformed: ConformedDatabase, class_name: str, prop: str
-) -> Relocation | None:
-    for relocation in conformed.relocations:
-        if relocation.value_attribute != prop:
-            continue
-        schema = conformed.original_schema
-        if schema.has_class(class_name) and schema.is_subclass_of(
-            class_name, relocation.class_name
-        ):
-            return relocation
-    return None
-
-
 def _hiding_for(
     conformed: ConformedDatabase, class_name: str, prop: str
 ) -> Hiding | None:
@@ -503,8 +541,8 @@ def _conform_instances(conformed: ConformedDatabase, store: ObjectStore) -> None
             if plan is None:
                 tm_type = _original_type(conformed, obj.class_name, attr)
                 plan = plans[obj.class_name, attr] = (
-                    _relocation_for(conformed, obj.class_name, attr),
-                    _value_hiding_for(conformed, obj.class_name, attr),
+                    conformed.relocation_of(obj.class_name, attr),
+                    conformed.hiding_of(obj.class_name, attr),
                     isinstance(tm_type, ClassRef),
                     is_reference_set(tm_type),
                 )
@@ -557,23 +595,6 @@ def _conform_instances(conformed: ConformedDatabase, store: ObjectStore) -> None
 def is_reference_set(tm_type: Type | None) -> bool:
     """Whether ``tm_type`` is a set of references (``partners : P Publisher``)."""
     return isinstance(tm_type, SetType) and isinstance(tm_type.element, ClassRef)
-
-
-def _value_hiding_for(
-    conformed: ConformedDatabase, class_name: str, attr: str
-) -> Hiding | None:
-    for hiding in conformed.hidings:
-        if hiding.casting_class == class_name and hiding.value_attribute == attr:
-            return hiding
-        schema = conformed.original_schema
-        if (
-            hiding.value_attribute == attr
-            and schema.has_class(class_name)
-            and schema.has_class(hiding.casting_class)
-            and schema.is_subclass_of(class_name, hiding.casting_class)
-        ):
-            return hiding
-    return None
 
 
 def _original_type(

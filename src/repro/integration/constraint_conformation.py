@@ -13,8 +13,8 @@ normalisation*.  The four subtasks:
    attribute onto the casting class.
 
 2. **Attribute substitution.**  Conformed names replace local names at every
-   path segment, in key-constraint attribute lists and aggregate ``over``
-   attributes.
+   path segment (each by the map of the class it resolves on), in
+   key-constraint attribute lists and aggregate ``over`` attributes.
 
 3. **Domain conversion.**  Constants compared with a converted property pass
    through the conversion function: ``rating >= 2`` under ``multiply(2)``
@@ -26,6 +26,13 @@ normalisation*.  The four subtasks:
    registered derived attributes are conformed like ordinary ones (the
    fixture specs do not use them).
 
+Subtasks 1-3 resolve every path, key and aggregate ``over`` by the one
+scope rule of :mod:`repro.constraints.scope` in the original schema, so
+database constraints get them too: ``forall x in RefereedPubl | x.rating >=
+2`` conforms to ``x.rating >= 4`` as ``RefereedPubl.oc1`` does.  The one
+rule specific to database constraints: one that quantifies over a hidden
+class is dropped.
+
 The conformed constraints are attached to the conformed schema and indexed by
 their original qualified name in ``ConformedDatabase.conformed_constraints``;
 dropped constraints are recorded with a reason.
@@ -33,12 +40,14 @@ dropped constraints are recorded with a reason.
 
 from __future__ import annotations
 
-from repro.constraints.ast import Node, Path, Quantified, paths_in
+from dataclasses import replace
+
+from repro.constraints.ast import Aggregate, KeyConstraint, Node, Path, Quantified, paths_in
 from repro.constraints.model import Constraint
+from repro.constraints.scope import Resolution, Scope, traverse
 from repro.errors import ConformationError
-from repro.integration._rewrite import convert_domains, map_paths, rename_attributes
-from repro.integration.conformation import ConformedDatabase, Hiding, Relocation
-from repro.types.primitives import ClassRef
+from repro.integration._rewrite import convert_domains, rename_attributes
+from repro.integration.conformation import ConformedDatabase, Relocation
 
 
 def conform_constraints(conformed: ConformedDatabase) -> None:
@@ -66,14 +75,10 @@ def _conform_class_owned_constraint(
     if relocation is not None:
         _reallocate_to_virtual(conformed, owner, constraint, relocation)
         return
-    formula = _rewrite_relocated_paths(conformed, owner, constraint.formula)
-    formula, dropped_reason = _rewrite_hidden_paths(conformed, owner, formula)
+    formula, dropped_reason = _conform(conformed, owner, constraint.formula)
     if dropped_reason:
-        conformed.dropped_constraints.append(  # type: ignore[attr-defined]
-            (constraint.qualified_name, dropped_reason)
-        )
+        conformed.dropped_constraints.append((constraint.qualified_name, dropped_reason))
         return
-    formula = _substitute_and_convert(conformed, owner, formula)
     result = constraint.with_formula(formula).with_owner(owner)
     _attach(conformed, owner, constraint, result)
 
@@ -81,33 +86,20 @@ def _conform_class_owned_constraint(
 def _full_relocation(
     conformed: ConformedDatabase, owner: str, formula: Node
 ) -> Relocation | None:
-    """The relocation to apply when *every* path uses the relocated value."""
-    paths = paths_in(formula)
-    if not paths:
-        return None
-    found: Relocation | None = None
-    for path in paths:
-        relocation = _relocation_of(conformed, owner, path.parts[0])
-        if relocation is None:
-            return None
-        if found is not None and relocation != found:
-            return None
-        found = relocation
-    return found
+    """The relocation to apply when *every* path reads the relocated value
+    off the constrained object."""
+    found: set[Relocation | None] = set()
 
+    def visit(node: Node, scope: Scope) -> Node | None:
+        if not isinstance(node, Path):
+            return None
+        resolution = scope.resolve(node)
+        first = resolution.steps[0] if resolution.owner_rooted and resolution.steps else None
+        found.add(conformed.relocation_of(first.class_name, first.attribute) if first else None)
+        return node
 
-def _relocation_of(
-    conformed: ConformedDatabase, owner: str, attribute: str
-) -> Relocation | None:
-    schema = conformed.original_schema
-    for relocation in conformed.relocations:
-        if relocation.value_attribute != attribute:
-            continue
-        if schema.has_class(owner) and schema.is_subclass_of(
-            owner, relocation.class_name
-        ):
-            return relocation
-    return None
+    traverse(formula, Scope(conformed.original_schema, owner), visit)
+    return found.pop() if len(found) == 1 else None
 
 
 def _reallocate_to_virtual(
@@ -128,61 +120,6 @@ def _reallocate_to_virtual(
     _attach(conformed, relocation.virtual_class, constraint, result)
 
 
-def _rewrite_relocated_paths(
-    conformed: ConformedDatabase, owner: str, formula: Node
-) -> Node:
-    """Mixed use of a virtualised attribute: value position becomes a dotted
-    reference path (``publisher`` → ``publisher.name``)."""
-
-    def rewrite(path: Path) -> Path:
-        relocation = _relocation_of(conformed, owner, path.parts[0])
-        if relocation is not None and len(path.parts) == 1:
-            return Path((relocation.value_attribute, relocation.object_attribute))
-        return path
-
-    return map_paths(formula, rewrite)
-
-
-def _rewrite_hidden_paths(
-    conformed: ConformedDatabase, owner: str, formula: Node
-) -> tuple[Node, str | None]:
-    """Paths through a hidden class collapse onto the casting value
-    (``publisher.name`` → ``publisher``); deeper hidden properties drop the
-    whole constraint."""
-    dropped: list[str] = []
-
-    def rewrite(path: Path) -> Path:
-        hiding = _hiding_of(conformed, owner, path.parts[0])
-        if hiding is None:
-            return path
-        if len(path.parts) == 2 and path.parts[1] == hiding.object_attribute:
-            return Path((hiding.value_attribute,))
-        if len(path.parts) >= 2:
-            dropped.append(path.dotted())
-        return path
-
-    rebuilt = map_paths(formula, rewrite)
-    if dropped:
-        return rebuilt, (
-            "references hidden properties through "
-            + ", ".join(sorted(set(dropped)))
-        )
-    return rebuilt, None
-
-
-def _hiding_of(
-    conformed: ConformedDatabase, owner: str, attribute: str
-) -> Hiding | None:
-    schema = conformed.original_schema
-    for hiding in conformed.hidings:
-        if hiding.value_attribute != attribute:
-            continue
-        if schema.has_class(owner) and schema.has_class(hiding.casting_class):
-            if schema.is_subclass_of(owner, hiding.casting_class):
-                return hiding
-    return None
-
-
 # ---------------------------------------------------------------------------
 # constraints owned by hidden classes
 # ---------------------------------------------------------------------------
@@ -198,7 +135,7 @@ def _conform_hidden_class_constraint(
     surviving = {h.object_attribute for h in hidings}
     used = {path.parts[0] for path in paths_in(constraint.formula)}
     if not used <= surviving:
-        conformed.dropped_constraints.append(  # type: ignore[attr-defined]
+        conformed.dropped_constraints.append(
             (
                 constraint.qualified_name,
                 f"class {owner} was hidden and the constraint uses hidden "
@@ -210,75 +147,13 @@ def _conform_hidden_class_constraint(
         formula = rename_attributes(
             constraint.formula, {hiding.object_attribute: hiding.value_attribute}
         )
-        formula = _substitute_and_convert(conformed, hiding.casting_class, formula)
+        formula = conform_formula(conformed, hiding.casting_class, formula)
         result = constraint.with_formula(formula).with_owner(hiding.casting_class)
         conformed.notes.append(
             f"constraint {constraint.qualified_name} re-expressed on "
             f"{hiding.casting_class}.{hiding.value_attribute}"
         )
         _attach(conformed, hiding.casting_class, constraint, result)
-
-
-# ---------------------------------------------------------------------------
-# subtasks 2 + 3: substitution and domain conversion
-# ---------------------------------------------------------------------------
-
-
-def conform_formula(conformed: ConformedDatabase, owner: str, formula: Node) -> Node:
-    """Conform an arbitrary formula written against ``owner``'s original
-    attributes (used for rule conditions, which share the constraint
-    language)."""
-    formula = _rewrite_relocated_paths(conformed, owner, formula)
-    formula, dropped = _rewrite_hidden_paths(conformed, owner, formula)
-    if dropped:
-        raise ConformationError(dropped)
-    return _substitute_and_convert(conformed, owner, formula)
-
-
-def _substitute_and_convert(
-    conformed: ConformedDatabase, owner: str, formula: Node
-) -> Node:
-    """Subtask 2 then subtask 3: one rename pass, then one conversion pass."""
-    formula = _rename_deep(conformed, owner, formula)
-    conversions = {
-        conformed.conformed_attribute_name(owner, original): cf
-        for original, cf in conformed.conversion_map(owner).items()
-    }
-    if conversions:
-        formula = convert_domains(formula, conversions, conformed.original_schema.constants)
-    return formula
-
-
-def _rename_deep(conformed: ConformedDatabase, owner: str, formula: Node) -> Node:
-    """Attribute substitution along dotted paths.
-
-    The first segment renames by the owner's map; subsequent segments by the
-    map of the class each reference points at (resolved in the *original*
-    schema).  Key attributes and aggregate ``over`` attributes rename by the
-    owner's map.
-    """
-    schema = conformed.original_schema
-
-    def rewrite(path: Path) -> Path:
-        segments = []
-        current = owner
-        for segment in path.parts:
-            renamed = conformed.conformed_attribute_name(current, segment) if (
-                schema.has_class(current)
-            ) else segment
-            segments.append(renamed)
-            if schema.has_class(current):
-                attributes = schema.effective_attributes(current)
-                if segment in attributes and isinstance(
-                    attributes[segment].tm_type, ClassRef
-                ):
-                    current = attributes[segment].tm_type.class_name
-                    continue
-            current = ""  # no further type info
-        parts = tuple(segments)
-        return path if parts == path.parts else Path(parts)
-
-    return rename_attributes(formula, conformed.rename_map(owner), rewrite)
 
 
 # ---------------------------------------------------------------------------
@@ -289,38 +164,106 @@ def _rename_deep(conformed: ConformedDatabase, owner: str, formula: Node) -> Nod
 def _conform_database_constraint(
     conformed: ConformedDatabase, constraint: Constraint
 ) -> None:
-    hidden_classes = {h.hidden_class for h in conformed.hidings}
-    quantified = [
-        node
-        for node in constraint.formula.walk()
-        if isinstance(node, Quantified)
-    ]
-    touched = {node.class_name for node in quantified}
-    if touched & hidden_classes:
-        conformed.dropped_constraints.append(  # type: ignore[attr-defined]
-            (
-                constraint.qualified_name,
-                f"quantifies over hidden classes {sorted(touched & hidden_classes)}",
-            )
+    """Subtasks 1-3 as for class-owned constraints, after the one rule of
+    their own: a constraint quantifying over a hidden class is dropped."""
+    hidden = {h.hidden_class for h in conformed.hidings} & {
+        node.class_name for node in constraint.formula.walk() if isinstance(node, Quantified)
+    }
+    if hidden:
+        conformed.dropped_constraints.append(
+            (constraint.qualified_name, f"quantifies over hidden classes {sorted(hidden)}")
         )
         return
-    bindings = {node.var: node.class_name for node in quantified}
-
-    def rewrite(path: Path) -> Path:
-        if path.parts[0] in bindings:
-            owner = bindings[path.parts[0]]
-            renames = conformed.rename_map(owner)
-            renamed = tuple(
-                renames.get(part, part) if index == 1 else part
-                for index, part in enumerate(path.parts)
-            )
-            return Path(renamed)
-        return path
-
-    formula = map_paths(constraint.formula, rewrite)
+    formula, dropped_reason = _conform(conformed, None, constraint.formula)
+    if dropped_reason:
+        conformed.dropped_constraints.append((constraint.qualified_name, dropped_reason))
+        return
     result = constraint.with_formula(formula)
     conformed.schema.add_database_constraint(result)
-    conformed.conformed_constraints[constraint.qualified_name] = result  # type: ignore[attr-defined]
+    conformed.conformed_constraints[constraint.qualified_name] = result
+
+
+# ---------------------------------------------------------------------------
+# subtasks 1-3 on one formula
+# ---------------------------------------------------------------------------
+
+
+def conform_formula(conformed: ConformedDatabase, owner: str, formula: Node) -> Node:
+    """Conform an arbitrary formula written against ``owner``'s original
+    attributes (used for rule conditions, which share the constraint
+    language)."""
+    formula, dropped = _conform(conformed, owner, formula)
+    if dropped:
+        raise ConformationError(dropped)
+    return formula
+
+
+def _conform(
+    conformed: ConformedDatabase, owner: str | None, formula: Node
+) -> tuple[Node, str | None]:
+    """Subtask 3, then subtasks 1 and 2 on every path, key and aggregate;
+    with the reason to drop the constraint, if any.  Every name resolves in
+    its scope in the *original* schema: conversion runs first because it
+    only rewrites constants, so every path still reads in original names."""
+    scope = Scope(conformed.original_schema, owner)
+    formula = convert_domains(
+        formula, scope, conformed.attribute_conversions, conformed.original_schema.constants
+    )
+    dropped: list[str] = []
+
+    def rule(node: Node, scope: Scope) -> Node | None:
+        if isinstance(node, Path):
+            return _conform_path(conformed, node, scope.resolve(node), dropped)
+        if isinstance(node, KeyConstraint) and scope.owner is not None:
+            renames = conformed.rename_map(scope.owner)
+            attributes = tuple(renames.get(attr, attr) for attr in node.attributes)
+            return node if attributes == node.attributes else replace(node, attributes=attributes)
+        if isinstance(node, Aggregate):
+            base = scope.base(node)
+            if node.over is None or base is None:
+                return node
+            over = conformed.conformed_attribute_name(base, node.over)
+            return node if over == node.over else replace(node, over=over)
+        return None
+
+    formula = traverse(formula, scope, rule)
+    if dropped:
+        return formula, (
+            "references hidden properties through " + ", ".join(sorted(set(dropped)))
+        )
+    return formula, None
+
+
+def _conform_path(
+    conformed: ConformedDatabase,
+    path: Path,
+    resolution: Resolution,
+    dropped: list[str],
+) -> Path:
+    """One path in conformed terms: each resolved segment renamed by the map
+    of the class it resolves on (subtask 2); a path ending at a virtualised
+    value reads the virtual object's (``publisher`` → ``publisher.name``), one
+    through a hidden class collapses onto the casting value
+    (``publisher.name`` → ``publisher``) or, reading deeper, is ``dropped``."""
+    offset = len(path.parts) - len(resolution.segments)  # a bound variable
+    parts = list(path.parts)
+    for index, step in enumerate(resolution.steps):
+        at = offset + index
+        hiding = conformed.hiding_of(step.class_name, step.attribute)
+        if hiding is not None:
+            rest = path.parts[at + 1 :]
+            if rest == (hiding.object_attribute,):
+                del parts[at + 1 :]
+            elif rest:
+                dropped.append(path.dotted())
+            break
+        relocation = conformed.relocation_of(step.class_name, step.attribute)
+        if relocation is not None:
+            if at == len(path.parts) - 1:
+                parts.append(relocation.object_attribute)
+            break
+        parts[at] = conformed.conformed_attribute_name(step.class_name, step.attribute)
+    return path if tuple(parts) == path.parts else Path(tuple(parts))
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,10 @@ from repro.integration.conformation import (
     ConformationResult,
     ConformedObject,
     ConformedPropeq,
-    is_reference_set,
 )
 from repro.integration.matching import MatchResult
 from repro.integration.relationships import Side
 from repro.integration.spec import IntegrationSpecification
-from repro.types.primitives import ClassRef
 
 
 @dataclass
@@ -44,6 +42,9 @@ class GlobalObject:
     #: Properties whose local/remote values disagreed, with both values —
     #: the raw material of implicit conflicts.
     value_differences: dict[str, tuple[Any, Any]] = field(default_factory=dict)
+    #: Properties a component declares a (single) reference: only their
+    #: values are global oids.
+    references: frozenset[str] = field(default=frozenset(), init=False)
 
     def component_on(self, side: Side) -> ConformedObject | None:
         return self.components.get(side)
@@ -179,29 +180,24 @@ def _compute_states(
     view,
     conformed_to_global: dict[str, str],
 ) -> None:
-    @cache
-    def references(side: Side, class_name: str) -> tuple[tuple[str, bool], ...]:
-        """The class's reference attributes, each with whether it holds a set
-        of references: only these hold conformed oids."""
-        schema = conformation.on(side).schema
-        if not schema.has_class(class_name):  # pragma: no cover - defensive
-            return ()
-        return tuple(
-            (name, is_reference_set(attribute.tm_type))
-            for name, attribute in schema.effective_attributes(class_name).items()
-            if isinstance(attribute.tm_type, ClassRef) or is_reference_set(attribute.tm_type)
-        )
-
-    def remapped(obj: ConformedObject) -> dict[str, Any]:
-        """``obj``'s state with its conformed reference oids made global."""
+    def remapped(obj: ConformedObject, global_obj: GlobalObject) -> dict[str, Any]:
+        """``obj``'s state with its conformed reference oids made global; its
+        reference attributes become ``global_obj``'s too (sharing, not
+        copying, the class's set where they add nothing)."""
         state = dict(obj.state)
-        for name, many in references(obj.side, obj.class_name):
+        references, reference_sets = conformation.references(obj.side, obj.class_name)
+        if not global_obj.references:
+            global_obj.references = references
+        elif not references <= global_obj.references:
+            global_obj.references = global_obj.references | references
+        for name in references:
             value = state.get(name)
-            if many:
-                if value:
-                    state[name] = frozenset(conformed_to_global.get(oid, oid) for oid in value)
-            elif value in conformed_to_global:
+            if value in conformed_to_global:
                 state[name] = conformed_to_global[value]
+        for name in reference_sets:
+            value = state.get(name)
+            if value:
+                state[name] = frozenset(conformed_to_global.get(oid, oid) for oid in value)
         return state
 
     for global_obj in view.objects():
@@ -209,15 +205,15 @@ def _compute_states(
         remote = global_obj.component_on(Side.REMOTE)
         if local is not None and remote is not None:
             global_obj.state = _merge_states(
-                remapped(local),
-                remapped(remote),
+                remapped(local, global_obj),
+                remapped(remote, global_obj),
                 global_obj,
                 partial(conformation.propeq_between, local.class_name, remote.class_name),
             )
         else:
             only = local if local is not None else remote
             assert only is not None
-            global_obj.state = remapped(only)
+            global_obj.state = remapped(only, global_obj)
 
 
 def _merge_states(

@@ -26,12 +26,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.constraints.ast import Path, paths_in
+from repro.constraints.ast import Node, Path
 from repro.constraints.model import Constraint, ConstraintKind
+from repro.constraints.scope import Scope, traverse
 from repro.integration.relationships import Side
 from repro.integration.spec import IntegrationSpecification
 from repro.tm.schema import DatabaseSchema
-from repro.types.primitives import ClassRef
 
 
 class PropertyStatus(enum.Enum):
@@ -77,22 +77,27 @@ class SubjectivityAnalysis:
     ) -> set[tuple[str, str]]:
         """The paper's Ξ(φ): subjective properties constrained by ``φ``.
 
-        Returns ``(class, property)`` pairs, resolving dotted paths through
-        reference attributes (``publisher.name`` on Proceedings resolves to
-        ``Publisher.name``).
+        Returns the ``(class, property)`` steps of every path, resolved in
+        its scope (``publisher.name`` on Proceedings reads
+        ``Proceedings.publisher`` and ``Publisher.name``); unresolvable
+        segments are skipped (validation reports them).
         """
-        schema = self.spec.schema_on(side)
         found: set[tuple[str, str]] = set()
-        owner = constraint.owner
-        if owner is None:
+        if constraint.owner is None:
             return found
-        for path in paths_in(constraint.formula):
-            for class_name, prop in _resolve_path(schema, owner, path):
+
+        def visit(node: Node, scope: Scope) -> Node | None:
+            if not isinstance(node, Path):
+                return None
+            for step in scope.resolve(node).steps:
                 if (
-                    self.status_of_property(side, class_name, prop)
+                    self.status_of_property(side, step.class_name, step.attribute)
                     is PropertyStatus.SUBJECTIVE
                 ):
-                    found.add((class_name, prop))
+                    found.add((step.class_name, step.attribute))
+            return node
+
+        traverse(constraint.formula, Scope(self.spec.schema_on(side), constraint.owner), visit)
         return found
 
 
@@ -173,30 +178,3 @@ def _classify_constraint(
         )
 
     return ConstraintStatus(False, "objective by default")
-
-
-def _resolve_path(
-    schema: DatabaseSchema, owner: str, path: Path
-) -> list[tuple[str, str]]:
-    """Resolve a constraint path to the ``(class, property)`` pairs it reads.
-
-    ``rating`` on Proceedings → ``[("Proceedings", "rating")]``;
-    ``publisher.name`` → ``[("Proceedings", "publisher"),
-    ("Publisher", "name")]``.  Unresolvable segments are skipped (validation
-    reports them separately).
-    """
-    pairs: list[tuple[str, str]] = []
-    current = owner
-    for segment in path.parts:
-        if not schema.has_class(current):
-            break
-        attributes = schema.effective_attributes(current)
-        if segment not in attributes:
-            break
-        pairs.append((current, segment))
-        tm_type = attributes[segment].tm_type
-        if isinstance(tm_type, ClassRef):
-            current = tm_type.class_name
-        else:
-            break
-    return pairs

@@ -14,13 +14,14 @@ so a doomed subtransaction is rejected *before* it is shipped to a component.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.constraints.ast import paths_in
 from repro.constraints.evaluate import EvalContext, EvaluationError, evaluate
 from repro.constraints.model import Constraint
 from repro.constraints.printer import to_source
 from repro.engine.incremental import ConstraintDependencyIndex
-from repro.integration.conformation import ConformedObject
+from repro.integration.conformation import ConformationResult, ConformedObject
 from repro.integration.relationships import Side
 from repro.integration.workbench import IntegrationResult
 
@@ -62,7 +63,8 @@ class GlobalUpdateValidator:
     The constructor turns the integration result into a validation plan:
     the global constraints with their classes, the merged component
     constants, and per (side, conformed class) the component's object
-    constraints with the attributes each reads off the constrained object.
+    constraints with the attributes each reads off the constrained object,
+    and the reader a projected state of the class is evaluated with.
     :meth:`validate` then costs in proportion to the updated object and its
     constraints, not to the view.  The plan is a snapshot of the result:
     build a new validator after re-running the workbench.
@@ -80,15 +82,16 @@ class GlobalUpdateValidator:
             **self.conformation.remote.schema.constants,
             **self.conformation.local.schema.constants,
         }
-        self._component_plan: dict[tuple[Side, str], list[tuple[Constraint, frozenset[str]]]] = {}
+        self._component_plan: dict[tuple[Side, str], tuple[list, partial]] = {}
         for side in (Side.LOCAL, Side.REMOTE):
             schema = self.conformation.on(side).schema
             index = ConstraintDependencyIndex.for_schema(schema)
             for class_name in schema.classes:
-                self._component_plan[(side, class_name)] = [
-                    (constraint, _read_attrs(index, constraint))
-                    for constraint in schema.effective_object_constraints(class_name)
-                ]
+                references = self.conformation.references(side, class_name)[0]
+                self._component_plan[(side, class_name)] = (
+                    [(c, _read_attrs(index, c)) for c in schema.effective_object_constraints(class_name)],
+                    partial(_component_get_attr, self.conformation, references),
+                )
 
     def validate(self, global_oid: str, **changes) -> UpdateVerdict:
         """Validate updating ``global_oid``'s state with ``changes``."""
@@ -145,9 +148,10 @@ class GlobalUpdateValidator:
         local = obj.component_on(Side.LOCAL)
         remote = obj.component_on(Side.REMOTE)
         for side, component in obj.components.items():
-            checks = self._component_plan.get((side, component.class_name))
-            if checks is None:
+            plan = self._component_plan.get((side, component.class_name))
+            if plan is None:
                 continue
+            checks, get_attr = plan
             projected = dict(component.state)
             untranslatable: set[str] = set()
             for key, value in changes.items():
@@ -171,7 +175,7 @@ class GlobalUpdateValidator:
                     continue
                 if reads.isdisjoint(changes):
                     continue  # untouched by this update
-                satisfied = self._evaluate_component(constraint.formula, projected)
+                satisfied = self._evaluate_component(constraint.formula, projected, get_attr)
                 if satisfied is False:
                     verdict.rejections.append(
                         Rejection(
@@ -183,30 +187,13 @@ class GlobalUpdateValidator:
                         )
                     )
 
-    def _component_get_attr(self, obj, name):
-        """Read a conformed component state, dereferencing conformed object
-        ids through the conformation's instance index."""
-        state = obj.state if isinstance(obj, ConformedObject) else obj
-        if not isinstance(state, dict):
-            raise EvaluationError(f"cannot read {name!r} from {obj!r}")
-        if name not in state:
-            raise EvaluationError(f"component state has no property {name!r}")
-        value = state[name]
-        if isinstance(value, str):
-            return self.conformation.instances_by_oid.get(value, value)
-        return value
-
-    def _evaluate_component(self, formula, state: dict) -> bool | None:
+    def _evaluate_component(self, formula, state: dict, get_attr) -> bool | None:
         """Evaluate against a conformed component state."""
         try:
             return bool(
                 evaluate(
                     formula,
-                    EvalContext(
-                        current=state,
-                        constants=self._constants,
-                        get_attr=self._component_get_attr,
-                    ),
+                    EvalContext(current=state, constants=self._constants, get_attr=get_attr),
                 )
             )
         except EvaluationError:
@@ -219,6 +206,28 @@ class GlobalUpdateValidator:
             return bool(evaluate(formula, self.view.eval_context(current=state)))
         except EvaluationError:
             return None
+
+
+def _component_get_attr(
+    conformation: ConformationResult, references: frozenset[str], obj, name: str
+):
+    """Read a conformed component's state — a projected state (a dict) as
+    that of a class with ``references`` — dereferencing only declared
+    reference attributes through the conformation's instance index.  A
+    module function, so a validator's plan holds no cycle back to it."""
+    if isinstance(obj, ConformedObject):
+        state = obj.state
+        references = conformation.references(obj.side, obj.class_name)[0]
+    elif isinstance(obj, dict):
+        state = obj
+    else:
+        raise EvaluationError(f"cannot read {name!r} from {obj!r}")
+    if name not in state:
+        raise EvaluationError(f"component state has no property {name!r}")
+    value = state[name]
+    if name in references:
+        return conformation.instances_by_oid.get(value, value)
+    return value
 
 
 def _read_attrs(index: ConstraintDependencyIndex, constraint: Constraint) -> frozenset[str]:

@@ -170,8 +170,8 @@ class IntegratedView:
                     f"global object {obj.oid} has no property {name!r}"
                 )
             value = obj.state[name]
-            if isinstance(value, str) and value in self._objects:
-                return self._objects[value]
+            if name in obj.references:
+                return self._objects.get(value, value)
             return value
         if isinstance(obj, dict):
             if name not in obj:

@@ -4,8 +4,9 @@ Checks the properties the integration machinery relies on:
 
 * the inheritance graph is acyclic and parents exist;
 * reference attribute types point at declared classes;
-* constraint formulas only mention resolvable attribute paths and declared
-  named constants;
+* constraint formulas only mention declared classes, resolvable attribute
+  paths (by the scope rule of :mod:`repro.constraints.scope`, shared with
+  lint) and declared named constants;
 * every constraint's structural classification matches the section it was
   declared in.
 
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 from repro.constraints.ast import (
     Aggregate,
+    KeyConstraint,
     NamedConstant,
     Node,
     Path,
@@ -27,6 +29,14 @@ from repro.constraints.ast import (
 )
 from repro.constraints.classify import classify_formula
 from repro.constraints.model import Constraint
+from repro.constraints.scope import (
+    NOT_A_REFERENCE,
+    UNBOUND_PATH,
+    UNKNOWN_ATTRIBUTE,
+    UNKNOWN_CLASS,
+    Scope,
+    traverse,
+)
 from repro.errors import SchemaError
 from repro.tm.schema import DatabaseSchema
 from repro.types.primitives import ClassRef
@@ -91,18 +101,17 @@ def _check_attribute_types(schema: DatabaseSchema, issues: list[ValidationIssue]
 def _check_constraints(schema: DatabaseSchema, issues: list[ValidationIssue]) -> None:
     for class_def in schema.classes.values():
         try:
-            attributes = schema.effective_attributes(class_def.name)
+            schema.effective_attributes(class_def.name)
         except SchemaError:
             continue  # broken ancestry already reported by _check_inheritance
         for constraint in class_def.constraints:
             location = f"{schema.name}.{class_def.name}.{constraint.name}"
             _check_classification(constraint, location, issues)
-            _check_paths(schema, constraint.formula, attributes, location, issues)
-            _check_key_attributes(constraint, attributes, location, issues)
+            _check_names(schema, constraint, location, issues)
     for constraint in schema.database_constraints:
         location = f"{schema.name}.{constraint.name}"
         _check_classification(constraint, location, issues)
-        _check_quantified_classes(schema, constraint.formula, location, issues)
+        _check_names(schema, constraint, location, issues)
 
 
 def _check_classification(
@@ -119,112 +128,58 @@ def _check_classification(
         )
 
 
-def _check_paths(
+def _check_names(
     schema: DatabaseSchema,
-    formula: Node,
-    attributes: dict,
-    location: str,
-    issues: list[ValidationIssue],
-    bound_vars: frozenset = frozenset(),
-) -> None:
-    for node in formula.walk():
-        if isinstance(node, Quantified):
-            bound_vars = bound_vars | {node.var}
-        if isinstance(node, NamedConstant):
-            if node.name not in schema.constants:
-                issues.append(
-                    ValidationIssue(
-                        location,
-                        f"references undeclared constant {node.name!r}",
-                    )
-                )
-        if isinstance(node, Path):
-            first = node.parts[0]
-            if first in bound_vars or first in ("O", "O'", "self"):
-                continue
-            if first not in attributes:
-                issues.append(
-                    ValidationIssue(
-                        location,
-                        f"references unknown attribute {first!r}",
-                    )
-                )
-                continue
-            _check_dotted_tail(schema, node, attributes, location, issues)
-
-
-def _check_dotted_tail(
-    schema: DatabaseSchema,
-    path: Path,
-    attributes: dict,
-    location: str,
-    issues: list[ValidationIssue],
-) -> None:
-    current_attrs = attributes
-    for index, part in enumerate(path.parts):
-        if part not in current_attrs:
-            issues.append(
-                ValidationIssue(
-                    location,
-                    f"path {path.dotted()!r} breaks at segment {part!r}",
-                )
-            )
-            return
-        tm_type = current_attrs[part].tm_type
-        is_last = index == len(path.parts) - 1
-        if is_last:
-            return
-        if isinstance(tm_type, ClassRef) and schema.has_class(tm_type.class_name):
-            current_attrs = schema.effective_attributes(tm_type.class_name)
-        else:
-            issues.append(
-                ValidationIssue(
-                    location,
-                    f"path {path.dotted()!r} dereferences non-reference "
-                    f"attribute {part!r}",
-                )
-            )
-            return
-
-
-def _check_key_attributes(
     constraint: Constraint,
-    attributes: dict,
     location: str,
     issues: list[ValidationIssue],
 ) -> None:
-    from repro.constraints.ast import KeyConstraint
+    """Every class, attribute path, key attribute and named constant of the
+    formula resolves, by the scope rule of :mod:`repro.constraints.scope`."""
 
-    for node in constraint.formula.walk():
-        if isinstance(node, KeyConstraint):
+    def report(message: str) -> None:
+        issues.append(ValidationIssue(location, message))
+
+    def visit(node: Node, scope: Scope) -> Node | None:
+        if isinstance(node, Quantified):
+            if schema.has_class(node.class_name):
+                return None
+            report(f"quantifies over undeclared class {node.class_name!r}")
+        elif isinstance(node, Aggregate):
+            base = scope.base(node)
+            if base is None:
+                report("aggregates over 'self' outside a class")
+            elif not schema.has_class(base):
+                report(f"aggregates over undeclared class {base!r}")
+            elif node.over is not None and scope.resolve_over(node).failure:
+                report(f"aggregates over unknown attribute {node.over!r} of {base}")
+        elif isinstance(node, KeyConstraint):
             for name in node.attributes:
-                if name not in attributes:
-                    issues.append(
-                        ValidationIssue(
-                            location, f"key attribute {name!r} is not declared"
-                        )
-                    )
+                if scope.resolve_key(name).failure:
+                    report(f"key attribute {name!r} is not declared")
+        elif isinstance(node, NamedConstant):
+            if node.name not in schema.constants:
+                report(f"references undeclared constant {node.name!r}")
+        elif isinstance(node, Path):
+            resolution = scope.resolve(node)
+            if resolution.failure == UNKNOWN_ATTRIBUTE and not resolution.steps:
+                report(f"references unknown attribute {resolution.stopped_at!r}")
+            elif resolution.failure is not None:
+                report(resolution.explain(_PATH_MESSAGES, node))
+        else:
+            return None
+        return node
+
+    try:
+        traverse(constraint.formula, Scope(schema, constraint.owner), visit)
+    except SchemaError:
+        pass  # broken ancestry already reported by _check_inheritance
 
 
-def _check_quantified_classes(
-    schema: DatabaseSchema,
-    formula: Node,
-    location: str,
-    issues: list[ValidationIssue],
-) -> None:
-    for node in formula.walk():
-        if isinstance(node, Quantified) and not schema.has_class(node.class_name):
-            issues.append(
-                ValidationIssue(
-                    location,
-                    f"quantifies over undeclared class {node.class_name!r}",
-                )
-            )
-        if isinstance(node, Aggregate) and node.collection != "self":
-            if not schema.has_class(node.collection):
-                issues.append(
-                    ValidationIssue(
-                        location,
-                        f"aggregates over undeclared class {node.collection!r}",
-                    )
-                )
+#: A path's issue, by the reason its walk stopped.
+_PATH_MESSAGES = {
+    UNBOUND_PATH: "path {path!r} is not rooted at a quantified variable",
+    NOT_A_REFERENCE: "path {path!r} dereferences non-reference attribute {through!r}",
+    UNKNOWN_CLASS: "path {path!r} traverses undeclared class {on!r}",
+    UNKNOWN_ATTRIBUTE: "path {path!r} breaks at segment {at!r}",
+}

@@ -91,6 +91,51 @@ class TestIntegratedViewAPI:
         acm = view.select("Bookseller.Item", "publisher.name = 'ACM'")
         assert {obj.state["isbn"] for obj in acm} == {"ISBN-001", "ISBN-008"}
 
+    def test_only_declared_references_dereference(self):
+        """A title that spells a global oid is a title, not a reference."""
+        local_store, _ = cslibrary_store()
+        local_store.insert(
+            "ProfessionalPubl", title="g1", isbn="ISBN-099", publisher="ACM",
+            shopprice=10.0, ourprice=9.0, authors=frozenset({"Doe"}),
+        )
+        remote_store, _ = bookseller_store()
+        view = IntegrationWorkbench(
+            library_integration_spec(), local_store, remote_store
+        ).run().view
+        by_isbn = view.select("CSLibrary.ProfessionalPubl", "isbn = 'ISBN-099'")
+        assert len(by_isbn) == 1
+        assert view.select("CSLibrary.ProfessionalPubl", "title = 'g1'") == by_isbn
+
+    def test_component_checks_dereference_only_declared_references(self):
+        """A component constraint reads a title that spells a conformed oid
+        as that string, so the doomed subtransaction is rejected."""
+        from repro.constraints.model import Constraint, ConstraintKind
+        from repro.fixtures import cslibrary_schema
+        from repro.engine import ObjectStore
+        from repro.integration.updates import GlobalUpdateValidator
+
+        schema = cslibrary_schema()
+        schema.class_named("Publication").add_constraint(
+            Constraint(
+                "oc3",
+                ConstraintKind.OBJECT,
+                parse_expression("title != 'remote:Publisher#1'"),
+                database="CSLibrary",
+            )
+        )
+        local_store = ObjectStore(schema)
+        local_store.insert(
+            "Publication", title="Annals", isbn="ISBN-001", publisher="ACM",
+            shopprice=10.0, ourprice=9.0,
+        )
+        remote_store, _ = bookseller_store()
+        result = IntegrationWorkbench(
+            library_integration_spec(schema), local_store, remote_store
+        ).run()
+        annals = next(o for o in result.view.objects() if o.state.get("title") == "Annals")
+        verdict = GlobalUpdateValidator(result).validate(annals.oid, title="remote:Publisher#1")
+        assert "CSLibrary.Publication.oc3" in {r.constraint for r in verdict.rejections}
+
     def test_unknown_class_raises(self, library_result):
         with pytest.raises(IntegrationError):
             library_result.view.extent("Nowhere.Class")

@@ -8,6 +8,8 @@ The two worked examples of Section 4 are asserted exactly:
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.constraints import parse_expression, to_source
 from repro.engine import ObjectStore
@@ -370,3 +372,190 @@ end Pub
         assert local.effective_attributes("A")["x"].tm_type == ClassRef("VirtPub")
         assert local.effective_attributes("B")["y"].tm_type == ClassRef("VirtPub")
         assert local.attribute_type("B", "y") == ClassRef("VirtPub")
+
+
+# ---------------------------------------------------------------------------
+# database constraints conform like class-owned ones
+# ---------------------------------------------------------------------------
+
+#: Database constraints mirroring class-owned ones of Figure 1: each must
+#: conform as its class-owned twin does (``RefereedPubl.oc1``,
+#: ``ScientificPubl.cc1``, ``Publication.cc2``, ``Proceedings.oc1``).
+LOCAL_DATABASE_CONSTRAINTS = """
+Database constraints
+  dbr: forall x in RefereedPubl | x.rating >= 2
+  dba: (avg (collect x for x in ScientificPubl) over rating) < 4
+  dbs: (sum (collect x for x in Publication) over ourprice) < MAX
+"""
+REMOTE_DATABASE_CONSTRAINT = """
+  dbp: forall i in Item | i.publisher.name in {'ACM', 'IEEE'}
+"""
+
+
+class TestDatabaseConstraintConformation:
+    @pytest.fixture(params=["object", "value"])
+    def conformed(self, request):
+        from repro.fixtures.schemas import BOOKSELLER_SOURCE, CSLIBRARY_SOURCE
+        from repro.tm import parse_database
+
+        spec = library_integration_spec(
+            parse_database(CSLIBRARY_SOURCE + LOCAL_DATABASE_CONSTRAINTS),
+            parse_database(BOOKSELLER_SOURCE + REMOTE_DATABASE_CONSTRAINT),
+        )
+        return request.param, conform(spec, descriptivity_view=request.param)
+
+    @staticmethod
+    def source(result, side, name):
+        return to_source(result.on(side).conformed_constraints[name].formula)
+
+    def test_quantified_path_is_converted(self, conformed):
+        _view, result = conformed
+        assert self.source(result, Side.LOCAL, "CSLibrary.dbr") == (
+            "forall x in RefereedPubl | x.rating >= 4"
+        )
+        assert self.source(result, Side.LOCAL, "CSLibrary.RefereedPubl.oc1") == "rating >= 4"
+
+    def test_aggregate_over_a_named_class_is_converted(self, conformed):
+        _view, result = conformed
+        assert self.source(result, Side.LOCAL, "CSLibrary.dba") == (
+            "(avg (collect x for x in ScientificPubl) over rating) < 8"
+        )
+        assert self.source(result, Side.LOCAL, "CSLibrary.ScientificPubl.cc1") == (
+            "(avg (collect x for x in self) over rating) < 8"
+        )
+
+    def test_aggregate_over_a_named_class_is_renamed(self, conformed):
+        _view, result = conformed
+        assert self.source(result, Side.LOCAL, "CSLibrary.dbs") == (
+            "(sum (collect x for x in Publication) over libprice) < MAX"
+        )
+
+    def test_path_through_a_hidden_class_collapses(self, conformed):
+        view, result = conformed
+        expected = {
+            "object": "forall i in Item | i.publisher.name in {'ACM', 'IEEE'}",
+            "value": "forall i in Item | i.publisher in {'ACM', 'IEEE'}",
+        }[view]
+        assert self.source(result, Side.REMOTE, "Bookseller.dbp") == expected
+        assert lint_errors(result.remote.schema) == []
+
+
+def lint_errors(schema):
+    from repro.constraints.analysis import lint_schema
+
+    return [d.render() for d in lint_schema(schema) if d.severity == "error"]
+
+
+def _scalar_paths(schema, class_name, depth=2):
+    """``(segments, type)`` of every scalar attribute path from a class,
+    through at most ``depth`` attributes (references followed)."""
+    from repro.types import ClassRef as Ref, SetType as Set
+
+    paths = []
+    for name, attribute in sorted(schema.effective_attributes(class_name).items()):
+        tm_type = attribute.tm_type
+        if isinstance(tm_type, Ref):
+            if depth > 1:
+                paths += [
+                    ((name, *tail), end)
+                    for tail, end in _scalar_paths(schema, tm_type.class_name, depth - 1)
+                ]
+        elif not isinstance(tm_type, Set):
+            paths.append(((name,), tm_type))
+    return paths
+
+
+@st.composite
+def _constraint_sources(draw, schema):
+    """One database or object constraint over ``schema``: a bound on a scalar
+    path (rooted at a quantifier variable or at the owner), or an
+    aggregate bound over a numeric attribute of a named class."""
+    classes = sorted(schema.classes)
+    class_name = draw(st.sampled_from(classes))
+    shape = draw(st.sampled_from(["quantified", "owned", "aggregate"]))
+    if shape == "aggregate":
+        numeric = [
+            segments[0]
+            for segments, tm_type in _scalar_paths(schema, class_name, depth=1)
+            if tm_type.is_numeric
+        ]
+        if not numeric:
+            return None
+        over = draw(st.sampled_from(numeric))
+        func = draw(st.sampled_from(["sum", "avg", "min", "max"]))
+        bound = draw(st.integers(1, 20))
+        return None, f"({func} (collect y for y in {class_name}) over {over}) < {bound}"
+    paths = _scalar_paths(schema, class_name)
+    if not paths:
+        return None
+    segments, tm_type = draw(st.sampled_from(paths))
+    if tm_type.is_numeric:
+        op = draw(st.sampled_from(["<", "<=", ">", ">=", "=", "!="]))
+        constant = str(draw(st.integers(1, 9)))
+    elif tm_type.describe() == "boolean":
+        op, constant = "=", draw(st.sampled_from(["true", "false"]))
+    else:
+        op, constant = draw(st.sampled_from(["=", "!="])), "'ACM'"
+    if shape == "owned":
+        return class_name, f"{'.'.join(segments)} {op} {constant}"
+    return None, f"forall v in {class_name} | v.{'.'.join(segments)} {op} {constant}"
+
+
+@st.composite
+def _integrations(draw):
+    """A Figure 1 (with the database constraints above) or personnel
+    specification whose schemas carry a few generated constraints, and a
+    descriptivity view."""
+    from repro.constraints.classify import classify_formula
+    from repro.constraints.model import Constraint
+    from repro.fixtures.schemas import (
+        BOOKSELLER_SOURCE,
+        CSLIBRARY_SOURCE,
+        PERSONNEL_DB1_SOURCE,
+        PERSONNEL_DB2_SOURCE,
+    )
+    from repro.tm import parse_database
+
+    make, local, remote = draw(
+        st.sampled_from(
+            [
+                (
+                    library_integration_spec,
+                    CSLIBRARY_SOURCE + LOCAL_DATABASE_CONSTRAINTS,
+                    BOOKSELLER_SOURCE + REMOTE_DATABASE_CONSTRAINT,
+                ),
+                (personnel_integration_spec, PERSONNEL_DB1_SOURCE, PERSONNEL_DB2_SOURCE),
+            ]
+        )
+    )
+    schemas = []
+    for schema in (parse_database(local), parse_database(remote)):
+        for index in range(draw(st.integers(1, 3))):
+            drawn = draw(_constraint_sources(schema))
+            if drawn is None:
+                continue
+            owner, source = drawn
+            formula = parse_expression(source)
+            constraint = Constraint(
+                f"gen{index}", classify_formula(formula), formula, database=schema.name
+            )
+            if owner is None:
+                schema.add_database_constraint(constraint)
+            else:
+                schema.class_named(owner).add_constraint(constraint)
+        schemas.append(schema)
+    return make(*schemas), draw(st.sampled_from(["object", "value"]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_integrations())
+def test_conformation_keeps_a_lint_clean_schema_lint_clean(integration):
+    """The oracle of constraint conformation: a schema that lints free of
+    errors conforms to one that does too, in either view — every conformed
+    path, key and aggregate names what the conformed schema has."""
+    spec, view = integration
+    originals = (spec.local_schema, spec.remote_schema)
+    result = conform(spec, descriptivity_view=view)
+    for original, side in zip(originals, (Side.LOCAL, Side.REMOTE)):
+        if lint_errors(original) == []:
+            assert lint_errors(result.on(side).schema) == []

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.constraints import parse_expression, to_source
+from repro.constraints.scope import Scope
 from repro.errors import ConformationError
 from repro.integration._rewrite import (
     convert_domains,
@@ -10,6 +11,33 @@ from repro.integration._rewrite import (
     rename_attributes,
 )
 from repro.integration.conversion import LinearConversion, MappingConversion
+from repro.tm.parser import parse_database
+
+#: The class the conversion tests' formulas are written against.
+SCOPE = Scope(
+    parse_database(
+        """
+Database D
+Class C
+attributes
+  rating : int
+  score  : int
+  other  : int
+  grade  : string
+  ref?   : boolean
+  a      : int
+end C
+"""
+    ),
+    "C",
+)
+
+
+def convert(formula, conversions):
+    """``convert_domains`` on class ``C``, conversions keyed by attribute."""
+    return convert_domains(
+        formula, SCOPE, {("C", name): cf for name, cf in conversions.items()}
+    )
 
 
 class TestRenameAttributes:
@@ -56,39 +84,35 @@ class TestRenameAttributes:
 class TestConvertDomains:
     def test_comparison_constant_converted(self):
         formula = parse_expression("rating >= 2")
-        converted = convert_domains(formula, {"rating": LinearConversion(2)})
+        converted = convert(formula, {"rating": LinearConversion(2)})
         assert converted == parse_expression("rating >= 4")
 
     def test_negative_factor_flips_operator(self):
         formula = parse_expression("score <= 3")
-        converted = convert_domains(formula, {"score": LinearConversion(-1)})
+        converted = convert(formula, {"score": LinearConversion(-1)})
         assert converted == parse_expression("score >= -3")
 
     def test_membership_values_converted(self):
         formula = parse_expression("rating in {1, 2}")
-        converted = convert_domains(formula, {"rating": LinearConversion(2)})
+        converted = convert(formula, {"rating": LinearConversion(2)})
         assert converted == parse_expression("rating in {2, 4}")
 
     def test_constant_on_left_mirrored(self):
         formula = parse_expression("2 <= rating")
-        converted = convert_domains(formula, {"rating": LinearConversion(2)})
+        converted = convert(formula, {"rating": LinearConversion(2)})
         assert converted == parse_expression("rating >= 4")
 
     def test_equality_both_sides_converted_same(self):
         formula = parse_expression("rating = other")
-        converted = convert_domains(
-            formula,
-            {"rating": LinearConversion(2), "other": LinearConversion(2)},
+        converted = convert(
+            formula, {"rating": LinearConversion(2), "other": LinearConversion(2)}
         )
         assert converted == formula  # same conversion: relation preserved
 
     def test_differently_converted_sides_rejected(self):
         formula = parse_expression("rating = other")
         with pytest.raises(ConformationError):
-            convert_domains(
-                formula,
-                {"rating": LinearConversion(2), "other": LinearConversion(3)},
-            )
+            convert(formula, {"rating": LinearConversion(2), "other": LinearConversion(3)})
 
     @pytest.mark.parametrize(
         "source",
@@ -103,28 +127,26 @@ class TestConvertDomains:
     def test_converted_property_out_of_reach_rejected(self, source):
         formula = parse_expression(source)
         with pytest.raises(ConformationError, match="rating"):
-            convert_domains(formula, {"rating": LinearConversion(2.0)})
+            convert(formula, {"rating": LinearConversion(2.0)})
 
     def test_membership_in_named_constant_rejected(self):
         formula = parse_expression("rating in RATINGS")
         with pytest.raises(ConformationError):
-            convert_domains(formula, {"rating": LinearConversion(2)})
+            convert(formula, {"rating": LinearConversion(2)})
 
     def test_mapping_conversion_of_equality(self):
         formula = parse_expression("grade = 'A'")
-        converted = convert_domains(
-            formula, {"grade": MappingConversion({"A": 1, "B": 2})}
-        )
+        converted = convert(formula, {"grade": MappingConversion({"A": 1, "B": 2})})
         assert converted == parse_expression("grade = 1")
 
     def test_mapping_rejects_order(self):
         formula = parse_expression("grade < 'B'")
         with pytest.raises(ConformationError):
-            convert_domains(formula, {"grade": MappingConversion({"A": 1, "B": 2})})
+            convert(formula, {"grade": MappingConversion({"A": 1, "B": 2})})
 
     def test_implication_sides_converted(self):
         formula = parse_expression("ref? = true implies rating >= 7")
-        converted = convert_domains(formula, {"rating": LinearConversion(2)})
+        converted = convert(formula, {"rating": LinearConversion(2)})
         assert converted == parse_expression("ref? = true implies rating >= 14")
 
 
@@ -141,7 +163,7 @@ class TestMapPaths:
         assert formula.rewrite(lambda node: None) is formula
         assert map_paths(formula, lambda p: p) is formula
         assert rename_attributes(formula, {"absent": "other"}) is formula
-        assert convert_domains(formula, {"absent": LinearConversion(2)}) is formula
+        assert convert(formula, {"absent": LinearConversion(2)}) is formula
 
     def test_untouched_subtrees_keep_identity_and_positions_survive(self):
         formula = parse_expression("a = 1 and b = 2")

@@ -175,6 +175,34 @@ Database constraints
         issues = validate_schema(schema)
         assert any("undeclared class 'Ghost'" in issue.message for issue in issues)
 
+    def test_unknown_attribute_behind_a_quantifier(self):
+        schema = parse("""
+Database D
+Class A
+attributes
+  x : int
+end A
+Database constraints
+  db1: forall a in A | a.nosuch > 0
+""")
+        issues = validate_schema(schema)
+        assert [issue.describe() for issue in issues] == [
+            "D.db1: references unknown attribute 'nosuch'"
+        ]
+
+    def test_database_constraint_path_needs_a_quantified_root(self):
+        schema = parse("""
+Database D
+Class A
+attributes
+  x : int
+end A
+Database constraints
+  db1: forall a in A | x > 0
+""")
+        issues = validate_schema(schema)
+        assert any("'x' is not rooted at a quantified variable" in i.message for i in issues)
+
     def test_issue_describe(self):
         schema = parse("""
 Database D
