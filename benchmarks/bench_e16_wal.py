@@ -17,6 +17,11 @@ records what durability costs and how recovery scales:
   pure log tail (worst case: replay every record) and from a checkpoint
   snapshot (best case: no tail).  Both are O(store) with index rebuild
   included; the numbers record the constant.
+* ``checkpoint renders changes`` — the CI guard for the snapshot row cache
+  (runs with ``--quick``): after a first checkpoint of a 10⁴-object store,
+  100 updates make the next checkpoint render exactly 100 rows, not 10⁴.
+  The count is deterministic; the first (every row rendered) and repeat
+  (only the changed rows) checkpoint times are recorded.
 
 Store sizes 10³–10⁵ (10³–10⁴ with ``--quick``).  Results land in
 ``BENCH_e16_wal.json`` via the shared harness (see ``conftest.py``).
@@ -27,6 +32,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import repro.engine.wal as wal_module
 from repro import ObjectStore
 from repro.engine import WriteAheadLog
 from repro.fixtures import cslibrary_schema
@@ -176,3 +182,49 @@ def test_e16_recovery_scaling(benchmark, e16_size):
         )
     finally:
         shutil.rmtree(base, ignore_errors=True)
+
+
+def test_e16_checkpoint_renders_changes(benchmark, tmp_path, monkeypatch):
+    """The CI regression guard for checkpoints: each object keeps its
+    encoded snapshot row until its state is replaced, so a checkpoint after
+    100 updates of a 10⁴-object store renders exactly 100 rows."""
+    size, touched = 10_000, 100
+    store = _durable_store(size, tmp_path / "db")
+    rendered = []
+    render = wal_module.snapshot_row
+
+    def counting(oid, class_name, state):
+        rendered.append(oid)
+        return render(oid, class_name, state)
+
+    monkeypatch.setattr(wal_module, "snapshot_row", counting)
+    start = time.perf_counter()
+    store.checkpoint()
+    t_first = time.perf_counter() - start
+    assert len(rendered) == size
+
+    targets = list(store.objects())[:touched]
+
+    def touch():
+        # Every update installs a new state dict, even at an equal value.
+        for target in targets:
+            store.update(target, ourprice=40.0)
+        rendered.clear()
+
+    touch()
+    start = time.perf_counter()
+    store.checkpoint()
+    t_repeat = time.perf_counter() - start
+    assert sorted(rendered) == sorted(obj.oid for obj in targets), (
+        f"a checkpoint after {touched} updates rendered {len(rendered)} rows "
+        f"of a {size}-object store"
+    )
+    benchmark.pedantic(store.checkpoint, setup=touch, rounds=5, iterations=1)
+    assert len(rendered) == touched
+    store.close()
+
+    benchmark.extra_info["objects"] = size
+    benchmark.extra_info["updated"] = touched
+    benchmark.extra_info["rows_rendered"] = len(rendered)
+    benchmark.extra_info["first_checkpoint_ms"] = round(t_first * 1e3, 2)
+    benchmark.extra_info["repeat_checkpoint_ms"] = round(t_repeat * 1e3, 2)

@@ -21,14 +21,22 @@ class DBObject:
     ``DBObject`` behaves as a read-only mapping over its state so that the
     constraint evaluator can treat stored objects and plain dict states
     uniformly.
+
+    A state dict is never mutated in place: a write installs a new dict and
+    a rollback reinstalls the old one.  So ``row`` — the object's encoded
+    snapshot row, cached by the checkpoint writer in
+    :mod:`repro.engine.wal` — stays current exactly while ``row_state``
+    (the dict it was rendered from) *is* ``state``.
     """
 
-    __slots__ = ("oid", "class_name", "state")
+    __slots__ = ("oid", "class_name", "state", "row", "row_state")
 
     def __init__(self, oid: str, class_name: str, state: dict[str, Any]):
         self.oid = oid
         self.class_name = class_name
         self.state = state
+        self.row = b""
+        self.row_state: dict[str, Any] | None = None
 
     # -- mapping protocol ---------------------------------------------------
 

@@ -816,10 +816,7 @@ class ObjectStore(_StoreSurface):
             self._wal.write_snapshot(
                 schema_to_source(self.schema),
                 self.schema.name,
-                (
-                    (obj.oid, obj.class_name, obj.state)
-                    for obj in self._objects.values()
-                ),
+                self._objects.values(),
                 self._oid_seq,
             )
 

@@ -10,8 +10,9 @@ a directory holding two files:
   schema (as re-parseable surface syntax), the oid counter, every live
   object, and ``next_lsn``, the log sequence number the snapshot is current
   up to.  One header line, ``repro-snapshot <format> sha256=<hex>``, then
-  the JSON body, rendered once; the hex digest is of exactly the body
-  bytes.  Written atomically (temp file + fsync + rename).
+  the JSON body (assembled from cached rows, see *Checkpoints*); the hex
+  digest is of exactly the body bytes.  Written atomically (temp file +
+  fsync + rename).
 
 * ``wal.jsonl`` — the write-ahead log: one CRC-framed JSON record per line,
   appended at the log stage of every accepted commit.  Record kinds::
@@ -113,6 +114,16 @@ lie below ``next_lsn``).  A commit is one record, so no committed
 transaction ever straddles a snapshot boundary.  The store triggers one
 automatically every ``checkpoint_every`` log records (see
 :meth:`WriteAheadLog.should_checkpoint`).
+
+A snapshot body is the key-sorted, compact ``json.dumps`` of the image,
+byte for byte, but it is assembled rather than rendered whole: each
+:class:`~repro.engine.objects.DBObject` keeps its encoded row and the state
+dict that row came from, and a checkpoint reuses the row while that dict
+*is* still the object's state.  States are never mutated in place — a write
+installs a new dict, a rollback reinstalls the old one — so identity is
+enough: a checkpoint's render cost is proportional to the objects written
+since the previous one, not to the store.  The first checkpoint after a
+reopen renders every row.
 
 Group commit
 ------------
@@ -243,6 +254,15 @@ def encode_state(state: Mapping[str, Any]) -> dict[str, Any]:
 
 def decode_state(state: Mapping[str, Any]) -> dict[str, Any]:
     return {name: decode_value(value) for name, value in state.items()}
+
+
+def snapshot_row(oid: str, class_name: str, state: Mapping[str, Any]) -> bytes:
+    """One object's entry in a snapshot's ``objects`` list: the compact,
+    key-sorted JSON of ``[oid, class, encoded state]`` — exactly the bytes a
+    render of the whole snapshot body holds at that place."""
+    return json.dumps(
+        [oid, class_name, encode_state(state)], separators=(",", ":"), sort_keys=True
+    ).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +878,7 @@ class WriteAheadLog:
         self,
         schema_source: str,
         database: str,
-        objects: Iterable[tuple[str, str, Mapping[str, Any]]],
+        objects: Iterable[DBObject],
         counter: int,
     ) -> None:
         """Create a fresh durable directory (initial snapshot + empty log)."""
@@ -1200,10 +1220,10 @@ class WriteAheadLog:
         self,
         schema_source: str,
         database: str,
-        objects: Iterable[tuple[str, str, Mapping[str, Any]]],
+        objects: Iterable[DBObject],
         counter: int,
     ) -> None:
-        """Checkpoint: snapshot the given image, then reset the log.
+        """Checkpoint: snapshot the given store objects, then reset the log.
 
         The snapshot claims currency up to ``next_lsn``; a crash between the
         two steps leaves stale records in the log, which recovery skips by
@@ -1217,34 +1237,43 @@ class WriteAheadLog:
         self,
         schema_source: str,
         database: str,
-        objects: Iterable[tuple[str, str, Mapping[str, Any]]],
+        objects: Iterable[DBObject],
         counter: int,
     ) -> None:
-        body = json.dumps(
-            {
-                "database": database,
-                "schema": schema_source,
-                "counter": counter,
-                "next_lsn": self._next_lsn,
-                "objects": [
-                    [oid, class_name, encode_state(state)]
-                    for oid, class_name, state in objects
-                ],
-            },
-            separators=(",", ":"),
-            sort_keys=True,
-        ).encode("utf-8")
+        # The body is the compact, key-sorted json.dumps of {counter,
+        # database, next_lsn, objects, schema}, assembled from the objects'
+        # cached rows: a row is rendered again only when its object's state
+        # dict was replaced since it was cached.  parts[0] is the header,
+        # filled in once the body's parts are hashed, so that the file is
+        # joined in one go and written by one call.
+        parts = [
+            b"",
+            b'{"counter":%d,"database":%s,"next_lsn":%d,"objects":['
+            % (counter, json.dumps(database).encode("utf-8"), self._next_lsn),
+        ]
+        separator = b""
+        for obj in objects:
+            state = obj.state
+            if obj.row_state is not state:
+                obj.row = snapshot_row(obj.oid, obj.class_name, state)
+                obj.row_state = state
+            parts += (separator, obj.row)
+            separator = b","
+        parts.append(b'],"schema":%s}' % json.dumps(schema_source).encode("utf-8"))
+        digest = hashlib.sha256()
+        for part in parts:
+            digest.update(part)
         # The header seals the bytes written, verified by load_image/fsck;
         # the previous snapshot is rotated to .prev so a damaged (or half-
         # rotated) newest file always leaves a verified fallback behind.
-        header = b"%s %d sha256=%s\n" % (
+        parts[0] = b"%s %d sha256=%s\n" % (
             _SNAPSHOT_MAGIC,
             SNAPSHOT_FORMAT,
-            hashlib.sha256(body).hexdigest().encode("ascii"),
+            digest.hexdigest().encode("ascii"),
         )
         _write_atomic(
             self.snapshot_path,
-            header + body,
+            b"".join(parts),
             self.files,
             self.telemetry,
             retain=self.prev_snapshot_path,

@@ -10,6 +10,7 @@ consistent with the recovered contents.
 
 import hashlib
 import json
+import random
 import shutil
 import tempfile
 from pathlib import Path
@@ -752,7 +753,9 @@ class TestLogShape:
         self, tmp_path, monkeypatch
     ):
         """A checkpoint hashes the bytes it writes, and a recovery read
-        hashes the bytes it reads: neither renders the payload again."""
+        hashes the bytes it reads: neither renders the payload again.  The
+        checkpoint renders each object's row once and never the whole
+        image."""
         path = tmp_path / "db"
         store = ObjectStore.open(path, schema=fresh_schema())
         insert_pair(store, "keep")
@@ -765,12 +768,311 @@ class TestLogShape:
 
         monkeypatch.setattr(json, "dumps", counting_dumps)
         store.checkpoint()
-        assert len(renders) == 1
+        assert not any(isinstance(render, dict) for render in renders)
+        assert [render[0] for render in renders if isinstance(render, list)] == [
+            obj.oid for obj in store.objects()
+        ]
         renders.clear()
         image = load_image(path)
         assert renders == []
         monkeypatch.undo()
         assert len(image.objects) == 2
+        store.close()
+
+
+ROWS_SOURCE = """
+Database Rows
+
+Class Thing
+attributes
+  label  : string
+  tags   : P string
+  amount : int
+  ratio  : real
+  flag   : boolean
+end Thing
+"""
+
+#: Strings that make JSON escape or sort awkwardly: quotes, backslashes,
+#: control characters and non-ASCII text.
+_AWKWARD = ['"', "\\", 'a"b\\c', "tab\tnl\n", "ünïcødé", "☃", "\U0001f600", ""]
+_awkward_text = st.one_of(st.sampled_from(_AWKWARD), st.text(max_size=6))
+_thing_states = st.fixed_dictionaries(
+    {
+        "label": _awkward_text,
+        "tags": st.frozensets(_awkward_text, max_size=4),
+        "amount": st.integers(min_value=-(2**70), max_value=2**70),
+        "ratio": st.floats(allow_nan=False, allow_infinity=False),
+        "flag": st.booleans(),
+    }
+)
+
+
+def reference_body(store) -> bytes:
+    """A snapshot body as one key-sorted ``json.dumps`` of the whole image
+    renders it: the bytes a checkpoint must write, however it builds them."""
+    from repro.tm.printer import schema_to_source
+
+    return json.dumps(
+        {
+            "counter": store._oid_seq,
+            "database": store.schema.name,
+            "next_lsn": store.wal._next_lsn,
+            "objects": [
+                [obj.oid, obj.class_name, encode_state(obj.state)]
+                for obj in store.objects()
+            ],
+            "schema": schema_to_source(store.schema),
+        },
+        separators=(",", ":"),
+        sort_keys=True,
+    ).encode("utf-8")
+
+
+def snapshot_body(path: Path) -> bytes:
+    return (path / "snapshot.json").read_bytes().partition(b"\n")[2]
+
+
+def assert_image_matches(store, path: Path) -> None:
+    """Recovery from ``path`` yields exactly the live store's contents."""
+    image = load_image(path)
+    assert image.objects == store_state(store)
+    assert list(image.objects) == [obj.oid for obj in store.objects()]
+
+
+@pytest.fixture
+def rendered_rows(monkeypatch):
+    """The oids whose snapshot row a checkpoint rendered, in order: counts
+    every call of the one row-render function."""
+    import repro.engine.wal as wal_module
+
+    rendered = []
+    render = wal_module.snapshot_row
+
+    def counting(oid, class_name, state):
+        rendered.append(oid)
+        return render(oid, class_name, state)
+
+    monkeypatch.setattr(wal_module, "snapshot_row", counting)
+    return rendered
+
+
+class TestSnapshotRows:
+    """Each stored object keeps its encoded snapshot row until its state is
+    replaced: a checkpoint renders only the rows of objects written since
+    the previous one, and writes the bytes one render of the whole image
+    would."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        states=st.lists(_thing_states, min_size=1, max_size=8),
+        updates=st.lists(st.tuples(st.integers(min_value=0), _thing_states), max_size=6),
+    )
+    def test_body_is_the_reference_render(self, states, updates):
+        base = Path(tempfile.mkdtemp(prefix="repro-wal-rows-"))
+        try:
+            path = base / "db"
+            store = ObjectStore.open(path, parse_database(ROWS_SOURCE), checkpoint_every=0)
+            things = [store.insert("Thing", **state) for state in states]
+            store.checkpoint()
+            assert snapshot_body(path) == reference_body(store)
+            for index, state in updates:
+                store.update(things[index % len(things)], **state)
+            store.delete(things[-1])
+            store.checkpoint()
+            assert snapshot_body(path) == reference_body(store)
+            assert_image_matches(store, path)
+            store.close()
+        finally:
+            shutil.rmtree(base, ignore_errors=True)
+
+    def test_seeded_ingest_writes_the_pinned_bytes(self, tmp_path):
+        """A seeded ingest of the Figure 1 library — sets, awkward strings,
+        floats, updates, deletes, a rejected write and automatic
+        checkpoints — writes the same snapshot and log bytes as a checkpoint
+        that rendered the whole image in one ``json.dumps``."""
+        from repro.fixtures import cslibrary_schema
+
+        schema = cslibrary_schema()
+        schema.set_constant("MAX", 10**12)
+        rng = random.Random(30)
+        path = tmp_path / "db"
+        store = ObjectStore.open(path, schema, checkpoint_every=97)
+        words = ["plain", 'quo"te', "back\\slash", "ünïcødé", "☃", "tab\tnl\n", ""]
+        live = []
+        for index in range(600):
+            kind = rng.choice(
+                ["Publication", "RefereedPubl", "NonRefereedPubl", "ProfessionalPubl"]
+            )
+            shopprice = round(rng.uniform(1, 100), 2)
+            state = {
+                "title": f"{rng.choice(words)} {index}",
+                "isbn": f"I-{index}",
+                "publisher": rng.choice(["ACM", "IEEE"]),
+                "shopprice": shopprice,
+                "ourprice": round(shopprice * rng.random(), 3),
+            }
+            if kind in ("RefereedPubl", "NonRefereedPubl"):
+                state["editors"] = frozenset(rng.sample(words, rng.randrange(4)))
+                state["rating"] = rng.choice([2, 3])
+                if kind == "RefereedPubl":
+                    state["avgAccRate"] = rng.random()
+                else:
+                    state["authAffil"] = rng.choice(words)
+            elif kind == "ProfessionalPubl":
+                state["authors"] = frozenset(rng.sample(words, rng.randrange(5)))
+            live.append(store.insert(kind, **state))
+            if index % 7 == 3:
+                store.update(rng.choice(live), title=f"{rng.choice(words)} u{index}")
+            if index % 11 == 5:
+                store.delete(live.pop(rng.randrange(len(live))))
+        with pytest.raises(ConstraintViolation):
+            store.update(live[0], ourprice=live[0]["shopprice"] + 1)
+        store.checkpoint()
+        for obj in live[:5]:
+            store.update(obj, ourprice=0.5)
+        store.close()
+        digests = {
+            name: hashlib.sha256((path / name).read_bytes()).hexdigest()
+            for name in ("snapshot.json", "snapshot.prev.json", "wal.jsonl")
+        }
+        assert digests == {
+            "snapshot.json": "7627c84a34a6c7e78f5221b91a17923d2fce9b2de26eb21b55d590de42678e3b",
+            "snapshot.prev.json": "46ff3a98771667acceb3aff976e73ea72d01d0eaad6f3c5b3bb64ba8bfa34740",
+            "wal.jsonl": "6e4579a19c18f7ba5b9592c81692b933080431badb8718ddec9bdcb5bed3553a",
+        }
+
+    def test_unchanged_store_renders_no_row(self, tmp_path, rendered_rows):
+        path = tmp_path / "db"
+        store = ObjectStore.open(path, schema=fresh_schema(), checkpoint_every=0)
+        for index in range(3):
+            insert_pair(store, f"n{index}")
+        store.checkpoint()
+        assert rendered_rows == [obj.oid for obj in store.objects()]
+        rendered_rows.clear()
+        store.checkpoint()
+        assert rendered_rows == []
+        assert_image_matches(store, path)
+        store.close()
+
+    def test_k_updates_render_k_rows(self, tmp_path, rendered_rows):
+        path = tmp_path / "db"
+        store = ObjectStore.open(path, schema=fresh_schema(), checkpoint_every=0)
+        pairs = [insert_pair(store, f"n{index}") for index in range(5)]
+        store.checkpoint()
+        rendered_rows.clear()
+        for item, _ in pairs[:3]:
+            store.update(item, price=99.0)
+        store.update(pairs[0][0], price=98.0)  # the same object twice: one row
+        store.checkpoint()
+        assert rendered_rows == [item.oid for item, _ in pairs[:3]]
+        assert_image_matches(store, path)
+        store.close()
+
+    def test_rejected_update_keeps_the_row(self, tmp_path, rendered_rows):
+        path = tmp_path / "db"
+        store = ObjectStore.open(path, schema=fresh_schema(), checkpoint_every=0)
+        item, _ = insert_pair(store, "n0")
+        store.checkpoint()
+        rendered_rows.clear()
+        with pytest.raises(ConstraintViolation):
+            store.update(item, price=-1.0)
+        store.checkpoint()
+        assert rendered_rows == []
+        assert_image_matches(store, path)
+        store.close()
+
+    def test_delete_and_resurrecting_rejected_delete(self, tmp_path, rendered_rows):
+        """A delete renders nothing and drops the row; deleting an Item's
+        last Order is rejected by ``db1`` and resurrects the same object,
+        whose cached row is still current."""
+        path = tmp_path / "db"
+        store = ObjectStore.open(path, schema=fresh_schema(), checkpoint_every=0)
+        insert_pair(store, "gone")
+        _, order = insert_pair(store, "kept")
+        store.checkpoint()
+        rendered_rows.clear()
+        gone = store.extent("Item")[0]
+        with store.transaction():
+            for obj in list(store.objects()):
+                if obj.oid == gone.oid or obj.get("item") == gone.oid:
+                    store.delete(obj)
+        with pytest.raises(ConstraintViolation):
+            store.delete(order)
+        assert store.get(order.oid) is order
+        store.checkpoint()
+        assert rendered_rows == []
+        assert_image_matches(store, path)
+        store.close()
+
+    def test_rolled_back_transaction_keeps_the_rows(self, tmp_path, rendered_rows):
+        path = tmp_path / "db"
+        store = ObjectStore.open(path, schema=fresh_schema(), checkpoint_every=0)
+        item, order = insert_pair(store, "n0")
+        store.checkpoint()
+        rendered_rows.clear()
+        with pytest.raises(RuntimeError):
+            with store.transaction():
+                store.update(item, price=5.0)
+                store.update(order, qty=7)
+                insert_pair(store, "n1")
+                raise RuntimeError("abort")
+        store.checkpoint()
+        assert rendered_rows == []
+        assert_image_matches(store, path)
+        store.close()
+
+    def test_schema_change_keeps_the_rows(self, tmp_path, rendered_rows):
+        from repro.tm.printer import schema_to_source
+
+        path = tmp_path / "db"
+        store = ObjectStore.open(path, schema=fresh_schema(), checkpoint_every=0)
+        insert_pair(store, "n0")
+        store.checkpoint()
+        rendered_rows.clear()
+        changed = store.schema.copy()
+        changed.set_constant("CAP", 10)
+        store.change_schema(changed)
+        store.checkpoint()
+        assert rendered_rows == []
+        assert_image_matches(store, path)
+        assert load_image(path).schema_source == schema_to_source(store.schema)
+        store.close()
+
+    def test_sharded_checkpoint_renders_changes(self, tmp_path, rendered_rows):
+        from repro.engine import ShardedStore
+        from repro.engine.sharding import shard_directory
+
+        source = """
+Database Split
+
+Class Left
+attributes
+  name : string
+end Left
+
+Class Right
+attributes
+  name : string
+end Right
+"""
+        root = tmp_path / "root"
+        store = ShardedStore.open(root, parse_database(source), 2, checkpoint_every=0)
+        lefts = [store.insert("Left", name=f"l{index}") for index in range(4)]
+        rights = [store.insert("Right", name=f"r{index}") for index in range(4)]
+        store.checkpoint()
+        assert sorted(rendered_rows) == sorted(obj.oid for obj in lefts + rights)
+        rendered_rows.clear()
+        store.checkpoint()
+        assert rendered_rows == []
+        with store.transaction():
+            store.update(lefts[1], name="L1")
+            store.update(rights[2], name="R2")
+        store.checkpoint()
+        assert sorted(rendered_rows) == sorted([lefts[1].oid, rights[2].oid])
+        assert all(len(core) for core in store.cores)
+        for shard, core in enumerate(store.cores):
+            assert_image_matches(core, shard_directory(root, shard))
         store.close()
 
 
