@@ -151,8 +151,16 @@ def oid_sort_key(oid: str) -> tuple[int, int, str]:
     :class:`~repro.engine.oracle.Oracle` must agree on one order, or
     extents would diverge after a rollback resurrection.
     """
-    shard = oid_shard(oid)
-    return (oid_counter(oid, default=-1), -1 if shard is None else shard, oid)
+    # One parse of the tail, for both numbers: the pair of
+    # ``oid_counter(oid, -1)`` and ``oid_shard(oid)`` (``-1`` for ``None``).
+    tail = str(oid).rsplit("#", 1)[-1]
+    namespace, dot, sequence = tail.rpartition(".")
+    try:
+        if dot:
+            return (int(sequence), int(namespace), oid)
+        return (int(tail), -1, oid)
+    except ValueError:
+        return (-1, -1, oid)
 
 
 class OrderedOidSet:
@@ -184,6 +192,13 @@ class OrderedOidSet:
 
     def discard(self, oid: str) -> None:
         self._oids.pop(oid, None)
+
+    def fill(self, oids: list[str]) -> None:
+        """Make ``oids`` — already in insertion order — the members, parsing
+        one counter (the last one's) instead of one per oid."""
+        self._oids = dict.fromkeys(oids)
+        self._last = oid_counter(oids[-1], default=-1) if oids else 0
+        self._unsorted = False
 
     def _ensure_sorted(self) -> None:
         if self._unsorted:
@@ -613,19 +628,32 @@ class IndexManager:
                 for ref in self._references.values()
                 if ref.referenced_class in chain
             )
+        # The extents are filled in bulk: ``objects()`` yields the store in
+        # insertion order, so each extent's members arrive in order too.
+        members: dict[str, list[str]] = {name: [] for name in self._extents}
+        member_feeds = {
+            name: tuple(members[ancestor] for ancestor in schema.ancestry(name))
+            for name in schema.classes
+        }
         for obj in store.objects():
+            for extent in member_feeds.get(obj.class_name, ()):
+                extent.append(obj.oid)
             # Replay skips the referenced-side join: liveness is probed
             # against the already-complete store, so add_referrer classifies
             # every oid correctly on its own (danglers included) and a join
             # would double-count objects replayed after their referrers.
-            self._apply_insert(obj, replay=True)
+            self._index_state(obj, replay=True)
+        for name, oids in members.items():
+            self._extents[name].fill(oids)
 
     # -- mutation hooks -----------------------------------------------------------
     #
     # Each hook runs *after* the store applied the mutation to ``_objects``.
 
     def on_insert(self, obj: "DBObject") -> None:
-        self._apply_insert(obj)
+        for extent in self._extent_feeds.get(obj.class_name, ()):
+            extent.add(obj.oid)
+        self._index_state(obj)
 
     def on_delete(self, obj: "DBObject") -> None:
         # Referenced-side leave before referrer-side remove: a self-pointing
@@ -672,9 +700,9 @@ class IndexManager:
             reference.remove_referrer(old)
             reference.add_referrer(new)
 
-    def _apply_insert(self, obj: "DBObject", replay: bool = False) -> None:
-        for extent in self._extent_feeds.get(obj.class_name, ()):
-            extent.add(obj.oid)
+    def _index_state(self, obj: "DBObject", replay: bool = False) -> None:
+        """An inserted object's contributions to the aggregates, key and
+        reference indexes (its extent membership aside)."""
         for aggregate in self._agg_feeds.get(obj.class_name, ()):
             aggregate.add(obj.state.get(aggregate.over, _ABSENT))
         for key in self._key_feeds.get(obj.class_name, ()):

@@ -24,9 +24,11 @@ class DBObject:
 
     A state dict is never mutated in place: a write installs a new dict and
     a rollback reinstalls the old one.  So ``row`` — the object's encoded
-    snapshot row, cached by the checkpoint writer in
-    :mod:`repro.engine.wal` — stays current exactly while ``row_state``
-    (the dict it was rendered from) *is* ``state``.
+    snapshot row (see :mod:`repro.engine.wal`), rendered at the commit
+    that wrote the state or kept from the snapshot line recovery parsed it
+    from — stays current exactly while ``row_state`` (the dict it was
+    rendered from) *is* ``state``.  The log record and every checkpoint
+    reuse those bytes; a store without a log never renders one.
     """
 
     __slots__ = ("oid", "class_name", "state", "row", "row_state")

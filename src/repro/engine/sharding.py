@@ -692,7 +692,7 @@ class ShardedStore(_StoreSurface):
             # does not fit, before anything is logged.
             plan_placement(schema, self.shards, self.spread, existing=self.placement)
             for core in self.cores:
-                check_schema_fit(self.schema, schema, core._objects)
+                check_schema_fit(self.schema, schema, core._table())
             try:
                 for core in self.cores:
                     owed.append((core, core._change_schema_locked(schema)))

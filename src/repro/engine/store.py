@@ -23,6 +23,7 @@ from repro.engine.wal import (
     RecoveredImage,
     WriteAheadLog,
     apply_resolutions,
+    collector_paused,
     load_image,
 )
 from repro.errors import (
@@ -255,6 +256,9 @@ class ObjectStore(_StoreSurface):
         if analyze:
             check_registration(schema)
         self._objects: dict[str, DBObject] = {}
+        #: Oids a rollback re-registered at the end of ``_objects`` since
+        #: the table was last in insertion order (see :meth:`_table`).
+        self._misplaced: list[str] = []
         self._direct_extents: dict[str, set[str]] = {
             name: set() for name in schema.classes
         }
@@ -342,7 +346,21 @@ class ObjectStore(_StoreSurface):
         return self._objects[oid]
 
     def objects(self) -> Iterable[DBObject]:
-        return self._objects.values()
+        """Every stored object, in insertion order."""
+        return self._table().values()
+
+    def _table(self) -> dict[str, DBObject]:
+        """``_objects`` in insertion order.  The readers that depend on the
+        table's order go through here: :meth:`objects` (and so audits,
+        index rebuilds, the CLI and the server), :meth:`checkpoint`,
+        snapshot activation (:meth:`_committed_view`) and the schema-fit
+        check of :meth:`change_schema`.  A rollback that resurrects deleted
+        objects appends them at the end of the table; moving them back is
+        deferred to the next such reader, so that a rejected delete costs
+        O(touched), not O(store)."""
+        if self._misplaced:
+            self._restore_object_order()
+        return self._objects
 
     def extent(self, class_name: str, deep: bool = True) -> list[DBObject]:
         """The objects whose most specific class is ``class_name`` (or a
@@ -494,21 +512,24 @@ class ObjectStore(_StoreSurface):
 
     # -- enforcement --------------------------------------------------------------------
 
-    def _restore_object_order(self, resurrected: int) -> None:
-        """Move the last ``resurrected`` entries of ``_objects`` — removed
-        objects a rollback re-registered, which appends at the end of the
-        dict — back to their insertion-order positions.  Engine oids embed
-        the insertion counter (``Class#N``), so the order is recoverable
-        without a snapshot.  The key is the same ``(counter, oid)`` pair the
-        extent indexes sort by, so ``objects()`` and every extent agree on
-        one deterministic order even when a counter cannot be parsed.  The
-        rest of the table is already in that order, so each entry is placed
-        by bisection: O(k log n) keys and one dict rebuild, not a re-sort of
-        all n entries."""
-        items = list(self._objects.items())
-        ordered = items[:-resurrected]
-        for item in items[-resurrected:]:
-            bisect.insort(ordered, item, key=_item_sort_key)
+    def _restore_object_order(self) -> None:
+        """Move the misplaced entries of ``_objects`` — removed objects a
+        rollback re-registered at the end of the dict — back to their
+        insertion-order positions.  Engine oids embed the insertion counter
+        (``Class#N``), so the order is recoverable without a snapshot.  The
+        key is the same ``(counter, oid)`` pair the extent indexes sort by,
+        so ``objects()`` and every extent agree on one deterministic order
+        even when a counter cannot be parsed.  The rest of the table is
+        already in that order (later inserts carry higher counters), so
+        each entry is placed by bisection: O(k log n) keys and one dict
+        rebuild, not a re-sort of all n entries."""
+        misplaced = set(self._misplaced)
+        self._misplaced = []
+        objects = self._objects
+        ordered = [item for item in objects.items() if item[0] not in misplaced]
+        for oid in misplaced:
+            if oid in objects:
+                bisect.insort(ordered, (oid, objects[oid]), key=_item_sort_key)
         self._objects = dict(ordered)
 
     @staticmethod
@@ -525,11 +546,12 @@ class ObjectStore(_StoreSurface):
             for store, undo in participants
         ]
 
-    def _redo(self, undo: dict) -> list[dict]:
-        """The redo entries of a committed touched set, read off its undo
-        log and the live store: a post-image per surviving touched object,
-        a ``delete`` for one that existed before, and nothing for an object
-        inserted and deleted inside the commit."""
+    def _redo(self, undo: dict) -> list[bytes]:
+        """The rendered redo entries of a committed touched set, read off
+        its undo log and the live store: a ``put`` of the snapshot row of
+        every surviving touched object (rendered here, at its commit, and
+        kept on the object), a ``delete`` for one that existed before, and
+        nothing for an object inserted and deleted inside the commit."""
         ops = []
         for oid, entry in undo.items():
             obj = self._objects.get(oid)
@@ -600,7 +622,9 @@ class ObjectStore(_StoreSurface):
         Pre-images keep object identity: an updated object gets its old
         state dict back in place, and a deleted object is re-registered as
         the *same* :class:`DBObject` instance, so references held outside
-        the store stay valid across a rollback.
+        the store stay valid across a rollback.  A re-registered object
+        lands at the end of the object table; :meth:`_table` moves it back
+        to its insertion-order place when a reader next needs the order.
 
         Maintained indexes roll back alongside, via the *inverse* mutation
         hook per touched object — an insert is undone as a delete, a delete
@@ -611,7 +635,6 @@ class ObjectStore(_StoreSurface):
         re-counts its own reference slots, in whichever order the undo log
         replays the touched objects.
         """
-        resurrected = 0
         for oid, entry in undo.items():
             if entry is None:
                 if oid in self._objects:
@@ -624,10 +647,8 @@ class ObjectStore(_StoreSurface):
                     obj.state = state
                 else:
                     obj.state = state
-                    resurrected += 1
                     self._attach(obj)
-        if resurrected:
-            self._restore_object_order(resurrected)
+                    self._misplaced.append(oid)
 
     def audit(self) -> list:
         """Validate the entire store; returns structured
@@ -761,43 +782,59 @@ class ObjectStore(_StoreSurface):
                     "create one"
                 )
             return cls(schema, wal=wal, **options)
-        if schema is None:
-            # Callers overriding ``schema`` own the whole schema, replayed
-            # changes included.
-            schema = schema_from_image(image)
-        resolved: list[tuple[str, bool]] = []
-        if resolutions is not None:
-            resolved = apply_resolutions(image, resolutions)
-        store = cls(schema, wal=False, **options)
-        store._load_image(image)
-        wal.resume(image)
-        for gid, ok in resolved:
-            wal.log_resolve(gid, ok)
-        if resolved:
-            ticket = wal.commit_flush()
-            if ticket is not None:
-                wal.wait_durable(ticket)
-        # Keep the image as diagnostics (replay counts, findings) but drop
-        # its O(store) contents: the store must not pin every
-        # recovery-time state dict for its whole lifetime.
-        image.objects = {}
-        store._recovery_info = image
-        store._wal = wal
+        # The build creates no garbage cycles, so the collector would only
+        # walk the growing store, again and again; it is back on for the
+        # audit.
+        with collector_paused():
+            if schema is None:
+                # Callers overriding ``schema`` own the whole schema,
+                # replayed changes included.
+                schema = schema_from_image(image)
+            resolved: list[tuple[str, bool]] = []
+            if resolutions is not None:
+                resolved = apply_resolutions(image, resolutions)
+            store = cls(schema, wal=False, **options)
+            store._load_image(image)
+            wal.resume(image)
+            for gid, ok in resolved:
+                wal.log_resolve(gid, ok)
+            if resolved:
+                ticket = wal.commit_flush()
+                if ticket is not None:
+                    wal.wait_durable(ticket)
+            # Keep the image as diagnostics (replay counts, findings) but
+            # drop its O(store) contents: the store must not pin every
+            # recovery-time state dict for its whole lifetime.
+            image.objects = {}
+            store._recovery_info = image
+            store._wal = wal
         if verify:
             store._raise_violations("recovery", store.audit())
         return store
 
     def _load_image(self, image: RecoveredImage) -> None:
-        """Adopt recovered contents wholesale, then rebuild the maintained
-        indexes from them (the same O(store) rebuild a schema change runs —
-        recovery is a rebuild trigger, not a replay of per-mutation
-        hooks)."""
-        for oid, (class_name, state) in image.objects.items():
-            obj = DBObject(oid, class_name, state)
-            self._objects[oid] = obj
-            self._direct_extents.setdefault(class_name, set()).add(oid)
-        self._oid_seq = max(self._oid_seq, image.counter)
-        self._objects = dict(sorted(self._objects.items(), key=_item_sort_key))
+        """Adopt recovered contents wholesale, in one sort by oid, then
+        rebuild the maintained indexes from them (the same O(store) rebuild
+        a schema change runs — recovery is a rebuild trigger, not a replay
+        of per-mutation hooks).  Each oid's counter is parsed once, for
+        its sort key; an object keeps the snapshot line its state was
+        parsed from as its row."""
+        ordered = sorted(
+            (oid_sort_key(oid), oid, entry) for oid, entry in image.objects.items()
+        )
+        objects = self._objects
+        direct = self._direct_extents
+        for _key, oid, (class_name, state, row) in ordered:
+            obj = objects[oid] = DBObject(oid, class_name, state)
+            if row is not None:
+                obj.row = row
+                obj.row_state = state
+            members = direct.get(class_name)
+            if members is None:
+                members = direct[class_name] = set()
+            members.add(oid)
+        top = ordered[-1][0][0] if ordered else 0
+        self._oid_seq = max(self._oid_seq, image.counter, top)
         self._indexes.rebuild()
 
     def checkpoint(self) -> None:
@@ -816,7 +853,7 @@ class ObjectStore(_StoreSurface):
             self._wal.write_snapshot(
                 schema_to_source(self.schema),
                 self.schema.name,
-                self._objects.values(),
+                self.objects(),
                 self._oid_seq,
             )
 
@@ -872,7 +909,7 @@ class ObjectStore(_StoreSurface):
         validated baseline belongs to another schema value and
         revalidates fully."""
         with self._lock:
-            check_schema_fit(self.schema, schema, self._objects)
+            check_schema_fit(self.schema, schema, self._table())
             ticket = self._change_schema_locked(schema)
         self._await_durability(ticket)
 
@@ -941,7 +978,7 @@ class ObjectStore(_StoreSurface):
         transaction level, innermost first so outermost pre-images win."""
         view: dict[str, tuple[str, Mapping[str, Any]]] = {
             oid: (obj.class_name, obj.state)
-            for oid, obj in self._objects.items()
+            for oid, obj in self._table().items()
         }
         for undo in reversed(self._undo_stack):
             for oid, entry in undo.items():

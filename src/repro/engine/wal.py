@@ -10,26 +10,29 @@ a directory holding two files:
   schema (as re-parseable surface syntax), the oid counter, every live
   object, and ``next_lsn``, the log sequence number the snapshot is current
   up to.  One header line, ``repro-snapshot <format> sha256=<hex>``, then
-  the JSON body (assembled from cached rows, see *Checkpoints*); the hex
-  digest is of exactly the body bytes.  Written atomically (temp file +
-  fsync + rename).
+  the body; the hex digest is of exactly the body bytes.  The body (format
+  5) is one line per JSON value: a head line
+  ``{"counter":…,"database":…,"next_lsn":…,"schema":…}``, then one line
+  per object holding its *snapshot row* ``[oid, class, state]`` (see
+  *Checkpoints*).  Written atomically (temp file + fsync + rename).
 
 * ``wal.jsonl`` — the write-ahead log: one CRC-framed JSON record per line,
   appended at the log stage of every accepted commit.  Record kinds::
 
-      {"n": lsn, "t": "commit",  "c": counter, "ops": [entry, ...]}
-      {"n": lsn, "t": "prepare", "g": gid, "c": counter, "ops": [entry, ...]}
-      {"n": lsn, "t": "decide",  "g": gid, "ok": true|false}
-      {"n": lsn, "t": "resolve", "g": gid, "ok": true|false}
-      {"n": lsn, "t": "schema", "source": ...}
+      {"c": counter, "n": lsn, "ops": [entry, ...], "t": "commit"}
+      {"c": counter, "g": gid, "n": lsn, "ops": [entry, ...], "t": "prepare"}
+      {"g": gid, "n": lsn, "ok": true|false, "t": "decide"}
+      {"g": gid, "n": lsn, "ok": true|false, "t": "resolve"}
+      {"n": lsn, "source": ..., "t": "schema"}
 
   where an ``entry`` is one touched object's redo::
 
-      {"t": "insert", "oid": ..., "cls": ..., "state": {...}}
-      {"t": "update", "oid": ..., "state": {...}}
-      {"t": "delete", "oid": ...}
+      {"row": [oid, class, state], "t": "put"}
+      {"oid": ..., "t": "delete"}
 
-  and ``counter`` is the store's oid counter at the commit.
+  and ``counter`` is the store's oid counter at the commit.  A ``put``
+  carries the object's snapshot row, the same bytes a checkpoint writes
+  for it; every record is compact JSON with sorted keys.
 
 Two-phase commit
 ----------------
@@ -69,7 +72,9 @@ Format 2 logged constant rebinds as their own record kind, which this
 reader would skip as unknown and silently lose, so format-2 directories
 are refused; format 3 hashed a second, canonical rendering of its payload
 and accepted a payload with no digest at all, so format-3 directories are
-refused too.
+refused too.  Format 4 logged ``insert`` and ``update`` entries, which
+replay no longer knows, so format-4 directories are refused as well: a
+reader that skipped them would silently lose commits.
 
 When a replayed ``schema`` record's source differs from the snapshot's
 ``schema`` source, recovery flags ``schema_drift`` — ``repro recover``
@@ -115,15 +120,18 @@ transaction ever straddles a snapshot boundary.  The store triggers one
 automatically every ``checkpoint_every`` log records (see
 :meth:`WriteAheadLog.should_checkpoint`).
 
-A snapshot body is the key-sorted, compact ``json.dumps`` of the image,
-byte for byte, but it is assembled rather than rendered whole: each
-:class:`~repro.engine.objects.DBObject` keeps its encoded row and the state
-dict that row came from, and a checkpoint reuses the row while that dict
-*is* still the object's state.  States are never mutated in place — a write
-installs a new dict, a rollback reinstalls the old one — so identity is
-enough: a checkpoint's render cost is proportional to the objects written
-since the previous one, not to the store.  The first checkpoint after a
-reopen renders every row.
+Snapshot rows are rendered once, at the commit that wrote the state:
+each :class:`~repro.engine.objects.DBObject` keeps its row (the compact,
+key-sorted JSON of ``[oid, class, encoded state]``) and the state dict that
+row came from.  The log stage renders the row of every surviving touched
+object and embeds those bytes in the record's ``put`` entry; a checkpoint
+then only joins the rows, hashes them and writes them.  A row is current
+while its state dict *is* still the object's state — states are never
+mutated in place: a write installs a new dict, a rollback reinstalls the
+old one — so identity is enough, and the checkpoint renders again only a
+state a rollback reinstalled.  Recovery keeps each snapshot line's bytes as
+the row of the object parsed from it; an object a replayed log record
+wrote starts without one, and the next checkpoint renders it.
 
 Group commit
 ------------
@@ -180,12 +188,14 @@ nothing locks the directory itself against other processes.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
 import threading
 import time
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Iterable, Mapping
@@ -196,7 +206,6 @@ from repro.engine.faults import (
     FaultInjector,
     classify_os_error,
 )
-from repro.engine.indexes import oid_counter
 from repro.errors import EngineError, StorePoisonedError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -207,7 +216,7 @@ SNAPSHOT_PREV_NAME = "snapshot.prev.json"
 LOG_NAME = "wal.jsonl"
 #: Name of the shard-layout manifest inside a sharded store root.
 MANIFEST_NAME = "shards.json"
-SNAPSHOT_FORMAT = 4
+SNAPSHOT_FORMAT = 5
 #: First word of a snapshot file's header line.
 _SNAPSHOT_MAGIC = b"repro-snapshot"
 
@@ -256,13 +265,38 @@ def decode_state(state: Mapping[str, Any]) -> dict[str, Any]:
     return {name: decode_value(value) for name, value in state.items()}
 
 
+#: The one renderer of snapshot rows: compact, key-sorted JSON, built once
+#: rather than per call as ``json.dumps`` with options would.
+_ROW_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+#: Value types a row holds as they are (``encode_value`` returns them
+#: unchanged); only the others, set values, go through ``encode_value``.
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
+
 def snapshot_row(oid: str, class_name: str, state: Mapping[str, Any]) -> bytes:
-    """One object's entry in a snapshot's ``objects`` list: the compact,
-    key-sorted JSON of ``[oid, class, encoded state]`` — exactly the bytes a
-    render of the whole snapshot body holds at that place."""
-    return json.dumps(
-        [oid, class_name, encode_state(state)], separators=(",", ":"), sort_keys=True
+    """One object's snapshot row: the compact, key-sorted JSON of ``[oid,
+    class, encoded state]`` — the line a checkpoint writes for it and the
+    row its log ``put`` entry carries."""
+    return _ROW_ENCODER.encode(
+        [
+            oid,
+            class_name,
+            {
+                name: value if type(value) in _PLAIN else encode_value(value)
+                for name, value in state.items()
+            },
+        ]
     ).encode("utf-8")
+
+
+def _row(obj: "DBObject") -> bytes:
+    """``obj``'s snapshot row, rendered only when its state dict was
+    replaced since the row was (see *Checkpoints*)."""
+    state = obj.state
+    if obj.row_state is not state:
+        obj.row = snapshot_row(obj.oid, obj.class_name, state)
+        obj.row_state = state
+    return obj.row
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +305,16 @@ def snapshot_row(oid: str, class_name: str, state: Mapping[str, Any]) -> bytes:
 
 
 def _frame(record: dict) -> bytes:
-    payload = json.dumps(record, separators=(",", ":"), sort_keys=True)
-    crc = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
-    return f"{crc:08x}:{payload}\n".encode("utf-8")
+    """The log line of a record rendered whole (``schema``, ``decide``,
+    ``resolve``)."""
+    return _frame_payload(
+        json.dumps(record, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    )
+
+
+def _frame_payload(payload: bytes) -> bytes:
+    """The log line of an already rendered record: its CRC32, then it."""
+    return b"%08x:%s\n" % (zlib.crc32(payload), payload)
 
 
 def _parse_line(line: bytes) -> dict | None:
@@ -447,8 +488,11 @@ class RecoveredImage:
 
     schema_source: str
     database: str
-    #: oid -> ``(class name, state)``, in insertion order.
-    objects: dict[str, tuple[str, dict]]
+    #: oid -> ``(class name, state, row)``, in snapshot-then-log order:
+    #: ``row`` is the snapshot line the state was parsed from, the row the
+    #: store keeps for the object, or ``None`` when a replayed log record
+    #: wrote the state.
+    objects: dict[str, tuple[str, dict, "bytes | None"]]
     #: Highest oid counter the history used: the snapshot's, raised by each
     #: replayed ``commit``/``prepare`` record's high-water mark ``c`` (oids
     #: burned by rejected or aborted work before a commit included).
@@ -495,50 +539,91 @@ class RecoveredImage:
     decisions: dict[str, bool] = field(default_factory=dict)
 
 
-def _read_snapshot(snapshot_path: Path) -> dict:
+@contextmanager
+def collector_paused():
+    """Pause Python's cyclic garbage collector for a bulk load, restoring
+    its previous state on exit.  Recovery allocates one state dict per
+    object and creates no reference cycles; with the collector running,
+    every collection of the oldest generation walks the whole growing
+    image, which makes loading superlinear in the store."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_snapshot(snapshot_path: Path) -> tuple[dict, list[bytes], list]:
     """Verify, then parse, one snapshot file: the header line must name
     this ``SNAPSHOT_FORMAT`` and the SHA-256 of exactly the body bytes
-    after it, and only then is the body parsed.
+    after it, and only then is the body parsed.  Returns the head line's
+    mapping, the object lines' bytes and the rows parsed from them.
 
     Raises :class:`EngineError` on unreadable bytes, a missing or other
     format's header (every file written before format 4 has none), a
-    digest mismatch, or a verified body that is not JSON."""
+    digest mismatch, or a verified body that is not one JSON value per
+    line."""
     where = repr(str(snapshot_path))
     try:
         raw = snapshot_path.read_bytes()
     except OSError as exc:
         raise EngineError(f"unreadable snapshot at {where}: {exc}") from exc
-    header, _, body = raw.partition(b"\n")
-    magic, _, rest = header.partition(b" ")
+    # The body is hashed and split in place: a store-sized copy of it would
+    # cost as much as the parse.
+    newline = raw.find(b"\n")
+    header_end = newline if newline >= 0 else len(raw)
+    body = header_end + 1
+    magic, _, rest = raw[:header_end].partition(b" ")
     version, _, digest = rest.partition(b" ")
     if magic != _SNAPSHOT_MAGIC or version != b"%d" % SNAPSHOT_FORMAT:
         found = version.decode("ascii", "replace") if magic == _SNAPSHOT_MAGIC else "no header"
         raise EngineError(f"unsupported snapshot format at {where}: {found}")
-    if digest != b"sha256=" + hashlib.sha256(body).hexdigest().encode("ascii"):
+    with memoryview(raw) as view:
+        actual = hashlib.sha256(view[body:]).hexdigest()
+    if digest != b"sha256=" + actual.encode("ascii"):
         raise EngineError(
             f"snapshot digest mismatch at {where}: the file was altered "
             "after it was written"
         )
+    lines = raw.split(b"\n")
+    del raw
     try:
-        return json.loads(body)
+        # Every line ends in a newline (JSON escapes the ones inside
+        # strings), so the split ends in one empty piece.
+        _header, head, *rows, end = lines
+        if end:
+            raise ValueError("the body does not end in a newline")
+        # One parse of all the rows, not one call per line: two sentinel
+        # values make the joined lines one JSON array.
+        parsed = json.loads(b",".join([b"[0", *rows, b"0]"]))
+        return json.loads(head), rows, parsed[1:-1]
     except ValueError as exc:
         raise EngineError(f"corrupt snapshot at {where}: {exc}") from exc
 
 
-def _apply_ops(objects: dict[str, tuple[str, dict]], ops: list[dict]) -> None:
-    """Apply one committed redo set onto a recovering ``objects`` image."""
+def _apply_ops(objects: dict[str, tuple], ops: list[dict]) -> None:
+    """Apply one committed redo set onto a recovering ``objects`` image.
+    An object a ``put`` writes has no snapshot row any more."""
     for op in ops:
-        kind = op["t"]
-        if kind == "insert":
-            objects[op["oid"]] = (op["cls"], decode_state(op["state"]))
-        elif kind == "update":
-            current = objects.get(op["oid"])
-            if current is not None:
-                objects[op["oid"]] = (current[0], decode_state(op["state"]))
-        elif kind == "delete":
+        if op["t"] == "put":
+            oid, class_name, state = op["row"]
+            objects[oid] = (class_name, _decoded(state), None)
+        elif op["t"] == "delete":
             objects.pop(op["oid"], None)
 
 
+def _decoded(state: dict) -> dict:
+    """A freshly parsed encoded state, decoded in place: only set values
+    need decoding, and the parsed dict becomes the object's state."""
+    for name, value in state.items():
+        if type(value) is dict:
+            state[name] = decode_value(value)
+    return state
+
+
+@collector_paused()
 def load_image(path: str | Path) -> RecoveredImage | None:
     """Recover the durable image under ``path``; ``None`` when nothing exists.
 
@@ -607,13 +692,17 @@ def load_image(path: str | Path) -> RecoveredImage | None:
     # Only a snapshot fallback can have been recorded so far.
     used_fallback = bool(findings)
 
-    objects: dict[str, tuple[str, dict]] = {}
-    counter = int(snapshot.get("counter", 0))
-    for oid, class_name, state in snapshot.get("objects", []):
-        objects[oid] = (class_name, decode_state(state))
-        counter = max(counter, oid_counter(oid, 0))
-    start_lsn = int(snapshot.get("next_lsn", 0))
-    schema_source = snapshot.get("schema", "")
+    head, lines, parsed = snapshot
+    # The parse gives every row its own copy of its class name; one shared
+    # string per class keeps each later lookup by class name on one object.
+    names: dict[str, str] = {}
+    objects = {
+        oid: (names.setdefault(class_name, class_name), _decoded(state), line)
+        for line, (oid, class_name, state) in zip(lines, parsed)
+    }
+    counter = int(head.get("counter", 0))
+    start_lsn = int(head.get("next_lsn", 0))
+    schema_source = head.get("schema", "")
     schema_changes = 0
 
     records: list[dict] = []
@@ -681,7 +770,7 @@ def load_image(path: str | Path) -> RecoveredImage | None:
         # unknown record kinds are skipped: forward compatibility
         kept += 1
 
-    schema_drift = schema_source != snapshot.get("schema", "")
+    schema_drift = schema_source != head.get("schema", "")
     if schema_drift:
         findings.append((
             "clean",
@@ -692,7 +781,7 @@ def load_image(path: str | Path) -> RecoveredImage | None:
         ))
     return RecoveredImage(
         schema_source=schema_source,
-        database=snapshot.get("database", ""),
+        database=head.get("database", ""),
         objects=objects,
         counter=counter,
         next_lsn=max_lsn + 1,
@@ -747,7 +836,7 @@ class WriteAheadLog:
 
     Owned by an :class:`~repro.engine.store.ObjectStore`, and holding no
     transaction state: at the log stage of each accepted commit the store
-    builds the touched set's redo entries with
+    renders the touched set's redo entries with
     :meth:`log_insert`/:meth:`log_update`/:meth:`log_delete` and writes
     them as one record with :meth:`commit_transaction` (or, as a two-phase
     participant, :meth:`prepare_transaction`).  Rejected and aborted work
@@ -970,9 +1059,26 @@ class WriteAheadLog:
         return self._handle
 
     def _append(self, record: dict) -> None:
+        """Append one record rendered whole (``schema``, ``decide``,
+        ``resolve``)."""
         self.check_poisoned()
         record["n"] = self._next_lsn
-        data = _frame(record)
+        self._write_line(_frame(record))
+
+    def _append_redo(self, head: bytes, ops: list[bytes], kind: bytes) -> None:
+        """Append one ``commit`` or ``prepare`` record assembled from bytes:
+        ``head`` holds its keys that sort before ``n``, and ``ops`` the
+        rendered redo entries.  The result is exactly the compact,
+        key-sorted JSON :func:`_frame` would render."""
+        self.check_poisoned()
+        self._write_line(
+            _frame_payload(
+                b'%s"n":%d,"ops":[%s],"t":"%s"}'
+                % (head, self._next_lsn, b",".join(ops), kind)
+            )
+        )
+
+    def _write_line(self, data: bytes) -> None:
         handle = self._open_handle()
         try:
             self.files.write(handle, data, "wal.append")
@@ -1133,30 +1239,27 @@ class WriteAheadLog:
 
     # -- records -----------------------------------------------------------------
 
-    def log_insert(self, obj: "DBObject") -> dict:
-        """The redo entry of an object the commit inserted."""
-        return {
-            "t": "insert",
-            "oid": obj.oid,
-            "cls": obj.class_name,
-            "state": encode_state(obj.state),
-        }
+    def log_insert(self, obj: "DBObject") -> bytes:
+        """The redo entry of an object the commit inserted: a ``put`` of
+        its snapshot row, rendered here and kept on the object for the next
+        checkpoint."""
+        return b'{"row":%s,"t":"put"}' % _row(obj)
 
-    def log_update(self, obj: "DBObject") -> dict:
-        """The redo entry of an object the commit changed: its full
-        post-image, so replay needs no pre-state."""
-        return {"t": "update", "oid": obj.oid, "state": encode_state(obj.state)}
+    def log_update(self, obj: "DBObject") -> bytes:
+        """The redo entry of an object the commit changed: the same ``put``
+        as an insert's — a full post-image, so replay needs no pre-state."""
+        return b'{"row":%s,"t":"put"}' % _row(obj)
 
-    def log_delete(self, oid: str) -> dict:
+    def log_delete(self, oid: str) -> bytes:
         """The redo entry of an object the commit deleted."""
-        return {"t": "delete", "oid": oid}
+        return b'{"oid":%s,"t":"delete"}' % json.dumps(oid).encode("utf-8")
 
-    def commit_transaction(self, ops: list[dict], counter: int) -> "int | None":
+    def commit_transaction(self, ops: list[bytes], counter: int) -> "int | None":
         """Append one commit's redo entries as a ``commit`` record carrying
         the oid counter's high-water mark, flush, and return the
         group-commit durability ticket (redeem with :meth:`wait_durable`
         once locks are released)."""
-        self._append({"t": "commit", "c": counter, "ops": ops})
+        self._append_redo(b'{"c":%d,' % counter, ops, b"commit")
         return self.commit_flush()
 
     def log_schema(self, schema_source: str) -> None:
@@ -1176,7 +1279,7 @@ class WriteAheadLog:
     # -- two-phase commit --------------------------------------------------------
 
     def prepare_transaction(
-        self, gid: str, ops: list[dict], counter: int
+        self, gid: str, ops: list[bytes], counter: int
     ) -> "int | None":
         """2PC phase 1: append this participant's redo entries as a
         ``prepare`` record, flush, and return the durability ticket.
@@ -1187,7 +1290,11 @@ class WriteAheadLog:
         redeem every participant's ticket (or flush) before writing the
         ``decide`` — that ordering is what makes the decision imply all
         prepares survived."""
-        self._append({"t": "prepare", "g": str(gid), "c": counter, "ops": ops})
+        self._append_redo(
+            b'{"c":%d,"g":%s,' % (counter, json.dumps(str(gid)).encode("utf-8")),
+            ops,
+            b"prepare",
+        )
         return self.commit_flush()
 
     def log_decide(self, gid: str, ok: bool) -> None:
@@ -1240,40 +1347,30 @@ class WriteAheadLog:
         objects: Iterable[DBObject],
         counter: int,
     ) -> None:
-        # The body is the compact, key-sorted json.dumps of {counter,
-        # database, next_lsn, objects, schema}, assembled from the objects'
-        # cached rows: a row is rendered again only when its object's state
-        # dict was replaced since it was cached.  parts[0] is the header,
-        # filled in once the body's parts are hashed, so that the file is
-        # joined in one go and written by one call.
-        parts = [
-            b"",
-            b'{"counter":%d,"database":%s,"next_lsn":%d,"objects":['
-            % (counter, json.dumps(database).encode("utf-8"), self._next_lsn),
-        ]
-        separator = b""
-        for obj in objects:
-            state = obj.state
-            if obj.row_state is not state:
-                obj.row = snapshot_row(obj.oid, obj.class_name, state)
-                obj.row_state = state
-            parts += (separator, obj.row)
-            separator = b","
-        parts.append(b'],"schema":%s}' % json.dumps(schema_source).encode("utf-8"))
-        digest = hashlib.sha256()
-        for part in parts:
-            digest.update(part)
-        # The header seals the bytes written, verified by load_image/fsck;
-        # the previous snapshot is rotated to .prev so a damaged (or half-
-        # rotated) newest file always leaves a verified fallback behind.
-        parts[0] = b"%s %d sha256=%s\n" % (
-            _SNAPSHOT_MAGIC,
-            SNAPSHOT_FORMAT,
-            digest.hexdigest().encode("ascii"),
+        # The body is one line per JSON value: the head, then each object's
+        # snapshot row as its commit rendered it (the rendering is repeated
+        # only for a state a rollback reinstalled).  The file is joined in
+        # one go behind a placeholder header of the final length, the body
+        # hashed in place, and the placeholder overwritten with the header
+        # that seals it (verified by load_image/fsck).
+        sealed = b"%s %d sha256=" % (_SNAPSHOT_MAGIC, SNAPSHOT_FORMAT)
+        head = b'{"counter":%d,"database":%s,"next_lsn":%d,"schema":%s}' % (
+            counter,
+            json.dumps(database).encode("utf-8"),
+            self._next_lsn,
+            json.dumps(schema_source).encode("utf-8"),
         )
+        placeholder = sealed + b"0" * 64
+        data = bytearray(b"\n").join([placeholder, head, *map(_row, objects), b""])
+        body = len(placeholder) + 1
+        with memoryview(data) as view:
+            digest = hashlib.sha256(view[body:]).hexdigest()
+        data[: body - 1] = sealed + digest.encode("ascii")
+        # The previous snapshot is rotated to .prev so a damaged (or half-
+        # rotated) newest file always leaves a verified fallback behind.
         _write_atomic(
             self.snapshot_path,
-            b"".join(parts),
+            data,
             self.files,
             self.telemetry,
             retain=self.prev_snapshot_path,

@@ -197,11 +197,6 @@ class ConformationError(IntegrationError):
     semantic context (e.g. a constraint mentions a hidden property)."""
 
 
-class DerivationError(IntegrationError):
-    """Global-constraint derivation was attempted in a situation the paper's
-    necessary conditions rule out."""
-
-
 class SolverError(ReproError):
     """The symbolic solver met a formula outside the decidable fragment."""
 

@@ -84,11 +84,12 @@ class _Abort(Exception):
 
 
 def assert_indexes_match_naive_scan(store: ObjectStore) -> None:
-    """Every index must agree with a from-scratch scan of the raw store."""
+    """Every index must agree with a from-scratch scan of the raw store (in
+    the insertion order ``objects()`` restores after a rollback)."""
     manager = store._indexes
     assert manager is not None
     schema = store.schema
-    live = list(store._objects.values())
+    live = list(store.objects())
 
     for class_name in schema.classes:
         deep = [
@@ -501,7 +502,7 @@ class TestStructures:
     def test_extent_order_matches_oracle_after_delete_rollback(self):
         """Regression: after a rollback resurrects deleted objects, the
         indexed extent (OrderedOidSet lazy re-sort), the store's object
-        table (``_restore_object_order``) and the oracle's scan must agree
+        table (``objects()``'s lazy re-placement) and the oracle's scan must agree
         on one deterministic insertion-oid order."""
         stores = [ObjectStore(indexlab_schema()), Oracle(indexlab_schema())]
         for store in stores:

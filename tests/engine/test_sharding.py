@@ -745,10 +745,8 @@ class TestDurableSharding:
 
         def redo(obj):
             return {
-                "t": "insert",
-                "oid": obj.oid,
-                "cls": obj.class_name,
-                "state": encode_state(obj.state),
+                "t": "put",
+                "row": [obj.oid, obj.class_name, encode_state(obj.state)],
             }
 
         # Two-phase commit: each core's prepare carries exactly that
@@ -779,6 +777,27 @@ class TestDurableSharding:
         assert routed_record["ops"] == [redo(first)]
         assert txn_record["ops"] == [redo(second), redo(third)]
         assert store.two_phase_commits == 1
+        store.close()
+
+    def test_prepare_records_are_canonical(self, tmp_path):
+        """A ``prepare`` record is assembled from rendered rows, yet is
+        exactly the compact, key-sorted JSON of itself — awkward strings
+        included."""
+        store = ShardedStore.open(tmp_path, shardlab_schema(), 2)
+        assert store.placement["Alpha"] != store.placement["Beta"]
+        with store.transaction():
+            store.insert("Alpha", name='qu"ote\\ \u00fcn\u2603\t\n', score=1)
+            store.insert("Beta", label="\U0001f600\x01", value=2**70)
+        assert store.two_phase_commits == 1
+        for core in store.cores:
+            data = (core.wal.path / LOG_NAME).read_bytes()
+            lines = data.split(b"\n")[:-1]
+            assert json.loads(lines[0][9:])["t"] == "prepare"
+            for line in lines:
+                payload = line[9:]
+                assert payload == json.dumps(
+                    json.loads(payload), separators=(",", ":"), sort_keys=True
+                ).encode("utf-8")
         store.close()
 
     def test_single_shard_touch_skips_two_phase(self, tmp_path):

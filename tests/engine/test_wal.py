@@ -636,11 +636,11 @@ def _replay(state, ops):
     redo entries applied."""
     replayed = dict(state)
     for op in ops:
-        if op["t"] == "insert":
-            replayed[op["oid"]] = (op["cls"], decode_state(op["state"]))
-        elif op["t"] == "update":
-            replayed[op["oid"]] = (replayed[op["oid"]][0], decode_state(op["state"]))
+        if op["t"] == "put":
+            oid, class_name, encoded = op["row"]
+            replayed[oid] = (class_name, decode_state(encoded))
         else:
+            assert op["t"] == "delete"
             del replayed[op["oid"]]
     return replayed
 
@@ -753,9 +753,9 @@ class TestLogShape:
         self, tmp_path, monkeypatch
     ):
         """A checkpoint hashes the bytes it writes, and a recovery read
-        hashes the bytes it reads: neither renders the payload again.  The
-        checkpoint renders each object's row once and never the whole
-        image."""
+        hashes the bytes it reads: neither renders the payload again.  Each
+        object's row was rendered at its commit, so the checkpoint renders
+        no row and never the whole image."""
         path = tmp_path / "db"
         store = ObjectStore.open(path, schema=fresh_schema())
         insert_pair(store, "keep")
@@ -768,16 +768,39 @@ class TestLogShape:
 
         monkeypatch.setattr(json, "dumps", counting_dumps)
         store.checkpoint()
-        assert not any(isinstance(render, dict) for render in renders)
-        assert [render[0] for render in renders if isinstance(render, list)] == [
-            obj.oid for obj in store.objects()
-        ]
+        assert all(isinstance(render, str) for render in renders)
         renders.clear()
         image = load_image(path)
         assert renders == []
         monkeypatch.undo()
         assert len(image.objects) == 2
         store.close()
+
+    def test_format_4_directory_is_refused(self, tmp_path, snapshot_file):
+        """Format 4 logged ``insert`` and ``update`` entries, which this
+        reader does not replay: reading such a log would silently lose
+        commits."""
+        from repro.engine.wal import _frame
+
+        path = tmp_path / "db"
+        store = ObjectStore.open(path, schema=fresh_schema())
+        item, _ = insert_pair(store, "keep")
+        store.checkpoint()
+        store.close()
+        for name in ("snapshot.prev.json", "snapshot.json"):
+            snapshot_file.seal(path / name, snapshot_file.read(path / name), fmt=4)
+        with open(path / "wal.jsonl", "ab") as log:
+            log.write(_frame({
+                "n": snapshot_file.read(path / "snapshot.json")["next_lsn"],
+                "t": "commit",
+                "c": 2,
+                "ops": [{"t": "update", "oid": item.oid, "state": {"name": "keep", "price": 1.0}}],
+            }))
+        with pytest.raises(EngineError, match="unsupported snapshot format at .*: 4"):
+            ObjectStore.open(path)
+        report = fsck(path)
+        assert report.status == "fatal"
+        assert any("unsupported snapshot format" in f for f in report.findings)
 
 
 ROWS_SOURCE = """
@@ -809,24 +832,37 @@ _thing_states = st.fixed_dictionaries(
 
 
 def reference_body(store) -> bytes:
-    """A snapshot body as one key-sorted ``json.dumps`` of the whole image
-    renders it: the bytes a checkpoint must write, however it builds them."""
+    """A snapshot body as one key-sorted ``json.dumps`` per line of the
+    image renders it — the head, then each object's row: the bytes a
+    checkpoint must write, however it builds them."""
     from repro.tm.printer import schema_to_source
 
-    return json.dumps(
+    lines = [
         {
             "counter": store._oid_seq,
             "database": store.schema.name,
             "next_lsn": store.wal._next_lsn,
-            "objects": [
-                [obj.oid, obj.class_name, encode_state(obj.state)]
-                for obj in store.objects()
-            ],
             "schema": schema_to_source(store.schema),
         },
-        separators=(",", ":"),
-        sort_keys=True,
-    ).encode("utf-8")
+        *(
+            [obj.oid, obj.class_name, encode_state(obj.state)]
+            for obj in store.objects()
+        ),
+    ]
+    return b"".join(
+        json.dumps(line, separators=(",", ":"), sort_keys=True).encode("utf-8") + b"\n"
+        for line in lines
+    )
+
+
+def assert_canonical_log(path: Path) -> None:
+    """Every record in the log at ``path`` is the compact, key-sorted
+    ``json.dumps`` of itself, however the writer assembled it."""
+    for line in (path / "wal.jsonl").read_bytes().split(b"\n")[:-1]:
+        payload = line[9:]
+        assert payload == json.dumps(
+            json.loads(payload), separators=(",", ":"), sort_keys=True
+        ).encode("utf-8")
 
 
 def snapshot_body(path: Path) -> bytes:
@@ -834,10 +870,18 @@ def snapshot_body(path: Path) -> bytes:
 
 
 def assert_image_matches(store, path: Path) -> None:
-    """Recovery from ``path`` yields exactly the live store's contents."""
+    """Recovery from ``path`` yields exactly the live store's contents, and
+    each snapshot row it keeps is the row of the state parsed from it."""
     image = load_image(path)
-    assert image.objects == store_state(store)
+    assert {
+        oid: (class_name, state) for oid, (class_name, state, _row) in image.objects.items()
+    } == store_state(store)
     assert list(image.objects) == [obj.oid for obj in store.objects()]
+    for oid, (class_name, state, row) in image.objects.items():
+        if row is not None:
+            assert row == json.dumps(
+                [oid, class_name, encode_state(state)], separators=(",", ":"), sort_keys=True
+            ).encode("utf-8")
 
 
 @pytest.fixture
@@ -858,10 +902,10 @@ def rendered_rows(monkeypatch):
 
 
 class TestSnapshotRows:
-    """Each stored object keeps its encoded snapshot row until its state is
-    replaced: a checkpoint renders only the rows of objects written since
-    the previous one, and writes the bytes one render of the whole image
-    would."""
+    """Each commit renders the snapshot row of every object it wrote, once,
+    embeds it in its log record and keeps it on the object: a checkpoint
+    renders no row (only a state a rollback reinstalled), and writes the
+    bytes one render per line of the image would."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -874,11 +918,13 @@ class TestSnapshotRows:
             path = base / "db"
             store = ObjectStore.open(path, parse_database(ROWS_SOURCE), checkpoint_every=0)
             things = [store.insert("Thing", **state) for state in states]
+            assert_canonical_log(path)
             store.checkpoint()
             assert snapshot_body(path) == reference_body(store)
             for index, state in updates:
                 store.update(things[index % len(things)], **state)
             store.delete(things[-1])
+            assert_canonical_log(path)
             store.checkpoint()
             assert snapshot_body(path) == reference_body(store)
             assert_image_matches(store, path)
@@ -889,8 +935,7 @@ class TestSnapshotRows:
     def test_seeded_ingest_writes_the_pinned_bytes(self, tmp_path):
         """A seeded ingest of the Figure 1 library — sets, awkward strings,
         floats, updates, deletes, a rejected write and automatic
-        checkpoints — writes the same snapshot and log bytes as a checkpoint
-        that rendered the whole image in one ``json.dumps``."""
+        checkpoints — writes pinned snapshot and log bytes."""
         from repro.fixtures import cslibrary_schema
 
         schema = cslibrary_schema()
@@ -937,9 +982,9 @@ class TestSnapshotRows:
             for name in ("snapshot.json", "snapshot.prev.json", "wal.jsonl")
         }
         assert digests == {
-            "snapshot.json": "7627c84a34a6c7e78f5221b91a17923d2fce9b2de26eb21b55d590de42678e3b",
-            "snapshot.prev.json": "46ff3a98771667acceb3aff976e73ea72d01d0eaad6f3c5b3bb64ba8bfa34740",
-            "wal.jsonl": "6e4579a19c18f7ba5b9592c81692b933080431badb8718ddec9bdcb5bed3553a",
+            "snapshot.json": "15f7382783e8c7e8c5cfb71e05d9d3f3f7c8e6631b0d7afd10b994ead03b5fbb",
+            "snapshot.prev.json": "cec87b885cb5ce1d9a60342310b6885a10a7de061307ce10b2112a85967206d1",
+            "wal.jsonl": "9952a53fbfad0ba54dc6e3f4d2fb063b03633b282316a77f2a8fa70db518ded6",
         }
 
     def test_unchanged_store_renders_no_row(self, tmp_path, rendered_rows):
@@ -947,9 +992,10 @@ class TestSnapshotRows:
         store = ObjectStore.open(path, schema=fresh_schema(), checkpoint_every=0)
         for index in range(3):
             insert_pair(store, f"n{index}")
-        store.checkpoint()
+        # Each commit rendered its objects' rows; no checkpoint renders one.
         assert rendered_rows == [obj.oid for obj in store.objects()]
         rendered_rows.clear()
+        store.checkpoint()
         store.checkpoint()
         assert rendered_rows == []
         assert_image_matches(store, path)
@@ -963,11 +1009,38 @@ class TestSnapshotRows:
         rendered_rows.clear()
         for item, _ in pairs[:3]:
             store.update(item, price=99.0)
-        store.update(pairs[0][0], price=98.0)  # the same object twice: one row
+        store.update(pairs[0][0], price=98.0)  # the same object twice: two commits
+        assert rendered_rows == [item.oid for item, _ in pairs[:3]] + [pairs[0][0].oid]
+        rendered_rows.clear()
         store.checkpoint()
-        assert rendered_rows == [item.oid for item, _ in pairs[:3]]
+        assert rendered_rows == []
         assert_image_matches(store, path)
         store.close()
+
+    def test_reopened_store_keeps_the_snapshot_rows(self, tmp_path, rendered_rows):
+        """Recovery keeps each snapshot line as its object's row: after a
+        snapshot-only reopen the first checkpoint renders nothing; an
+        object a replayed log record wrote starts without a row, and the
+        first checkpoint renders exactly those."""
+        path = tmp_path / "db"
+        store = ObjectStore.open(path, schema=fresh_schema(), checkpoint_every=0)
+        pairs = [insert_pair(store, f"n{index}") for index in range(3)]
+        store.checkpoint()
+        store.close()
+        rendered_rows.clear()
+        reopened = ObjectStore.open(path)
+        reopened.checkpoint()
+        assert rendered_rows == []
+        reopened.update(pairs[1][0], price=7.0)
+        tail = insert_pair(reopened, "tail")
+        reopened.close()
+        rendered_rows.clear()
+        replayed = ObjectStore.open(path)
+        assert replayed.recovery_info.replayed == 3
+        replayed.checkpoint()
+        assert rendered_rows == [pairs[1][0].oid] + [obj.oid for obj in tail]
+        assert_image_matches(replayed, path)
+        replayed.close()
 
     def test_rejected_update_keeps_the_row(self, tmp_path, rendered_rows):
         path = tmp_path / "db"
@@ -1060,16 +1133,20 @@ end Right
         store = ShardedStore.open(root, parse_database(source), 2, checkpoint_every=0)
         lefts = [store.insert("Left", name=f"l{index}") for index in range(4)]
         rights = [store.insert("Right", name=f"r{index}") for index in range(4)]
-        store.checkpoint()
         assert sorted(rendered_rows) == sorted(obj.oid for obj in lefts + rights)
         rendered_rows.clear()
+        store.checkpoint()
         store.checkpoint()
         assert rendered_rows == []
         with store.transaction():
             store.update(lefts[1], name="L1")
             store.update(rights[2], name="R2")
-        store.checkpoint()
+        # Each core's two-phase prepare rendered its object's row.
+        assert store.two_phase_commits == 1
         assert sorted(rendered_rows) == sorted([lefts[1].oid, rights[2].oid])
+        rendered_rows.clear()
+        store.checkpoint()
+        assert rendered_rows == []
         assert all(len(core) for core in store.cores)
         for shard, core in enumerate(store.cores):
             assert_image_matches(core, shard_directory(root, shard))
