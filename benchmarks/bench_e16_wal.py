@@ -198,11 +198,15 @@ def test_e16_recovery_scaling(benchmark, e16_size):
         assert len(verified) == expected
         verified.close()
 
+        # Only the recovered stores stay in the heap from here on: the
+        # stores built above would otherwise sit beside every timed
+        # recovery.
+        del store, checkpointed, verified
         ratio = None
         if e16_size == 100_000:
             # The linearity gate.  Recovery keeps no per-object work that
             # grows with the store (the collector is paused while loading,
-            # the table is sorted once, each extent is filled in one pass).
+            # the table is adopted in order, each extent filled in one pass).
             # A 10⁴-object directory is timed in alternation with this
             # one, five recoveries against one per round, so that both
             # sides of each round's ratio see the same stretch of a shared
@@ -210,6 +214,7 @@ def test_e16_recovery_scaling(benchmark, e16_size):
             small = _durable_store(10_000, base / "small")
             small.checkpoint()
             small.close()
+            del small
             recover_small = _recoverer(base / "small", 10_000)
             ratios = []
             for _ in range(5):

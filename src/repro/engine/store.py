@@ -813,18 +813,25 @@ class ObjectStore(_StoreSurface):
         return store
 
     def _load_image(self, image: RecoveredImage) -> None:
-        """Adopt recovered contents wholesale, in one sort by oid, then
-        rebuild the maintained indexes from them (the same O(store) rebuild
-        a schema change runs — recovery is a rebuild trigger, not a replay
-        of per-mutation hooks).  Each oid's counter is parsed once, for
-        its sort key; an object keeps the snapshot line its state was
-        parsed from as its row."""
-        ordered = sorted(
-            (oid_sort_key(oid), oid, entry) for oid, entry in image.objects.items()
-        )
+        """Adopt recovered contents wholesale, in oid order, then rebuild
+        the maintained indexes from them (the same O(store) rebuild a
+        schema change runs — recovery is a rebuild trigger, not a replay of
+        per-mutation hooks).  An image arrives in that order — snapshot
+        rows in table order, then the log's inserts in commit order — so
+        one pass over the sort keys, each oid's counter parsed once,
+        confirms it; only an image out of order is sorted.  An object
+        keeps the snapshot line its state was parsed from as its row."""
+        entries = image.objects
+        last = None
+        for key in map(oid_sort_key, entries):
+            if last is not None and key < last:
+                entries = dict(sorted(entries.items(), key=_item_sort_key))
+                last = oid_sort_key(next(reversed(entries)))
+                break
+            last = key
         objects = self._objects
         direct = self._direct_extents
-        for _key, oid, (class_name, state, row) in ordered:
+        for oid, (class_name, state, row) in entries.items():
             obj = objects[oid] = DBObject(oid, class_name, state)
             if row is not None:
                 obj.row = row
@@ -833,7 +840,7 @@ class ObjectStore(_StoreSurface):
             if members is None:
                 members = direct[class_name] = set()
             members.add(oid)
-        top = ordered[-1][0][0] if ordered else 0
+        top = last[0] if last is not None else 0
         self._oid_seq = max(self._oid_seq, image.counter, top)
         self._indexes.rebuild()
 
@@ -1024,8 +1031,8 @@ class ObjectStore(_StoreSurface):
         return Transaction(self, validate=validate)
 
 
-def _item_sort_key(item: tuple[str, DBObject]) -> tuple[int, int, str]:
-    """:func:`oid_sort_key` of an ``_objects`` item."""
+def _item_sort_key(item: tuple[str, Any]) -> tuple[int, int, str]:
+    """:func:`oid_sort_key` of an item keyed by oid."""
     return oid_sort_key(item[0])
 
 

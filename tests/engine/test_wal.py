@@ -23,6 +23,7 @@ from repro.engine import ObjectStore, WriteAheadLog
 from repro.engine.oracle import Oracle
 from repro.engine.indexes import oid_counter
 from repro.engine.wal import (
+    _frame,
     decode_state,
     encode_state,
     fsck,
@@ -179,6 +180,31 @@ class TestDurabilityRoundtrip:
                 o.oid for o in oracle.extent(class_name)
             ]
         assert store_state(recovered) == store_state(oracle)
+
+    def test_recovery_orders_a_log_written_out_of_oid_order(self, tmp_path):
+        """Recovery trusts an image already in oid order and sorts one that
+        is not: two commit records whose redo sets are swapped replay the
+        later oids first, and the store still comes back in oid order."""
+        path = tmp_path / "db"
+        store = ObjectStore.open(path, schema=fresh_schema())
+        for name in ("a", "b", "c"):
+            insert_pair(store, name)
+        expected = store_state(store)
+        store.close()
+        log = path / "wal.jsonl"
+        records = [json.loads(line.split(b":", 1)[1]) for line in log.read_bytes().splitlines()]
+        records[0]["ops"], records[2]["ops"] = records[2]["ops"], records[0]["ops"]
+        log.write_bytes(b"".join(_frame(record) for record in records))
+
+        recovered = ObjectStore.open(path)
+        oids = [obj.oid for obj in recovered.objects()]
+        assert oids == sorted(oids, key=oid_counter) == list(expected)
+        assert store_state(recovered) == expected
+        assert [o.oid for o in recovered.extent("Item")] == [
+            oid for oid in oids if oid.startswith("Item#")
+        ]
+        assert oid_counter(insert_pair(recovered, "d")[0].oid) == len(oids) + 1
+        recovered.close()
 
     def test_frozenset_attributes_survive_recovery(self, tmp_path):
         source = """
@@ -780,8 +806,6 @@ class TestLogShape:
         """Format 4 logged ``insert`` and ``update`` entries, which this
         reader does not replay: reading such a log would silently lose
         commits."""
-        from repro.engine.wal import _frame
-
         path = tmp_path / "db"
         store = ObjectStore.open(path, schema=fresh_schema())
         item, _ = insert_pair(store, "keep")
@@ -1077,6 +1101,31 @@ class TestSnapshotRows:
         assert rendered_rows == []
         assert_image_matches(store, path)
         store.close()
+
+    def test_rejected_deletes_checkpoint_like_a_twin_that_never_ran_them(self, tmp_path):
+        """A rejected delete puts the resurrected objects back in table
+        order only when a reader needs that order: a checkpoint after two
+        rejections and a later insert holds the same bytes as a checkpoint
+        of a twin store that never ran the deletes."""
+        files = {}
+        for name in ("rejected", "twin"):
+            path = tmp_path / name
+            store = ObjectStore.open(path, schema=fresh_schema(), checkpoint_every=0)
+            pairs = [insert_pair(store, f"n{index}") for index in range(4)]
+            if name == "rejected":
+                with pytest.raises(ConstraintViolation):
+                    with store.transaction():
+                        store.delete(pairs[0][1])
+                        store.delete(pairs[1][1])
+                with pytest.raises(ConstraintViolation):
+                    store.delete(pairs[2][1])
+                # Out of place until the checkpoint reads the table.
+                assert list(store._objects)[-3:] == [order.oid for _, order in pairs[:3]]
+            insert_pair(store, "after")
+            store.checkpoint()
+            files[name] = (path / "snapshot.json").read_bytes()
+            store.close()
+        assert files["rejected"] == files["twin"]
 
     def test_rolled_back_transaction_keeps_the_rows(self, tmp_path, rendered_rows):
         path = tmp_path / "db"
