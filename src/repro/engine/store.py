@@ -803,8 +803,8 @@ class ObjectStore(_StoreSurface):
                 if ticket is not None:
                     wal.wait_durable(ticket)
             # Keep the image as diagnostics (replay counts, findings) but
-            # drop its O(store) contents: the store must not pin every
-            # recovery-time state dict for its whole lifetime.
+            # drop its table, which the store now owns: the diagnostics
+            # must not alias the live objects.
             image.objects = {}
             store._recovery_info = image
             store._wal = wal
@@ -819,27 +819,23 @@ class ObjectStore(_StoreSurface):
         per-mutation hooks).  An image arrives in that order — snapshot
         rows in table order, then the log's inserts in commit order — so
         one pass over the sort keys, each oid's counter parsed once,
-        confirms it; only an image out of order is sorted.  An object
-        keeps the snapshot line its state was parsed from as its row."""
-        entries = image.objects
+        confirms it, and the image's table becomes the store's; only an
+        image out of order is sorted first."""
+        objects = image.objects
         last = None
-        for key in map(oid_sort_key, entries):
+        for key in map(oid_sort_key, objects):
             if last is not None and key < last:
-                entries = dict(sorted(entries.items(), key=_item_sort_key))
-                last = oid_sort_key(next(reversed(entries)))
+                objects = dict(sorted(objects.items(), key=_item_sort_key))
+                last = oid_sort_key(next(reversed(objects)))
                 break
             last = key
-        objects = self._objects
+        self._objects = objects
         direct = self._direct_extents
-        for oid, (class_name, state, row) in entries.items():
-            obj = objects[oid] = DBObject(oid, class_name, state)
-            if row is not None:
-                obj.row = row
-                obj.row_state = state
-            members = direct.get(class_name)
+        for obj in objects.values():
+            members = direct.get(obj.class_name)
             if members is None:
-                members = direct[class_name] = set()
-            members.add(oid)
+                members = direct[obj.class_name] = set()
+            members.add(obj.oid)
         top = last[0] if last is not None else 0
         self._oid_seq = max(self._oid_seq, image.counter, top)
         self._indexes.rebuild()

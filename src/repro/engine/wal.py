@@ -199,17 +199,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Iterable, Mapping
-from typing import Any, TYPE_CHECKING
+from typing import Any
 
 from repro.engine.faults import (
     UNSUPPORTED_DIR_FSYNC_ERRNOS,
     FaultInjector,
     classify_os_error,
 )
+from repro.engine.objects import DBObject
 from repro.errors import EngineError, StorePoisonedError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.objects import DBObject
 
 SNAPSHOT_NAME = "snapshot.json"
 SNAPSHOT_PREV_NAME = "snapshot.prev.json"
@@ -289,7 +287,7 @@ def snapshot_row(oid: str, class_name: str, state: Mapping[str, Any]) -> bytes:
     ).encode("utf-8")
 
 
-def _row(obj: "DBObject") -> bytes:
+def _row(obj: DBObject) -> bytes:
     """``obj``'s snapshot row, rendered only when its state dict was
     replaced since the row was (see *Checkpoints*)."""
     state = obj.state
@@ -488,11 +486,10 @@ class RecoveredImage:
 
     schema_source: str
     database: str
-    #: oid -> ``(class name, state, row)``, in snapshot-then-log order:
-    #: ``row`` is the snapshot line the state was parsed from, the row the
-    #: store keeps for the object, or ``None`` when a replayed log record
-    #: wrote the state.
-    objects: dict[str, tuple[str, dict, "bytes | None"]]
+    #: oid -> recovered object, in snapshot-then-log order; the store
+    #: adopts this table as it is.  An object parsed from the snapshot keeps
+    #: its line as its row; one a replayed log record wrote has none yet.
+    objects: dict[str, DBObject]
     #: Highest oid counter the history used: the snapshot's, raised by each
     #: replayed ``commit``/``prepare`` record's high-water mark ``c`` (oids
     #: burned by rejected or aborted work before a commit included).
@@ -603,13 +600,13 @@ def _read_snapshot(snapshot_path: Path) -> tuple[dict, list[bytes], list]:
         raise EngineError(f"corrupt snapshot at {where}: {exc}") from exc
 
 
-def _apply_ops(objects: dict[str, tuple], ops: list[dict]) -> None:
+def _apply_ops(objects: dict[str, DBObject], ops: list[dict]) -> None:
     """Apply one committed redo set onto a recovering ``objects`` image.
-    An object a ``put`` writes has no snapshot row any more."""
+    An object a ``put`` writes starts without a snapshot row."""
     for op in ops:
         if op["t"] == "put":
             oid, class_name, state = op["row"]
-            objects[oid] = (class_name, _decoded(state), None)
+            objects[oid] = DBObject(oid, class_name, _decoded(state))
         elif op["t"] == "delete":
             objects.pop(op["oid"], None)
 
@@ -696,10 +693,13 @@ def load_image(path: str | Path) -> RecoveredImage | None:
     # The parse gives every row its own copy of its class name; one shared
     # string per class keeps each later lookup by class name on one object.
     names: dict[str, str] = {}
-    objects = {
-        oid: (names.setdefault(class_name, class_name), _decoded(state), line)
-        for line, (oid, class_name, state) in zip(lines, parsed)
-    }
+    objects: dict[str, DBObject] = {}
+    for line, (oid, class_name, state) in zip(lines, parsed):
+        obj = objects[oid] = DBObject(
+            oid, names.setdefault(class_name, class_name), _decoded(state)
+        )
+        obj.row = line
+        obj.row_state = obj.state
     counter = int(head.get("counter", 0))
     start_lsn = int(head.get("next_lsn", 0))
     schema_source = head.get("schema", "")
@@ -1239,13 +1239,13 @@ class WriteAheadLog:
 
     # -- records -----------------------------------------------------------------
 
-    def log_insert(self, obj: "DBObject") -> bytes:
+    def log_insert(self, obj: DBObject) -> bytes:
         """The redo entry of an object the commit inserted: a ``put`` of
         its snapshot row, rendered here and kept on the object for the next
         checkpoint."""
         return b'{"row":%s,"t":"put"}' % _row(obj)
 
-    def log_update(self, obj: "DBObject") -> bytes:
+    def log_update(self, obj: DBObject) -> bytes:
         """The redo entry of an object the commit changed: the same ``put``
         as an insert's — a full post-image, so replay needs no pre-state."""
         return b'{"row":%s,"t":"put"}' % _row(obj)

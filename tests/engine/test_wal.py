@@ -898,13 +898,16 @@ def assert_image_matches(store, path: Path) -> None:
     each snapshot row it keeps is the row of the state parsed from it."""
     image = load_image(path)
     assert {
-        oid: (class_name, state) for oid, (class_name, state, _row) in image.objects.items()
+        oid: (obj.class_name, obj.state) for oid, obj in image.objects.items()
     } == store_state(store)
     assert list(image.objects) == [obj.oid for obj in store.objects()]
-    for oid, (class_name, state, row) in image.objects.items():
-        if row is not None:
-            assert row == json.dumps(
-                [oid, class_name, encode_state(state)], separators=(",", ":"), sort_keys=True
+    for oid, obj in image.objects.items():
+        if obj.row_state is not None:
+            assert obj.row_state is obj.state
+            assert obj.row == json.dumps(
+                [oid, obj.class_name, encode_state(obj.state)],
+                separators=(",", ":"),
+                sort_keys=True,
             ).encode("utf-8")
 
 
