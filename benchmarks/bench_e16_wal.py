@@ -206,7 +206,8 @@ def test_e16_recovery_scaling(benchmark, e16_size):
         if e16_size == 100_000:
             # The linearity gate.  Recovery keeps no per-object work that
             # grows with the store (the collector is paused while loading,
-            # the table is adopted in order, each extent filled in one pass).
+            # the recovered table becomes the store's without a copy or a
+            # sort, each extent is filled in one pass).
             # A 10⁴-object directory is timed in alternation with this
             # one, five recoveries against one per round, so that both
             # sides of each round's ratio see the same stretch of a shared
