@@ -18,7 +18,12 @@ records what durability costs and how recovery scales:
   snapshot (best case: no tail).  Both are O(store) with index rebuild
   included; the numbers record the constant.  The full run gates that
   snapshot recovery stays linear: its time per object at 10⁵ objects is at
-  most 1.3x that at 10⁴.
+  most 1.3x that at 10⁴.  On a shared 2-CPU VM the ratio read 1.03–1.27
+  over thirteen runs, median about 1.15, so the bound sits about 0.15
+  above the median.  It also counts page faults: a 10⁵ recovery touches
+  fresh pages while the 10⁴ ones reuse the freed heap.  A failure just
+  above the bound on a loaded machine may be noise; rerun before blaming
+  recovery.
 * ``checkpoint renders changes`` — the CI guard for the snapshot rows
   (runs with ``--quick``): a commit renders the row of each object it
   wrote, once, and a checkpoint only joins rows.  So the first checkpoint
@@ -211,7 +216,10 @@ def test_e16_recovery_scaling(benchmark, e16_size):
             # A 10⁴-object directory is timed in alternation with this
             # one, five recoveries against one per round, so that both
             # sides of each round's ratio see the same stretch of a shared
-            # machine's time; the gate takes the median round.
+            # machine's time; the gate takes the median round.  The bound
+            # sits about 0.15 above the measured median (about 1.15) and
+            # the ratio includes the 10⁵ side's fresh-page faults, so a
+            # failure just above it may be noise (see the module docstring).
             small = _durable_store(10_000, base / "small")
             small.checkpoint()
             small.close()

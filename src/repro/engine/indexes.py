@@ -86,6 +86,24 @@ if TYPE_CHECKING:  # pragma: no cover
 _ABSENT = object()
 
 
+def _oid_numbers(oid: str) -> tuple[int | None, int | None]:
+    """The ``(counter, shard)`` pair of an engine oid: ``(N, None)`` for
+    ``Class#N``, ``(N, S)`` for ``Class#S.N`` and ``(None, None)`` for an
+    oid in neither shape.  The one parser of the oid tail."""
+    tail = str(oid).rsplit("#", 1)[-1]
+    namespace, dot, sequence = tail.rpartition(".")
+    # Branch on the dot instead of trying ``int(tail)`` first: this runs
+    # once per extent level on every insert, and an exception-per-call for
+    # the sharded oid shape would tax exactly the hot path sharding is
+    # meant to speed up.
+    try:
+        if dot:
+            return int(sequence), int(namespace)
+        return int(tail), None
+    except ValueError:
+        return None, None
+
+
 def oid_counter(oid: str, default: int | None = None) -> int:
     """The insertion counter embedded in an engine oid.
 
@@ -99,23 +117,9 @@ def oid_counter(oid: str, default: int | None = None) -> int:
     falls back to "unsorted" instead of crashing the whole index layer),
     without one the ``ValueError`` propagates.
     """
-    tail = str(oid).rsplit("#", 1)[-1]
-    namespace, dot, sequence = tail.rpartition(".")
-    # Branch on the dot instead of trying ``int(tail)`` first: this runs
-    # once per extent level on every insert, and an exception-per-call for
-    # the sharded oid shape would tax exactly the hot path sharding is
-    # meant to speed up.
-    if dot:
-        try:
-            int(namespace)
-            return int(sequence)
-        except ValueError:
-            pass
-    else:
-        try:
-            return int(tail)
-        except ValueError:
-            pass
+    counter = _oid_numbers(oid)[0]
+    if counter is not None:
+        return counter
     if default is None:
         raise ValueError(f"oid {oid!r} carries no insertion counter")
     return default
@@ -125,15 +129,7 @@ def oid_shard(oid: str) -> int | None:
     """The shard namespace embedded in a sharded oid (``Class#S.N``), or
     ``None`` for plain ``Class#N`` oids and anything malformed.  The commit
     router uses this to route oid-addressed operations without a lookup."""
-    tail = str(oid).rsplit("#", 1)[-1]
-    namespace, dot, sequence = tail.rpartition(".")
-    if not dot:
-        return None
-    try:
-        int(sequence)
-        return int(namespace)
-    except ValueError:
-        return None
+    return _oid_numbers(oid)[1]
 
 
 def oid_sort_key(oid: str) -> tuple[int, int, str]:
@@ -151,16 +147,12 @@ def oid_sort_key(oid: str) -> tuple[int, int, str]:
     :class:`~repro.engine.oracle.Oracle` must agree on one order, or
     extents would diverge after a rollback resurrection.
     """
-    # One parse of the tail, for both numbers: the pair of
-    # ``oid_counter(oid, -1)`` and ``oid_shard(oid)`` (``-1`` for ``None``).
-    tail = str(oid).rsplit("#", 1)[-1]
-    namespace, dot, sequence = tail.rpartition(".")
-    try:
-        if dot:
-            return (int(sequence), int(namespace), oid)
-        return (int(tail), -1, oid)
-    except ValueError:
-        return (-1, -1, oid)
+    counter, shard = _oid_numbers(oid)
+    return (
+        -1 if counter is None else counter,
+        -1 if shard is None else shard,
+        oid,
+    )
 
 
 class OrderedOidSet:

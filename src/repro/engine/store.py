@@ -357,9 +357,13 @@ class ObjectStore(_StoreSurface):
         check of :meth:`change_schema`.  A rollback that resurrects deleted
         objects appends them at the end of the table; moving them back is
         deferred to the next such reader, so that a rejected delete costs
-        O(touched), not O(store)."""
+        O(touched), not O(store).  The re-placement rebinds ``_objects``,
+        so it runs under the writer lock: a reader on another thread must
+        not swap the table while a writer attaches to it."""
         if self._misplaced:
-            self._restore_object_order()
+            with self._lock:
+                if self._misplaced:
+                    self._restore_object_order()
         return self._objects
 
     def extent(self, class_name: str, deep: bool = True) -> list[DBObject]:
@@ -782,36 +786,33 @@ class ObjectStore(_StoreSurface):
                     "create one"
                 )
             return cls(schema, wal=wal, **options)
-        # The build creates no garbage cycles, so the collector would only
-        # walk the growing store, again and again; it is back on for the
-        # audit.
-        with collector_paused():
-            if schema is None:
-                # Callers overriding ``schema`` own the whole schema,
-                # replayed changes included.
-                schema = schema_from_image(image)
-            resolved: list[tuple[str, bool]] = []
-            if resolutions is not None:
-                resolved = apply_resolutions(image, resolutions)
-            store = cls(schema, wal=False, **options)
-            store._load_image(image)
-            wal.resume(image)
-            for gid, ok in resolved:
-                wal.log_resolve(gid, ok)
-            if resolved:
-                ticket = wal.commit_flush()
-                if ticket is not None:
-                    wal.wait_durable(ticket)
-            # Keep the image as diagnostics (replay counts, findings) but
-            # drop its table, which the store now owns: the diagnostics
-            # must not alias the live objects.
-            image.objects = {}
-            store._recovery_info = image
-            store._wal = wal
+        if schema is None:
+            # Callers overriding ``schema`` own the whole schema, replayed
+            # changes included.
+            schema = schema_from_image(image)
+        resolved: list[tuple[str, bool]] = []
+        if resolutions is not None:
+            resolved = apply_resolutions(image, resolutions)
+        store = cls(schema, wal=False, **options)
+        store._load_image(image)
+        wal.resume(image)
+        for gid, ok in resolved:
+            wal.log_resolve(gid, ok)
+        if resolved:
+            ticket = wal.commit_flush()
+            if ticket is not None:
+                wal.wait_durable(ticket)
+        # Keep the image as diagnostics (replay counts, findings) but drop
+        # its table, which the store now owns: the diagnostics must not
+        # alias the live objects.
+        image.objects = {}
+        store._recovery_info = image
+        store._wal = wal
         if verify:
             store._raise_violations("recovery", store.audit())
         return store
 
+    @collector_paused()
     def _load_image(self, image: RecoveredImage) -> None:
         """Adopt recovered contents wholesale, in oid order, then rebuild
         the maintained indexes from them (the same O(store) rebuild a
@@ -820,7 +821,10 @@ class ObjectStore(_StoreSurface):
         rows in table order, then the log's inserts in commit order — so
         one pass over the sort keys, each oid's counter parsed once,
         confirms it, and the image's table becomes the store's; only an
-        image out of order is sorted first."""
+        image out of order is sorted first.  Like the parse in
+        :func:`~repro.engine.wal.load_image`, the build runs with the
+        collector paused: it creates no garbage cycles, so the collector
+        would only walk the growing store again and again."""
         objects = image.objects
         last = None
         for key in map(oid_sort_key, objects):

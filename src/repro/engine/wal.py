@@ -255,36 +255,40 @@ def decode_value(value: Any) -> Any:
     return value
 
 
+#: Value types the codec stores as they are; ``encode_state`` passes
+#: them through without ``encode_value``'s ``isinstance`` chain.
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
+
 def encode_state(state: Mapping[str, Any]) -> dict[str, Any]:
-    return {name: encode_value(value) for name, value in state.items()}
+    return {
+        name: value if type(value) in _PLAIN else encode_value(value)
+        for name, value in state.items()
+    }
 
 
-def decode_state(state: Mapping[str, Any]) -> dict[str, Any]:
-    return {name: decode_value(value) for name, value in state.items()}
+def decode_state(state: dict[str, Any]) -> dict[str, Any]:
+    """``state`` decoded in place and returned: callers pass a freshly
+    parsed (or copied) dict, which becomes the object's state, and only
+    set values need decoding."""
+    for name, value in state.items():
+        if type(value) is dict:
+            state[name] = decode_value(value)
+    return state
 
 
 #: The one renderer of snapshot rows: compact, key-sorted JSON, built once
 #: rather than per call as ``json.dumps`` with options would.
 _ROW_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
-#: Value types a row holds as they are (``encode_value`` returns them
-#: unchanged); only the others, set values, go through ``encode_value``.
-_PLAIN = frozenset((str, int, float, bool, type(None)))
 
 
 def snapshot_row(oid: str, class_name: str, state: Mapping[str, Any]) -> bytes:
     """One object's snapshot row: the compact, key-sorted JSON of ``[oid,
     class, encoded state]`` — the line a checkpoint writes for it and the
     row its log ``put`` entry carries."""
-    return _ROW_ENCODER.encode(
-        [
-            oid,
-            class_name,
-            {
-                name: value if type(value) in _PLAIN else encode_value(value)
-                for name, value in state.items()
-            },
-        ]
-    ).encode("utf-8")
+    return _ROW_ENCODER.encode([oid, class_name, encode_state(state)]).encode(
+        "utf-8"
+    )
 
 
 def _row(obj: DBObject) -> bytes:
@@ -606,18 +610,9 @@ def _apply_ops(objects: dict[str, DBObject], ops: list[dict]) -> None:
     for op in ops:
         if op["t"] == "put":
             oid, class_name, state = op["row"]
-            objects[oid] = DBObject(oid, class_name, _decoded(state))
+            objects[oid] = DBObject(oid, class_name, decode_state(state))
         elif op["t"] == "delete":
             objects.pop(op["oid"], None)
-
-
-def _decoded(state: dict) -> dict:
-    """A freshly parsed encoded state, decoded in place: only set values
-    need decoding, and the parsed dict becomes the object's state."""
-    for name, value in state.items():
-        if type(value) is dict:
-            state[name] = decode_value(value)
-    return state
 
 
 @collector_paused()
@@ -696,7 +691,7 @@ def load_image(path: str | Path) -> RecoveredImage | None:
     objects: dict[str, DBObject] = {}
     for line, (oid, class_name, state) in zip(lines, parsed):
         obj = objects[oid] = DBObject(
-            oid, names.setdefault(class_name, class_name), _decoded(state)
+            oid, names.setdefault(class_name, class_name), decode_state(state)
         )
         obj.row = line
         obj.row_state = obj.state

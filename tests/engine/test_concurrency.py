@@ -18,6 +18,8 @@ Threaded tests carry the ``concurrency`` marker so CI can run them as a
 dedicated job (``pytest -m concurrency``).
 """
 
+import itertools
+import sys
 import threading
 import time
 from pathlib import Path
@@ -353,6 +355,85 @@ class TestConcurrentReaders:
         for thread in readers:
             thread.join(timeout=60.0)
         assert not failures, failures[0]
+
+    def test_reader_reordering_the_table_loses_no_concurrent_insert(
+        self, tmp_path
+    ):
+        """A rejected delete leaves its resurrected object for the next
+        ordered reader to re-place.  A reader on another thread that does
+        so while a writer inserts must not swap the table under the
+        writer: every insert survives in ``objects()``, in a snapshot and
+        in a checkpoint."""
+        schema = parse_database(
+            SCHEMA_SOURCE.replace(
+                "end Item",
+                "end Item\n\nClass Tag\nattributes\n  label : string\n"
+                "class constraints\n"
+                "  cc_tags: (count (collect x for x in self)) >= 4\nend Tag",
+            )
+        )
+        store = ObjectStore.open(tmp_path / "db", schema, checkpoint_every=0)
+        with store.transaction():
+            tags = [store.insert("Tag", label=f"t{i}") for i in range(4)]
+            for i in range(2000):
+                store.insert("Item", name=f"seed{i}", price=0.0)
+        inserted = []
+        stop = threading.Event()
+        failures = []
+
+        def inserter():
+            try:
+                for step in range(3000):
+                    inserted.append(
+                        store.insert("Item", name=f"w{step}", price=1.0).oid
+                    )
+            except BaseException as exc:
+                failures.append(exc)
+            finally:
+                stop.set()
+
+        def rejecter():
+            try:
+                for step in itertools.count():
+                    if stop.is_set():
+                        break
+                    with pytest.raises(ConstraintViolation):
+                        store.delete(tags[step % 4])
+            except BaseException as exc:
+                failures.append(exc)
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    store.objects()
+            except BaseException as exc:
+                failures.append(exc)
+
+        # Short switch interval: the threads interleave inside the
+        # re-placement, which a lock-free one loses inserts to.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=role, daemon=True)
+                for role in (reader, rejecter, inserter)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures[0]
+        oids = [obj.oid for obj in store.objects()]
+        assert len(oids) == 5004 and set(inserted) <= set(oids)
+        snap = store.snapshot()
+        assert all(oid in snap for oid in inserted)
+        store.checkpoint()
+        store.close()
+        recovered = ObjectStore.open(tmp_path / "db")
+        assert [obj.oid for obj in recovered.objects()] == oids
+        recovered.close()
 
 
 @pytest.mark.concurrency
