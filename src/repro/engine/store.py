@@ -73,11 +73,6 @@ class _StoreSurface:
             if isinstance(tm_type, ClassRef) and isinstance(value, str):
                 return self.get(value)
             return value
-        if isinstance(obj, Mapping):
-            value = obj[name]
-            if isinstance(value, str) and value in self:
-                return self.get(value)
-            return value
         raise EngineError(f"cannot read attribute {name!r} from {obj!r}")
 
     def eval_context(

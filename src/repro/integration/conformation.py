@@ -31,7 +31,7 @@ from typing import Any
 
 from repro.constraints.model import Constraint
 from repro.engine.store import ObjectStore
-from repro.errors import ConformationError
+from repro.errors import ConformationError, EvaluationError
 from repro.integration.conversion import ConversionFunction
 from repro.integration.decision import DecisionFunction
 from repro.integration.propeq import PropertyEquivalence, first_covering
@@ -253,6 +253,19 @@ class ConformationResult:
         """The conformed class's reference attributes and its sets of
         references: only these hold conformed (later global) oids."""
         return self._references.get((side, class_name), _NO_REFERENCES)
+
+    def get_attr(self, obj: ConformedObject, name: str) -> Any:
+        """Attribute accessor for evaluating a conformed object: only the
+        declared reference attributes of its class (:meth:`references`)
+        are dereferenced, through the instance index."""
+        if not isinstance(obj, ConformedObject):
+            raise EvaluationError(f"cannot read {name!r} from {obj!r}")
+        if name not in obj.state:
+            raise EvaluationError(f"component state has no property {name!r}")
+        value = obj.state[name]
+        if name in self.references(obj.side, obj.class_name)[0]:
+            return self.instances_by_oid.get(value, value)
+        return value
 
     @cached_property
     def _references(self) -> dict[tuple[Side, str], tuple[frozenset[str], frozenset[str]]]:

@@ -5,23 +5,27 @@ validation of update transactions, preventing the formulation of
 subtransactions which will certainly be rejected by the local transaction
 manager".
 
-:class:`GlobalUpdateValidator` checks a proposed update of a global object
-against (a) the integrated constraint set and (b) each component database's
-own (conformed) object constraints as they would apply to the updated state —
-so a doomed subtransaction is rejected *before* it is shipped to a component.
+:class:`GlobalUpdateValidator` judges the object a proposed update would
+produce, never a bare state: (a) the global object with the proposed state
+against the integrated constraint set, through
+:meth:`~repro.integration.view.IntegratedView.satisfies`, and (b) each
+component's conformed object with the projected state against the checks
+that component's engine plans for an update of the written properties
+(:meth:`~repro.engine.incremental.ConstraintDependencyIndex.checks_for`) —
+so a doomed subtransaction is rejected *before* it is shipped to a
+component.  Each object model reads itself: the view dereferences a global
+object's declared references, the conformation a conformed object's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
-from repro.constraints.ast import paths_in
-from repro.constraints.evaluate import EvalContext, EvaluationError, evaluate
-from repro.constraints.model import Constraint
+from repro.constraints.evaluate import EvalContext, EvaluationError
 from repro.constraints.printer import to_source
-from repro.engine.incremental import ConstraintDependencyIndex
-from repro.integration.conformation import ConformationResult, ConformedObject
+from repro.engine.incremental import ConstraintDependencyIndex, IndexedConstraint
+from repro.integration.conformation import ConformedObject
+from repro.integration.merging import GlobalObject
 from repro.integration.relationships import Side
 from repro.integration.workbench import IntegrationResult
 
@@ -60,14 +64,11 @@ class UpdateVerdict:
 class GlobalUpdateValidator:
     """See module docstring.
 
-    The constructor turns the integration result into a validation plan:
-    the global constraints with their classes, the merged component
-    constants, and per (side, conformed class) the component's object
-    constraints with the attributes each reads off the constrained object,
-    and the reader a projected state of the class is evaluated with.
-    :meth:`validate` then costs in proportion to the updated object and its
-    constraints, not to the view.  The plan is a snapshot of the result:
-    build a new validator after re-running the workbench.
+    A component's checks for an update are its engine's check plan per
+    written (class, property), memoised on the validator, so
+    :meth:`validate` costs in proportion to the updated object and its
+    constraints, not to the view.  Build a new validator after re-running
+    the workbench.
     """
 
     def __init__(self, result: IntegrationResult):
@@ -78,42 +79,31 @@ class GlobalUpdateValidator:
         self.view = result.view
         self.conformation = result.conformation
         self._global_constraints = result.global_constraints
-        self._constants = {
-            **self.conformation.remote.schema.constants,
-            **self.conformation.local.schema.constants,
-        }
-        self._component_plan: dict[tuple[Side, str], tuple[list, partial]] = {}
-        for side in (Side.LOCAL, Side.REMOTE):
-            schema = self.conformation.on(side).schema
-            index = ConstraintDependencyIndex.for_schema(schema)
-            for class_name in schema.classes:
-                references = self.conformation.references(side, class_name)[0]
-                self._component_plan[(side, class_name)] = (
-                    [(c, _read_attrs(index, c)) for c in schema.effective_object_constraints(class_name)],
-                    partial(_component_get_attr, self.conformation, references),
-                )
+        #: (side, write shape) → the component's object checks on the
+        #: written object, in its evaluation order.
+        self._plans: dict[tuple[Side, str | tuple[str, str]], tuple[IndexedConstraint, ...]] = {}
 
     def validate(self, global_oid: str, **changes) -> UpdateVerdict:
         """Validate updating ``global_oid``'s state with ``changes``."""
         verdict = UpdateVerdict(global_oid, changes)
         obj = self.view.get(global_oid)
-        proposed = dict(obj.state)
-        proposed.update(changes)
-
-        self._check_global_constraints(obj, proposed, verdict)
-        self._check_component_constraints(obj, proposed, verdict)
+        self._check_global_constraints(obj, changes, verdict)
+        changed = {key: value for key, value in changes.items() if obj.state.get(key) != value}
+        self._check_component_constraints(obj, changed, verdict)
         return verdict
 
     # -- global level ---------------------------------------------------------------
 
-    def _check_global_constraints(self, obj, proposed, verdict) -> None:
+    def _check_global_constraints(self, obj: GlobalObject, changes, verdict) -> None:
+        proposed = GlobalObject(obj.oid, obj.components, {**obj.state, **changes}, obj.classes)
+        proposed.references = obj.references  # not an init field
         for constraint in self._global_constraints:
             if not all(
-                cls in obj.classes or self._virtual_member(cls, obj) for cls in constraint.classes
+                cls in obj.classes or self.view.in_extent(cls, obj.oid)
+                for cls in constraint.classes
             ):
                 continue
-            satisfied = self._evaluate(constraint.formula, proposed)
-            if satisfied is False:
+            if self.view.satisfies(proposed, constraint.formula) is False:
                 verdict.rejections.append(
                     Rejection(
                         "global",
@@ -123,12 +113,9 @@ class GlobalUpdateValidator:
                     )
                 )
 
-    def _virtual_member(self, class_name: str, obj) -> bool:
-        return self.view.in_extent(class_name, obj.oid)
-
     # -- component level ----------------------------------------------------------------
 
-    def _check_component_constraints(self, obj, proposed, verdict) -> None:
+    def _check_component_constraints(self, obj: GlobalObject, changed, verdict) -> None:
         """A component's own constraints must hold on the state it would
         store — the subtransaction its transaction manager will see.
 
@@ -136,27 +123,21 @@ class GlobalUpdateValidator:
         objective under the decision function: a trusted side receives it, a
         conflict-ignored property may land on either side (checked on both).
         Settling / eliminating functions keep no side objective and are not
-        invertible — constraints over such properties cannot be pre-validated
+        invertible — checks that read such properties cannot be pre-validated
         from the global state and are skipped (the derived *global*
         constraints cover them instead).
         """
-        changes = {
-            key: value
-            for key, value in proposed.items()
-            if obj.state.get(key) != value
-        }
         local = obj.component_on(Side.LOCAL)
         remote = obj.component_on(Side.REMOTE)
         for side, component in obj.components.items():
-            plan = self._component_plan.get((side, component.class_name))
-            if plan is None:
-                continue
-            checks, get_attr = plan
+            class_name = component.class_name
             projected = dict(component.state)
-            untranslatable: set[str] = set()
-            for key, value in changes.items():
+            touched: list[str] = []
+            untranslatable: list[str] = []
+            for key, value in changed.items():
                 if key not in component.state:
                     continue
+                touched.append(key)
                 propeq = None
                 if local is not None and remote is not None:
                     propeq = self.conformation.propeq_between(
@@ -169,72 +150,56 @@ class GlobalUpdateValidator:
                 if side in sides:
                     projected[key] = value
                 elif not sides:  # settling / eliminating: not invertible
-                    untranslatable.add(key)
-            for constraint, reads in checks:
-                if not reads.isdisjoint(untranslatable):
-                    continue
-                if reads.isdisjoint(changes):
-                    continue  # untouched by this update
-                satisfied = self._evaluate_component(constraint.formula, projected, get_attr)
-                if satisfied is False:
-                    verdict.rejections.append(
-                        Rejection(
-                            self.conformation.on(side).schema.name,
-                            constraint.qualified_name,
-                            "the subtransaction would be rejected by this "
-                            "component's transaction manager: "
-                            f"{to_source(constraint.formula)}",
-                        )
-                    )
-
-    def _evaluate_component(self, formula, state: dict, get_attr) -> bool | None:
-        """Evaluate against a conformed component state."""
-        try:
-            return bool(
-                evaluate(
-                    formula,
-                    EvalContext(current=state, constants=self._constants, get_attr=get_attr),
-                )
+                    untranslatable.append(key)
+            checks = self._checks(side, class_name, touched, untranslatable)
+            if not checks:
+                continue
+            schema = self.conformation.on(side).schema
+            target = ConformedObject(
+                component.oid, class_name, projected, side, component.source_oid, component.virtual
             )
-        except EvaluationError:
-            return None
+            context = EvalContext(
+                current=target, constants=schema.constants, get_attr=self.conformation.get_attr
+            )
+            for entry in checks:
+                try:
+                    if entry.evaluate_with(context):
+                        continue
+                except EvaluationError:
+                    continue  # undecided on this state
+                verdict.rejections.append(
+                    Rejection(
+                        schema.name,
+                        entry.constraint.qualified_name,
+                        "the subtransaction would be rejected by this "
+                        "component's transaction manager: "
+                        f"{to_source(entry.constraint.formula)}",
+                    )
+                )
 
-    def _evaluate(self, formula, state: dict) -> bool | None:
-        # Plain dict states flow through the view's accessor, which still
-        # dereferences global object ids for paths like publisher.name.
-        try:
-            return bool(evaluate(formula, self.view.eval_context(current=state)))
-        except EvaluationError:
-            return None
+    def _checks(
+        self, side: Side, class_name: str, touched: list[str], untranslatable: list[str]
+    ) -> tuple[IndexedConstraint, ...]:
+        """The checks an update of the ``touched`` properties of a
+        ``class_name`` object runs, in the engine's evaluation order, less
+        those that read an untranslatable property."""
+        if not touched:
+            return ()
+        if len(touched) == 1 and not untranslatable:
+            # The common update: its plan as is, without the union's
+            # set and scan (~10% of an accepted validation).
+            return self._plan(side, (class_name, touched[0]))
+        chosen = {entry for key in touched for entry in self._plan(side, (class_name, key))}
+        chosen.difference_update(
+            entry for key in untranslatable for entry in self._plan(side, (class_name, key))
+        )
+        return tuple(entry for entry in self._plan(side, class_name) if entry in chosen)
 
-
-def _component_get_attr(
-    conformation: ConformationResult, references: frozenset[str], obj, name: str
-):
-    """Read a conformed component's state — a projected state (a dict) as
-    that of a class with ``references`` — dereferencing only declared
-    reference attributes through the conformation's instance index.  A
-    module function, so a validator's plan holds no cycle back to it."""
-    if isinstance(obj, ConformedObject):
-        state = obj.state
-        references = conformation.references(obj.side, obj.class_name)[0]
-    elif isinstance(obj, dict):
-        state = obj
-    else:
-        raise EvaluationError(f"cannot read {name!r} from {obj!r}")
-    if name not in state:
-        raise EvaluationError(f"component state has no property {name!r}")
-    value = state[name]
-    if name in references:
-        return conformation.instances_by_oid.get(value, value)
-    return value
-
-
-def _read_attrs(index: ConstraintDependencyIndex, constraint: Constraint) -> frozenset[str]:
-    """Attribute names ``constraint`` reads off the constrained object, per
-    the engine's constraint-dependency index.  Unresolvable (universal)
-    constraints report every attribute mentioned so they are never skipped."""
-    entry = index.entry(constraint)
-    if entry is None or entry.universal:
-        return frozenset(path.parts[0] for path in paths_in(constraint.formula))
-    return entry.own_attr_names()
+    def _plan(self, side: Side, shape: str | tuple[str, str]) -> tuple[IndexedConstraint, ...]:
+        """The component's object checks on an object a write of ``shape``
+        touches (a class: all of them, in order)."""
+        plan = self._plans.get((side, shape))
+        if plan is None:
+            index = ConstraintDependencyIndex.for_schema(self.conformation.on(side).schema)
+            plan = self._plans[side, shape] = index.checks_for(shape).own
+        return plan

@@ -173,10 +173,6 @@ class IntegratedView:
             if name in obj.references:
                 return self._objects.get(value, value)
             return value
-        if isinstance(obj, dict):
-            if name not in obj:
-                raise EvaluationError(f"global state has no property {name!r}")
-            return obj[name]
         raise EvaluationError(f"cannot read {name!r} from {obj!r}")
 
     def eval_context(self, current: Any = None, self_extent_class: str | None = None) -> EvalContext:

@@ -132,8 +132,38 @@ class TestUpdateValidation:
             if obj.state.get("isbn") == "ISBN-001"
         )
         verdict = validator.validate(vldb.oid, rating=4)
-        assert not verdict.accepted
-        assert any(r.level in ("global", "Bookseller") for r in verdict.rejections)
+        assert [(r.level, r.constraint) for r in verdict.rejections] == [
+            ("global", "gc3"),
+            ("global", "gc7"),
+            ("global", "gc8"),
+        ]
+
+    @pytest.mark.parametrize(
+        "isbn, changes, expected",
+        [
+            # ACM proceedings (VLDB): gc4 and gc8 read publisher.name.
+            ("ISBN-001", {"rating": 3}, ["gc3", "gc4", "gc7", "gc8"]),
+            # IEEE proceedings (ICDE): gc1, gc2 and gc5 read publisher.name.
+            ("ISBN-006", {"ref?": False}, ["gc1", "gc2", "gc5", "Bookseller.Proceedings.oc1"]),
+            # A non-refereed Springer proceedings moved to IEEE: gc9.
+            ("ISBN-007", {"publisher": "IEEE"}, ["gc1", "gc2", "gc9"]),
+            # ... and to ACM with a low rating: gc12.
+            ("ISBN-007", {"publisher": "ACM", "rating": 3}, ["gc4", "gc12"]),
+        ],
+    )
+    def test_dotted_global_constraints_decide(self, library_result, isbn, changes, expected):
+        """A global constraint that reads through a reference
+        (``publisher.name = ... implies ...``) judges the proposed object:
+        the proposed ``publisher`` is dereferenced as the stored one is.
+        ``gc13`` (``ProfessionalPubl`` ⋈ ``Proceedings``) has no member in
+        the fixture."""
+        view = library_result.view
+        obj = next(o for o in view.objects() if o.state.get("isbn") == isbn)
+        if "publisher" in changes:
+            (publisher,) = view.select("Bookseller.Publisher", f"name = '{changes['publisher']}'")
+            changes = {**changes, "publisher": publisher.oid}
+        verdict = GlobalUpdateValidator(library_result).validate(obj.oid, **changes)
+        assert [r.constraint for r in verdict.rejections] == expected
 
     def test_rejection_names_component(self, library_result):
         """A price flip would be rejected by the bookseller's manager

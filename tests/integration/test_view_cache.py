@@ -2,20 +2,26 @@
 
 ``IntegratedView`` derives its class extents, evaluation extents (sorted-oid
 order) and merged constants once per view generation, and
-``GlobalUpdateValidator`` precomputes its plan once per result.  These tests
-hold both to a naive reference that rebuilds every context and index per
-call:
+``GlobalUpdateValidator`` asks each component engine for a write shape's
+check plan once.  These tests hold both to a naive reference that rebuilds
+every context and index per call:
 
 * a Hypothesis differential oracle draws property updates over the library
   and personnel results and compares ``validate`` with the reference,
-  rejection by rejection;
+  rejection by rejection: at the global level the reference evaluates the
+  proposed object, dereferencing the properties a component declares a
+  reference; at the component level it scans every object constraint of
+  the class with its own read set;
 * ``select`` and ``satisfies`` agree with naive per-object evaluation;
 * each of the four invalidating calls is seen by the next context, and a
   context's replaced fields never reach the next one;
 * extent order and float aggregates are identical under two hash seeds;
-* a cost guard pins how often the shared state is built.
+* cost guards pin how often the shared state is built and how often the
+  validator asks for a check plan.
 """
 
+import collections
+import copy
 import functools
 import json
 import os
@@ -49,6 +55,7 @@ from repro.integration.merging import GlobalObject
 from repro.integration.relationships import Side
 from repro.integration.updates import GlobalUpdateValidator
 from repro.integration.view import IntegratedView
+from repro.types.primitives import ClassRef
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 PUBLISHERS = ("ACM", "IEEE", "Springer", "Elsevier", "Kluwer")
@@ -125,12 +132,32 @@ def _naive_constants(conformation) -> dict:
     return constants
 
 
+def _naive_global_get_attr(view: IntegratedView):
+    """Read a global object, dereferencing a property only where a
+    component's conformed class declares it a single reference."""
+    conformation = view.conformation
+
+    def get_attr(obj, name):
+        if not isinstance(obj, GlobalObject) or name not in obj.state:
+            raise EvaluationError(f"cannot read {name!r} from {obj!r}")
+        value = obj.state[name]
+        declared = (
+            conformation.on(side).schema.effective_attributes(component.class_name).get(name)
+            for side, component in obj.components.items()
+        )
+        if any(isinstance(a.tm_type, ClassRef) for a in declared if a is not None):
+            return view.get(value) if value in view.oids() else value
+        return value
+
+    return get_attr
+
+
 def _naive_context(view: IntegratedView, current) -> EvalContext:
     return EvalContext(
         current=current,
         extents={name: view.extent(name) for name in view.classes()},
         constants=_naive_constants(view.conformation),
-        get_attr=view.get_attr,
+        get_attr=_naive_global_get_attr(view),
     )
 
 
@@ -194,7 +221,8 @@ def reference_validate(result, global_oid: str, changes: dict) -> list[tuple]:
     """``(level, constraint, detail)`` of every rejection, in order."""
     view, conformation = result.view, result.conformation
     obj = view.get(global_oid)
-    proposed = {**obj.state, **changes}
+    proposed = copy.copy(obj)
+    proposed.state = {**obj.state, **changes}
     rejections = []
     for constraint in result.global_constraints:
         classes = [part.strip() for part in constraint.scope.split("⋈")]
@@ -212,7 +240,7 @@ def reference_validate(result, global_oid: str, changes: dict) -> list[tuple]:
                     f"violates {to_source(constraint.formula)} ({constraint.origin})",
                 )
             )
-    changed = {key: value for key, value in proposed.items() if obj.state.get(key) != value}
+    changed = {key: value for key, value in proposed.state.items() if obj.state.get(key) != value}
     local, remote = obj.component_on(Side.LOCAL), obj.component_on(Side.REMOTE)
     for side, component in obj.components.items():
         schema = conformation.on(side).schema
@@ -573,3 +601,29 @@ def test_shared_state_is_built_once_per_view_generation(monkeypatch):
     view.add_virtual_extent_member("VirtualX", merged[0].oid)
     validator.validate(merged[0].oid, shopprice=1_000.0)
     assert builds == {"view": 2, "index": 1}
+
+
+def test_validator_plans_each_write_shape_once(monkeypatch):
+    """Validating the same shapes many times asks the component engine for
+    each (side, class, property) plan once — and for a class's whole plan,
+    the order several written properties run in, once.  Counts, not
+    times: the memo is what keeps a validation as cheap as the hand-built
+    plan it replaced."""
+    result = _library_result()
+    calls = collections.Counter()
+    checks_for = ConstraintDependencyIndex.checks_for
+
+    def counting(self, shape, store=None):
+        calls[id(self), shape] += 1
+        return checks_for(self, shape, store)
+
+    monkeypatch.setattr(ConstraintDependencyIndex, "checks_for", counting)
+    validator = GlobalUpdateValidator(result)
+    merged = result.view.merged_objects()
+    for _ in range(20):
+        for obj in merged:
+            validator.validate(obj.oid, shopprice=1.0)
+            validator.validate(obj.oid, shopprice=500.0, libprice=2.0)
+    shapes = {shape for _, shape in calls}
+    assert ("Proceedings", "shopprice") in shapes and "Proceedings" in shapes
+    assert set(calls.values()) == {1}
